@@ -42,17 +42,19 @@ MetaEntry& MetadataTable::Insert(const Key& key, MetaEntry entry) {
   return it->second;
 }
 
-void MetadataTable::Erase(const Key& key, Version version) {
+bool MetadataTable::Erase(const Key& key, Version version) {
   auto it = table_.find(key);
   if (it == table_.end()) {
-    return;
+    return false;
   }
-  if (it->second.erase(version) > 0) {
+  const bool erased = it->second.erase(version) > 0;
+  if (erased) {
     --entry_count_;
   }
   if (it->second.empty()) {
     table_.erase(it);
   }
+  return erased;
 }
 
 void MetadataTable::ForEach(
@@ -92,6 +94,34 @@ std::vector<Version> MetadataTable::VersionsOf(const Key& key) const {
 void MetadataTable::Clear() {
   table_.clear();
   entry_count_ = 0;
+}
+
+void EarlyGcSet::Record(uint32_t shard, const Key& key, Version version) {
+  records_.push_back(Entry{shard, version, key});
+  if (records_.size() > kWindow) {
+    records_.erase(records_.begin());
+  }
+}
+
+std::vector<EarlyGcSet::Entry>::const_iterator EarlyGcSet::FindRecord(
+    uint32_t shard, const Key& key, Version version) const {
+  return std::find_if(records_.begin(), records_.end(), [&](const Entry& e) {
+    return e.version == version && e.shard == shard && e.key == key;
+  });
+}
+
+bool EarlyGcSet::Consume(uint32_t shard, const Key& key, Version version) {
+  const auto it = FindRecord(shard, key, version);
+  if (it == records_.end()) {
+    return false;
+  }
+  records_.erase(it);
+  return true;
+}
+
+bool EarlyGcSet::Contains(uint32_t shard, const Key& key,
+                          Version version) const {
+  return FindRecord(shard, key, version) != records_.end();
 }
 
 std::optional<VolatileIndex::Ref> VolatileIndex::Highest(

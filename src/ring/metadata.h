@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -24,21 +25,54 @@ namespace ring {
 // address, length, flags). Used for recovery-traffic modeling (Fig. 12).
 inline constexpr uint64_t kMetaEntryWireBytes = 96;
 
-struct MetaEntry {
+// Coordinator-only state of a write still in its quorum round, plus the
+// readers and movers parked on it. It lives behind MetaEntry::pending:
+// StartWrite allocates it, CommitEntry releases it, and a get or move that
+// must wait on an entry without one allocates it on demand. Committed
+// entries, replica/parity mirrors and recovered entries carry none.
+struct PendingWrite {
+  // Redundancy targets still owed an ack: bitmask over replica ordinals or
+  // parity indices.
+  uint32_t acks_pending = 0;
+  // Remaining ack count before the entry commits (quorum for replication,
+  // all m parities for erasure coding).
+  uint32_t acks_needed = 0;
+  // Trace context of the write that created the entry: the originating
+  // operation and when the coordinator started waiting for acknowledgments.
+  // Plain stores, kept up to date even with tracing off; read only at
+  // commit time.
+  uint64_t trace_op = 0;
+  uint64_t trace_quorum_start = 0;
+  // Deferred readers/movers released at commit time (Fig. 5's client D).
+  std::vector<std::function<void()>> waiters;
+  // Re-send closures for this write's backup messages, indexed by replica
+  // ordinal / parity index; invoked by the retransmit timer for every
+  // ordinal still owed an ack.
+  std::vector<std::function<void()>> backup_resend;
+};
+
+// The fields a metadata snapshot carries: everything but the in-flight
+// write state.
+struct MetaRecord {
   Version version = 0;
   uint64_t addr = 0;
   uint32_t len = 0;         // object bytes
   uint32_t region_len = 0;  // allocated region (>= len when a slot is reused)
-  bool committed = false;
-  bool tombstone = false;
-  // False on a recovered node until the object bytes are copied/decoded.
-  bool data_present = true;
   // Group size s of the geometry this entry was written under (§13). Always
   // the cluster's current s on a never-resized cluster; entries written
   // before an elastic resize keep their old shape until migrated, so shard
   // ids, replica/parity placement and stripe maps must be interpreted at
   // this s. 0 only on wire defaults, never on a stored entry.
   uint32_t geom_s = 0;
+  // Slot that supplied this entry during a merged recovery metadata fetch
+  // (-1 otherwise). Quorum-committed writes may live on only a subset of the
+  // replicas, so block recovery must copy bytes from a slot known to hold
+  // the entry — not from an arbitrary survivor.
+  int32_t recovery_src = -1;
+  bool committed = false;
+  bool tombstone = false;
+  // False on a recovered node until the object bytes are copied/decoded.
+  bool data_present = true;
   // Durable moved-marker (§13): this version records that the key's contents
   // were handed to its new-shape owner. Moved entries are never served and
   // never trigger GC of the versions below them (the payload must survive
@@ -53,31 +87,37 @@ struct MetaEntry {
   // other coordinators' writes never set it — the geometry purge must not
   // mistake a mirror for the entry an index ref belongs to.
   bool indexed = false;
-  // Coordinator-only transient state ---------------------------------------
-  // Redundancy targets still owed an ack: bitmask over replica ordinals or
-  // parity indices.
-  uint32_t acks_pending = 0;
-  // Remaining ack count before the entry commits (quorum for replication,
-  // all m parities for erasure coding).
-  uint32_t acks_needed = 0;
-  // Trace context of the write that created the entry: the originating
-  // operation and when the coordinator started waiting for acknowledgments.
-  // Plain stores, kept up to date even with tracing off (two words per
-  // entry); read only at commit time.
-  uint64_t trace_op = 0;
-  uint64_t trace_quorum_start = 0;
-  // Deferred readers/movers released at commit time (Fig. 5's client D).
-  std::vector<std::function<void()>> waiters;
-  // Re-send closures for this write's backup messages, indexed by replica
-  // ordinal / parity index; invoked by the retransmit timer for every
-  // ordinal still owed an ack. Cleared at commit.
-  std::vector<std::function<void()>> backup_resend;
-  // Slot that supplied this entry during a merged recovery metadata fetch
-  // (-1 otherwise). Quorum-committed writes may live on only a subset of the
-  // replicas, so block recovery must copy bytes from a slot known to hold
-  // the entry — not from an arbitrary survivor.
-  int32_t recovery_src = -1;
 };
+
+struct MetaEntry : MetaRecord {
+  // Null unless a write is in flight on this entry or something waits on it.
+  std::unique_ptr<PendingWrite> pending;
+
+  MetaEntry() = default;
+  MetaEntry(MetaEntry&&) noexcept = default;
+  MetaEntry& operator=(MetaEntry&&) noexcept = default;
+  // Copies are metadata snapshots (recovery transfers, tests): they never
+  // carry the source's in-flight write state.
+  MetaEntry(const MetaEntry& other) : MetaRecord(other) {}
+  MetaEntry& operator=(const MetaEntry& other) {
+    MetaRecord::operator=(other);
+    pending.reset();
+    return *this;
+  }
+
+  // The in-flight state, allocated on first use.
+  PendingWrite& Pending() {
+    if (pending == nullptr) {
+      pending = std::make_unique<PendingWrite>();
+    }
+    return *pending;
+  }
+  uint32_t acks_pending() const {
+    return pending == nullptr ? 0 : pending->acks_pending;
+  }
+};
+// One map node per entry: keep it in the 96-byte malloc class.
+static_assert(sizeof(MetaEntry) <= 56, "MetaEntry grew past 56 bytes");
 
 // Per-(memgest, shard) metadata hashtable.
 class MetadataTable {
@@ -87,7 +127,8 @@ class MetadataTable {
   // Highest version for the key (committed or not), nullptr if absent.
   MetaEntry* Highest(const Key& key);
   MetaEntry& Insert(const Key& key, MetaEntry entry);
-  void Erase(const Key& key, Version version);
+  // True when the entry existed.
+  bool Erase(const Key& key, Version version);
 
   size_t entry_count() const { return entry_count_; }
   uint64_t ApproxBytes() const { return entry_count_ * kMetaEntryWireBytes; }
@@ -106,6 +147,38 @@ class MetadataTable {
  private:
   std::unordered_map<Key, std::map<Version, MetaEntry>> table_;
   size_t entry_count_ = 0;
+};
+
+// Versions a GC notice collected before their redundancy write arrived.
+// The coordinator's GC notice is a one-sided write applied on arrival, while
+// the ReplicaAppend/ParityUpdate it chases may still wait in this node's CPU
+// queue; the late write would then insert an entry nothing ever collects.
+// The notice records (shard, key, version) here instead, and the insert
+// site consumes the record and skips the dead entry. FIFO-bounded: the
+// record of a write that never arrives (dropped) ages out once kWindow
+// newer records have been made.
+class EarlyGcSet {
+ public:
+  static constexpr size_t kWindow = 256;
+
+  void Record(uint32_t shard, const Key& key, Version version);
+  // True when (shard, key, version) was recorded; forgets the record.
+  bool Consume(uint32_t shard, const Key& key, Version version);
+  // True when (shard, key, version) was recorded; keeps the record.
+  bool Contains(uint32_t shard, const Key& key, Version version) const;
+  size_t size() const { return records_.size(); }
+
+ private:
+  struct Entry {
+    uint32_t shard;
+    Version version;
+    Key key;
+  };
+  std::vector<Entry>::const_iterator FindRecord(uint32_t shard, const Key& key,
+                                                Version version) const;
+  // Oldest first. Usually empty: a record lives only while its write waits
+  // in the queue.
+  std::vector<Entry> records_;
 };
 
 // Coordinator-side index over all memgests (paper Fig. 4).

@@ -130,7 +130,8 @@ RingServer::MemgestState& RingServer::StateOf(const MemgestInfo& info) {
 
 RingServer::ShardStore& RingServer::StoreOf(MemgestState& state,
                                             uint32_t shard, uint32_t geom_s) {
-  return state.stores[GeomKey(geom_s == 0 ? config_.s : geom_s, shard)];
+  return state.stores.FindOrCreate(
+      GeomKey(geom_s == 0 ? config_.s : geom_s, shard));
 }
 
 std::optional<consensus::Placement> RingServer::PlacementFor(
@@ -149,9 +150,9 @@ MetaEntry* RingServer::FindEntry(const MemgestInfo& info, const Key& key,
                                  uint32_t* geom_out) {
   MemgestState& state = StateOf(info);
   const uint32_t cur_shard = KeyShard(key, config_.num_shards());
-  if (auto sit = state.stores.find(GeomKey(config_.s, cur_shard));
-      sit != state.stores.end()) {
-    if (MetaEntry* e = sit->second.meta.Find(key, version); e != nullptr) {
+  if (ShardStore* store = state.stores.Find(GeomKey(config_.s, cur_shard));
+      store != nullptr) {
+    if (MetaEntry* e = store->meta.Find(key, version); e != nullptr) {
       if (shard_out != nullptr) {
         *shard_out = cur_shard;
       }
@@ -164,9 +165,10 @@ MetaEntry* RingServer::FindEntry(const MemgestInfo& info, const Key& key,
   if (config_.rebalancing()) {
     const uint32_t prev_shard =
         KeyShard(key, config_.groups * config_.prev_s);
-    if (auto sit = state.stores.find(GeomKey(config_.prev_s, prev_shard));
-        sit != state.stores.end()) {
-      if (MetaEntry* e = sit->second.meta.Find(key, version); e != nullptr) {
+    if (ShardStore* store =
+            state.stores.Find(GeomKey(config_.prev_s, prev_shard));
+        store != nullptr) {
+      if (MetaEntry* e = store->meta.Find(key, version); e != nullptr) {
         if (shard_out != nullptr) {
           *shard_out = prev_shard;
         }
@@ -436,9 +438,11 @@ void RingServer::StartWrite(const MemgestInfo& info, uint32_t shard,
              HashKey(key), HashKey(key) + 1, "start_write/version");
   volatile_index_.Add(key, version, info.id);
   e.indexed = true;
-  e.waiters.push_back([on_commit] { on_commit(OkStatus()); });
+  e.pending = std::make_unique<PendingWrite>();
+  PendingWrite& pw = *e.pending;
+  pw.waiters.push_back([on_commit] { on_commit(OkStatus()); });
   const uint64_t op_id = hub().current_op();
-  e.trace_op = op_id;
+  pw.trace_op = op_id;
   hub().tracer().Record("write_ahead", obs::Category::kOther, id_, op_id,
                         rt_->simulator().now(), rt_->simulator().now());
 
@@ -450,13 +454,13 @@ void RingServer::StartWrite(const MemgestInfo& info, uint32_t shard,
     }
     const auto slots =
         MemgestRegistry::ReplicaSlotsFor(info, shard, geom_s, config_.d);
-    e.acks_pending = (1u << slots.size()) - 1;
+    pw.acks_pending = (1u << slots.size()) - 1;
     // Quorum commit: majority of r counting the coordinator itself; the
     // fully-synchronous variant (§3.1) waits for every replica.
-    e.acks_needed = info.desc.full_sync
-                        ? static_cast<uint32_t>(slots.size())
-                        : info.desc.r / 2;
-    e.trace_quorum_start = rt_->simulator().now();
+    pw.acks_needed = info.desc.full_sync
+                         ? static_cast<uint32_t>(slots.size())
+                         : info.desc.r / 2;
+    pw.trace_quorum_start = rt_->simulator().now();
     for (uint32_t ordinal = 0; ordinal < slots.size(); ++ordinal) {
       ReplicaAppend msg;
       msg.memgest = info.id;
@@ -489,7 +493,7 @@ void RingServer::StartWrite(const MemgestInfo& info, uint32_t shard,
                    [peer, msg] { peer->HandleReplicaAppend(msg); });
       };
       send();
-      e.backup_resend.push_back(std::move(send));
+      pw.backup_resend.push_back(std::move(send));
     }
     ScheduleWriteRetransmit(info.id, shard, geom_s, key, version);
     return;
@@ -500,13 +504,13 @@ void RingServer::StartWrite(const MemgestInfo& info, uint32_t shard,
   const uint32_t group = shard / geom_s;
   const auto parity_slots =
       MemgestRegistry::ParitySlotsFor(info, group, geom_s, config_.d);
-  e.acks_pending = (1u << parity_slots.size()) - 1;
-  e.acks_needed = static_cast<uint32_t>(parity_slots.size());
+  pw.acks_pending = (1u << parity_slots.size()) - 1;
+  pw.acks_needed = static_cast<uint32_t>(parity_slots.size());
   if (parity_slots.empty()) {
     CommitEntry(info, shard, key, version, geom_s);
     return;
   }
-  e.trace_quorum_start = rt_->simulator().now();
+  pw.trace_quorum_start = rt_->simulator().now();
   for (uint32_t j = 0; j < parity_slots.size(); ++j) {
     ParityUpdate msg;
     msg.memgest = info.id;
@@ -538,7 +542,7 @@ void RingServer::StartWrite(const MemgestInfo& info, uint32_t shard,
       SendToNode(target, bytes, [peer, msg] { peer->HandleParityUpdate(msg); });
     };
     send();
-    e.backup_resend.push_back(std::move(send));
+    pw.backup_resend.push_back(std::move(send));
   }
   ScheduleWriteRetransmit(info.id, shard, geom_s, key, version);
 }
@@ -568,17 +572,17 @@ void RingServer::ScheduleWriteRetransmit(MemgestId gid, uint32_t shard,
     }
     MetaEntry* entry =
         StoreOf(StateOf(*info), shard, geom_s).meta.Find(key, version);
-    if (entry == nullptr || entry->committed || entry->acks_pending == 0) {
+    if (entry == nullptr || entry->committed || entry->acks_pending() == 0) {
       return;
     }
-    for (uint32_t ordinal = 0; ordinal < entry->backup_resend.size();
-         ++ordinal) {
-      if ((entry->acks_pending & (1u << ordinal)) != 0) {
+    const PendingWrite& pw = *entry->pending;
+    for (uint32_t ordinal = 0; ordinal < pw.backup_resend.size(); ++ordinal) {
+      if ((pw.acks_pending & (1u << ordinal)) != 0) {
         ++counters_.retransmits;
         hub().metrics().Inc("server.retransmits", 1, id_, gid);
         hub().recorder().Record(obs::RecKind::kRetransmit, "write_retransmit",
-                                id_, entry->trace_op, gid, ordinal);
-        entry->backup_resend[ordinal]();
+                                id_, pw.trace_op, gid, ordinal);
+        pw.backup_resend[ordinal]();
       }
     }
     ScheduleWriteRetransmit(gid, shard, geom_s, key, version);
@@ -638,20 +642,24 @@ void RingServer::HandleReplicaAppend(ReplicaAppend msg) {
       store.Write(msg.addr, *msg.bytes);
     }
     ++state.log_len;
-    MetaEntry entry;
-    entry.version = msg.version;
-    entry.addr = msg.addr;
-    entry.len = msg.len;
-    entry.region_len = msg.region_len;
-    entry.tombstone = msg.tombstone;
-    entry.committed = false;  // commit state tracked by the coordinator
-    entry.data_present = true;
-    entry.geom_s = geom;
-    entry.moved = msg.moved;
     NoteAccess(RegionKind::kMetadata, AccessKind::kWrite,
                ScopeOf(msg.memgest, msg.shard), HashKey(msg.key),
                HashKey(msg.key) + 1, "replica_append/meta");
-    store.meta.Insert(msg.key, std::move(entry));
+    // A GC notice that overtook this append already collected the version:
+    // the bytes land and the ack flows, but no dead entry is inserted.
+    if (!store.early_gc.Consume(msg.shard, msg.key, msg.version)) {
+      MetaEntry entry;
+      entry.version = msg.version;
+      entry.addr = msg.addr;
+      entry.len = msg.len;
+      entry.region_len = msg.region_len;
+      entry.tombstone = msg.tombstone;
+      entry.committed = false;  // commit state tracked by the coordinator
+      entry.data_present = true;
+      entry.geom_s = geom;
+      entry.moved = msg.moved;
+      store.meta.Insert(msg.key, std::move(entry));
+    }
 
     Ack ack{msg.memgest, msg.shard, msg.key, msg.version, msg.ordinal, geom};
     auto* peer = rt_->server(msg.from);
@@ -723,20 +731,10 @@ void RingServer::HandleParityUpdate(ParityUpdate msg) {
     hub().metrics().Inc("server.parity_updates", 1, id_, info->id);
     ApplyParityBytes(*info, msg);
     ++state.log_len;
-    MetaEntry entry;
-    entry.version = msg.version;
-    entry.addr = msg.addr;
-    entry.len = msg.len;
-    entry.region_len = msg.region_len;
-    entry.tombstone = msg.tombstone;
-    entry.committed = false;
-    entry.data_present = true;
-    entry.geom_s = geom;
-    entry.moved = msg.moved;
     NoteAccess(RegionKind::kMetadata, AccessKind::kWrite,
                ParityMetaScope(msg.memgest, msg.shard), HashKey(msg.key),
                HashKey(msg.key) + 1, "parity_update/meta");
-    parity.shard_meta[msg.shard].Insert(msg.key, std::move(entry));
+    InsertParityMeta(parity, msg, geom);
 
     Ack ack{msg.memgest, msg.shard, msg.key, msg.version, msg.parity_index,
             geom};
@@ -816,14 +814,15 @@ void RingServer::ApplyAck(const Ack& msg) {
       return;  // already committed (late ack) or GC'd
     }
     const uint32_t bit = 1u << msg.ordinal;
-    if ((entry->acks_pending & bit) == 0) {
+    if ((entry->acks_pending() & bit) == 0) {
       return;  // duplicate
     }
-    entry->acks_pending &= ~bit;
-    if (entry->acks_needed > 0) {
-      --entry->acks_needed;
+    PendingWrite& pw = *entry->pending;
+    pw.acks_pending &= ~bit;
+    if (pw.acks_needed > 0) {
+      --pw.acks_needed;
     }
-    if (entry->acks_needed == 0) {
+    if (pw.acks_needed == 0) {
       CommitEntry(*info, msg.shard, msg.key, msg.version, msg.geom_s);
     }
   }
@@ -843,30 +842,36 @@ void RingServer::CommitEntry(const MemgestInfo& info, uint32_t shard,
              EntryWord(key, version) + 1, "commit/flag");
   entry->committed = true;
   ++counters_.commits;
+  // The write's in-flight state ends here; only its waiters outlive it.
+  std::vector<std::function<void()>> waiters;
+  uint64_t trace_op = 0;
+  uint64_t quorum_start = 0;
+  if (entry->pending != nullptr) {
+    waiters = std::move(entry->pending->waiters);
+    trace_op = entry->pending->trace_op;
+    quorum_start = entry->pending->trace_quorum_start;
+    entry->pending.reset();
+  }
   if (hub().tracing_enabled()) {
     const sim::SimTime now = rt_->simulator().now();
-    if (entry->trace_quorum_start != 0 && now > entry->trace_quorum_start) {
+    if (quorum_start != 0 && now > quorum_start) {
       hub().tracer().Record("quorum_wait", obs::Category::kQuorum, id_,
-                            entry->trace_op, entry->trace_quorum_start, now);
+                            trace_op, quorum_start, now);
     }
-    hub().tracer().Record("commit", obs::Category::kOther, id_,
-                          entry->trace_op, now, now);
+    hub().tracer().Record("commit", obs::Category::kOther, id_, trace_op, now,
+                          now);
   }
   hub().metrics().Inc("server.commits", 1, id_, info.id);
   if (hub().recorder_enabled()) {
     const sim::SimTime now = rt_->simulator().now();
-    if (entry->trace_quorum_start != 0 && now > entry->trace_quorum_start) {
+    if (quorum_start != 0 && now > quorum_start) {
       hub().recorder().Record(obs::RecKind::kQuorum, "quorum_wait", id_,
-                              entry->trace_op,
-                              now - entry->trace_quorum_start);
+                              trace_op, now - quorum_start);
     }
-    hub().recorder().Record(obs::RecKind::kPhase, "commit", id_,
-                            entry->trace_op, info.id);
+    hub().recorder().Record(obs::RecKind::kPhase, "commit", id_, trace_op,
+                            info.id);
   }
-  entry->backup_resend.clear();
   const bool moved_marker = entry->moved;
-  auto waiters = std::move(entry->waiters);
-  entry->waiters.clear();
   // Remove superseded versions: "one instance of the key of a certain
   // version exists across all memgests" (§5.2); old versions are GC'd after
   // every committed put in the default configuration. A moved-marker must
@@ -965,40 +970,102 @@ void RingServer::HandleGcNotice(GcNotice msg) {
   // drains; the (tiny) metadata erase is not separately charged. Draining
   // the ring is an acquire into this CPU's clock, so the erase is ordered
   // with this node's own metadata work.
-  if (!IsAlive()) {
-    return;
+  if (!IsAlive() || is_spare_) {
+    return;  // a spare holds no redundancy state (restarts come back empty)
   }
-  auto it = memgests_.find(msg.memgest);
-  if (it == memgests_.end()) {
-    return;
-  }
-  MemgestState& state = it->second;
   const uint32_t geom = msg.geom_s == 0 ? config_.s : msg.geom_s;
-  // Each erase acquires on the CPU shard that owns the touched table
-  // (mirror stores home by shard id, parity metadata by group), matching
-  // the homing of the writers that populate them.
-  if (auto sit = state.stores.find(GeomKey(geom, msg.shard));
-      sit != state.stores.end()) {
-    analysis::ScopedCpuAcquire acquire(rt_->simulator().race(), id_,
-                                       cpu().ShardForHash(msg.shard));
-    NoteAccess(RegionKind::kMetadata, AccessKind::kWrite,
-               ScopeOf(msg.memgest, msg.shard), HashKey(msg.key),
-               HashKey(msg.key) + 1, "gc_notice/meta");
-    sit->second.meta.Erase(msg.key, msg.version);
-  }
   const uint32_t group = msg.shard / geom;
-  if (auto git = state.parity.find(GeomKey(geom, group));
-      git != state.parity.end()) {
-    auto pit = git->second.shard_meta.find(msg.shard);
-    if (pit != git->second.shard_meta.end()) {
+  bool erased = false;
+  auto it = memgests_.find(msg.memgest);
+  MemgestState* state = it == memgests_.end() ? nullptr : &it->second;
+  if (state != nullptr) {
+    // Each erase acquires on the CPU shard that owns the touched table
+    // (mirror stores home by shard id, parity metadata by group), matching
+    // the homing of the writers that populate them.
+    if (ShardStore* store = state->stores.Find(GeomKey(geom, msg.shard));
+        store != nullptr) {
       analysis::ScopedCpuAcquire acquire(rt_->simulator().race(), id_,
-                                         cpu().ShardForHash(group));
+                                         cpu().ShardForHash(msg.shard));
       NoteAccess(RegionKind::kMetadata, AccessKind::kWrite,
-                 ParityMetaScope(msg.memgest, msg.shard), HashKey(msg.key),
-                 HashKey(msg.key) + 1, "gc_notice/parity_meta");
-      pit->second.Erase(msg.key, msg.version);
+                 ScopeOf(msg.memgest, msg.shard), HashKey(msg.key),
+                 HashKey(msg.key) + 1, "gc_notice/meta");
+      erased = store->meta.Erase(msg.key, msg.version);
+    }
+    if (auto git = state->parity.find(GeomKey(geom, group));
+        git != state->parity.end()) {
+      auto pit = git->second.shard_meta.find(msg.shard);
+      if (pit != git->second.shard_meta.end()) {
+        analysis::ScopedCpuAcquire acquire(rt_->simulator().race(), id_,
+                                           cpu().ShardForHash(group));
+        NoteAccess(RegionKind::kMetadata, AccessKind::kWrite,
+                   ParityMetaScope(msg.memgest, msg.shard), HashKey(msg.key),
+                   HashKey(msg.key) + 1, "gc_notice/parity_meta");
+        erased = pit->second.Erase(msg.key, msg.version) || erased;
+      }
     }
   }
+  if (!erased) {
+    RecordEarlyGc(state, msg, geom);
+  }
+}
+
+void RingServer::RecordEarlyGc(MemgestState* state, const GcNotice& msg,
+                               uint32_t geom) {
+  // Nothing to erase: the version's redundancy write has not been applied
+  // here yet (it waits in this CPU's queue, was dropped, or is in a metadata
+  // snapshot still on its way to this promoted node). Remember the version
+  // where that write would land, in a store this node backs under a live
+  // shape.
+  const MemgestInfo* info = rt_->registry().Get(msg.memgest);
+  const auto placement = PlacementFor(geom);
+  if (info == nullptr || !placement.has_value()) {
+    return;
+  }
+  const int32_t my_slot = placement->SlotOfNode(id_);
+  if (my_slot < 0) {
+    return;
+  }
+  if (info->erasure_coded()) {
+    // Parity stores exist from the first update, or from promotion on.
+    if (state == nullptr) {
+      return;
+    }
+    if (auto git = state->parity.find(GeomKey(geom, msg.shard / geom));
+        git != state->parity.end()) {
+      git->second.early_gc.Record(msg.shard, msg.key, msg.version);
+    }
+    return;
+  }
+  const auto slots =
+      MemgestRegistry::ReplicaSlotsFor(*info, msg.shard, geom, config_.d);
+  if (std::find(slots.begin(), slots.end(), static_cast<uint32_t>(my_slot)) ==
+      slots.end()) {
+    return;
+  }
+  // A promoted node may not hold the memgest yet: its metadata snapshot is
+  // still on the way, and the record must be there when it lands.
+  StoreOf(state != nullptr ? *state : StateOf(*info), msg.shard, geom)
+      .early_gc.Record(msg.shard, msg.key, msg.version);
+}
+
+void RingServer::InsertParityMeta(ParityStore& parity, const ParityUpdate& msg,
+                                  uint32_t geom) {
+  // A GC notice that overtook the update already collected the version: the
+  // delta applies and the ack flows, but no dead entry is inserted.
+  if (parity.early_gc.Consume(msg.shard, msg.key, msg.version)) {
+    return;
+  }
+  MetaEntry entry;
+  entry.version = msg.version;
+  entry.addr = msg.addr;
+  entry.len = msg.len;
+  entry.region_len = msg.region_len;
+  entry.tombstone = msg.tombstone;
+  entry.committed = false;  // commit state tracked by the coordinator
+  entry.data_present = true;
+  entry.geom_s = geom;
+  entry.moved = msg.moved;
+  parity.shard_meta[msg.shard].Insert(msg.key, std::move(entry));
 }
 
 // ---------------------------------------------------------------------------
@@ -1147,8 +1214,9 @@ void RingServer::DeliverGet(const MemgestInfo& info, uint32_t shard,
     const sim::SimTime defer_start = rt_->simulator().now();
     const Version version = entry->version;
     const MemgestInfo* info_ptr = &info;
-    entry->waiters.push_back([this, info_ptr, shard, geom_s, key, version,
-                              defer_start, req = std::move(req)]() mutable {
+    entry->Pending().waiters.push_back([this, info_ptr, shard, geom_s, key,
+                                        version, defer_start,
+                                        req = std::move(req)]() mutable {
       // The waiter fires from CommitEntry under the *writer's* op context;
       // restore the reader's and account the blocked interval to its wait.
       obs::ScopedOp defer_scope(hub(), req.op_id);
@@ -1313,7 +1381,7 @@ void RingServer::HandleMove(MoveRequest req) {
       // the dedup table swallows the postponed move when the entry commits
       // and the client never hears back (it would burn through all its
       // retries, every one deduped, and report a spurious timeout).
-      entry->waiters.push_back([this, req]() mutable {
+      entry->Pending().waiters.push_back([this, req]() mutable {
         req.resumed = true;
         HandleMove(req);
       });
@@ -1580,7 +1648,7 @@ void RingServer::ApplyMemgestDelete(MemgestId memgest) {
   // replica-mirror entry that never had a volatile reference is a no-op —
   // no need to re-derive coordinator-ship per stored shape.
   for (auto& [store_key, store] : it->second.stores) {
-    store.meta.ForEach([this](const Key& key, const MetaEntry& entry) {
+    store->meta.ForEach([this](const Key& key, const MetaEntry& entry) {
       volatile_index_.Remove(key, entry.version);
     });
   }
@@ -1594,7 +1662,7 @@ uint64_t RingServer::TotalMetadataBytes() const {
   uint64_t total = 0;
   for (const auto& [id, state] : memgests_) {
     for (const auto& [shard, store] : state.stores) {
-      total += store.meta.ApproxBytes();
+      total += store->meta.ApproxBytes();
     }
     for (const auto& [group, parity] : state.parity) {
       for (const auto& [shard, meta] : parity.shard_meta) {
@@ -1609,7 +1677,7 @@ uint64_t RingServer::StoredBytes() const {
   uint64_t total = 0;
   for (const auto& [id, state] : memgests_) {
     for (const auto& [shard, store] : state.stores) {
-      total += store.heap.size();
+      total += store->heap.size();
     }
     for (const auto& [group, parity] : state.parity) {
       total += parity.mem.size();
@@ -1622,7 +1690,7 @@ uint64_t RingServer::LiveBytes() const {
   uint64_t total = 0;
   for (const auto& [id, state] : memgests_) {
     for (const auto& [shard, store] : state.stores) {
-      store.meta.ForEach([&total](const Key&, const MetaEntry& entry) {
+      store->meta.ForEach([&total](const Key&, const MetaEntry& entry) {
         total += entry.region_len;
       });
     }
@@ -1646,9 +1714,9 @@ uint64_t RingServer::HeapExtent(MemgestId memgest, uint32_t shard,
   if (it == memgests_.end()) {
     return 0;
   }
-  auto sit =
-      it->second.stores.find(GeomKey(geom_s == 0 ? config_.s : geom_s, shard));
-  return sit == it->second.stores.end() ? 0 : sit->second.next_addr;
+  const ShardStore* store =
+      it->second.stores.Find(GeomKey(geom_s == 0 ? config_.s : geom_s, shard));
+  return store == nullptr ? 0 : store->next_addr;
 }
 
 uint64_t RingServer::WriteSeq(MemgestId memgest, uint32_t shard,
@@ -1657,9 +1725,9 @@ uint64_t RingServer::WriteSeq(MemgestId memgest, uint32_t shard,
   if (it == memgests_.end()) {
     return 0;
   }
-  auto sit =
-      it->second.stores.find(GeomKey(geom_s == 0 ? config_.s : geom_s, shard));
-  return sit == it->second.stores.end() ? 0 : sit->second.write_seq;
+  const ShardStore* store =
+      it->second.stores.Find(GeomKey(geom_s == 0 ? config_.s : geom_s, shard));
+  return store == nullptr ? 0 : store->write_seq;
 }
 
 Buffer RingServer::ReadRawForRecovery(MemgestId memgest, uint32_t shard,
@@ -1676,12 +1744,12 @@ Buffer RingServer::ReadRawForRecovery(MemgestId memgest, uint32_t shard,
   if (it == memgests_.end()) {
     return out;
   }
-  auto sit =
-      it->second.stores.find(GeomKey(geom_s == 0 ? config_.s : geom_s, shard));
-  if (sit == it->second.stores.end()) {
+  const ShardStore* store =
+      it->second.stores.Find(GeomKey(geom_s == 0 ? config_.s : geom_s, shard));
+  if (store == nullptr) {
     return out;
   }
-  const Buffer& heap = sit->second.heap;
+  const Buffer& heap = store->heap;
   for (uint32_t i = 0; i < len && addr + i < heap.size(); ++i) {
     out[i] = heap[addr + i];
   }

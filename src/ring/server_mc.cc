@@ -50,13 +50,13 @@ uint64_t RingServer::McStateDigest() const {
   std::vector<DigestTuple> tuples;
   for (const auto& [gid, state] : memgests_) {
     for (const auto& [store_key, store] : state.stores) {
-      store.meta.ForEach([&](const Key& key, const MetaEntry& e) {
+      store->meta.ForEach([&](const Key& key, const MetaEntry& e) {
         if (!e.committed || e.moved) {
           return;  // only durable, visible state enters the fingerprint
         }
         uint64_t vh = kFnvOffset;
         if (e.data_present && !e.tombstone) {
-          const ByteSpan bytes = store.Read(e.addr, e.len);
+          const ByteSpan bytes = store->Read(e.addr, e.len);
           HashBytes(vh, bytes.data(), bytes.size());
         }
         tuples.push_back(DigestTuple{gid, store_key, key, e.version,
@@ -83,7 +83,7 @@ std::vector<Version> RingServer::RetainedCommittedVersions(
   std::vector<Version> out;
   for (const auto& [gid, state] : memgests_) {
     for (const auto& [store_key, store] : state.stores) {
-      store.meta.ForEach([&](const Key& k, const MetaEntry& e) {
+      store->meta.ForEach([&](const Key& k, const MetaEntry& e) {
         if (k == key && e.committed && !e.tombstone && !e.moved) {
           out.push_back(e.version);
         }
@@ -99,14 +99,27 @@ uint64_t RingServer::PendingWrites() const {
   uint64_t pending = 0;
   for (const auto& [gid, state] : memgests_) {
     for (const auto& [store_key, store] : state.stores) {
-      store.meta.ForEach([&](const Key&, const MetaEntry& e) {
-        if (!e.committed && e.acks_pending != 0) {
+      store->meta.ForEach([&](const Key&, const MetaEntry& e) {
+        if (!e.committed && e.acks_pending() != 0) {
           ++pending;
         }
       });
     }
   }
   return pending;
+}
+
+uint64_t RingServer::EarlyGcRecords() const {
+  uint64_t records = 0;
+  for (const auto& [gid, state] : memgests_) {
+    for (const auto& [store_key, store] : state.stores) {
+      records += store->early_gc.size();
+    }
+    for (const auto& [pkey, parity] : state.parity) {
+      records += parity.early_gc.size();
+    }
+  }
+  return records;
 }
 
 }  // namespace ring

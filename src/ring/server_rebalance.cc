@@ -50,7 +50,7 @@ void RingServer::HandleRebalanceScan(RebalanceScan msg) {
               prev.CoordinatorOfShard(shard) != id_) {
             continue;
           }
-          store.meta.ForEach([&](const Key& key, const MetaEntry&) {
+          store->meta.ForEach([&](const Key& key, const MetaEntry&) {
             ++scanned;
             if (msg.max_keys != 0 && pending.size() >= msg.max_keys) {
               return;
@@ -151,7 +151,7 @@ void RingServer::HandleMigrateKey(MigrateKey msg) {
         return;
       }
       // Marker still collecting acks: retry once it commits.
-      entry->waiters.push_back([this, msg]() mutable {
+      entry->Pending().waiters.push_back([this, msg]() mutable {
         HandleMigrateKey(std::move(msg));
       });
       return;
@@ -160,7 +160,7 @@ void RingServer::HandleMigrateKey(MigrateKey msg) {
       // A client write is in flight; the marker must fence *above* it, so
       // wait for it to settle and re-run (the re-run recomputes the highest
       // version — more writes may have landed meanwhile).
-      entry->waiters.push_back([this, msg]() mutable {
+      entry->Pending().waiters.push_back([this, msg]() mutable {
         HandleMigrateKey(std::move(msg));
       });
       return;
@@ -329,33 +329,37 @@ void RingServer::HandleInstallKey(InstallKey msg) {
 void RingServer::PurgeStaleGeometries() {
   uint64_t dropped_entries = 0;
   for (auto& [gid, state] : memgests_) {
-    for (auto it = state.stores.begin(); it != state.stores.end();) {
-      if ((it->first >> 16) == config_.s) {
-        ++it;
+    const auto stale = [this](uint32_t store_key) {
+      return (store_key >> 16) != config_.s;
+    };
+    for (auto& [store_key, store] : state.stores) {
+      if (!stale(store_key)) {
         continue;
       }
-      // Old-shape store: unlink its volatile references, then drop the whole
-      // heap + table. Careful with version-number collisions: an installed
-      // key reuses its moved-marker's version at the new shape, so the ref
-      // may now belong to the live current-shape entry and must survive the
-      // purge. The entry must be *indexed*, though: a plain replica mirror
-      // of the new owner's install also resolves (key, version) here, but
-      // owns no ref — keeping the ref for a mirror leaves it dangling, and
-      // a later get on this node trips over it instead of forwarding.
-      it->second.meta.ForEach([&](const Key& key, const MetaEntry& entry) {
+      // Old-shape store: unlink its volatile references before the whole
+      // heap + table is dropped below. Careful with version-number
+      // collisions: an installed key reuses its moved-marker's version at the
+      // new shape, so the ref may now belong to the live current-shape entry
+      // and must survive the purge. The entry must be *indexed*, though: a
+      // plain replica mirror of the new owner's install also resolves (key,
+      // version) here, but owns no ref — keeping the ref for a mirror leaves
+      // it dangling, and a later get on this node trips over it instead of
+      // forwarding.
+      store->meta.ForEach([&](const Key& key, const MetaEntry& entry) {
         ++dropped_entries;
         const uint32_t cur_shard = KeyShard(key, config_.num_shards());
-        if (auto cit = state.stores.find(GeomKey(config_.s, cur_shard));
-            cit != state.stores.end()) {
-          const MetaEntry* live = cit->second.meta.Find(key, entry.version);
+        if (const ShardStore* cur =
+                state.stores.Find(GeomKey(config_.s, cur_shard));
+            cur != nullptr) {
+          const MetaEntry* live = cur->meta.Find(key, entry.version);
           if (live != nullptr && live->indexed) {
             return;
           }
         }
         volatile_index_.Remove(key, entry.version);
       });
-      it = state.stores.erase(it);
     }
+    state.stores.EraseIf(stale);
     for (auto it = state.parity.begin(); it != state.parity.end();) {
       if ((it->first >> 16) == config_.s) {
         ++it;

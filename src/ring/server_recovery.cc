@@ -97,14 +97,10 @@ void RingServer::OnConfig(const consensus::ClusterConfig& config) {
 void RingServer::AbandonPendingWrites() {
   for (auto& [gid, state] : memgests_) {
     for (auto& [store_key, store] : state.stores) {
-      store.meta.ForEachMutable([&](const Key&, MetaEntry& e) {
-        if (e.committed) {
-          return;
+      store->meta.ForEachMutable([&](const Key&, MetaEntry& e) {
+        if (!e.committed) {
+          e.pending.reset();
         }
-        e.acks_pending = 0;
-        e.acks_needed = 0;
-        e.waiters.clear();
-        e.backup_resend.clear();
       });
     }
   }
@@ -208,7 +204,7 @@ void RingServer::BeginPromotion(uint32_t new_slot) {
     uint64_t entries = 0;
     for (const auto& [id, state] : memgests_) {
       for (const auto& [shard, store] : state.stores) {
-        entries += store.meta.entry_count();
+        entries += store->meta.entry_count();
       }
     }
     const auto& p = rt_->simulator().params();
@@ -329,11 +325,14 @@ void RingServer::FetchShardMetadata(const MemgestInfo& info, uint32_t shard,
           return;
         }
         MemgestState& state = StateOf(*info_ptr);
+        ParityStore* parity =
+            as_parity ? &state.parity.at(GeomKey(geom, shard / geom))
+                      : nullptr;
+        ShardStore* store = as_parity ? nullptr : &StoreOf(state, shard, geom);
         MetadataTable& target =
-            as_parity
-                ? state.parity.at(GeomKey(geom, shard / geom))
-                      .shard_meta[shard]
-                : StoreOf(state, shard, geom).meta;
+            as_parity ? parity->shard_meta[shard] : store->meta;
+        const EarlyGcSet& early_gc =
+            as_parity ? parity->early_gc : store->early_gc;
         // Bulk re-population of the whole shard table on the promoted node.
         // Tables from multiple sources are unioned: quorum commit means a
         // write may survive on any single holder, so every survivor's view
@@ -351,15 +350,16 @@ void RingServer::FetchShardMetadata(const MemgestInfo& info, uint32_t shard,
           if (target.Find(key, src.version) != nullptr) {
             return;  // another source already supplied this version
           }
-          MetaEntry entry = src;
+          if (early_gc.Contains(shard, key, src.version)) {
+            // Collected after the source's snapshot was taken. The record
+            // stays: another source may still offer the same version.
+            return;
+          }
+          MetaEntry entry = src;  // a copy carries no in-flight write state
           // Surviving entries are durable: treat them as committed. Their
           // bytes are not local yet and must be copied from a node that
           // actually holds this entry.
           entry.committed = true;
-          entry.acks_pending = 0;
-          entry.acks_needed = 0;
-          entry.waiters.clear();
-          entry.backup_resend.clear();
           entry.data_present = entry.tombstone || entry.len == 0;
           entry.geom_s = geom;
           entry.moved_done = false;  // volatile: re-verified by the driver
@@ -373,10 +373,9 @@ void RingServer::FetchShardMetadata(const MemgestInfo& info, uint32_t shard,
           // regions: new puts racing with background data recovery would
           // overwrite the surviving replica/parity copies they are
           // recovered from.
-          ShardStore& store = StoreOf(state, shard, geom);
-          store.next_addr = std::max(store.next_addr, high_water);
-          store.EnsureSize(store.next_addr);
-          store.write_seq += table->entry_count();  // fencing stays monotonic
+          store->next_addr = std::max(store->next_addr, high_water);
+          store->EnsureSize(store->next_addr);
+          store->write_seq += table->entry_count();  // fencing stays monotonic
         }
         state.log_len += installed;
         if (--*remaining == 0) {
@@ -446,9 +445,9 @@ void RingServer::HandleMetaFetch(MetaFetch msg) {
       const MemgestState& state = it->second;
       const MetadataTable* source = nullptr;
       uint64_t source_scope = 0;
-      if (auto sit = state.stores.find(GeomKey(geom, msg.shard));
-          sit != state.stores.end()) {
-        source = &sit->second.meta;
+      if (const ShardStore* store = state.stores.Find(GeomKey(geom, msg.shard));
+          store != nullptr) {
+        source = &store->meta;
         source_scope = ScopeOf(msg.memgest, msg.shard);
       } else if (auto git = state.parity.find(GeomKey(geom, msg.shard / geom));
                  git != state.parity.end()) {
@@ -494,7 +493,7 @@ void RingServer::RebuildVolatileIndex() {
       const auto placement = PlacementFor(geom);
       const bool mine = placement.has_value() &&
                         placement->CoordinatorOfShard(shard) == id_;
-      store.meta.ForEachMutable([&](const Key& key, MetaEntry& entry) {
+      store->meta.ForEachMutable([&](const Key& key, MetaEntry& entry) {
         // The flag rides along in metadata-fetch snapshots, so entries of
         // shards this node does *not* coordinate must be re-marked as plain
         // mirrors — a stale true would fool the geometry purge later.
@@ -833,7 +832,7 @@ void RingServer::RecoverAllData(std::function<void()> done) {
     if (rt_->options().background_data_recovery) {
       for (auto& [store_key, store] : state.stores) {
         StoreTask task{state.info, store_key & 0xffffu, store_key >> 16, {}};
-        store.meta.ForEach([&](const Key& key, const MetaEntry& entry) {
+        store->meta.ForEach([&](const Key& key, const MetaEntry& entry) {
           if (!entry.data_present) {
             task.entries.emplace_back(key, entry.version);
           }
@@ -1007,16 +1006,7 @@ void RingServer::RebuildParity(const MemgestInfo& info, uint32_t pkey,
         if (upd.seq > (*snaps)[upd.shard % geom].seq) {
           ApplyParityBytes(*info_ptr, upd);
         }
-        MetaEntry entry;
-        entry.version = upd.version;
-        entry.addr = upd.addr;
-        entry.len = upd.len;
-        entry.region_len = upd.region_len;
-        entry.tombstone = upd.tombstone;
-        entry.data_present = true;
-        entry.geom_s = geom;
-        entry.moved = upd.moved;
-        par.shard_meta[upd.shard].Insert(upd.key, std::move(entry));
+        InsertParityMeta(par, upd, geom);
         Ack ack{upd.memgest, upd.shard, upd.key, upd.version,
                 upd.parity_index, geom};
         const net::NodeId coord = placement->CoordinatorOfShard(upd.shard);
@@ -1159,11 +1149,12 @@ void RingServer::HandleRedundancyRecovered(RedundancyRecovered msg) {
     std::vector<std::pair<Key, Version>> to_commit;
     const uint32_t bit = 1u << msg.ordinal;
     store.meta.ForEachMutable([&](const Key& key, MetaEntry& entry) {
-      if (entry.committed || (entry.acks_pending & bit) == 0) {
+      if (entry.committed || (entry.acks_pending() & bit) == 0) {
         return;
       }
-      entry.acks_pending &= ~bit;
-      if (entry.acks_needed > 0 && --entry.acks_needed == 0) {
+      PendingWrite& pw = *entry.pending;
+      pw.acks_pending &= ~bit;
+      if (pw.acks_needed > 0 && --pw.acks_needed == 0) {
         to_commit.emplace_back(key, entry.version);
       }
     });

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "src/common/hash.h"
+#include "src/common/rng.h"
 #include "src/gf/gf256.h"
 #include "src/ring/cluster.h"
+#include "src/ring/seq_window.h"
 
 namespace ring {
 namespace {
@@ -73,6 +78,132 @@ TEST(MetadataTableTest, InsertFindErase) {
   EXPECT_EQ(t.entry_count(), 1u);
   t.Erase("k", 7);
   EXPECT_EQ(t.Highest("k"), nullptr);
+}
+
+TEST(MetaEntryTest, PendingWriteIsOutOfLineAndNeverCopied) {
+  // Coordinator-only write state lives behind one pointer: the map node of
+  // every mirror, parity copy and committed entry stays small.
+  static_assert(sizeof(MetaEntry) <= 56);
+  MetaEntry e;
+  e.version = 3;
+  EXPECT_EQ(e.pending, nullptr);
+  EXPECT_EQ(e.acks_pending(), 0u);
+  int released = 0;
+  e.Pending().acks_pending = 0b10;
+  e.Pending().waiters.push_back([&released] { ++released; });
+  ASSERT_NE(e.pending, nullptr);
+  EXPECT_EQ(e.acks_pending(), 0b10u);
+  EXPECT_EQ(e.pending->waiters.size(), 1u);  // allocated once, then reused
+
+  // Copies are metadata snapshots (recovery transfers): durable fields only.
+  const MetaEntry copy = e;
+  EXPECT_EQ(copy.version, 3u);
+  EXPECT_EQ(copy.pending, nullptr);
+  MetadataTable t;
+  t.Insert("k", e);
+  EXPECT_EQ(t.Find("k", 3)->pending, nullptr);
+  MetadataTable snapshot;
+  snapshot = t;
+  EXPECT_EQ(snapshot.Find("k", 3)->pending, nullptr);
+
+  // Moves keep the waiters.
+  MetaEntry moved = std::move(e);
+  ASSERT_NE(moved.pending, nullptr);
+  moved.pending->waiters.front()();
+  EXPECT_EQ(released, 1);
+}
+
+TEST(EarlyGcSetTest, ConsumesOnceAndEvictsOldestPastTheWindow) {
+  EarlyGcSet set;
+  set.Record(0, "a", 1);
+  EXPECT_TRUE(set.Contains(0, "a", 1));
+  EXPECT_FALSE(set.Contains(1, "a", 1));
+  EXPECT_FALSE(set.Contains(0, "b", 1));
+  EXPECT_FALSE(set.Contains(0, "a", 2));
+  EXPECT_TRUE(set.Consume(0, "a", 1));
+  EXPECT_FALSE(set.Consume(0, "a", 1));
+  EXPECT_EQ(set.size(), 0u);
+
+  const Version window = EarlyGcSet::kWindow;
+  for (Version v = 1; v <= window + 1; ++v) {
+    set.Record(2, "k", v);
+  }
+  EXPECT_EQ(set.size(), window);
+  EXPECT_FALSE(set.Contains(2, "k", 1));  // the oldest aged out
+  EXPECT_TRUE(set.Contains(2, "k", 2));
+  EXPECT_TRUE(set.Consume(2, "k", window + 1));
+  EXPECT_EQ(set.size(), window - 1);
+}
+
+// The replay fence as first written, one std::set node per held sequence:
+// the reference model the run-length SeqWindow must match step for step.
+struct SetSeqWindow {
+  std::set<uint64_t> seen;
+  uint64_t min_retained = 0;
+
+  bool MarkOnce(uint64_t seq) {
+    if (seq < min_retained || !seen.insert(seq).second) {
+      return false;
+    }
+    while (seen.size() > SeqWindow::kWindow) {
+      min_retained = *seen.begin() + 1;
+      seen.erase(seen.begin());
+    }
+    return true;
+  }
+};
+
+TEST(SeqWindowTest, MatchesSetReferenceOnRandomStreams) {
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    SeqWindow fast;
+    SetSeqWindow ref;
+    uint64_t next = 1;  // next fresh sequence a coordinator would issue
+    for (int step = 0; step < 20000; ++step) {
+      uint64_t seq = next;
+      switch (rng.NextBelow(6)) {
+        case 0:
+        case 1:  // in order
+          seq = next++;
+          break;
+        case 2:  // gap: some sequences are lost (or still in flight)
+          next += 1 + rng.NextBelow(8);
+          seq = next++;
+          break;
+        case 3:  // duplicate or late arrival of a recent sequence
+          seq = next - 1 - rng.NextBelow(std::min<uint64_t>(next - 1, 64));
+          break;
+        case 4:  // reordered ahead of its predecessors
+          seq = next + rng.NextBelow(32);
+          break;
+        default:  // far behind: around and below the window's low edge
+          seq = next > 6000 ? next - 3000 - rng.NextBelow(3000) : next;
+          break;
+      }
+      ASSERT_EQ(fast.MarkOnce(seq), ref.MarkOnce(seq))
+          << "seed " << seed << " step " << step << " seq " << seq;
+      ASSERT_EQ(fast.min_retained(), ref.min_retained)
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(fast.size(), ref.seen.size());
+    }
+    EXPECT_GT(fast.min_retained(), 0u) << "window never slid, seed " << seed;
+  }
+}
+
+TEST(SeqWindowTest, InOrderStreamIsOneRun) {
+  SeqWindow w;
+  for (uint64_t seq = 1; seq <= 100000; ++seq) {
+    ASSERT_TRUE(w.MarkOnce(seq));
+  }
+  EXPECT_EQ(w.runs(), 1u);
+  EXPECT_EQ(w.size(), SeqWindow::kWindow);
+  EXPECT_EQ(w.min_retained(), 100000 - SeqWindow::kWindow + 1);
+  EXPECT_FALSE(w.MarkOnce(100000));  // held
+  EXPECT_FALSE(w.MarkOnce(5));       // below the window
+  EXPECT_TRUE(w.MarkOnce(100002));   // a gap opens a second run
+  EXPECT_EQ(w.runs(), 2u);
+  EXPECT_TRUE(w.MarkOnce(100001));  // and closing it merges them again
+  EXPECT_EQ(w.runs(), 1u);
 }
 
 TEST(MemgestRegistryTest, CreateAndPlacement) {
@@ -526,6 +657,174 @@ TEST_F(RingKvsTest, FullSyncReplicationCommitsAndReads) {
   ASSERT_TRUE(cluster_->Put("q", value, rep3_).ok());
   const double quorum_lat = client.latencies().values().back();
   EXPECT_GE(full_sync_lat, quorum_lat);
+}
+
+TEST_F(RingKvsTest, PromotedCoordinatorReleasesParkedGetAndMoveAtCommit) {
+  RingOptions o = DefaultOptions();
+  o.clients = 3;
+  SetUpCluster(o);
+  const Key key = KeyInShard(1, 3, 4242);
+  ASSERT_TRUE(cluster_->Put(key, "before", srs32_).ok());
+  cluster_->KillNode(1, /*force_detect=*/true);
+  cluster_->RunFor(2 * sim::kMillisecond);
+  RingServer& promoted = cluster_->server(5);
+  ASSERT_TRUE(promoted.serving());
+
+  // A slow SRS(3,2) put on the promoted coordinator; a get and a move land
+  // while its version is still in the quorum round. Both park on the
+  // entry's in-flight state and must be released by the commit.
+  const Buffer value = MakePatternBuffer(4096, 77);
+  bool put_done = false;
+  bool get_done = false;
+  bool move_done = false;
+  sim::SimTime put_at = 0;
+  sim::SimTime move_at = 0;
+  Buffer got;
+  Status move_status;
+  cluster_->client(0).Put(key, std::make_shared<Buffer>(value), srs32_,
+                          [&](Status s, Version) {
+                            EXPECT_TRUE(s.ok()) << s;
+                            put_done = true;
+                            put_at = cluster_->simulator().now();
+                          });
+  cluster_->simulator().After(10 * sim::kMicrosecond, [&] {
+    cluster_->client(1).Get(key, [&](GetResult r) {
+      ASSERT_TRUE(r.status.ok()) << r.status;
+      got = *r.data;
+      get_done = true;
+    });
+    cluster_->client(2).Move(key, rep3_, [&](Status s, Version) {
+      move_status = s;
+      move_done = true;
+      move_at = cluster_->simulator().now();
+    });
+  });
+  ASSERT_TRUE(cluster_->RunUntilDone(
+      [&] { return put_done && get_done && move_done; }));
+  EXPECT_EQ(got, value);
+  EXPECT_TRUE(move_status.ok()) << move_status;
+  EXPECT_GE(move_at, put_at);
+  EXPECT_GT(promoted.counters().deferred_gets, 0u);
+  EXPECT_EQ(promoted.PendingWrites(), 0u);
+  auto after = cluster_->Get(key);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, value);
+}
+
+// ---------------------------------------------------------------------------
+// Redundancy metadata: one live entry per version (§5.2)
+
+// Metadata entries held on a node: its own shards, mirrors and parity
+// copies.
+uint64_t EntriesOn(RingCluster& cluster, net::NodeId node) {
+  return cluster.server(node).TotalMetadataBytes() / kMetaEntryWireBytes;
+}
+
+// Overwrites `keys` keys of shard 0 `rounds` times each while `paused` sits
+// in a gray pause. Redundancy writes to the paused node wait behind the
+// pause; the GC notices chasing them are one-sided writes and land at once.
+void OverwriteWhilePaused(const MemgestDescriptor& desc, net::NodeId paused,
+                          uint32_t keys, uint32_t rounds,
+                          std::vector<uint64_t>* entries_per_node) {
+  RingOptions o;
+  o.s = 3;
+  o.d = 2;
+  o.seed = 7;
+  o.fault_plan =
+      *fault::ParseFaultPlan("pause node=" + std::to_string(paused) +
+                             " at=20ms resume=24ms");
+  RingCluster cluster(o);
+  const MemgestId g = *cluster.CreateMemgest(desc);
+  cluster.RunFor(20 * sim::kMillisecond - cluster.simulator().now());
+  // Issued without waiting for commits: erasure-coded puts cannot commit
+  // while a parity node is paused, so their versions pile up as under a
+  // backlog.
+  uint32_t done = 0;
+  for (uint32_t round = 0; round < rounds; ++round) {
+    for (uint32_t i = 0; i < keys; ++i) {
+      cluster.client(0).Put(
+          KeyInShard(0, 3, static_cast<int>(i)),
+          std::make_shared<Buffer>(MakePatternBuffer(200, round * 100 + i)),
+          g, [&done](Status s, Version) {
+            EXPECT_TRUE(s.ok()) << s;
+            ++done;
+          });
+      cluster.RunFor(20 * sim::kMicrosecond);
+    }
+  }
+  ASSERT_TRUE(cluster.RunUntilDone([&] { return done == keys * rounds; }));
+  cluster.RunFor(10 * sim::kMillisecond);  // resume, drain, GC notices
+  ASSERT_GT(cluster.simulator().now(), 24 * sim::kMillisecond);
+  for (net::NodeId n = 0; n < 5; ++n) {
+    entries_per_node->push_back(EntriesOn(cluster, n));
+    EXPECT_EQ(cluster.server(n).EarlyGcRecords(), 0u) << "node " << n;
+  }
+}
+
+TEST(RedundancyMetadataTest, BackedUpReplicaKeepsNoCollectedVersions) {
+  // Rep(3) commits on one replica ack, so GC notices for versions the
+  // paused replica has not appended yet overtake the appends.
+  std::vector<uint64_t> entries;
+  OverwriteWhilePaused(MemgestDescriptor::Replicated(3), /*paused=*/2,
+                       /*keys=*/8, /*rounds=*/6, &entries);
+  // Shard 0: coordinator node 0, replicas nodes 1 and 2 — one live version
+  // of each key apiece, nothing anywhere else.
+  EXPECT_EQ(entries, (std::vector<uint64_t>{8, 8, 8, 0, 0}));
+}
+
+TEST(RedundancyMetadataTest, BackedUpParityKeepsNoCollectedVersions) {
+  std::vector<uint64_t> entries;
+  OverwriteWhilePaused(MemgestDescriptor::ErasureCoded(3, 2), /*paused=*/3,
+                       /*keys=*/8, /*rounds=*/6, &entries);
+  // Shard 0's coordinator plus both parity nodes of its group.
+  EXPECT_EQ(entries, (std::vector<uint64_t>{8, 0, 0, 8, 8}));
+}
+
+TEST(RedundancyMetadataTest, EarlyGcRecordOfADroppedAppendAgesOut) {
+  // A replica append that is dropped never consumes the record its GC
+  // notice leaves; the record must age out of the bounded window.
+  const uint64_t window = EarlyGcSet::kWindow;
+  RingOptions o;
+  o.s = 3;
+  o.d = 2;
+  o.seed = 11;
+  o.fault_plan = *fault::ParseFaultPlan(
+      "drop src=0 dst=2 p=1 from=20ms until=20500us;"
+      "pause node=2 at=22ms resume=30ms");
+  RingCluster cluster(o);
+  const MemgestId g = *cluster.CreateMemgest(MemgestDescriptor::Replicated(3));
+  const Key key = KeyInShard(0, 3, 9);
+  auto run_until = [&cluster](sim::SimTime t) {
+    ASSERT_LT(cluster.simulator().now(), t);
+    cluster.RunFor(t - cluster.simulator().now());
+  };
+  run_until(20 * sim::kMillisecond);
+  ASSERT_TRUE(cluster.Put(key, "v1", g).ok());  // its append to node 2 is lost
+  run_until(20500 * sim::kMicrosecond);
+  ASSERT_TRUE(cluster.Put(key, "v2", g).ok());  // GCs v1: a stale record
+  cluster.RunFor(100 * sim::kMicrosecond);
+  EXPECT_EQ(cluster.server(2).EarlyGcRecords(), 1u);
+  EXPECT_EQ(EntriesOn(cluster, 2), 1u);
+
+  // While node 2 is paused, window + 1 overwrites: their GC notices record
+  // v3 .. v(window + 2) and push the stale v1 record out.
+  run_until(22 * sim::kMillisecond);
+  for (uint64_t i = 0; i <= window; ++i) {
+    ASSERT_TRUE(cluster.Put(key, "v" + std::to_string(i + 3), g).ok());
+  }
+  ASSERT_LT(cluster.simulator().now(), 30 * sim::kMillisecond);
+  cluster.RunFor(20 * sim::kMicrosecond);
+  EXPECT_EQ(cluster.server(2).EarlyGcRecords(), window);
+
+  // After the pause the queued appends consume their records; none is left.
+  run_until(35 * sim::kMillisecond);
+  EXPECT_EQ(cluster.server(2).EarlyGcRecords(), 0u);
+  for (net::NodeId n : {0u, 1u, 2u}) {
+    EXPECT_EQ(EntriesOn(cluster, n), 1u) << "node " << n;
+  }
+  auto got = cluster.Get(key);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(ToString(*got), "v" + std::to_string(window + 3));
 }
 
 TEST_F(RingKvsTest, DeterministicAcrossRuns) {

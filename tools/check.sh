@@ -27,6 +27,9 @@
 #                             # scenario: rediscover with the bug injected
 #                             # (exit 3 + minimized spec), replay the spec
 #                             # byte-identically, and sweep clean without it
+#   tools/check.sh --e2e      # end-to-end benchmark: standalone Release
+#                             # build of e2e_bench (as e2e_bench/run.py
+#                             # builds it) + its smoke test (ctest -L bench)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -171,6 +174,17 @@ if [[ "${MODE}" == "--mc" ]]; then
     ./build/tools/ringctl mc --scenario="${sc}" --inject-bug=false
   done
   echo "check.sh: mc suite passed"
+  exit 0
+fi
+
+if [[ "${MODE}" == "--e2e" ]]; then
+  echo "== e2e: standalone e2e_bench build (Release) =="
+  cmake -B build-e2e -S e2e_bench -DCMAKE_BUILD_TYPE=Release \
+    "${LAUNCHER_ARGS[@]}" >/dev/null
+  cmake --build build-e2e -j "${JOBS}" --target e2e_bench
+  echo "== e2e: smoke (every workload scaled down, correctness gate on) =="
+  ctest --test-dir build-e2e -L bench --output-on-failure
+  echo "check.sh: e2e suite passed"
   exit 0
 fi
 
