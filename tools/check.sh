@@ -30,6 +30,10 @@
 #   tools/check.sh --e2e      # end-to-end benchmark: standalone Release
 #                             # build of e2e_bench (as e2e_bench/run.py
 #                             # builds it) + its smoke test (ctest -L bench)
+#   tools/check.sh --golden   # golden-output gate: every deterministic
+#                             # bench binary (slow set included) and the
+#                             # ring-mc sweeps against tests/golden/
+#                             # (tools/golden.sh --slow)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -185,6 +189,16 @@ if [[ "${MODE}" == "--e2e" ]]; then
   echo "== e2e: smoke (every workload scaled down, correctness gate on) =="
   ctest --test-dir build-e2e -L bench --output-on-failure
   echo "check.sh: e2e suite passed"
+  exit 0
+fi
+
+if [[ "${MODE}" == "--golden" ]]; then
+  echo "== golden: build bench binaries + ringctl =="
+  cmake -B build -S . "${LAUNCHER_ARGS[@]}" >/dev/null
+  cmake --build build -j "${JOBS}"
+  echo "== golden: fast + slow set against tests/golden/ =="
+  RING_BUILD_DIR=build tools/golden.sh --slow
+  echo "check.sh: golden suite passed"
   exit 0
 fi
 
