@@ -8,26 +8,14 @@
 // like protocol request captures do). Each op additionally parks retry/SLA
 // timers 50-200 ms out that fire long after completion and no-op — the
 // far-future population that client timeouts, heartbeats, and failure
-// detectors pin in the queue of every fig-scale run. Two cores are timed
-// in one process:
+// detectors pin in the queue of every fig-scale run.
 //
-//   legacy  the pre-PR core reproduced by flags: one binary heap ordering
-//           every pending event (EventQueue kHeap via RING_SIM_CORE=heap)
-//           and a heap allocation per out-of-line capture (TaskPool boxed
-//           mode) — so each microsecond-scale hop pays an O(log n) sift
-//           across the parked-timer population plus malloc/free churn.
-//   fast    the default core: calendar queue (near-future wheel + overflow
-//           tier) + pooled captures.
+// No protocol logic, no per-event allocation, and no observability
+// bookkeeping runs in the loop, so the number is the cost of the calendar
+// queue plus pooled captures alone. Emits JSON on stdout (committed as
+// BENCH_sim.json).
 //
-// Both runs replay the identical (time, seq) schedule — the bench asserts
-// the event counts and final clocks match — so the ratio isolates
-// scheduler + allocator cost. No protocol logic, no per-event allocation,
-// and no observability bookkeeping runs in the loop. Emits JSON on stdout
-// (committed as BENCH_sim.json).
-//
-// Usage: sim_core [--quick] [--fast-only|--legacy-only]
-// (--fast-only / --legacy-only run one core twice without the cross-check;
-// they exist for profiling the schedulers in isolation.)
+// Usage: sim_core [--quick]
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -55,13 +43,13 @@ struct Config {
   uint32_t depth;      // outstanding ops per client (closed loop)
   uint32_t value_bytes;
   uint32_t replicas;   // replica apply/ack hops fanned out per op
-  uint32_t timers;     // long timers parked per op: the chaos-hardened
-                       // client arms a retry, a hedge, and an SLA probe per
-                       // request plus a retransmit timer per replica (the
-                       // large config adds a membership-probe timer on top)
+  uint32_t timers;     // long timers parked per op: retry and SLA-probe
+                       // timers per request plus a retransmit timer per
+                       // replica (the large config adds a membership-probe
+                       // timer on top)
 };
 
-struct ModeResult {
+struct Result {
   uint64_t events = 0;
   SimTime final_now = 0;
   double wall_s = 0.0;
@@ -71,7 +59,7 @@ struct ModeResult {
 };
 
 // One closed-loop run of the synthetic RPC mix on a fresh simulator.
-ModeResult RunOnce(const Config& cfg) {
+Result RunOnce(const Config& cfg) {
   Simulator sim(/*seed=*/7);
 
   // Key images sized like real protocol keys; the op closures carry one by
@@ -109,9 +97,8 @@ ModeResult RunOnce(const Config& cfg) {
 
     // Client issue -> request hop -> coordinator serve -> `replicas` x
     // (apply hop + ack hop) -> reply hop -> next op. Wire hops are
-    // microsecond-scale (they live in the calendar wheel / near the heap
-    // top); the parked timers land 50-200 ms out (overflow tier / deep in
-    // the heap).
+    // microsecond-scale (they live in the fine wheel); the parked timers
+    // land 50-200 ms out (the coarse wheel).
     void IssueOp(uint32_t client) {
       if (st->issued >= cfg->ops) {
         return;
@@ -143,8 +130,8 @@ ModeResult RunOnce(const Config& cfg) {
         for (uint32_t r = 0; r < self->cfg->replicas; ++r) {
           uint64_t keysum = 0;
           std::memcpy(&keysum, op.key, sizeof(keysum));
-          // Replica apply: a small inline capture, like the fabric's thin
-          // doorbell events.
+          // Replica apply: a small inline capture, like the CPU model's
+          // thin completion events.
           self->sim->After(1500 + 10ull * r, Task([keysum] { (void)keysum; }));
           // Replica ack: identical hops complete in issue order, so the
           // last ack carries the reply leg.
@@ -174,7 +161,7 @@ ModeResult RunOnce(const Config& cfg) {
   sim.Run();
   const auto t1 = std::chrono::steady_clock::now();
 
-  ModeResult r;
+  Result r;
   r.events = sim.events_executed();
   r.final_now = sim.now();
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
@@ -191,53 +178,26 @@ ModeResult RunOnce(const Config& cfg) {
   return r;
 }
 
-ModeResult RunMode(const Config& cfg, bool legacy, int reps) {
-  // EventQueue reads RING_SIM_CORE at construction; the pool flag is
-  // per-thread state. Both selections happen before the Simulator exists
-  // and no Tasks are alive across the toggle.
-  if (legacy) {
-    setenv("RING_SIM_CORE", "heap", 1);
-  } else {
-    unsetenv("RING_SIM_CORE");
-  }
-  TaskPool::set_boxed(legacy);
-  // Each mode reports its fastest repetition: the simulated schedule is
-  // deterministic, so reps differ only by host jitter (faults, frequency,
-  // neighbours) and best-of-N is the steady-state cost.
-  ModeResult best;
+// The fastest of `reps` runs: the simulated schedule is deterministic, so
+// runs differ only by host jitter (faults, frequency, neighbours) and
+// best-of-N is the steady-state cost.
+Result RunBest(const Config& cfg, int reps) {
+  Result best;
   for (int i = 0; i < reps; ++i) {
-    ModeResult r = RunOnce(cfg);
+    Result r = RunOnce(cfg);
     if (i == 0 || r.wall_s < best.wall_s) {
       best = r;
     }
   }
-  TaskPool::set_boxed(false);
-  unsetenv("RING_SIM_CORE");
   return best;
-}
-
-void PrintMode(const char* name, const ModeResult& r, bool last) {
-  std::printf("      \"%s\": {\"events\": %llu, \"final_now_ns\": %llu, "
-              "\"wall_s\": %.3f, \"events_per_sec\": %.0f, "
-              "\"pool_hit_rate_pct\": %llu, \"queue_depth_high_water\": %zu}"
-              "%s\n",
-              name, static_cast<unsigned long long>(r.events),
-              static_cast<unsigned long long>(r.final_now), r.wall_s,
-              r.events_per_sec,
-              static_cast<unsigned long long>(r.pool_hit_rate_pct),
-              r.depth_high_water, last ? "" : ",");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
-  bool fast_only = false;
-  bool legacy_only = false;
   for (int i = 1; i < argc; ++i) {
     quick = quick || std::strcmp(argv[i], "--quick") == 0;
-    fast_only = fast_only || std::strcmp(argv[i], "--fast-only") == 0;
-    legacy_only = legacy_only || std::strcmp(argv[i], "--legacy-only") == 0;
   }
 
   // "fig9" mirrors the paper's testbed scale (12 server nodes, saturating
@@ -249,39 +209,26 @@ int main(int argc, char** argv) {
   };
 
   std::printf("{\n  \"bench\": \"sim_core\",\n  \"configs\": [\n");
-  bool first = true;
   const int reps = quick ? 1 : 3;
-  for (const Config& cfg : configs) {
-    const ModeResult legacy = RunMode(cfg, /*legacy=*/!fast_only, reps);
-    const ModeResult fast = RunMode(cfg, /*legacy=*/legacy_only, reps);
-    if (legacy.events != fast.events || legacy.final_now != fast.final_now) {
-      std::fprintf(stderr,
-                   "FATAL: schedulers diverged on %s: events %llu vs %llu, "
-                   "final_now %llu vs %llu\n",
-                   cfg.name, static_cast<unsigned long long>(legacy.events),
-                   static_cast<unsigned long long>(fast.events),
-                   static_cast<unsigned long long>(legacy.final_now),
-                   static_cast<unsigned long long>(fast.final_now));
-      return 1;
-    }
-    const double speedup =
-        legacy.wall_s > 0 ? fast.events_per_sec / legacy.events_per_sec : 0.0;
-    if (!first) {
-      std::printf(",\n");
-    }
-    first = false;
+  for (size_t i = 0; i < configs.size(); ++i) {
+    const Config& cfg = configs[i];
+    const Result r = RunBest(cfg, reps);
     std::printf("    {\"name\": \"%s\", \"servers\": %u, \"clients\": %u, "
                 "\"keys\": %u, \"ops\": %llu, \"replicas\": %u, "
                 "\"timers_per_op\": %u,\n",
                 cfg.name, cfg.servers, cfg.clients, cfg.keys,
                 static_cast<unsigned long long>(cfg.ops), cfg.replicas,
                 cfg.timers);
-    std::printf("     \"modes\": {\n");
-    PrintMode("legacy_heap_boxed", legacy, false);
-    PrintMode("calendar_pooled", fast, true);
-    std::printf("     },\n     \"schedule_identical\": true,\n"
-                "     \"speedup\": %.2f}", speedup);
+    std::printf("     \"events\": %llu, \"final_now_ns\": %llu, "
+                "\"wall_s\": %.3f, \"events_per_sec\": %.0f, "
+                "\"pool_hit_rate_pct\": %llu, "
+                "\"queue_depth_high_water\": %zu}%s\n",
+                static_cast<unsigned long long>(r.events),
+                static_cast<unsigned long long>(r.final_now), r.wall_s,
+                r.events_per_sec,
+                static_cast<unsigned long long>(r.pool_hit_rate_pct),
+                r.depth_high_water, i + 1 == configs.size() ? "" : ",");
   }
-  std::printf("\n  ]\n}\n");
+  std::printf("  ]\n}\n");
   return 0;
 }

@@ -11,8 +11,7 @@ namespace ring::net {
 Fabric::Fabric(sim::Simulator* simulator, uint32_t num_nodes)
     : sim_(simulator),
       alive_(num_nodes, true),
-      egress_busy_(num_nodes, 0),
-      nics_(num_nodes) {
+      egress_busy_(num_nodes, 0) {
   const uint32_t cores = simulator->params().cores_per_node;
   cpus_.reserve(num_nodes);
   for (uint32_t i = 0; i < num_nodes; ++i) {
@@ -72,107 +71,18 @@ uint32_t Fabric::IssuerShard(NodeId src) const {
 }
 
 void Fabric::Enqueue(NodeId dst, sim::SimTime arrival, Pending p) {
-  const uint64_t window = sim_->params().nic_coalesce_ns;
-  const sim::SimTime tick =
-      window == 0 ? arrival : (arrival + window - 1) / window * window;
-  NicQueue& nic = nics_[dst];
-  auto it = nic.batches.find(tick);
-  const bool fresh = it == nic.batches.end();
-  if (fresh) {
-    Batch batch;
-    if (!nic.spare.empty()) {
-      batch = std::move(nic.spare.back());
-      nic.spare.pop_back();
-    }
-    it = nic.batches.emplace(tick, std::move(batch)).first;
-  }
-  if (mc_ != nullptr && window == 0) {
-    // Model-checked mode: each doorbell addresses its item by index so the
-    // controller may run them in any order (or never), and carries a tag the
-    // explorer uses to identify the delivery across replays.
-    const size_t idx = it->second.items.size();
+  if (mc_ != nullptr) {
+    // Model-checked mode: the tag identifies the delivery across replays,
+    // so the controller may run deliveries in any order, or drop them.
     const uint64_t tag =
         mc_->OnDelivery(p.issuer, dst, static_cast<uint8_t>(p.kind));
-    it->second.items.push_back(std::move(p));
     sim_->AtTagged(
-        tick, [this, dst, tick, idx] { DrainIndexed(dst, tick, idx); }, tag);
+        arrival,
+        [this, dst, p = std::move(p)]() mutable { Process(dst, p); }, tag);
     return;
   }
-  it->second.items.push_back(std::move(p));
-  if (window == 0) {
-    // Exact mode: one doorbell per delivery, in issue order, so the event
-    // schedule matches the classic per-event fabric byte for byte. The
-    // doorbells fire in (tick, seq) order and each pops its batch's front.
-    sim_->At(tick, [this, dst, tick] { DrainOne(dst, tick); });
-  } else if (fresh) {
-    sim_->At(tick, [this, dst, tick] { DrainAll(dst, tick); });
-  } else {
-    ++coalesced_deliveries_;
-  }
-}
-
-void Fabric::FinishBatch(NicQueue& nic, sim::SimTime tick) {
-  auto it = nic.batches.find(tick);
-  Batch batch = std::move(it->second);
-  nic.batches.erase(it);
-  batch.items.clear();
-  batch.cursor = 0;
-  if (nic.spare.size() < 8) {
-    nic.spare.push_back(std::move(batch));
-  }
-}
-
-void Fabric::DrainOne(NodeId dst, sim::SimTime tick) {
-  NicQueue& nic = nics_[dst];
-  const auto it = nic.batches.find(tick);
-  if (it == nic.batches.end()) {
-    return;
-  }
-  Pending p = std::move(it->second.items[it->second.cursor]);
-  ++it->second.cursor;
-  // `it` dies here: processing may enqueue into this NIC and rehash the map.
-  Process(dst, p);
-  const auto again = nic.batches.find(tick);
-  if (again != nic.batches.end() &&
-      again->second.cursor == again->second.items.size()) {
-    FinishBatch(nic, tick);
-  }
-}
-
-void Fabric::DrainIndexed(NodeId dst, sim::SimTime tick, size_t idx) {
-  NicQueue& nic = nics_[dst];
-  const auto it = nic.batches.find(tick);
-  if (it == nic.batches.end()) {
-    return;
-  }
-  Pending p = std::move(it->second.items[idx]);
-  // In MC mode the cursor counts consumed items rather than tracking FIFO
-  // position: doorbells arrive in controller order, each naming its index.
-  ++it->second.cursor;
-  // `it` dies here: processing may enqueue into this NIC and rehash the map.
-  Process(dst, p);
-  const auto again = nic.batches.find(tick);
-  if (again != nic.batches.end() &&
-      again->second.cursor == again->second.items.size()) {
-    FinishBatch(nic, tick);
-  }
-}
-
-void Fabric::DrainAll(NodeId dst, sim::SimTime tick) {
-  NicQueue& nic = nics_[dst];
-  for (;;) {
-    const auto it = nic.batches.find(tick);
-    if (it == nic.batches.end()) {
-      return;
-    }
-    if (it->second.cursor == it->second.items.size()) {
-      FinishBatch(nic, tick);
-      return;
-    }
-    Pending p = std::move(it->second.items[it->second.cursor]);
-    ++it->second.cursor;
-    Process(dst, p);
-  }
+  sim_->At(arrival,
+           [this, dst, p = std::move(p)]() mutable { Process(dst, p); });
 }
 
 bool Fabric::RejectDelivery(NodeId dst, const Pending& p) {

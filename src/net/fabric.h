@@ -13,13 +13,10 @@
 //     remote CPU is charged. Ring uses this to offload replication traffic
 //     from redundant nodes (§6).
 //
-// Delivery is structured as per-destination NIC completion queues: each
-// in-flight message parks its payload (handler closure, op context, race
-// edge) in the destination's CQ keyed by arrival tick, and the event queue
-// carries only thin doorbell events. With nic_coalesce_ns == 0 (default)
-// every message still gets its own doorbell — schedules stay byte-identical
-// to the classic per-event fabric — while a nonzero window batches all of a
-// node's arrivals per window behind one doorbell (completion coalescing).
+// Every in-flight message is one scheduled event at its arrival time. The
+// event owns the message's payload (handler closures, op context, race
+// edge) and processes it at the destination, so deliveries to a node run
+// in (arrival, issue) order.
 #ifndef RING_SRC_NET_FABRIC_H_
 #define RING_SRC_NET_FABRIC_H_
 
@@ -28,7 +25,6 @@
 #include <functional>
 #include <memory>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "src/analysis/race.h"
@@ -44,15 +40,15 @@ namespace ring::net {
 using NodeId = uint32_t;
 
 // Model-checker hook (src/mc): assigns a schedule tag to every delivery the
-// fabric parks, so the EventQueue's ScheduleController can permute or drop
-// the doorbells. Tags are handed out in registration order — runs that share
+// fabric schedules, so the EventQueue's ScheduleController can permute or
+// drop them. Tags are handed out in registration order — runs that share
 // a decision prefix perform identical registrations, so tags are stable
 // across replays.
 class DeliveryTagger {
  public:
   virtual ~DeliveryTagger() = default;
-  // `kind` is the Pending::Kind of the parked delivery, as uint8_t so the
-  // private enum stays private.
+  // `kind` is the Pending::Kind of the delivery, as uint8_t so the private
+  // enum stays private.
   virtual uint64_t OnDelivery(NodeId issuer, NodeId dst, uint8_t kind) = 0;
 };
 
@@ -75,10 +71,10 @@ class Fabric {
   // Models RDMA QP access revocation as a first-class one-sided primitive:
   // once `at` revokes `from`'s permissions, every in-flight and future
   // operation issued by `from` and addressed to `at` is rejected at delivery
-  // time and NACKed back to the issuer deterministically (in-flight ops are
-  // parked in `at`'s completion queue, so the delivery-time check catches
-  // them too). The revocation set is empty by default — the delivery fast
-  // path pays one emptiness branch and stays byte-identical to the seed.
+  // time and NACKed back to the issuer deterministically (the check runs
+  // when an op arrives at `at`, so ops already on the wire are caught too).
+  // The revocation set is empty by default — the delivery fast path pays
+  // one emptiness branch and stays byte-identical to the seed.
   void Revoke(NodeId at, NodeId from) { revoked_.insert(PairKey(at, from)); }
   void Restore(NodeId at, NodeId from) { revoked_.erase(PairKey(at, from)); }
   bool revoked(NodeId at, NodeId from) const {
@@ -108,8 +104,9 @@ class Fabric {
   // from the injection-free behaviour — required for determinism_test.
   void set_injector(fault::FaultInjector* injector) { injector_ = injector; }
   fault::FaultInjector* injector() { return injector_; }
-  // Model-checker tagger (src/mc). Null keeps the doorbell path byte-identical
-  // to the untagged fabric; only ring-mc explorations install one.
+  // Model-checker tagger (src/mc). Null keeps the delivery path
+  // byte-identical to the untagged fabric; only ring-mc explorations
+  // install one.
   void set_mc_tagger(DeliveryTagger* tagger) { mc_ = tagger; }
   DeliveryTagger* mc_tagger() { return mc_; }
   // Gray failure: the node's CPU is wedged but its NIC still answers
@@ -138,12 +135,9 @@ class Fabric {
 
   uint64_t messages_sent() const { return messages_sent_; }
   uint64_t bytes_sent() const { return bytes_sent_; }
-  // Deliveries that shared a doorbell with an earlier same-window arrival
-  // (always 0 with nic_coalesce_ns == 0).
-  uint64_t coalesced_deliveries() const { return coalesced_deliveries_; }
 
  private:
-  // One parked delivery in a destination's completion queue.
+  // One in-flight delivery, owned by its arrival event.
   struct Pending {
     enum class Kind : uint8_t {
       kTwoSided,    // charge server_recv_ns on dst, run handler
@@ -164,17 +158,6 @@ class Fabric {
     sim::Task secondary;  // on_complete riding behind apply/fetch
     std::unique_ptr<analysis::VectorClock> edge;
   };
-  struct Batch {
-    std::vector<Pending> items;
-    size_t cursor = 0;
-  };
-  struct NicQueue {
-    // Keyed lookups only (never iterated): deterministic despite the
-    // unordered container.
-    std::unordered_map<sim::SimTime, Batch> batches;
-    std::vector<Batch> spare;
-  };
-
   // Egress serialization on src's NIC: when the message started serializing
   // and when it arrives at dst (serialization + jitter + wire latency).
   // Records the egress-queue span and per-link byte counters.
@@ -196,15 +179,8 @@ class Fabric {
   // already acted.
   bool RejectDelivery(NodeId dst, const Pending& p);
 
-  // Parks `p` in dst's CQ at `arrival` and rings a doorbell: its own with
-  // coalescing off, the batch's shared one with coalescing on.
+  // Schedules the event that delivers `p` to dst at `arrival`.
   void Enqueue(NodeId dst, sim::SimTime arrival, Pending p);
-  void DrainOne(NodeId dst, sim::SimTime tick);
-  // MC-mode doorbell: consumes the batch item at `idx` (doorbells may be
-  // delivered out of order, so the FIFO cursor becomes a consumed-count).
-  void DrainIndexed(NodeId dst, sim::SimTime tick, size_t idx);
-  void DrainAll(NodeId dst, sim::SimTime tick);
-  void FinishBatch(NicQueue& nic, sim::SimTime tick);
   void Process(NodeId dst, Pending& p);
 
   // Terminal leg of a two-sided delivery: re-checks liveness/pause and
@@ -224,10 +200,8 @@ class Fabric {
   NackHandler nack_;
   uint64_t nacks_sent_ = 0;
   std::vector<sim::SimTime> egress_busy_;
-  std::vector<NicQueue> nics_;
   uint64_t messages_sent_ = 0;
   uint64_t bytes_sent_ = 0;
-  uint64_t coalesced_deliveries_ = 0;
 };
 
 }  // namespace ring::net

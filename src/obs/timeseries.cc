@@ -75,7 +75,6 @@ void TimeSeries::TrackSliDefaults() {
   TrackCounter(kSliOpErrors);
   TrackCounter("client.ops");
   TrackCounter("client.unavailable");
-  TrackCounter("client.hedges");
   TrackCounter("server.retransmits");
   TrackCounter("server.op_restarts");
   TrackCounter("server.resent_replies");

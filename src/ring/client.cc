@@ -70,7 +70,7 @@ auto RingClient::Complete(uint64_t req_id, sim::SimTime start,
 }
 
 void RingClient::Launch(uint64_t req_id, std::function<void(bool)> send,
-                        std::function<void()> fail, bool hedgeable) {
+                        std::function<void()> fail) {
   const auto& p = rt_->simulator().params();
   Outstanding o;
   o.send = send;
@@ -80,28 +80,6 @@ void RingClient::Launch(uint64_t req_id, std::function<void(bool)> send,
   }
   outstanding_.emplace(req_id, std::move(o));
   send(false);
-  if (hedgeable && p.client_hedge_delay_ns > 0 &&
-      p.client_hedge_delay_ns < p.client_retry_timeout_ns) {
-    rt_->simulator().After(p.client_hedge_delay_ns, [this, req_id] {
-      auto it = outstanding_.find(req_id);
-      if (it == outstanding_.end() || it->second.done ||
-          it->second.retries > 0 || !rt_->fabric().alive(node_)) {
-        return;
-      }
-      // Hedge: multicast without waiting for the retry timeout. The request
-      // stays outstanding; whichever reply lands first wins and the
-      // duplicate is dropped by Complete.
-      ++hedges_;
-      rt_->simulator().hub().metrics().Inc("client.hedges", 1, node_);
-      rt_->simulator().hub().recorder().Record(obs::RecKind::kClient, "hedge",
-                                               node_, OpId(req_id));
-      const auto& params = rt_->simulator().params();
-      auto send_again = it->second.send;
-      cpu().Execute(params.client_base_ns +
-                        rt_->membership().num_members() * params.client_post_ns,
-                    [send_again] { send_again(true); });
-    });
-  }
   rt_->simulator().After(p.client_retry_timeout_ns,
                          [this, req_id] { CheckTimeout(req_id); });
 }
@@ -251,7 +229,7 @@ void RingClient::Get(const Key& key, ReadMode mode, GetCallback cb) {
       reply(GetResult{UnavailableError("get retry budget exhausted"), 0,
                       nullptr});
     };
-    Launch(req_id, std::move(send), std::move(fail), /*hedgeable=*/true);
+    Launch(req_id, std::move(send), std::move(fail));
   });
 }
 

@@ -66,7 +66,6 @@ class RingClient {
   // ---- statistics ----
   uint64_t completed() const { return completed_; }
   uint64_t timeouts() const { return timeouts_; }
-  uint64_t hedges() const { return hedges_; }
   // Requests in flight (issued, not yet answered).
   size_t outstanding() const { return outstanding_.size(); }
   // Re-reads the cluster configuration (normally done lazily on retry;
@@ -98,11 +97,9 @@ class RingClient {
   uint32_t ShardFor(const Key& key) const;
   net::NodeId CoordinatorFor(const Key& key) const;
   void RefreshConfig();
-  // Registers the request, sends it, and arms the retry timer. Hedgeable
-  // requests (side-effect-free gets) may additionally multicast early when
-  // client_hedge_delay_ns is set.
+  // Registers the request, sends it, and arms the retry timer.
   void Launch(uint64_t req_id, std::function<void(bool)> send,
-              std::function<void()> fail, bool hedgeable = false);
+              std::function<void()> fail);
   void CheckTimeout(uint64_t req_id);
   // Next retry wait: flat once, then decorrelated jitter up to the cap.
   uint64_t NextRetryWait(Outstanding* o);
@@ -133,7 +130,6 @@ class RingClient {
   std::unordered_map<uint64_t, Outstanding> outstanding_;
   uint64_t completed_ = 0;
   uint64_t timeouts_ = 0;
-  uint64_t hedges_ = 0;
   // Private backoff-jitter stream: client retry spacing must not perturb
   // (or be perturbed by) the simulator's global rng.
   Rng rng_;

@@ -65,9 +65,7 @@ RingRuntime::RingRuntime(const RingOptions& options)
     fabric_.set_injector(injector_.get());
     injector_->Arm();
   }
-  if (options.start_membership) {
-    membership_.Start();
-  }
+  membership_.Start();
 }
 
 void RingRuntime::RestartNode(net::NodeId node) {

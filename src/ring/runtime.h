@@ -27,7 +27,6 @@ struct RingOptions {
   uint64_t seed = 1;
   sim::SimParams params = sim::kDefaultParams;
   uint64_t stripe_unit = 4096;
-  bool start_membership = true;
   // Remove superseded key versions after every commit (paper §5.2: "old
   // versions are removed from the system periodically. It can be tuned to
   // trigger removing ... after every committed put"). Disabling keeps every

@@ -1087,7 +1087,7 @@ void RingServer::HandleGet(GetRequest req) {
     }
     // Gets are not deduplicated: re-execution is side-effect free and the
     // client's completion table drops whichever reply arrives second (a
-    // retry or a hedge may race the original under fault injection).
+    // retry may race the original under fault injection).
     // Routing (incl. the coordinator check) happens in ResolveGet so that
     // re-entries after deferred commits re-route too.
     ResolveGet(std::move(req));

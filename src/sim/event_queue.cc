@@ -3,34 +3,13 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "src/common/logging.h"
 
 namespace ring::sim {
 
-namespace {
-
-EventQueue::Mode ModeFromEnv() {
-  const char* v = std::getenv("RING_SIM_CORE");
-  if (v != nullptr && std::strcmp(v, "heap") == 0) {
-    return EventQueue::Mode::kHeap;
-  }
-  return EventQueue::Mode::kCalendar;
-}
-
-}  // namespace
-
-EventQueue::EventQueue() : EventQueue(ModeFromEnv()) {}
-
-EventQueue::EventQueue(Mode mode) : mode_(mode) {
-  if (mode_ == Mode::kCalendar) {
-    buckets_.resize(kNumBuckets);
-    coarse_.resize(kNumCoarse);
-  }
-}
+EventQueue::EventQueue() : buckets_(kNumBuckets), coarse_(kNumCoarse) {}
 
 void EventQueue::Schedule(SimTime t, Task fn) {
   Insert(t < now_ ? now_ : t, std::move(fn));
@@ -58,27 +37,6 @@ void EventQueue::set_controller(ScheduleController* controller,
   assert(tagged_.empty() && "MC controller swap with tagged events in flight");
   controller_ = controller;
   reorder_window_ns_ = reorder_window_ns;
-  if (controller_ != nullptr && mode_ == Mode::kCalendar) {
-    // Peekable single-heap storage: the frontier comparison below reads the
-    // earliest untagged event without popping it. Migrate whatever timers
-    // are already parked in the wheel tiers.
-    for (std::vector<Event>& bucket : buckets_) {
-      for (Event& ev : bucket) {
-        overflow_.push_back(std::move(ev));
-      }
-      bucket.clear();
-    }
-    for (std::vector<Event>& slot : coarse_) {
-      for (Event& ev : slot) {
-        overflow_.push_back(std::move(ev));
-      }
-      slot.clear();
-    }
-    wheel_count_ = 0;
-    coarse_count_ = 0;
-    std::make_heap(overflow_.begin(), overflow_.end(), Later{});
-    mode_ = Mode::kHeap;
-  }
 }
 
 bool EventQueue::RunNextControlled() {
@@ -100,10 +58,10 @@ bool EventQueue::RunNextControlled() {
     // An untagged event strictly ahead of every delivery runs untouched:
     // timers and CPU completions are deterministic consequences, never
     // choice points.
-    if (!overflow_.empty() &&
-        (overflow_.front().time < frontier ||
-         (overflow_.front().time == frontier &&
-          overflow_.front().seq < tagged_[lead].seq))) {
+    const Event* next = Earliest();
+    if (next != nullptr &&
+        (next->time < frontier ||
+         (next->time == frontier && next->seq < tagged_[lead].seq))) {
       Event ev = PopEarliest();
       now_ = ev.time;
       ++executed_;
@@ -160,25 +118,23 @@ bool EventQueue::RunNextControlled() {
 }
 
 void EventQueue::Insert(SimTime t, Task fn) {
-  if (mode_ == Mode::kCalendar) {
-    if (t < window_start_ + kWindowSpan) {
-      // In-window: bucket mini-heap. Callers only schedule at t >= now_ >=
-      // window_start_, so the bucket index is unambiguous.
-      std::vector<Event>& bucket =
-          buckets_[(t >> kBucketShift) & (kNumBuckets - 1)];
-      bucket.push_back(Event{t, next_seq_++, std::move(fn)});
-      std::push_heap(bucket.begin(), bucket.end(), Later{});
-      ++wheel_count_;
-      return;
-    }
-    if (t < window_start_ + kCoarseSpan) {
-      // Within the coarse horizon: O(1) unsorted append; the slot is
-      // re-sorted through fine-bucket heaps when the window reaches it.
-      coarse_[(t >> (kBucketShift + kBucketBits)) & (kNumCoarse - 1)]
-          .push_back(Event{t, next_seq_++, std::move(fn)});
-      ++coarse_count_;
-      return;
-    }
+  if (t < window_start_ + kWindowSpan) {
+    // In-window: bucket mini-heap. Callers only schedule at t >= now_ >=
+    // window_start_, so the bucket index is unambiguous.
+    std::vector<Event>& bucket =
+        buckets_[(t >> kBucketShift) & (kNumBuckets - 1)];
+    bucket.push_back(Event{t, next_seq_++, std::move(fn)});
+    std::push_heap(bucket.begin(), bucket.end(), Later{});
+    ++wheel_count_;
+    return;
+  }
+  if (t < window_start_ + kCoarseSpan) {
+    // Within the coarse horizon: O(1) unsorted append; the slot is
+    // re-sorted through fine-bucket heaps when the window reaches it.
+    coarse_[(t >> kSlotShift) & (kNumCoarse - 1)]
+        .push_back(Event{t, next_seq_++, std::move(fn)});
+    ++coarse_count_;
+    return;
   }
   overflow_.push_back(Event{t, next_seq_++, std::move(fn)});
   std::push_heap(overflow_.begin(), overflow_.end(), Later{});
@@ -190,13 +146,9 @@ void EventQueue::AdvanceWindow() {
   // earlier events than coarse only while coarse is empty — but after the
   // horizon moves, re-homed overflow events land in coarse, so both must
   // be consulted).
-  constexpr uint32_t kSlotShift = kBucketShift + kBucketBits;
   uint64_t next_slot;
   if (coarse_count_ > 0) {
-    uint64_t c = (window_start_ >> kSlotShift) + 1;
-    while (coarse_[c & (kNumCoarse - 1)].empty()) {
-      ++c;
-    }
+    const uint64_t c = FirstCoarseSlot();
     next_slot = c;
     if (!overflow_.empty()) {
       const uint64_t o = overflow_.front().time >> kSlotShift;
@@ -242,29 +194,51 @@ void EventQueue::AdvanceWindow() {
 }
 
 EventQueue::Event EventQueue::PopEarliest() {
-  if (mode_ == Mode::kHeap) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-    Event ev = std::move(overflow_.back());
-    overflow_.pop_back();
-    return ev;
-  }
   if (wheel_count_ == 0) {
     AdvanceWindow();
   }
-  // Every wheel event precedes every overflow event (overflow holds only
-  // times at or beyond the window end), so the first non-empty bucket at or
-  // after now_ holds the global minimum.
-  uint64_t b = now_ > window_start_ ? now_ >> kBucketShift
-                                    : window_start_ >> kBucketShift;
-  while (buckets_[b & (kNumBuckets - 1)].empty()) {
-    ++b;
-  }
-  std::vector<Event>& bucket = buckets_[b & (kNumBuckets - 1)];
+  std::vector<Event>& bucket = buckets_[FirstBucket()];
   std::pop_heap(bucket.begin(), bucket.end(), Later{});
   Event ev = std::move(bucket.back());
   bucket.pop_back();
   --wheel_count_;
   return ev;
+}
+
+size_t EventQueue::FirstBucket() const {
+  // Every wheel event precedes every coarse and overflow event (those hold
+  // only times at or beyond the window end), so the first non-empty bucket
+  // at or after now_ holds the global minimum.
+  uint64_t b = (now_ > window_start_ ? now_ : window_start_) >> kBucketShift;
+  while (buckets_[b & (kNumBuckets - 1)].empty()) {
+    ++b;
+  }
+  return b & (kNumBuckets - 1);
+}
+
+uint64_t EventQueue::FirstCoarseSlot() const {
+  uint64_t c = (window_start_ >> kSlotShift) + 1;
+  while (coarse_[c & (kNumCoarse - 1)].empty()) {
+    ++c;
+  }
+  return c;
+}
+
+const EventQueue::Event* EventQueue::Earliest() const {
+  if (wheel_count_ > 0) {
+    return &buckets_[FirstBucket()].front();  // the bucket heap's top
+  }
+  // With the wheel empty, the minimum is in the first non-empty coarse slot
+  // (unsorted, so scan it) or at the overflow heap's top.
+  const Event* best = overflow_.empty() ? nullptr : &overflow_.front();
+  if (coarse_count_ > 0) {
+    for (const Event& ev : coarse_[FirstCoarseSlot() & (kNumCoarse - 1)]) {
+      if (best == nullptr || Later{}(*best, ev)) {
+        best = &ev;
+      }
+    }
+  }
+  return best;
 }
 
 bool EventQueue::RunNext() {

@@ -5,21 +5,15 @@
 // load-bearing — ties are broken by insertion sequence, so a given seed
 // always produces the same execution.
 //
-// Two schedulers implement the same (time, seq) total order:
-//   - kCalendar (default): a two-level timing wheel. The fine wheel covers a
-//     ~2 ms near-future window in 256 ns buckets, each bucket a small
-//     (time, seq)-ordered heap; a coarse wheel of 4096 window-sized slots
-//     extends the horizon to ~8.6 s, each slot an unsorted vector that is
-//     spliced into fine buckets when the window reaches it. Steady-state
-//     events (wire deliveries, CPU completions, microsecond timers) hit the
-//     fine wheel in O(1) amortized; parked long timers (retry/heartbeat/
-//     failure windows) cost one coarse append plus one migration instead of
-//     an O(log n) sift on every push/pop. Only events beyond the coarse
-//     horizon fall back to a binary heap.
-//   - kHeap: the original single binary heap, kept as the baseline for the
-//     cross-scheduler equivalence tests and BENCH_sim.json (RING_SIM_CORE=heap).
-// Both run events in exactly the same order, so fixed-seed schedules are
-// byte-identical across schedulers.
+// The scheduler is a two-level timing wheel. The fine wheel covers a ~2 ms
+// near-future window in 256 ns buckets, each bucket a small heap ordered by
+// (time, seq); a coarse wheel of 4096 window-sized slots extends the horizon
+// to ~8.6 s, each slot an unsorted vector that is spliced into fine buckets
+// when the window reaches it. Steady-state events (wire deliveries,
+// CPU completions, microsecond timers) hit the fine wheel in O(1) amortized;
+// parked long timers (retry/heartbeat/failure windows) cost one coarse
+// append plus one migration instead of an O(log n) sift on every push/pop.
+// Only events beyond the coarse horizon fall back to a binary heap.
 #ifndef RING_SRC_SIM_EVENT_QUEUE_H_
 #define RING_SRC_SIM_EVENT_QUEUE_H_
 
@@ -76,12 +70,7 @@ class ScheduleController {
 
 class EventQueue {
  public:
-  enum class Mode : uint8_t { kCalendar, kHeap };
-
-  // Default mode comes from RING_SIM_CORE ("heap" selects the legacy binary
-  // heap; anything else, or unset, selects the calendar queue).
   EventQueue();
-  explicit EventQueue(Mode mode);
 
   // Enqueues `fn` to run at absolute time `t` (>= now; earlier times are
   // clamped to now).
@@ -95,8 +84,6 @@ class EventQueue {
 
   // Installs the model-checker hook. Untagged events (timers) may be
   // pending, but no tagged delivery may be in flight across the swap.
-  // Forces kHeap storage so the untagged frontier stays peekable; MC
-  // configurations are tiny, so the calendar fast path is irrelevant there.
   // `reorder_window_ns` bounds how far a delivery may be pulled ahead of
   // the frontier event.
   void set_controller(ScheduleController* controller,
@@ -117,7 +104,6 @@ class EventQueue {
   uint64_t executed() const { return executed_; }
   // Deepest the queue has ever been (events pending at once).
   size_t depth_high_water() const { return depth_high_water_; }
-  Mode mode() const { return mode_; }
 
  private:
   // 256 ns buckets x 8192 buckets = a ~2.1 ms near-future window: wide
@@ -127,8 +113,8 @@ class EventQueue {
   static constexpr uint32_t kBucketShift = 8;
   static constexpr uint32_t kBucketBits = 13;
   static constexpr uint32_t kNumBuckets = 1u << kBucketBits;
-  static constexpr SimTime kWindowSpan = SimTime{1} << (kBucketShift +
-                                                        kBucketBits);
+  static constexpr uint32_t kSlotShift = kBucketShift + kBucketBits;
+  static constexpr SimTime kWindowSpan = SimTime{1} << kSlotShift;
   // Coarse wheel: 4096 slots of one window span each (~8.6 s horizon). A
   // slot is only addressable while its absolute index is within 4095 of the
   // current window's, which Insert's horizon check guarantees.
@@ -175,8 +161,17 @@ class EventQueue {
   // which precede all overflow events, so the wheel must drain first).
   void AdvanceWindow();
   Event PopEarliest();
+  // Index of the fine bucket holding the wheel's minimum (wheel non-empty).
+  size_t FirstBucket() const;
+  // Absolute index of the first non-empty coarse slot after the current
+  // window (coarse tier non-empty).
+  uint64_t FirstCoarseSlot() const;
+  // The untagged event PopEarliest would return next, or null when none is
+  // pending. Read-only: it must not move the window. A delivery that runs
+  // at the frontier ahead of this event sets now_ below it, and may then
+  // schedule work at now_, which has to land inside the current window.
+  const Event* Earliest() const;
 
-  Mode mode_ = Mode::kCalendar;
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;
@@ -193,7 +188,7 @@ class EventQueue {
   std::vector<std::vector<Event>> coarse_;
   size_t coarse_count_ = 0;
 
-  // Beyond-horizon tier (and the entire queue in kHeap mode): binary heap.
+  // Beyond-horizon tier: binary heap.
   std::vector<Event> overflow_;
 
   // Model-checker side-store: tagged deliveries awaiting a Choose decision.

@@ -46,13 +46,6 @@ struct SimParams {
   // Cost a shard pays to accept work posted by a different shard of the
   // same node (wakeup + queue transfer). Never charged with one core.
   uint64_t cross_shard_handoff_ns = 80;
-  // NIC completion coalescing window: 0 (default) delivers every message in
-  // its own completion event — required for byte-identical schedules —
-  // while a nonzero window rounds each arrival up to the next multiple and
-  // drains all of a node's arrivals in that window with one scheduled event
-  // (doorbell batching), trading per-message timing granularity for event
-  // throughput at fig-scale node counts.
-  uint64_t nic_coalesce_ns = 0;
   // Fixed cost to handle any incoming request (dispatch, parsing).
   uint64_t server_recv_ns = 300;
   // Fixed cost of request bookkeeping (hashtable ops, version logic).
@@ -65,8 +58,6 @@ struct SimParams {
   // Parity update handling before the per-byte GF work (log append,
   // metadata replication, allocation checks).
   uint64_t parity_base_ns = 1000;
-  // Processing one replication/parity acknowledgment.
-  uint64_t ack_process_ns = 300;
   // Memory copy (heap writes / reads of object payloads).
   double mem_byte_ns = 0.05;  // ~20 GB/s
   // XOR / GF multiply-accumulate per byte (delta computation, parity apply,
@@ -116,11 +107,6 @@ struct SimParams {
   // below still bounds it).
   uint64_t client_retry_budget_ns = 20 * kMillisecond;
   uint32_t client_max_retries = 64;
-  // Hedged gets: when nonzero, an un-answered get is multicast once this
-  // early — well before the retry timeout — to route around a slow or
-  // gray-failed coordinator. Mutations are never hedged (they would race
-  // their own at-most-once claim for no latency win).
-  uint64_t client_hedge_delay_ns = 0;
   // Coordinator-side backup retransmission: while a write's quorum round is
   // un-acked past this period, the coordinator resends the missing replica
   // appends / parity updates (the per-(shard, seq) replay fences make the

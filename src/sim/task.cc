@@ -1,7 +1,5 @@
 #include "src/sim/task.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -18,25 +16,11 @@ std::vector<std::unique_ptr<unsigned char[]>>& slabs() {
   return s;
 }
 
-bool BoxedFromEnv() {
-  const char* v = std::getenv("RING_SIM_POOL");
-  return v != nullptr && std::strcmp(v, "boxed") == 0;
-}
-
 }  // namespace
 
 void* TaskPool::AllocateSlow(size_t bytes) {
   Core& c = core();
-  if (!c.boxed_initialized) {
-    c.boxed = BoxedFromEnv();
-    c.boxed_initialized = true;
-    if (c.boxed || bytes > kMaxPooled) {
-      ++c.stats.pool_misses;
-      return ::operator new(bytes);
-    }
-    return AllocateSlow(bytes);  // flag now settled; retry the free list
-  }
-  if (c.boxed || bytes > kMaxPooled) {
+  if (bytes > kMaxPooled) {
     ++c.stats.pool_misses;
     return ::operator new(bytes);
   }
@@ -56,21 +40,6 @@ void* TaskPool::AllocateSlow(size_t bytes) {
   }
   ++c.stats.pool_misses;
   return base;
-}
-
-bool TaskPool::boxed() {
-  Core& c = core();
-  if (!c.boxed_initialized) {
-    c.boxed = BoxedFromEnv();
-    c.boxed_initialized = true;
-  }
-  return c.boxed;
-}
-
-void TaskPool::set_boxed(bool boxed) {
-  Core& c = core();
-  c.boxed = boxed;
-  c.boxed_initialized = true;
 }
 
 }  // namespace ring::sim

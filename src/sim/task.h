@@ -6,10 +6,7 @@
 // fig-scale run. `sim::Task` replaces it with a fixed-size callable:
 //   - captures up to kInlineBytes live inside the Task itself (no allocation);
 //   - larger captures take a block from a thread-local slab pool (free-list
-//     pop/push, size-classed, no malloc on the steady state);
-//   - a "boxed" compatibility mode routes every out-of-line capture through
-//     plain new/delete so the pre-pool allocator behaviour can be reproduced
-//     for benchmarking (RING_SIM_POOL=boxed).
+//     pop/push, size-classed, no malloc on the steady state).
 //
 // Lifetime rules (DESIGN.md §14):
 //   - Tasks are move-only and single-threaded: a Task must be created,
@@ -31,7 +28,7 @@ namespace ring::sim {
 
 // Thread-local size-classed slab allocator for out-of-line task captures.
 // The free-list pop/push fast path is inline (it runs once per out-of-line
-// event); slab carving and the boxed fallback live in task.cc.
+// event); slab carving and the oversize fallback live in task.cc.
 class TaskPool {
  public:
   struct Stats {
@@ -47,7 +44,7 @@ class TaskPool {
 
   static void* Allocate(size_t bytes) {
     Core& c = core();
-    if (bytes <= kMaxPooled && !c.boxed) {
+    if (bytes <= kMaxPooled) {
       const size_t cls = ClassOf(bytes);
       if (FreeNode* node = c.free_lists[cls]; node != nullptr) {
         c.free_lists[cls] = node->next;
@@ -58,8 +55,8 @@ class TaskPool {
     return AllocateSlow(bytes);
   }
   static void Deallocate(void* p, size_t bytes) noexcept {
-    Core& c = core();
-    if (bytes <= kMaxPooled && !c.boxed) {
+    if (bytes <= kMaxPooled) {
+      Core& c = core();
       const size_t cls = ClassOf(bytes);
       auto* node = static_cast<FreeNode*>(p);
       node->next = c.free_lists[cls];
@@ -70,14 +67,6 @@ class TaskPool {
   }
   static Stats stats() { return core().stats; }
   static void ResetStats() { core().stats = Stats{}; }
-
-  // Boxed mode: every out-of-line capture uses plain new/delete (and counts
-  // as a miss), reproducing the per-event allocator churn of the pre-pool
-  // core. Controlled by RING_SIM_POOL=boxed or set_boxed() (benchmarks).
-  // Only toggle while no out-of-line Tasks are alive on this thread: blocks
-  // are freed by whichever allocator the flag selects at destruction time.
-  static bool boxed();
-  static void set_boxed(bool boxed);
 
  private:
   friend class Task;
@@ -97,8 +86,6 @@ class TaskPool {
   struct Core {
     FreeNode* free_lists[kNumClasses];
     Stats stats;
-    bool boxed;
-    bool boxed_initialized;
   };
   static Core& core() {
     static thread_local Core c;
@@ -107,8 +94,7 @@ class TaskPool {
   static size_t ClassOf(size_t bytes) {
     return (bytes + kClassGranularity - 1) / kClassGranularity - 1;
   }
-  // Boxed mode, an uninitialized boxed flag, an empty free list, or an
-  // oversize request.
+  // An empty free list (carves a new slab) or an oversize request.
   static void* AllocateSlow(size_t bytes);
 };
 

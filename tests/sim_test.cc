@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -66,49 +68,150 @@ TEST(EventQueueTest, EventsCanScheduleEvents) {
   EXPECT_EQ(q.now(), 45u);
 }
 
-// The calendar queue and the legacy binary heap must execute any schedule
-// in exactly the same order. This mix spans all three calendar tiers (fine
-// wheel < ~2 ms, coarse wheel < ~8.6 s, overflow beyond) plus same-time
-// ties, and includes events scheduled from within far-future events — the
-// AdvanceWindow re-homing paths.
-TEST(EventQueueTest, SchedulersProduceIdenticalOrder) {
-  auto run = [](EventQueue::Mode mode) {
-    EventQueue q(mode);
-    std::vector<uint64_t> order;
-    uint64_t x = 0x9e3779b97f4a7c15ull;  // xorshift: same stream both runs
-    auto next = [&x] {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-      return x;
-    };
-    for (uint64_t i = 0; i < 200; ++i) {
-      SimTime t = 0;
-      switch (i % 4) {
-        case 0: t = next() % (2 * kMillisecond); break;
-        case 1: t = next() % (500 * kMillisecond); break;
-        case 2: t = 9 * kSecond + next() % (30 * kSecond); break;
-        default: t = 100 * kMicrosecond; break;  // ties, seq-ordered
+// Schedules numbered events on a queue and logs the order they run in.
+// Ids are handed out in scheduling order, so they break time ties exactly
+// like the queue's sequence numbers: the (time, id) sort of everything
+// scheduled, including events scheduled from inside other events, is the
+// order the queue must run them in.
+class OrderLog {
+ public:
+  explicit OrderLog(EventQueue* q) : q_(q) {}
+
+  // Schedules the next id at `t`: a timer, or with `tagged` a delivery the
+  // controller chooses (a plain event without one). `then` runs inside it.
+  void Add(SimTime t, bool tagged = false, Task then = nullptr) {
+    const int id = static_cast<int>(times_.size());
+    times_.push_back(t);
+    Task fn = [this, id, then = std::move(then)]() mutable {
+      on_time_ = on_time_ && q_->now() == times_[id] && q_->now() >= last_;
+      last_ = q_->now();
+      ran_.push_back(id);
+      if (then) {
+        then();
       }
-      q.Schedule(t, [&order, i] { order.push_back(i); });
+    };
+    if (tagged) {
+      q_->ScheduleTagged(t, std::move(fn), static_cast<uint64_t>(id));
+    } else {
+      q_->Schedule(t, std::move(fn));
     }
-    q.Schedule(15 * kSecond, [&q, &order] {
-      order.push_back(1000);
-      q.Schedule(q.now() + 100, [&order] { order.push_back(1001); });
-      q.Schedule(q.now() + 40 * kSecond, [&order] { order.push_back(1002); });
-    });
-    while (q.RunNext()) {
-    }
-    return order;
+  }
+
+  const std::vector<int>& ran() const { return ran_; }
+  std::vector<int> Expected() const {
+    std::vector<int> ids(times_.size());
+    std::iota(ids.begin(), ids.end(), 0);
+    std::stable_sort(ids.begin(), ids.end(),
+                     [this](int a, int b) { return times_[a] < times_[b]; });
+    return ids;
+  }
+  // Every event ran at the time it was scheduled for, and the clock never
+  // went backwards.
+  bool on_time() const { return on_time_; }
+
+ private:
+  EventQueue* q_;
+  std::vector<SimTime> times_;
+  std::vector<int> ran_;
+  SimTime last_ = 0;
+  bool on_time_ = true;
+};
+
+// Takes the default candidate at every choice point, so a controlled run
+// must keep the unhooked (time, seq) order.
+class DefaultChoice : public ScheduleController {
+ public:
+  Decision Choose(const std::vector<DeliveryChoice>& candidates) override {
+    ++choices;
+    EXPECT_FALSE(candidates.empty());
+    return Decision{};
+  }
+  int choices = 0;
+};
+
+// A mix spanning all three tiers (fine wheel < ~2 ms, coarse wheel
+// < ~8.6 s, overflow beyond) plus same-time ties, and events scheduled from
+// within a far-future event — the AdvanceWindow re-homing paths.
+TEST(EventQueueTest, MatchesTimeSeqReferenceAcrossTiers) {
+  EventQueue q;
+  OrderLog log(&q);
+  uint64_t x = 0x9e3779b97f4a7c15ull;  // xorshift
+  auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
   };
-  const std::vector<uint64_t> calendar = run(EventQueue::Mode::kCalendar);
-  const std::vector<uint64_t> heap = run(EventQueue::Mode::kHeap);
-  EXPECT_EQ(calendar.size(), 203u);
-  EXPECT_EQ(calendar, heap);
+  for (uint64_t i = 0; i < 200; ++i) {
+    SimTime t = 0;
+    switch (i % 4) {
+      case 0: t = next() % (2 * kMillisecond); break;
+      case 1: t = next() % (500 * kMillisecond); break;
+      case 2: t = 9 * kSecond + next() % (30 * kSecond); break;
+      default: t = 100 * kMicrosecond; break;  // ties, seq-ordered
+    }
+    log.Add(t);
+  }
+  log.Add(15 * kSecond, false, [&q, &log] {
+    log.Add(q.now() + 100);
+    log.Add(q.now() + 40 * kSecond);
+  });
+  while (q.RunNext()) {
+  }
+  EXPECT_EQ(log.ran().size(), 203u);
+  EXPECT_EQ(log.ran(), log.Expected());
+  EXPECT_TRUE(log.on_time());
+}
+
+// ring-mc installs its controller while timers are parked in every tier.
+// Taking the default choice each time, untagged timers and tagged
+// deliveries must interleave in exactly (time, seq) order.
+TEST(EventQueueTest, ControllerKeepsTimeSeqOrderAcrossTiers) {
+  EventQueue q;
+  OrderLog log(&q);
+  log.Add(5 * kMicrosecond);    // fine wheel
+  log.Add(3 * kMillisecond);    // coarse slot just past the first window
+  log.Add(300 * kMillisecond);  // coarse wheel
+  log.Add(20 * kSecond);        // overflow
+  DefaultChoice controller;
+  q.set_controller(&controller, /*reorder_window_ns=*/0);
+  log.Add(kMicrosecond, true);
+  log.Add(5 * kMicrosecond, true);  // ties the fine-wheel timer, later seq
+  log.Add(2500 * kMicrosecond, true, [&q, &log] {
+    log.Add(q.now() + 10);  // lands in the coarse slot's window
+    log.Add(q.now() + 600 * kMicrosecond, true);
+  });
+  log.Add(300 * kMillisecond, true);  // ties the coarse timer
+  log.Add(4 * kMicrosecond);
+  log.Add(20 * kSecond + 1, true);
+  while (q.RunNext()) {
+  }
+  EXPECT_EQ(log.ran().size(), 12u);
+  EXPECT_EQ(log.ran(), log.Expected());
+  EXPECT_TRUE(log.on_time());
+  EXPECT_EQ(controller.choices, 6);
+}
+
+// With the wheel empty and the next timer in a coarse slot just past a
+// window boundary, a delivery runs at the frontier below that slot. Work it
+// schedules at `now` must still run before the timer: peeking at the timer
+// must not move the window past `now`.
+TEST(EventQueueTest, ControlledDeliveryBelowParkedTimerSchedulesAtNow) {
+  constexpr SimTime kWindow = SimTime{1} << 21;  // the fine wheel's span
+  EventQueue q;
+  OrderLog log(&q);
+  log.Add(kWindow + 100);
+  DefaultChoice controller;
+  q.set_controller(&controller, /*reorder_window_ns=*/0);
+  log.Add(kWindow - 1000, true, [&q, &log] { log.Add(q.now()); });
+  while (q.RunNext()) {
+  }
+  EXPECT_EQ(log.ran(), (std::vector<int>{1, 2, 0}));
+  EXPECT_TRUE(log.on_time());
 }
 
 TEST(EventQueueTest, CoarseAndOverflowTiersRunInOrder) {
-  EventQueue q(EventQueue::Mode::kCalendar);
+  EventQueue q;
   std::vector<int> order;
   q.Schedule(20 * kSecond, [&] { order.push_back(4); });   // overflow tier
   q.Schedule(100 * kMillisecond, [&] { order.push_back(2); });  // coarse
@@ -124,7 +227,7 @@ TEST(EventQueueTest, CoarseAndOverflowTiersRunInOrder) {
 TEST(EventQueueTest, FarFutureEventCanScheduleNearFuture) {
   // After the window jumps to an overflow event, newly scheduled
   // microsecond-scale work must still run before parked coarse timers.
-  EventQueue q(EventQueue::Mode::kCalendar);
+  EventQueue q;
   std::vector<int> order;
   q.Schedule(10 * kSecond, [&] {
     order.push_back(1);

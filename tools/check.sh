@@ -19,8 +19,7 @@
 #                             # plain and ASan, rebalance bench, ringctl
 #                             # cluster smoke
 #   tools/check.sh --perf     # simulator fast path: scheduler/pool/shard
-#                             # equivalence tests, sim_core quick bench
-#                             # (calendar+pool vs legacy heap), simstats
+#                             # unit tests, sim_core quick bench, simstats
 #                             # smoke
 #   tools/check.sh --mc       # schedule-space model checker: mc_test (DPOR,
 #                             # shrinker, replay), then per known-bug
@@ -141,13 +140,10 @@ fi
 if [[ "${MODE}" == "--perf" ]]; then
   echo "== perf: build simulator fast-path targets =="
   cmake -B build -S . "${LAUNCHER_ARGS[@]}" >/dev/null
-  cmake --build build -j "${JOBS}" \
-    --target sim_test determinism_test sim_core ringctl
+  cmake --build build -j "${JOBS}" --target sim_test sim_core ringctl
   echo "== perf: scheduler/pool/shard unit tests =="
   ./build/tests/sim_test
-  echo "== perf: cross-scheduler byte-identity gate =="
-  ./build/tests/determinism_test
-  echo "== perf: sim_core quick bench (calendar+pool vs legacy heap) =="
+  echo "== perf: sim_core quick bench =="
   ./build/bench/sim_core --quick | tee /tmp/BENCH_sim.json
   echo "== perf: ringctl simstats smoke =="
   ./build/tools/ringctl simstats --reps=200 --cores-per-node=2 >/dev/null

@@ -30,7 +30,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 ROOT="$(pwd)"
 BUILD="$(cd "${RING_BUILD_DIR:-build}" && pwd)"
-GOLDEN=tests/golden
 
 FAST=(fig2_reliability fig7_latency fig7c_baselines fig8_move fig10_pricing
       fig12_metadata_recovery fig13_block_recovery fig16_availability
@@ -53,34 +52,20 @@ for arg in "$@"; do
 done
 if [[ ${#NAMES[@]} -eq 0 ]]; then
   NAMES=("${FAST[@]}")
-  if [[ ${WITH_SLOW} -eq 1 ]]; then
-    NAMES+=("${SLOW[@]}")
-  fi
+  [[ ${WITH_SLOW} -eq 0 ]] || NAMES+=("${SLOW[@]}")
 fi
 
 SCRATCH="$(mktemp -d)"
 trap 'rm -rf "${SCRATCH}"' EXIT
 
-golden_dir() {
-  local s
-  for s in "${SLOW[@]}"; do
-    if [[ "$1" == "${s}" ]]; then
-      echo "${GOLDEN}/slow"
-      return
-    fi
-  done
-  echo "${GOLDEN}"
-}
-
 # Runs entry $1, leaving its fresh outputs in ${SCRATCH}/$1.*.
 run_entry() {
-  local name="$1"
+  local name="$1" rc=0
   case "${name}" in
     mc_*)
-      local scenario="${name#mc_}" rc=0
-      "${BUILD}/tools/ringctl" mc --scenario="${scenario}" \
-        --inject-bug=false > "${SCRATCH}/${name}.txt"
-      "${BUILD}/tools/ringctl" mc --scenario="${scenario}" \
+      "${BUILD}/tools/ringctl" mc --scenario="${name#mc_}" \
+        --inject-bug=false > "${SCRATCH}/${name}.txt" || return 1
+      "${BUILD}/tools/ringctl" mc --scenario="${name#mc_}" \
         --spec-out="${SCRATCH}/${name}.spec" > /dev/null || rc=$?
       if [[ ${rc} -ne 3 ]]; then
         echo "golden: ${name}: bug-injected run exited ${rc}, expected 3" >&2
@@ -92,23 +77,20 @@ run_entry() {
       (cd "${SCRATCH}" && "${BUILD}/bench/${name}" "${name}.json") \
         > "${SCRATCH}/${name}.txt"
       ;;
-    *)
-      "${BUILD}/bench/${name}" > "${SCRATCH}/${name}.txt"
-      ;;
+    *) "${BUILD}/bench/${name}" > "${SCRATCH}/${name}.txt" ;;
   esac
 }
 
 # Compares golden file $1 with fresh file $2; $3 = 1 lets --bless rewrite $1.
 check_file() {
-  local golden="$1" fresh="$2" blessable="$3"
+  local golden="$1" fresh="$2" blessable="$3" old="$1"
   if [[ -f "${golden}" ]] && cmp -s "${golden}" "${fresh}"; then
     return 0
   fi
-  local old="${golden}"
   [[ -f "${golden}" ]] || old=/dev/null
   diff -u --label "${golden}" --label "${golden} (fresh)" "${old}" \
     "${fresh}" || true
-  if [[ ${BLESS} -eq 1 && "${blessable}" -eq 1 ]]; then
+  if [[ ${BLESS} -eq 1 && ${blessable} -eq 1 ]]; then
     cp "${fresh}" "${golden}"
     echo "golden: blessed ${golden}"
     return 0
@@ -119,23 +101,19 @@ check_file() {
 
 failed=0
 for name in "${NAMES[@]}"; do
-  dir="$(golden_dir "${name}")"
+  dir=tests/golden
+  [[ " ${SLOW[*]} " != *" ${name} "* ]] || dir=tests/golden/slow
   mkdir -p "${dir}"
-  if ! run_entry "${name}"; then
-    failed=1
-    continue
-  fi
   ok=1
+  run_entry "${name}" || { failed=1; continue; }
   check_file "${dir}/${name}.txt" "${SCRATCH}/${name}.txt" 1 || ok=0
   case "${name}" in
-    mc_*)
-      check_file "${dir}/${name}.spec" "${SCRATCH}/${name}.spec" 1 || ok=0 ;;
-    chaos_availability)
-      check_file "${ROOT}/BENCH_chaos.json" "${SCRATCH}/${name}.json" 0 \
-        || ok=0 ;;
-    rebalance_cost)
-      check_file "${ROOT}/BENCH_rebalance.json" "${SCRATCH}/${name}.json" 0 \
-        || ok=0 ;;
+    mc_*) check_file "${dir}/${name}.spec" "${SCRATCH}/${name}.spec" 1 \
+            || ok=0 ;;
+    chaos_availability) check_file "${ROOT}/BENCH_chaos.json" \
+                          "${SCRATCH}/${name}.json" 0 || ok=0 ;;
+    rebalance_cost) check_file "${ROOT}/BENCH_rebalance.json" \
+                      "${SCRATCH}/${name}.json" 0 || ok=0 ;;
   esac
   if [[ ${ok} -eq 1 ]]; then
     echo "golden: ${name} ok"

@@ -371,12 +371,6 @@ int RunSimstats(FlagSet& flags) {
               desc->ToString().c_str(), size, reps, reps,
               static_cast<unsigned long long>(o.seed),
               o.params.cores_per_node);
-  std::printf("  scheduler core      %s\n",
-              queue.mode() == sim::EventQueue::Mode::kCalendar
-                  ? "calendar (default; RING_SIM_CORE=heap for the "
-                    "legacy binary heap)"
-                  : "heap (legacy; unset RING_SIM_CORE for the "
-                    "calendar queue)");
   std::printf("  events executed     %" PRIu64 " over %.3f simulated ms\n",
               events, sim_ns / 1e6);
   std::printf("  events/sec (wall)   %.0f  (%.3f s wall)\n",
