@@ -456,6 +456,13 @@ struct TraceRunner::Impl : public sim::ScheduleController,
                 std::to_string(wedged) + " write(s) still pending acks");
       }
     }
+    // Key-directory oracle: every final state passes the audit, whether or
+    // not the workload completed.
+    if (result.violation.empty()) {
+      if (std::string why = cl.CheckKeyDirectories(); !why.empty()) {
+        Violate(kViolationDirectory, std::move(why));
+      }
+    }
     result.final_digest = Digest();
     result.steps = step;
     result.tags = std::move(tags);

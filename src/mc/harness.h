@@ -101,6 +101,8 @@ inline constexpr char kViolationCorruptRead[] = "corrupt-read";
 inline constexpr char kViolationVersionReuse[] = "version-reuse";
 inline constexpr char kViolationTimeTravel[] = "time-travel";
 inline constexpr char kViolationWedgedWrite[] = "wedged-write";
+// A live server failed RingServer::CheckKeyDirectory on the final state.
+inline constexpr char kViolationDirectory[] = "directory";
 
 }  // namespace ring::mc
 

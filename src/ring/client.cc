@@ -26,12 +26,8 @@ RingClient::RingClient(RingRuntime* runtime, uint32_t index)
       config_(runtime->membership().ConfigView(0)),
       rng_(runtime->options().seed * 0x9e3779b97f4a7c15ULL + node_) {}
 
-uint32_t RingClient::ShardFor(const Key& key) const {
-  return KeyShard(key, config_.num_shards());
-}
-
-net::NodeId RingClient::CoordinatorFor(const Key& key) const {
-  return config_.CoordinatorOfShard(ShardFor(key));
+net::NodeId RingClient::CoordinatorFor(const HashedKey& key) const {
+  return config_.CoordinatorOfShard(key.Shard(config_.num_shards()));
 }
 
 void RingClient::RefreshConfig() {
@@ -150,12 +146,13 @@ void RingClient::Put(const Key& key, std::shared_ptr<Buffer> value,
   const uint64_t issue_cost =
       p.client_base_ns + p.client_post_ns +
       static_cast<uint64_t>(p.client_put_byte_ns * len);
-  cpu().Execute(issue_cost, [this, key, value = std::move(value), memgest,
+  cpu().Execute(issue_cost, [this, key = HashedKey(key),
+                             value = std::move(value), memgest,
                              cb = std::move(cb), req_id, len] {
     const sim::SimTime start = rt_->simulator().now();
     auto reply = Complete(req_id, start, "put", obs::OpKind::kPut, memgest,
                           cb);
-    const uint64_t bytes = kHeaderBytes + key.size() + len;
+    const uint64_t bytes = kHeaderBytes + key.str().size() + len;
     auto send = [this, key, value, memgest, req_id, reply,
                  bytes](bool broadcast) {
       obs::ScopedOp scope(rt_->simulator().hub(), OpId(req_id));
@@ -195,11 +192,12 @@ void RingClient::Get(const Key& key, ReadMode mode, GetCallback cb) {
   const uint64_t req_id = next_req_++;
   NotifyObserver(key, obs::OpKind::kGet, kDefaultMemgest, 0);
   cpu().Execute(p.client_base_ns + p.client_post_ns,
-                [this, key, mode, cb = std::move(cb), req_id] {
+                [this, key = HashedKey(key), mode, cb = std::move(cb),
+                 req_id] {
     const sim::SimTime start = rt_->simulator().now();
     auto reply = Complete(req_id, start, "get", obs::OpKind::kGet,
                           obs::kNoMemgest, cb);
-    const uint64_t bytes = kHeaderBytes + key.size();
+    const uint64_t bytes = kHeaderBytes + key.str().size();
     auto send = [this, key, mode, req_id, reply, bytes](bool broadcast) {
       obs::ScopedOp scope(rt_->simulator().hub(), OpId(req_id));
       GetRequest r;
@@ -238,10 +236,11 @@ void RingClient::Move(const Key& key, MemgestId dst, PutCallback cb) {
   const uint64_t req_id = next_req_++;
   NotifyObserver(key, obs::OpKind::kMove, dst, 0);
   cpu().Execute(p.client_base_ns + p.client_post_ns,
-                [this, key, dst, cb = std::move(cb), req_id] {
+                [this, key = HashedKey(key), dst, cb = std::move(cb),
+                 req_id] {
     const sim::SimTime start = rt_->simulator().now();
     auto reply = Complete(req_id, start, "move", obs::OpKind::kMove, dst, cb);
-    const uint64_t bytes = kHeaderBytes + key.size();
+    const uint64_t bytes = kHeaderBytes + key.str().size();
     auto send = [this, key, dst, req_id, reply, bytes](bool broadcast) {
       obs::ScopedOp scope(rt_->simulator().hub(), OpId(req_id));
       MoveRequest r;
@@ -279,11 +278,11 @@ void RingClient::Delete(const Key& key, StatusCallback cb) {
   const uint64_t req_id = next_req_++;
   NotifyObserver(key, obs::OpKind::kDelete, kDefaultMemgest, 0);
   cpu().Execute(p.client_base_ns + p.client_post_ns,
-                [this, key, cb = std::move(cb), req_id] {
+                [this, key = HashedKey(key), cb = std::move(cb), req_id] {
     const sim::SimTime start = rt_->simulator().now();
     auto reply = Complete(req_id, start, "delete", obs::OpKind::kDelete,
                           obs::kNoMemgest, cb);
-    const uint64_t bytes = kHeaderBytes + key.size();
+    const uint64_t bytes = kHeaderBytes + key.str().size();
     auto send = [this, key, req_id, reply, bytes](bool broadcast) {
       obs::ScopedOp scope(rt_->simulator().hub(), OpId(req_id));
       DeleteRequest r;

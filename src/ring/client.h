@@ -94,8 +94,7 @@ class RingClient {
   };
 
   sim::CpuWorker& cpu() { return rt_->fabric().cpu(node_); }
-  uint32_t ShardFor(const Key& key) const;
-  net::NodeId CoordinatorFor(const Key& key) const;
+  net::NodeId CoordinatorFor(const HashedKey& key) const;
   void RefreshConfig();
   // Registers the request, sends it, and arms the retry timer.
   void Launch(uint64_t req_id, std::function<void(bool)> send,

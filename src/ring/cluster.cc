@@ -21,6 +21,19 @@ bool RingCluster::RunUntilDone(const std::function<bool()>& done,
   return true;
 }
 
+std::string RingCluster::CheckKeyDirectories() {
+  for (net::NodeId n = 0; n < runtime_->num_server_nodes(); ++n) {
+    if (!runtime_->fabric().alive(n)) {
+      continue;
+    }
+    std::string why = server(n).CheckKeyDirectory();
+    if (!why.empty()) {
+      return why;
+    }
+  }
+  return "";
+}
+
 Result<MemgestId> RingCluster::CreateMemgest(const MemgestDescriptor& desc) {
   Result<MemgestId> result = InternalError("createMemgest did not complete");
   bool done = false;

@@ -50,6 +50,10 @@ class RingCluster {
   // cluster for readmission and rebuilds via the spare/recovery path.
   void RestartNode(net::NodeId node) { runtime_->RestartNode(node); }
 
+  // RingServer::CheckKeyDirectory over every live server node: "" when the
+  // audit holds everywhere, else the first failure.
+  std::string CheckKeyDirectories();
+
   // Runs the simulation until `done` returns true (or the event budget is
   // exhausted). Returns true on success.
   bool RunUntilDone(const std::function<bool()>& done,

@@ -3,9 +3,9 @@
 // Each memgest has a *metadata hashtable* per shard: (key, version) ->
 // location + commit state. It is write-ahead (entries exist before commit)
 // and replicated to the memgest's redundancy nodes. The *volatile hashtable*
-// maps key -> list of (version, memgest) pairs across all memgests of a
-// coordinator; it is not replicated and is rebuilt from the metadata
-// hashtables after failures.
+// (VolatileIndex, the coordinator's key directory) maps key -> list of
+// (version, memgest) refs across all memgests of a coordinator; it is not
+// replicated and is rebuilt from the metadata hashtables after failures.
 #ifndef RING_SRC_RING_METADATA_H_
 #define RING_SRC_RING_METADATA_H_
 
@@ -13,10 +13,10 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/ring/types.h"
 
 namespace ring {
@@ -83,9 +83,10 @@ struct MetaRecord {
   // re-migrates (idempotent).
   bool moved_done = false;
   // Volatile: this entry owns a VolatileIndex reference on this node (it was
-  // coordinator-written or indexed by a rebuild). Replica/parity mirrors of
-  // other coordinators' writes never set it — the geometry purge must not
-  // mistake a mirror for the entry an index ref belongs to.
+  // coordinator-written or indexed by a rebuild), so erasing it must drop
+  // that ref. Replica/parity mirrors of other coordinators' writes never
+  // set it — the geometry purge must not mistake a mirror for the entry an
+  // index ref belongs to.
   bool indexed = false;
 };
 
@@ -181,32 +182,85 @@ class EarlyGcSet {
   std::vector<Entry> records_;
 };
 
-// Coordinator-side index over all memgests (paper Fig. 4).
+struct ShardStore;  // server.h: one shard's heap and metadata hashtable
+
+// The coordinator's key directory: the volatile hashtable of paper Fig. 4,
+// mapping a key to its (version, memgest) refs across all memgests. It is
+// not replicated; RingServer::RebuildVolatileIndex rebuilds it from the
+// metadata hashtables after failures.
+//
+// Layout (DESIGN.md §19): one dense record per key (the key, its hash, its
+// newest ref inline and, only while the key has several versions, its older
+// refs out of line), under an open-addressed array of 8-byte (tag, record)
+// slots probed linearly. The home slot comes from the hash's high bits by
+// Fibonacci hashing, never `hash & mask`: a coordinator only holds keys
+// with hash % num_shards == its shard, so their low bits repeat.
+//
+// Each ref carries handles to the MetaEntry it names and the ShardStore
+// holding it. The directory never dereferences them; RingServer erases a
+// ref together with its entry. There is no iteration API, so the table's
+// layout can never reach a schedule.
 class VolatileIndex {
  public:
   struct Ref {
-    Version version;
-    MemgestId memgest;
+    Version version = 0;
+    MetaEntry* entry = nullptr;
+    ShardStore* store = nullptr;
+    MemgestId memgest = 0;
+    // RingServer::GeomKey(geom_s, shard) of *store.
+    uint32_t store_key = 0;
   };
 
-  // Highest-version reference for the key, nullopt when absent.
-  std::optional<Ref> Highest(const Key& key) const;
+  // Newest ref of the key, nullptr when absent. Like Find, valid until the
+  // next Add, Remove or Clear.
+  const Ref* Highest(const HashedKey& key) const;
+  // The ref at `version`, nullptr when absent.
+  Ref* Find(const HashedKey& key, Version version);
+  const Ref* Find(const HashedKey& key, Version version) const;
   // Version to assign to the next write of `key` (highest + 1, counting
   // uncommitted versions — paper §5.2).
-  Version NextVersion(const Key& key) const;
+  Version NextVersion(const HashedKey& key) const;
 
-  void Add(const Key& key, Version version, MemgestId memgest);
-  void Remove(const Key& key, Version version);
+  // Adds a ref; one already at the same version is replaced (an idempotent
+  // re-add, e.g. during recovery).
+  void Add(const HashedKey& key, const Ref& ref);
+  // Drops the ref at `version`, whatever its memgest. True when it existed.
+  bool Remove(const HashedKey& key, Version version);
 
   // All references for a key, descending by version.
-  std::vector<Ref> Refs(const Key& key) const;
+  std::vector<Ref> Refs(const HashedKey& key) const;
 
-  size_t key_count() const { return index_.size(); }
-  void Clear() { index_.clear(); }
+  size_t key_count() const { return records_.size(); }
+  size_t ref_count() const { return ref_count_; }
+  // Heap bytes held: slots, records, older-ref lists and out-of-line keys.
+  size_t ApproxBytes() const;
+  void Clear();
 
  private:
-  // Descending by version; lists stay short (GC removes old versions).
-  std::unordered_map<Key, std::vector<Ref>> index_;
+  struct Record {
+    Key key;
+    uint64_t hash = 0;
+    Ref newest;
+    // Older refs, descending; null while the key has a single ref.
+    std::unique_ptr<std::vector<Ref>> older;
+  };
+  struct Slot {
+    uint32_t tag = 0;    // hash >> 32
+    uint32_t index = 0;  // record index + 1; 0 marks an empty slot
+  };
+  static constexpr size_t kNotFound = ~size_t{0};
+
+  size_t Home(uint64_t hash) const;
+  // Slot of the key's record, kNotFound when absent.
+  size_t SlotOf(const HashedKey& key) const;
+  void Grow();
+  // Empties `slot` and drops its record, keeping both arrays dense.
+  void EraseRecord(size_t slot);
+
+  std::vector<Slot> slots_;  // power-of-two size, at most 3/4 full
+  std::vector<Record> records_;
+  uint32_t shift_ = 64;  // 64 - log2(slots_.size())
+  size_t ref_count_ = 0;
 };
 
 }  // namespace ring

@@ -39,8 +39,8 @@ uint64_t ParityMetaScope(MemgestId memgest, uint32_t shard) {
 }
 // Word regions (version/commit/ack) use a mixed (key, version) hash as the
 // byte address.
-uint64_t EntryWord(const Key& key, Version version) {
-  return HashKey(key) ^ (version * 0x9E3779B97F4A7C15ull);
+uint64_t EntryWord(const HashedKey& key, Version version) {
+  return key.hash() ^ (version * 0x9E3779B97F4A7C15ull);
 }
 
 }  // namespace
@@ -48,7 +48,7 @@ uint64_t EntryWord(const Key& key, Version version) {
 // ---------------------------------------------------------------------------
 // ShardStore / ParityStore
 
-std::pair<uint64_t, uint32_t> RingServer::ShardStore::Allocate(uint32_t len) {
+std::pair<uint64_t, uint32_t> ShardStore::Allocate(uint32_t len) {
   // First fit over freed regions: reuse keeps the address space compact and
   // makes erasure-coded deltas cover previously-scrubbed content for free.
   for (size_t i = 0; i < free_list.size(); ++i) {
@@ -64,18 +64,18 @@ std::pair<uint64_t, uint32_t> RingServer::ShardStore::Allocate(uint32_t len) {
   return {addr, len};
 }
 
-void RingServer::ShardStore::EnsureSize(uint64_t size) {
+void ShardStore::EnsureSize(uint64_t size) {
   if (heap.size() < size) {
     heap.resize(size, 0);
   }
 }
 
-void RingServer::ShardStore::Write(uint64_t addr, ByteSpan bytes) {
+void ShardStore::Write(uint64_t addr, ByteSpan bytes) {
   EnsureSize(addr + bytes.size());
   std::copy(bytes.begin(), bytes.end(), heap.begin() + addr);
 }
 
-ByteSpan RingServer::ShardStore::Read(uint64_t addr, uint32_t len) const {
+ByteSpan ShardStore::Read(uint64_t addr, uint32_t len) const {
   assert(addr + len <= heap.size());
   return ByteSpan(heap.data() + addr, len);
 }
@@ -128,8 +128,8 @@ RingServer::MemgestState& RingServer::StateOf(const MemgestInfo& info) {
   return state;
 }
 
-RingServer::ShardStore& RingServer::StoreOf(MemgestState& state,
-                                            uint32_t shard, uint32_t geom_s) {
+ShardStore& RingServer::StoreOf(MemgestState& state, uint32_t shard,
+                                uint32_t geom_s) {
   return state.stores.FindOrCreate(
       GeomKey(geom_s == 0 ? config_.s : geom_s, shard));
 }
@@ -145,46 +145,59 @@ std::optional<consensus::Placement> RingServer::PlacementFor(
   return std::nullopt;  // retired shape: the operation is epoch-fenced
 }
 
-MetaEntry* RingServer::FindEntry(const MemgestInfo& info, const Key& key,
-                                 Version version, uint32_t* shard_out,
-                                 uint32_t* geom_out) {
-  MemgestState& state = StateOf(info);
-  const uint32_t cur_shard = KeyShard(key, config_.num_shards());
-  if (ShardStore* store = state.stores.Find(GeomKey(config_.s, cur_shard));
-      store != nullptr) {
-    if (MetaEntry* e = store->meta.Find(key, version); e != nullptr) {
-      if (shard_out != nullptr) {
-        *shard_out = cur_shard;
-      }
-      if (geom_out != nullptr) {
-        *geom_out = config_.s;
-      }
-      return e;
-    }
+RingServer::EntryLoc RingServer::FindEntry(const MemgestInfo& info,
+                                           const HashedKey& key,
+                                           Version version) const {
+  const auto it = memgests_.find(info.id);
+  if (it == memgests_.end()) {
+    return EntryLoc{};
   }
-  if (config_.rebalancing()) {
-    const uint32_t prev_shard =
-        KeyShard(key, config_.groups * config_.prev_s);
-    if (ShardStore* store =
-            state.stores.Find(GeomKey(config_.prev_s, prev_shard));
-        store != nullptr) {
-      if (MetaEntry* e = store->meta.Find(key, version); e != nullptr) {
-        if (shard_out != nullptr) {
-          *shard_out = prev_shard;
-        }
-        if (geom_out != nullptr) {
-          *geom_out = config_.prev_s;
-        }
-        return e;
-      }
-    }
+  const auto find_in = [&](uint32_t geom, uint32_t shard) {
+    ShardStore* store = it->second.stores.Find(GeomKey(geom, shard));
+    MetaEntry* e =
+        store == nullptr ? nullptr : store->meta.Find(key.str(), version);
+    return e == nullptr ? EntryLoc{} : EntryLoc{e, store, shard, geom};
+  };
+  EntryLoc loc = find_in(config_.s, key.Shard(config_.num_shards()));
+  if (loc.entry == nullptr && config_.rebalancing()) {
+    loc = find_in(config_.prev_s, key.Shard(config_.groups * config_.prev_s));
   }
-  return nullptr;
+  return loc;
 }
 
-RingServer::RouteAction RingServer::RouteKey(const Key& key, bool forwarded) {
+RingServer::EntryLoc RingServer::EntryOf(const MemgestInfo& info,
+                                         const HashedKey& key,
+                                         const VolatileIndex::Ref& ref) const {
+  if ((ref.store_key >> 16) == config_.s) {
+    return EntryLoc{ref.entry, ref.store, ref.store_key & 0xffffu, config_.s};
+  }
+  return FindEntry(info, key, ref.version);
+}
+
+RingServer::EntryLoc RingServer::StoreEntry(const MemgestInfo& info,
+                                            uint32_t shard, uint32_t geom_s,
+                                            const HashedKey& key,
+                                            Version version) {
+  const uint32_t geom = geom_s == 0 ? config_.s : geom_s;
+  if (const VolatileIndex::Ref* ref = volatile_index_.Find(key, version);
+      ref != nullptr && ref->memgest == info.id &&
+      ref->store_key == GeomKey(geom, shard)) {
+    return EntryLoc{ref->entry, ref->store, shard, geom};
+  }
+  ShardStore& store = StoreOf(StateOf(info), shard, geom);
+  return EntryLoc{store.meta.Find(key.str(), version), &store, shard, geom};
+}
+
+void RingServer::EraseIndexed(ShardStore& store, const HashedKey& key,
+                              Version version) {
+  store.meta.Erase(key.str(), version);
+  volatile_index_.Remove(key, version);
+}
+
+RingServer::RouteAction RingServer::RouteKey(const HashedKey& key,
+                                             bool forwarded) {
   RouteAction act;  // defaults to kDrop
-  const uint32_t cur_shard = KeyShard(key, config_.num_shards());
+  const uint32_t cur_shard = key.Shard(config_.num_shards());
   if (!config_.rebalancing()) {
     // Static cluster: the plain coordinator check, zero extra work.
     if (Coordinates(cur_shard)) {
@@ -195,7 +208,7 @@ RingServer::RouteAction RingServer::RouteKey(const Key& key, bool forwarded) {
     return act;
   }
   const consensus::Placement prev = config_.Previous();
-  const uint32_t prev_shard = KeyShard(key, prev.num_shards());
+  const uint32_t prev_shard = key.Shard(prev.num_shards());
   const net::NodeId old_owner = prev.CoordinatorOfShard(prev_shard);
   const net::NodeId new_owner = config_.CoordinatorOfShard(cur_shard);
   if (old_owner == new_owner) {
@@ -212,7 +225,7 @@ RingServer::RouteAction RingServer::RouteKey(const Key& key, bool forwarded) {
     // The new owner serves only keys already installed here; everything else
     // still lives with the old owner. One forwarding hop bridges clients
     // with a fresher config than the key's migration state.
-    if (volatile_index_.Highest(key).has_value()) {
+    if (volatile_index_.Highest(key) != nullptr) {
       act.kind = RouteAction::Kind::kServe;
       act.shard = cur_shard;
       act.geom_s = config_.s;
@@ -231,11 +244,11 @@ RingServer::RouteAction RingServer::RouteKey(const Key& key, bool forwarded) {
     // moment the marker is written every op re-routes (and retries until
     // the new owner has the install).
     bool handed_over = false;
-    if (const auto ref = volatile_index_.Highest(key); ref.has_value()) {
+    if (const VolatileIndex::Ref* ref = volatile_index_.Highest(key);
+        ref != nullptr) {
       if (const MemgestInfo* info = rt_->registry().Get(ref->memgest);
           info != nullptr) {
-        const MetaEntry* e =
-            FindEntry(*info, key, ref->version, nullptr, nullptr);
+        const MetaEntry* e = EntryOf(*info, key, *ref).entry;
         handed_over = e != nullptr && e->moved;
       }
     }
@@ -254,8 +267,8 @@ RingServer::RouteAction RingServer::RouteKey(const Key& key, bool forwarded) {
   return act;
 }
 
-uint32_t RingServer::HomeShardForKey(const Key& key) {
-  return cpu().ShardForHash(KeyShard(key, config_.num_shards()));
+uint32_t RingServer::HomeShardForKey(const HashedKey& key) {
+  return cpu().ShardForHash(key.Shard(config_.num_shards()));
 }
 
 void RingServer::ReplyToClient(net::NodeId client, uint64_t bytes,
@@ -345,7 +358,7 @@ void RingServer::HandlePut(PutRequest req) {
       ++counters_.forwards;
       hub().metrics().Inc("server.forwards", 1, id_);
       const uint64_t bytes =
-          ReqBytes(req.key.size(), req.value ? req.value->size() : 0);
+          ReqBytes(req.key.str().size(), req.value ? req.value->size() : 0);
       auto* peer = rt_->server(route.target);
       req.forwarded = true;
       SendToNode(route.target, bytes, [peer, req = std::move(req)]() mutable {
@@ -391,7 +404,7 @@ void RingServer::HandlePut(PutRequest req) {
 }
 
 void RingServer::StartWrite(const MemgestInfo& info, uint32_t shard,
-                            const Key& key, Version version,
+                            const HashedKey& key, Version version,
                             std::shared_ptr<Buffer> value, bool tombstone,
                             std::function<void(Status)> on_commit,
                             uint32_t geom_s, bool moved) {
@@ -431,12 +444,13 @@ void RingServer::StartWrite(const MemgestInfo& info, uint32_t shard,
   entry.geom_s = geom_s;
   entry.moved = moved;
   NoteAccess(RegionKind::kMetadata, AccessKind::kWrite,
-             ScopeOf(info.id, shard), HashKey(key), HashKey(key) + 1,
+             ScopeOf(info.id, shard), key.hash(), key.hash() + 1,
              "start_write/meta");
-  MetaEntry& e = store.meta.Insert(key, std::move(entry));
+  MetaEntry& e = store.meta.Insert(key.str(), std::move(entry));
   NoteAccess(RegionKind::kVersionWord, AccessKind::kWrite, kVersionScope,
-             HashKey(key), HashKey(key) + 1, "start_write/version");
-  volatile_index_.Add(key, version, info.id);
+             key.hash(), key.hash() + 1, "start_write/version");
+  volatile_index_.Add(key, VolatileIndex::Ref{version, &e, &store, info.id,
+                                              GeomKey(geom_s, shard)});
   e.indexed = true;
   e.pending = std::make_unique<PendingWrite>();
   PendingWrite& pw = *e.pending;
@@ -449,7 +463,7 @@ void RingServer::StartWrite(const MemgestInfo& info, uint32_t shard,
   if (info.desc.kind == SchemeKind::kReplicated) {
     if (info.desc.unreliable()) {
       // Rep(1): committed immediately — no replication.
-      CommitEntry(info, shard, key, version, geom_s);
+      CommitEntry(info, shard, key, e);
       return;
     }
     const auto slots =
@@ -482,7 +496,8 @@ void RingServer::StartWrite(const MemgestInfo& info, uint32_t shard,
       // (re)send, so a retransmission after a promotion reaches the new
       // slot owner — and dies if the shape was retired (epoch fencing).
       auto send = [this, geom = geom_s, slot = slots[ordinal],
-                   bytes = ReqBytes(key.size(), len), msg = std::move(msg)] {
+                   bytes = ReqBytes(key.str().size(), len),
+                   msg = std::move(msg)] {
         const auto placement = PlacementFor(geom);
         if (!placement.has_value()) {
           return;
@@ -507,7 +522,7 @@ void RingServer::StartWrite(const MemgestInfo& info, uint32_t shard,
   pw.acks_pending = (1u << parity_slots.size()) - 1;
   pw.acks_needed = static_cast<uint32_t>(parity_slots.size());
   if (parity_slots.empty()) {
-    CommitEntry(info, shard, key, version, geom_s);
+    CommitEntry(info, shard, key, e);
     return;
   }
   pw.trace_quorum_start = rt_->simulator().now();
@@ -530,7 +545,7 @@ void RingServer::StartWrite(const MemgestInfo& info, uint32_t shard,
     msg.moved = moved;
     // Parity updates carry replicated metadata on top of the payload (§6.1).
     auto send = [this, geom = geom_s, slot = parity_slots[j],
-                 bytes = ReqBytes(key.size(), len) +
+                 bytes = ReqBytes(key.str().size(), len) +
                          p.parity_update_metadata_bytes,
                  msg = std::move(msg)] {
       const auto placement = PlacementFor(geom);
@@ -553,7 +568,7 @@ void RingServer::StartWrite(const MemgestInfo& info, uint32_t shard,
 // The chain dies as soon as the entry commits, is superseded, or loses its
 // pending bits to a configuration change.
 void RingServer::ScheduleWriteRetransmit(MemgestId gid, uint32_t shard,
-                                         uint32_t geom_s, const Key& key,
+                                         uint32_t geom_s, const HashedKey& key,
                                          Version version) {
   const uint64_t period = rt_->simulator().params().write_retransmit_ns;
   if (period == 0 || rt_->options().test_bugs.no_write_retransmit) {
@@ -570,8 +585,8 @@ void RingServer::ScheduleWriteRetransmit(MemgestId gid, uint32_t shard,
     if (!PlacementFor(geom_s).has_value()) {
       return;  // shape retired: the write's fate was decided by the purge
     }
-    MetaEntry* entry =
-        StoreOf(StateOf(*info), shard, geom_s).meta.Find(key, version);
+    const MetaEntry* entry =
+        StoreEntry(*info, shard, geom_s, key, version).entry;
     if (entry == nullptr || entry->committed || entry->acks_pending() == 0) {
       return;
     }
@@ -643,11 +658,11 @@ void RingServer::HandleReplicaAppend(ReplicaAppend msg) {
     }
     ++state.log_len;
     NoteAccess(RegionKind::kMetadata, AccessKind::kWrite,
-               ScopeOf(msg.memgest, msg.shard), HashKey(msg.key),
-               HashKey(msg.key) + 1, "replica_append/meta");
+               ScopeOf(msg.memgest, msg.shard), msg.key.hash(),
+               msg.key.hash() + 1, "replica_append/meta");
     // A GC notice that overtook this append already collected the version:
     // the bytes land and the ack flows, but no dead entry is inserted.
-    if (!store.early_gc.Consume(msg.shard, msg.key, msg.version)) {
+    if (!store.early_gc.Consume(msg.shard, msg.key.str(), msg.version)) {
       MetaEntry entry;
       entry.version = msg.version;
       entry.addr = msg.addr;
@@ -658,7 +673,7 @@ void RingServer::HandleReplicaAppend(ReplicaAppend msg) {
       entry.data_present = true;
       entry.geom_s = geom;
       entry.moved = msg.moved;
-      store.meta.Insert(msg.key, std::move(entry));
+      store.meta.Insert(msg.key.str(), std::move(entry));
     }
 
     Ack ack{msg.memgest, msg.shard, msg.key, msg.version, msg.ordinal, geom};
@@ -732,8 +747,8 @@ void RingServer::HandleParityUpdate(ParityUpdate msg) {
     ApplyParityBytes(*info, msg);
     ++state.log_len;
     NoteAccess(RegionKind::kMetadata, AccessKind::kWrite,
-               ParityMetaScope(msg.memgest, msg.shard), HashKey(msg.key),
-               HashKey(msg.key) + 1, "parity_update/meta");
+               ParityMetaScope(msg.memgest, msg.shard), msg.key.hash(),
+               msg.key.hash() + 1, "parity_update/meta");
     InsertParityMeta(parity, msg, geom);
 
     Ack ack{msg.memgest, msg.shard, msg.key, msg.version, msg.parity_index,
@@ -804,12 +819,11 @@ void RingServer::ApplyAck(const Ack& msg) {
     if (info == nullptr) {
       return;
     }
-    MemgestState& state = StateOf(*info);
-    ShardStore& store = StoreOf(state, msg.shard, msg.geom_s);
     NoteAccess(RegionKind::kMetadata, AccessKind::kRead,
-               ScopeOf(msg.memgest, msg.shard), HashKey(msg.key),
-               HashKey(msg.key) + 1, "ack/meta");
-    MetaEntry* entry = store.meta.Find(msg.key, msg.version);
+               ScopeOf(msg.memgest, msg.shard), msg.key.hash(),
+               msg.key.hash() + 1, "ack/meta");
+    MetaEntry* entry =
+        StoreEntry(*info, msg.shard, msg.geom_s, msg.key, msg.version).entry;
     if (entry == nullptr || entry->committed) {
       return;  // already committed (late ack) or GC'd
     }
@@ -823,34 +837,28 @@ void RingServer::ApplyAck(const Ack& msg) {
       --pw.acks_needed;
     }
     if (pw.acks_needed == 0) {
-      CommitEntry(*info, msg.shard, msg.key, msg.version, msg.geom_s);
+      CommitEntry(*info, msg.shard, msg.key, *entry);
     }
   }
 }
 
 void RingServer::CommitEntry(const MemgestInfo& info, uint32_t shard,
-                             const Key& key, Version version,
-                             uint32_t geom_s) {
-  MemgestState& state = StateOf(info);
-  ShardStore& store = StoreOf(state, shard, geom_s);
-  MetaEntry* entry = store.meta.Find(key, version);
-  if (entry == nullptr || entry->committed) {
-    return;
-  }
+                             const HashedKey& key, MetaEntry& entry) {
+  const Version version = entry.version;
   NoteAccess(RegionKind::kCommitFlag, AccessKind::kWrite,
              ScopeOf(info.id, shard), EntryWord(key, version),
              EntryWord(key, version) + 1, "commit/flag");
-  entry->committed = true;
+  entry.committed = true;
   ++counters_.commits;
   // The write's in-flight state ends here; only its waiters outlive it.
   std::vector<std::function<void()>> waiters;
   uint64_t trace_op = 0;
   uint64_t quorum_start = 0;
-  if (entry->pending != nullptr) {
-    waiters = std::move(entry->pending->waiters);
-    trace_op = entry->pending->trace_op;
-    quorum_start = entry->pending->trace_quorum_start;
-    entry->pending.reset();
+  if (entry.pending != nullptr) {
+    waiters = std::move(entry.pending->waiters);
+    trace_op = entry.pending->trace_op;
+    quorum_start = entry.pending->trace_quorum_start;
+    entry.pending.reset();
   }
   if (hub().tracing_enabled()) {
     const sim::SimTime now = rt_->simulator().now();
@@ -871,7 +879,7 @@ void RingServer::CommitEntry(const MemgestInfo& info, uint32_t shard,
     hub().recorder().Record(obs::RecKind::kPhase, "commit", id_, trace_op,
                             info.id);
   }
-  const bool moved_marker = entry->moved;
+  const bool moved_marker = entry.moved;
   // Remove superseded versions: "one instance of the key of a certain
   // version exists across all memgests" (§5.2); old versions are GC'd after
   // every committed put in the default configuration. A moved-marker must
@@ -886,7 +894,7 @@ void RingServer::CommitEntry(const MemgestInfo& info, uint32_t shard,
   }
 }
 
-void RingServer::GcOldVersions(const Key& key, Version below) {
+void RingServer::GcOldVersions(const HashedKey& key, Version below) {
   // §16 multiversion retention: keep the ν newest committed versions below
   // the new commit (Refs is descending, so the first ν survivors are the
   // newest) — the stock of versions ReadMode::kNonBlocking serves from.
@@ -905,9 +913,11 @@ void RingServer::GcOldVersions(const Key& key, Version below) {
     // The superseded version may live under either live shape (§13): a key
     // that auto-migrated via a put carries its old versions in the previous
     // geometry's store until this GC collects them.
-    uint32_t shard = KeyShard(key, config_.num_shards());
-    uint32_t geom = config_.s;
-    MetaEntry* entry = FindEntry(*info, key, ref.version, &shard, &geom);
+    const EntryLoc loc = EntryOf(*info, key, ref);
+    MetaEntry* entry = loc.entry;
+    const uint32_t shard =
+        entry != nullptr ? loc.shard : key.Shard(config_.num_shards());
+    const uint32_t geom = entry != nullptr ? loc.geom : config_.s;
     if (entry != nullptr && !entry->committed) {
       // A concurrent write still in its quorum round: reclaiming it here
       // would orphan its waiters and the client would never get a reply.
@@ -923,18 +933,20 @@ void RingServer::GcOldVersions(const Key& key, Version below) {
       continue;
     }
     if (entry != nullptr) {
-      ShardStore& store = StoreOf(StateOf(*info), shard, geom);
       if (entry->region_len > 0) {
-        store.free_list.emplace_back(entry->addr, entry->region_len);
+        loc.store->free_list.emplace_back(entry->addr, entry->region_len);
       }
       NoteAccess(RegionKind::kMetadata, AccessKind::kWrite,
-                 ScopeOf(ref.memgest, shard), HashKey(key), HashKey(key) + 1,
+                 ScopeOf(ref.memgest, shard), key.hash(), key.hash() + 1,
                  "gc/meta");
-      store.meta.Erase(key, ref.version);
     }
     NoteAccess(RegionKind::kVersionWord, AccessKind::kWrite, kVersionScope,
-               HashKey(key), HashKey(key) + 1, "gc/version");
-    volatile_index_.Remove(key, ref.version);
+               key.hash(), key.hash() + 1, "gc/version");
+    if (entry != nullptr) {
+      EraseIndexed(*loc.store, key, ref.version);
+    } else {
+      volatile_index_.Remove(key, ref.version);
+    }
     // Asynchronous metadata GC on redundancy nodes, under the placement of
     // the shape the version was written at.
     const auto placement = PlacementFor(geom);
@@ -987,9 +999,11 @@ void RingServer::HandleGcNotice(GcNotice msg) {
       analysis::ScopedCpuAcquire acquire(rt_->simulator().race(), id_,
                                          cpu().ShardForHash(msg.shard));
       NoteAccess(RegionKind::kMetadata, AccessKind::kWrite,
-                 ScopeOf(msg.memgest, msg.shard), HashKey(msg.key),
-                 HashKey(msg.key) + 1, "gc_notice/meta");
-      erased = store->meta.Erase(msg.key, msg.version);
+                 ScopeOf(msg.memgest, msg.shard), msg.key.hash(),
+                 msg.key.hash() + 1, "gc_notice/meta");
+      // A mirror store: this node backs the shard, never coordinates it
+      // under the same shape, so no entry here owns a directory ref.
+      erased = store->meta.Erase(msg.key.str(), msg.version);
     }
     if (auto git = state->parity.find(GeomKey(geom, group));
         git != state->parity.end()) {
@@ -998,9 +1012,9 @@ void RingServer::HandleGcNotice(GcNotice msg) {
         analysis::ScopedCpuAcquire acquire(rt_->simulator().race(), id_,
                                            cpu().ShardForHash(group));
         NoteAccess(RegionKind::kMetadata, AccessKind::kWrite,
-                   ParityMetaScope(msg.memgest, msg.shard), HashKey(msg.key),
-                   HashKey(msg.key) + 1, "gc_notice/parity_meta");
-        erased = pit->second.Erase(msg.key, msg.version) || erased;
+                   ParityMetaScope(msg.memgest, msg.shard), msg.key.hash(),
+                   msg.key.hash() + 1, "gc_notice/parity_meta");
+        erased = pit->second.Erase(msg.key.str(), msg.version) || erased;
       }
     }
   }
@@ -1032,7 +1046,7 @@ void RingServer::RecordEarlyGc(MemgestState* state, const GcNotice& msg,
     }
     if (auto git = state->parity.find(GeomKey(geom, msg.shard / geom));
         git != state->parity.end()) {
-      git->second.early_gc.Record(msg.shard, msg.key, msg.version);
+      git->second.early_gc.Record(msg.shard, msg.key.str(), msg.version);
     }
     return;
   }
@@ -1045,14 +1059,14 @@ void RingServer::RecordEarlyGc(MemgestState* state, const GcNotice& msg,
   // A promoted node may not hold the memgest yet: its metadata snapshot is
   // still on the way, and the record must be there when it lands.
   StoreOf(state != nullptr ? *state : StateOf(*info), msg.shard, geom)
-      .early_gc.Record(msg.shard, msg.key, msg.version);
+      .early_gc.Record(msg.shard, msg.key.str(), msg.version);
 }
 
 void RingServer::InsertParityMeta(ParityStore& parity, const ParityUpdate& msg,
                                   uint32_t geom) {
   // A GC notice that overtook the update already collected the version: the
   // delta applies and the ack flows, but no dead entry is inserted.
-  if (parity.early_gc.Consume(msg.shard, msg.key, msg.version)) {
+  if (parity.early_gc.Consume(msg.shard, msg.key.str(), msg.version)) {
     return;
   }
   MetaEntry entry;
@@ -1065,7 +1079,7 @@ void RingServer::InsertParityMeta(ParityStore& parity, const ParityUpdate& msg,
   entry.data_present = true;
   entry.geom_s = geom;
   entry.moved = msg.moved;
-  parity.shard_meta[msg.shard].Insert(msg.key, std::move(entry));
+  parity.shard_meta[msg.shard].Insert(msg.key.str(), std::move(entry));
 }
 
 // ---------------------------------------------------------------------------
@@ -1103,7 +1117,7 @@ void RingServer::ResolveGet(GetRequest req) {
     req.forwarded = true;
     // Hoisted: the capture below moves `req`, and argument evaluation order
     // would otherwise read the gutted key and undercount the wire size.
-    const uint64_t fwd_bytes = ReqBytes(req.key.size(), 0);
+    const uint64_t fwd_bytes = ReqBytes(req.key.str().size(), 0);
     SendToNode(route.target, fwd_bytes,
                [peer, req = std::move(req)]() mutable {
                  peer->HandleGet(std::move(req));
@@ -1120,9 +1134,9 @@ void RingServer::ResolveGet(GetRequest req) {
   hub().metrics().Inc("server.gets", 1, id_, obs::kNoMemgest,
                       obs::OpKind::kGet);
   NoteAccess(RegionKind::kVersionWord, AccessKind::kRead, kVersionScope,
-             HashKey(req.key), HashKey(req.key) + 1, "get/version");
-  const auto ref = volatile_index_.Highest(req.key);
-  if (!ref.has_value()) {
+             req.key.hash(), req.key.hash() + 1, "get/version");
+  const VolatileIndex::Ref* ref = volatile_index_.Highest(req.key);
+  if (ref == nullptr) {
     ReplyToClient(req.client, kReplyBytes, [reply = req.reply] {
       reply(GetResult{NotFoundError("no such key"), 0, nullptr});
     });
@@ -1137,20 +1151,17 @@ void RingServer::ResolveGet(GetRequest req) {
   }
   // The highest version may live under either live shape (§13): serve it
   // from wherever it is, independent of the route's (current) shard id.
-  uint32_t shard = route.shard;
-  uint32_t geom = route.geom_s;
-  MetaEntry* entry = FindEntry(*info, req.key, ref->version, &shard, &geom);
+  const EntryLoc loc = EntryOf(*info, req.key, *ref);
+  const uint32_t shard = loc.entry != nullptr ? loc.shard : route.shard;
+  const uint32_t geom = loc.entry != nullptr ? loc.geom : route.geom_s;
   NoteAccess(RegionKind::kMetadata, AccessKind::kRead,
-             ScopeOf(ref->memgest, shard), HashKey(req.key),
-             HashKey(req.key) + 1, "get/meta");
-  // Copy the key before handing `req` off: DeliverGet moves the request
-  // into closures, which would gut a reference into req.key.
-  const Key key = req.key;
-  DeliverGet(*info, shard, geom, key, entry, std::move(req));
+             ScopeOf(info->id, shard), req.key.hash(), req.key.hash() + 1,
+             "get/meta");
+  DeliverGet(*info, shard, geom, loc.entry, std::move(req));
 }
 
 void RingServer::DeliverGet(const MemgestInfo& info, uint32_t shard,
-                            uint32_t geom_s, const Key& key, MetaEntry* entry,
+                            uint32_t geom_s, MetaEntry* entry,
                             GetRequest req) {
   if (entry == nullptr) {
     ReplyToClient(req.client, kReplyBytes, [reply = req.reply] {
@@ -1171,8 +1182,8 @@ void RingServer::DeliverGet(const MemgestInfo& info, uint32_t shard,
     return;
   }
   NoteAccess(RegionKind::kCommitFlag, AccessKind::kRead,
-             ScopeOf(info.id, shard), EntryWord(key, entry->version),
-             EntryWord(key, entry->version) + 1, "get/commit_flag");
+             ScopeOf(info.id, shard), EntryWord(req.key, entry->version),
+             EntryWord(req.key, entry->version) + 1, "get/commit_flag");
   if (!entry->committed) {
     if (req.mode == ReadMode::kNonBlocking) {
       // §16: a concurrent write (or a reconfiguration stalling its quorum)
@@ -1181,7 +1192,7 @@ void RingServer::DeliverGet(const MemgestInfo& info, uint32_t shard,
       // commit-time GC retains ν of them. The recursion below re-enters the
       // normal committed path, so tombstones ("deleted") and moved markers
       // (re-route) keep their exact strong-read semantics.
-      for (const auto& ref : volatile_index_.Refs(key)) {
+      for (const auto& ref : volatile_index_.Refs(req.key)) {
         if (ref.version >= entry->version) {
           continue;
         }
@@ -1189,18 +1200,16 @@ void RingServer::DeliverGet(const MemgestInfo& info, uint32_t shard,
         if (vinfo == nullptr) {
           continue;
         }
-        uint32_t vshard = KeyShard(key, config_.num_shards());
-        uint32_t vgeom = config_.s;
-        MetaEntry* ve = FindEntry(*vinfo, key, ref.version, &vshard, &vgeom);
-        if (ve == nullptr || !ve->committed) {
+        const EntryLoc older = EntryOf(*vinfo, req.key, ref);
+        if (older.entry == nullptr || !older.entry->committed) {
           continue;
         }
         ++counters_.nonblocking_gets;
         hub().metrics().Inc("server.nonblocking_gets", 1, id_);
         hub().recorder().Record(obs::RecKind::kQuorum, "get_nonblocking", id_,
-                                hub().current_op(), ve->version);
-        const Key key_copy = key;  // `key` may alias req.key, moved below
-        DeliverGet(*vinfo, vshard, vgeom, key_copy, ve, std::move(req));
+                                hub().current_op(), older.entry->version);
+        DeliverGet(*vinfo, older.shard, older.geom, older.entry,
+                   std::move(req));
         return;
       }
       // No committed version exists yet (first write of the key in flight):
@@ -1214,8 +1223,8 @@ void RingServer::DeliverGet(const MemgestInfo& info, uint32_t shard,
     const sim::SimTime defer_start = rt_->simulator().now();
     const Version version = entry->version;
     const MemgestInfo* info_ptr = &info;
-    entry->Pending().waiters.push_back([this, info_ptr, shard, geom_s, key,
-                                        version, defer_start,
+    entry->Pending().waiters.push_back([this, info_ptr, shard, geom_s, version,
+                                        defer_start,
                                         req = std::move(req)]() mutable {
       // The waiter fires from CommitEntry under the *writer's* op context;
       // restore the reader's and account the blocked interval to its wait.
@@ -1223,16 +1232,21 @@ void RingServer::DeliverGet(const MemgestInfo& info, uint32_t shard,
       hub().tracer().Record("get_deferred", obs::Category::kQuorum, id_,
                             req.op_id, defer_start, rt_->simulator().now());
       MetaEntry* e =
-          StoreOf(StateOf(*info_ptr), shard, geom_s).meta.Find(key, version);
-      DeliverGet(*info_ptr, shard, geom_s, key, e, std::move(req));
+          StoreEntry(*info_ptr, shard, geom_s, req.key, version).entry;
+      DeliverGet(*info_ptr, shard, geom_s, e, std::move(req));
     });
     return;
   }
+  if (entry->data_present && PlacementFor(geom_s).has_value()) {
+    // The bytes are local: copy straight from the entry in hand.
+    CopyForGet(info, shard, geom_s, *entry, std::move(req));
+    return;
+  }
   const Version version = entry->version;
-  const Key key_copy = key;  // `key` may alias req.key, moved below
+  const Key key = req.key.str();  // req is moved into the continuation
   EnsureDataPresent(
-      info, shard, geom_s, key_copy, version,
-      [this, info_ptr = &info, shard, geom_s, key = key_copy, version,
+      info, shard, geom_s, key, version,
+      [this, info_ptr = &info, shard, geom_s, version,
        req = std::move(req)](Status s) mutable {
         obs::ScopedOp present_scope(hub(), req.op_id);
         if (!s.ok()) {
@@ -1242,56 +1256,65 @@ void RingServer::DeliverGet(const MemgestInfo& info, uint32_t shard,
                         });
           return;
         }
-        MetaEntry* e =
-            StoreOf(StateOf(*info_ptr), shard, geom_s).meta.Find(key, version);
+        const MetaEntry* e =
+            StoreEntry(*info_ptr, shard, geom_s, req.key, version).entry;
         if (e == nullptr) {
           ReplyToClient(req.client, kReplyBytes, [reply = req.reply] {
             reply(GetResult{NotFoundError("gone"), 0, nullptr});
           });
           return;
         }
-        const auto& p = rt_->simulator().params();
-        const uint64_t cost =
-            static_cast<uint64_t>(p.mem_byte_ns * e->len) + p.post_send_ns;
-        const uint64_t addr = e->addr;
-        const uint32_t len = e->len;
-        cpu().ExecuteOnShard(
-            HomeShardForKey(key), cost,
-            [this, info_ptr, shard, geom_s, key, addr, len, version,
-             req = std::move(req)]() mutable {
-          obs::ScopedOp read_scope(hub(), req.op_id);
-          if (!IsAlive()) {
-            return;
-          }
-          ShardStore& store = StoreOf(StateOf(*info_ptr), shard, geom_s);
-          // Validate-and-retry (the check backing the paper's optimistic
-          // one-sided reads): the version may have been garbage-collected —
-          // and its heap region reused by a newer write — while this copy
-          // was queued behind other CPU work. Re-resolve; a newer committed
-          // version exists whenever that happens.
-          const MetaEntry* live = store.meta.Find(key, version);
-          if (!rt_->options().test_bugs.no_gc_revalidate &&  // PR 5 bug 3
-              (live == nullptr || !live->committed || live->tombstone ||
-               !live->data_present || live->addr != addr)) {
-            ++counters_.op_restarts;
-            hub().metrics().Inc("server.op_restarts", 1, id_);
-            hub().recorder().Record(obs::RecKind::kRestart, "get_restart",
-                                    id_, hub().current_op(), version);
-            ResolveGet(std::move(req));
-            return;
-          }
-          NoteAccess(RegionKind::kHeap, AccessKind::kRead,
-                     ScopeOf(info_ptr->id, shard), addr, addr + len,
-                     "get/heap");
-          auto data = std::make_shared<Buffer>();
-          const ByteSpan bytes = store.Read(addr, len);
-          data->assign(bytes.begin(), bytes.end());
-          ReplyToClient(req.client, kReplyBytes + len,
-                        [reply = req.reply, data, version] {
-                          reply(GetResult{OkStatus(), version, data});
-                        });
-        });
+        CopyForGet(*info_ptr, shard, geom_s, *e, std::move(req));
       });
+}
+
+void RingServer::CopyForGet(const MemgestInfo& info, uint32_t shard,
+                            uint32_t geom_s, const MetaEntry& entry,
+                            GetRequest req) {
+  const auto& p = rt_->simulator().params();
+  const uint64_t cost =
+      static_cast<uint64_t>(p.mem_byte_ns * entry.len) + p.post_send_ns;
+  const uint64_t addr = entry.addr;
+  const uint32_t len = entry.len;
+  const Version version = entry.version;
+  // Hoisted: the capture below moves `req`.
+  const uint32_t home = HomeShardForKey(req.key);
+  cpu().ExecuteOnShard(
+      home, cost,
+      [this, info_ptr = &info, shard, geom_s, addr, len, version,
+       req = std::move(req)]() mutable {
+    obs::ScopedOp read_scope(hub(), req.op_id);
+    if (!IsAlive()) {
+      return;
+    }
+    // Validate-and-retry (the check backing the paper's optimistic
+    // one-sided reads): the version may have been garbage-collected — and
+    // its heap region reused by a newer write — while this copy was queued
+    // behind other CPU work. Re-resolve; a newer committed version exists
+    // whenever that happens.
+    const EntryLoc live =
+        StoreEntry(*info_ptr, shard, geom_s, req.key, version);
+    if (!rt_->options().test_bugs.no_gc_revalidate &&  // PR 5 bug 3
+        (live.entry == nullptr || !live.entry->committed ||
+         live.entry->tombstone || !live.entry->data_present ||
+         live.entry->addr != addr)) {
+      ++counters_.op_restarts;
+      hub().metrics().Inc("server.op_restarts", 1, id_);
+      hub().recorder().Record(obs::RecKind::kRestart, "get_restart", id_,
+                              hub().current_op(), version);
+      ResolveGet(std::move(req));
+      return;
+    }
+    NoteAccess(RegionKind::kHeap, AccessKind::kRead,
+               ScopeOf(info_ptr->id, shard), addr, addr + len, "get/heap");
+    auto data = std::make_shared<Buffer>();
+    const ByteSpan bytes = live.store->Read(addr, len);
+    data->assign(bytes.begin(), bytes.end());
+    ReplyToClient(req.client, kReplyBytes + len,
+                  [reply = req.reply, data, version] {
+                    reply(GetResult{OkStatus(), version, data});
+                  });
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -1318,7 +1341,7 @@ void RingServer::HandleMove(MoveRequest req) {
       auto* peer = rt_->server(route.target);
       req.forwarded = true;
       // Hoisted: the capture below moves `req` (see HandleGet's forward).
-      const uint64_t fwd_bytes = ReqBytes(req.key.size(), 0);
+      const uint64_t fwd_bytes = ReqBytes(req.key.str().size(), 0);
       SendToNode(route.target, fwd_bytes,
                  [peer, req = std::move(req)]() mutable {
                    peer->HandleMove(std::move(req));
@@ -1338,9 +1361,9 @@ void RingServer::HandleMove(MoveRequest req) {
     ++counters_.moves;
     hub().metrics().Inc("server.moves", 1, id_, req.dst, obs::OpKind::kMove);
     NoteAccess(RegionKind::kVersionWord, AccessKind::kRead, kVersionScope,
-               HashKey(req.key), HashKey(req.key) + 1, "move/version");
-    const auto ref = volatile_index_.Highest(req.key);
-    if (!ref.has_value()) {
+               req.key.hash(), req.key.hash() + 1, "move/version");
+    const VolatileIndex::Ref* ref = volatile_index_.Highest(req.key);
+    if (ref == nullptr) {
       ReplyToClientOnce(req.client, req.req_id, kReplyBytes,
                         [reply = req.reply] {
                           reply(NotFoundError("no such key"), 0);
@@ -1363,10 +1386,10 @@ void RingServer::HandleMove(MoveRequest req) {
                         });
       return;
     }
-    uint32_t src_shard = shard;
-    uint32_t src_geom = route.geom_s;
-    MetaEntry* entry =
-        FindEntry(*src, req.key, ref->version, &src_shard, &src_geom);
+    const EntryLoc loc = EntryOf(*src, req.key, *ref);
+    MetaEntry* entry = loc.entry;
+    const uint32_t src_shard = entry != nullptr ? loc.shard : shard;
+    const uint32_t src_geom = entry != nullptr ? loc.geom : route.geom_s;
     if (entry == nullptr || entry->tombstone) {
       ReplyToClientOnce(req.client, req.req_id, kReplyBytes,
                         [reply = req.reply] {
@@ -1388,7 +1411,7 @@ void RingServer::HandleMove(MoveRequest req) {
       return;
     }
     const Version src_version = entry->version;
-    const Key key_copy = req.key;  // req is moved into the continuation
+    const Key key_copy = req.key.str();  // req is moved into the continuation
     EnsureDataPresent(
         *src, src_shard, src_geom, key_copy, src_version,
         [this, src, dst, shard = src_shard, geom = src_geom, src_version,
@@ -1399,8 +1422,8 @@ void RingServer::HandleMove(MoveRequest req) {
                               [reply = req.reply, s] { reply(s, 0); });
             return;
           }
-          MetaEntry* e = StoreOf(StateOf(*src), shard, geom)
-                             .meta.Find(req.key, src_version);
+          const MetaEntry* e =
+              StoreEntry(*src, shard, geom, req.key, src_version).entry;
           if (e == nullptr) {
             ReplyToClientOnce(req.client, req.req_id, kReplyBytes,
                               [reply = req.reply] {
@@ -1434,13 +1457,13 @@ void RingServer::HandleMove(MoveRequest req) {
             if (!IsAlive() || !serving_) {
               return;
             }
-            ShardStore& store = StoreOf(StateOf(*src), shard, geom);
             // Validate-and-retry, as in the get path: the source version may
             // have been garbage-collected (region reused) while the copy was
             // queued. Restart the move against the current highest version.
-            const MetaEntry* live = store.meta.Find(req.key, src_version);
-            if (live == nullptr || live->tombstone || !live->data_present ||
-                live->addr != addr) {
+            const EntryLoc live =
+                StoreEntry(*src, shard, geom, req.key, src_version);
+            if (live.entry == nullptr || live.entry->tombstone ||
+                !live.entry->data_present || live.entry->addr != addr) {
               ++counters_.op_restarts;
               hub().metrics().Inc("server.op_restarts", 1, id_);
               hub().recorder().Record(obs::RecKind::kRestart, "move_restart",
@@ -1453,7 +1476,7 @@ void RingServer::HandleMove(MoveRequest req) {
                        ScopeOf(src->id, shard), addr, addr + len,
                        "move/heap");
             auto value = std::make_shared<Buffer>();
-            const ByteSpan bytes = store.Read(addr, len);
+            const ByteSpan bytes = live.store->Read(addr, len);
             value->assign(bytes.begin(), bytes.end());
             const Version version = volatile_index_.NextVersion(req.key);
             // The re-encoded copy stays under the geometry the key is
@@ -1501,7 +1524,7 @@ void RingServer::HandleDelete(DeleteRequest req) {
       auto* peer = rt_->server(route.target);
       req.forwarded = true;
       // Hoisted: the capture below moves `req` (see HandleGet's forward).
-      const uint64_t fwd_bytes = ReqBytes(req.key.size(), 0);
+      const uint64_t fwd_bytes = ReqBytes(req.key.str().size(), 0);
       SendToNode(route.target, fwd_bytes,
                  [peer, req = std::move(req)]() mutable {
                    peer->HandleDelete(std::move(req));
@@ -1522,9 +1545,9 @@ void RingServer::HandleDelete(DeleteRequest req) {
     hub().metrics().Inc("server.deletes", 1, id_, obs::kNoMemgest,
                         obs::OpKind::kDelete);
     NoteAccess(RegionKind::kVersionWord, AccessKind::kRead, kVersionScope,
-               HashKey(req.key), HashKey(req.key) + 1, "delete/version");
-    const auto ref = volatile_index_.Highest(req.key);
-    if (!ref.has_value()) {
+               req.key.hash(), req.key.hash() + 1, "delete/version");
+    const VolatileIndex::Ref* ref = volatile_index_.Highest(req.key);
+    if (ref == nullptr) {
       ReplyToClientOnce(req.client, req.req_id, kReplyBytes,
                         [reply = req.reply] {
                           reply(NotFoundError("no such key"));
@@ -1649,7 +1672,7 @@ void RingServer::ApplyMemgestDelete(MemgestId memgest) {
   // no need to re-derive coordinator-ship per stored shape.
   for (auto& [store_key, store] : it->second.stores) {
     store->meta.ForEach([this](const Key& key, const MetaEntry& entry) {
-      volatile_index_.Remove(key, entry.version);
+      volatile_index_.Remove(HashedKey(key), entry.version);
     });
   }
   memgests_.erase(it);

@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -38,7 +39,8 @@ class RingRuntime;
 
 // ---------------------------------------------------------------------------
 // Client-facing request/response types. The `reply` closure is delivered back
-// to the client node over the fabric by the server.
+// to the client node over the fabric by the server. RingClient hashes the
+// key once (HashedKey); routing and the key directory reuse that hash.
 
 struct GetResult {
   Status status;
@@ -47,7 +49,7 @@ struct GetResult {
 };
 
 struct PutRequest {
-  Key key;
+  HashedKey key;
   std::shared_ptr<Buffer> value;
   MemgestId memgest = kDefaultMemgest;
   net::NodeId client = 0;
@@ -62,7 +64,7 @@ struct PutRequest {
 };
 
 struct GetRequest {
-  Key key;
+  HashedKey key;
   net::NodeId client = 0;
   uint64_t req_id = 0;
   uint64_t op_id = 0;
@@ -75,7 +77,7 @@ struct GetRequest {
 };
 
 struct MoveRequest {
-  Key key;
+  HashedKey key;
   MemgestId dst = kDefaultMemgest;
   net::NodeId client = 0;
   uint64_t req_id = 0;
@@ -89,7 +91,7 @@ struct MoveRequest {
 };
 
 struct DeleteRequest {
-  Key key;
+  HashedKey key;
   net::NodeId client = 0;
   uint64_t req_id = 0;
   uint64_t op_id = 0;
@@ -115,6 +117,28 @@ struct AdminRequest {
   std::function<void(Result<MemgestDescriptor>)> descriptor_reply;
 };
 
+// Per-shard object store: a virtual address space (heap) plus the shard's
+// metadata hashtable. Coordinators own one for their shard; replicas hold
+// mirrors for shards they back.
+struct ShardStore {
+  Buffer heap;
+  uint64_t next_addr = 0;
+  uint64_t write_seq = 0;  // fencing counter for parity rebuild
+  std::vector<std::pair<uint64_t, uint32_t>> free_list;  // (addr, len)
+  MetadataTable meta;
+  // Replay fence for ReplicaAppend duplicates on this mirror.
+  SeqWindow replica_seqs;
+  // GC notices that overtook their ReplicaAppend on this mirror.
+  EarlyGcSet early_gc;
+
+  // Reuses a freed region when possible (keeps parity deltas cheap),
+  // otherwise extends the heap. Returns (addr, region_len).
+  std::pair<uint64_t, uint32_t> Allocate(uint32_t len);
+  void EnsureSize(uint64_t size);
+  void Write(uint64_t addr, ByteSpan bytes);
+  ByteSpan Read(uint64_t addr, uint32_t len) const;
+};
+
 class RingServer {
  public:
   RingServer(RingRuntime* runtime, net::NodeId id);
@@ -133,7 +157,7 @@ class RingServer {
   struct ReplicaAppend {
     MemgestId memgest;
     uint32_t shard;
-    Key key;
+    HashedKey key;
     Version version;
     uint64_t addr;
     uint32_t len;
@@ -158,7 +182,7 @@ class RingServer {
   struct ParityUpdate {
     MemgestId memgest;
     uint32_t shard;
-    Key key;
+    HashedKey key;
     Version version;
     uint64_t addr;
     uint32_t len;
@@ -182,7 +206,7 @@ class RingServer {
   struct GcNotice {
     MemgestId memgest;
     uint32_t shard;
-    Key key;
+    HashedKey key;
     Version version;
     uint32_t geom_s = 0;  // shape of `shard`; 0 = receiver's current shape
   };
@@ -201,7 +225,7 @@ class RingServer {
   struct Ack {
     MemgestId memgest;
     uint32_t shard;
-    Key key;
+    HashedKey key;
     Version version;
     uint32_t ordinal;     // replica ordinal or parity index
     uint32_t geom_s = 0;  // shape of `shard`; 0 = receiver's current shape
@@ -347,6 +371,13 @@ class RingServer {
   // iteration order and heap placement never leak in. Excludes timestamps,
   // counters and in-flight entries: schedules that commute must digest equal.
   uint64_t McStateDigest() const;
+  // Key-directory audit (DESIGN.md §19.4); sends no messages and changes
+  // nothing. Every ref's handles name the live entry at its (key, version),
+  // every ref resolves to the entry FindEntry returns, each key's refs
+  // descend strictly by version, no ref outlives its key's entries, and on
+  // a serving node every indexed entry of a shard it coordinates owns a
+  // ref. Returns "" when all hold, else the first violation.
+  std::string CheckKeyDirectory() const;
   // Writes still awaiting redundancy acks (un-committed, acks outstanding).
   // The MC wedged-write oracle: after full quiesce this must be zero.
   uint64_t PendingWrites() const;
@@ -386,28 +417,6 @@ class RingServer {
   void ApplyMemgestDelete(MemgestId memgest);
 
  private:
-  // Per-shard object store: a virtual address space (heap) plus the shard's
-  // metadata hashtable. Coordinators own one for their shard; replicas hold
-  // mirrors for shards they back.
-  struct ShardStore {
-    Buffer heap;
-    uint64_t next_addr = 0;
-    uint64_t write_seq = 0;  // fencing counter for parity rebuild
-    std::vector<std::pair<uint64_t, uint32_t>> free_list;  // (addr, len)
-    MetadataTable meta;
-    // Replay fence for ReplicaAppend duplicates on this mirror.
-    SeqWindow replica_seqs;
-    // GC notices that overtook their ReplicaAppend on this mirror.
-    EarlyGcSet early_gc;
-
-    // Reuses a freed region when possible (keeps parity deltas cheap),
-    // otherwise extends the heap. Returns (addr, region_len).
-    std::pair<uint64_t, uint32_t> Allocate(uint32_t len);
-    void EnsureSize(uint64_t size);
-    void Write(uint64_t addr, ByteSpan bytes);
-    ByteSpan Read(uint64_t addr, uint32_t len) const;
-  };
-
   // Parity node state for one erasure-coded memgest: the parity buffer plus
   // replicated metadata of every data shard in the stripe (§5.4: parity
   // nodes store more metadata than data nodes).
@@ -508,14 +517,38 @@ class RingServer {
     uint32_t geom_s = 0;     // kServe: shape the shard id belongs to
     net::NodeId target = 0;  // kForward
   };
-  RouteAction RouteKey(const Key& key, bool forwarded);
+  RouteAction RouteKey(const HashedKey& key, bool forwarded);
+  // Where an entry lives: the entry, its store, and the store's shard id
+  // and shape. `entry` and `store` are null when nothing was found.
+  struct EntryLoc {
+    MetaEntry* entry = nullptr;
+    ShardStore* store = nullptr;
+    uint32_t shard = 0;
+    uint32_t geom = 0;
+  };
   // Entry lookup across the live shapes: tries the current-shape shard,
-  // then (while rebalancing) the previous-shape shard. Fills *shard_out
-  // with the shard id (and *geom_out with the shape) the entry was found
-  // under.
-  MetaEntry* FindEntry(const MemgestInfo& info, const Key& key,
-                       Version version, uint32_t* shard_out,
-                       uint32_t* geom_out);
+  // then (while rebalancing) the previous-shape shard. The reference
+  // semantics of a directory ref; the hot paths use EntryOf instead.
+  EntryLoc FindEntry(const MemgestInfo& info, const HashedKey& key,
+                     Version version) const;
+  // What FindEntry returns for `ref` (a ref of `key` in `info`): the ref's
+  // handles when they name a current-shape store, else FindEntry itself —
+  // during a resize a current-shape copy of the same (key, version) takes
+  // precedence over the previous-shape entry a handle names (DESIGN.md
+  // §19).
+  EntryLoc EntryOf(const MemgestInfo& info, const HashedKey& key,
+                   const VolatileIndex::Ref& ref) const;
+  // The entry at (key, version) in `info`'s store GeomKey(geom_s, shard),
+  // re-probed by hash: a ref's handles are trusted only while the ref
+  // exists and names that store; otherwise the store's table answers
+  // (creating a missing store, as StoreOf does).
+  EntryLoc StoreEntry(const MemgestInfo& info, uint32_t shard,
+                      uint32_t geom_s, const HashedKey& key, Version version);
+  // Erases a coordinator entry together with its directory ref. Every
+  // erase of an indexed entry goes through here (or drops the whole
+  // directory with the stores), so a ref never outlives its entry.
+  void EraseIndexed(ShardStore& store, const HashedKey& key,
+                    Version version);
   // Shard stores and parity stores are keyed per (shape, shard-or-group):
   // each geometry gets its own heap address space and stripe buffers, so
   // parity accumulated under one stripe layout never mixes with bytes laid
@@ -529,9 +562,8 @@ class RingServer {
   // §13 handoff step 2: after the moved-marker at `floor` committed, ship
   // the key's latest durable contents to its new-shape owner and reply to
   // the driver once the install is acknowledged.
-  void SendInstall(const MemgestInfo& info, const Key& key, uint32_t shard,
-                   uint32_t geom_s, Version floor,
-                   std::function<void(Status)> reply);
+  void SendInstall(const MemgestInfo& info, const HashedKey& key,
+                   Version floor, std::function<void(Status)> reply);
 
   MemgestState& StateOf(const MemgestInfo& info);
   // The store for `shard` under shape `geom_s` (0 = current).
@@ -540,17 +572,19 @@ class RingServer {
 
   // Write path pieces. `shard` is a shard id under `geom_s` (0 = current
   // shape); `moved` writes a §13 moved-marker entry.
-  void StartWrite(const MemgestInfo& info, uint32_t shard, const Key& key,
-                  Version version, std::shared_ptr<Buffer> value,
-                  bool tombstone, std::function<void(Status)> on_commit,
-                  uint32_t geom_s = 0, bool moved = false);
-  void CommitEntry(const MemgestInfo& info, uint32_t shard, const Key& key,
-                   Version version, uint32_t geom_s = 0);
+  void StartWrite(const MemgestInfo& info, uint32_t shard,
+                  const HashedKey& key, Version version,
+                  std::shared_ptr<Buffer> value, bool tombstone,
+                  std::function<void(Status)> on_commit, uint32_t geom_s = 0,
+                  bool moved = false);
+  // Commits `entry`, an un-committed write of `key` in `info`'s `shard`.
+  void CommitEntry(const MemgestInfo& info, uint32_t shard,
+                   const HashedKey& key, MetaEntry& entry);
   // Resends un-acked backup messages for a pending write every
   // write_retransmit_ns until it commits (no-op when the period is 0).
   void ScheduleWriteRetransmit(MemgestId gid, uint32_t shard, uint32_t geom_s,
-                               const Key& key, Version version);
-  void GcOldVersions(const Key& key, Version below);
+                               const HashedKey& key, Version version);
+  void GcOldVersions(const HashedKey& key, Version below);
 
   // Read path pieces.
   // Resolves the highest version of req.key and dispatches DeliverGet.
@@ -558,7 +592,11 @@ class RingServer {
   // the resolved version was garbage-collected mid-read.
   void ResolveGet(GetRequest req);
   void DeliverGet(const MemgestInfo& info, uint32_t shard, uint32_t geom_s,
-                  const Key& key, MetaEntry* entry, GetRequest req);
+                  MetaEntry* entry, GetRequest req);
+  // The get's data copy once `entry`'s bytes are local: charges the copy
+  // and re-validates the version before reading (validate-and-retry).
+  void CopyForGet(const MemgestInfo& info, uint32_t shard, uint32_t geom_s,
+                  const MetaEntry& entry, GetRequest req);
   void EnsureDataPresent(const MemgestInfo& info, uint32_t shard,
                          uint32_t geom_s, const Key& key, Version version,
                          std::function<void(Status)> then);
@@ -609,7 +647,7 @@ class RingServer {
   // Backup-side work homes on the ids carried by the message instead
   // (replica appends by shard, parity updates by group) — see the handlers.
   // With one core everything maps to shard 0.
-  uint32_t HomeShardForKey(const Key& key);
+  uint32_t HomeShardForKey(const HashedKey& key);
 
   // At-most-once execution of client mutations. ClaimClientOp returns true
   // exactly once per (client, req_id): the caller may execute the operation.
@@ -636,8 +674,11 @@ class RingServer {
   Counters counters_;
   // At-most-once table for client mutations: (client, req_id) -> recorded
   // reply resend closure (null while the op is still executing). Bounded by
-  // FIFO eviction; clients never have more than one op in flight, so the
-  // window is generous. Hashed, not ordered — the table only ever does
+  // FIFO eviction of the oldest of kClientOpWindow claims on this node.
+  // Clients pipeline their ops (the e2e_bench generators keep 128 in flight
+  // each), so the bound counts claims across all clients: a duplicate that
+  // arrives after kClientOpWindow newer claims re-executes. Hashed, not
+  // ordered — the table only ever does
   // keyed find/emplace/erase (never iterates), so the unordered layout is
   // deterministic and drops the rb-tree overhead the put/get hot path was
   // paying per request.

@@ -1,12 +1,15 @@
 // Model-checker introspection (src/mc): a canonical digest of a server's
-// committed state, and the wedged-write probe. Kept out of server.cc so the
-// hot protocol paths and the checker-only code evolve independently.
+// committed state, the wedged-write probe and the key-directory audit. Kept
+// out of server.cc so the hot protocol paths and the checker-only code
+// evolve independently.
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "src/ring/runtime.h"
 #include "src/ring/server.h"
 
 namespace ring {
@@ -120,6 +123,77 @@ uint64_t RingServer::EarlyGcRecords() const {
     }
   }
   return records;
+}
+
+std::string RingServer::CheckKeyDirectory() const {
+  const std::string node = "node " + std::to_string(id_) + ": ";
+  // Keys are collected sorted, so the first violation reported does not
+  // depend on table layout.
+  std::set<Key> keys;
+  std::string missing;  // first indexed entry without its ref
+  const bool serving = serving_ && !config_.failed[id_];
+  for (const auto& [gid, state] : memgests_) {
+    for (const auto& [store_key, store] : state.stores) {
+      const auto placement = PlacementFor(store_key >> 16);
+      const bool mine = serving && placement.has_value() &&
+                        placement->CoordinatorOfShard(store_key & 0xffffu) ==
+                            id_;
+      store->meta.ForEach([&](const Key& key, const MetaEntry& e) {
+        keys.insert(key);
+        if (!mine || !e.indexed || !missing.empty()) {
+          return;
+        }
+        const VolatileIndex::Ref* ref =
+            volatile_index_.Find(HashedKey(key), e.version);
+        if (ref == nullptr || ref->memgest != gid) {
+          missing = node + "indexed entry " + key + " v" +
+                    std::to_string(e.version) + " of memgest " +
+                    std::to_string(gid) + " owns no ref";
+        }
+      });
+    }
+  }
+  size_t refs_seen = 0;
+  for (const Key& key : keys) {
+    const HashedKey hkey(key);
+    const std::vector<VolatileIndex::Ref> refs = volatile_index_.Refs(hkey);
+    refs_seen += refs.size();
+    for (size_t i = 0; i < refs.size(); ++i) {
+      const VolatileIndex::Ref& ref = refs[i];
+      const std::string at = key + " v" + std::to_string(ref.version);
+      if (i > 0 && refs[i - 1].version <= ref.version) {
+        return node + "refs of " + key + " not strictly descending at v" +
+               std::to_string(ref.version);
+      }
+      // The handles must name a live entry: the store registered under the
+      // ref's store key, and that store's entry at (key, version).
+      const auto state = memgests_.find(ref.memgest);
+      const ShardStore* store = state == memgests_.end()
+                                    ? nullptr
+                                    : state->second.stores.Find(ref.store_key);
+      if (store == nullptr || store != ref.store ||
+          store->meta.Find(key, ref.version) != ref.entry) {
+        return node + "ref " + at + " holds a dangling handle";
+      }
+      const MemgestInfo* info = rt_->registry().Get(ref.memgest);
+      if (info == nullptr) {
+        continue;  // memgest deleted: no descriptor to resolve against
+      }
+      if (EntryOf(*info, hkey, ref).entry !=
+          FindEntry(*info, hkey, ref.version).entry) {
+        return node + "ref " + at + " resolves to another entry than " +
+               "FindEntry";
+      }
+    }
+  }
+  if (!missing.empty()) {
+    return missing;
+  }
+  if (refs_seen != volatile_index_.ref_count()) {
+    return node + std::to_string(volatile_index_.ref_count() - refs_seen) +
+           " ref(s) for keys no store holds";
+  }
+  return "";
 }
 
 }  // namespace ring

@@ -58,19 +58,18 @@ void RingServer::HandleRebalanceScan(RebalanceScan msg) {
             if (pending.count(key) != 0) {
               return;
             }
-            const auto ref = volatile_index_.Highest(key);
-            if (!ref.has_value()) {
+            const HashedKey hkey(key);
+            const VolatileIndex::Ref* ref = volatile_index_.Highest(hkey);
+            if (ref == nullptr) {
               return;  // replica mirror only / already erased
             }
             const MemgestInfo* owner = rt_->registry().Get(ref->memgest);
             if (owner == nullptr) {
               return;
             }
-            uint32_t found_shard = 0;
-            uint32_t found_geom = 0;
-            const MetaEntry* e = FindEntry(*owner, key, ref->version,
-                                           &found_shard, &found_geom);
-            if (e == nullptr || found_geom == config_.s) {
+            const EntryLoc found = EntryOf(*owner, hkey, *ref);
+            const MetaEntry* e = found.entry;
+            if (e == nullptr || found.geom == config_.s) {
               return;  // already living at the new shape
             }
             if (e->moved && e->moved_done) {
@@ -117,8 +116,9 @@ void RingServer::HandleMigrateKey(MigrateKey msg) {
       done(OkStatus());  // transition already completed: nothing to move
       return;
     }
-    const auto ref = volatile_index_.Highest(msg.key);
-    if (!ref.has_value()) {
+    const HashedKey key(msg.key);
+    const VolatileIndex::Ref* ref = volatile_index_.Highest(key);
+    if (ref == nullptr) {
       done(OkStatus());  // erased (or never here): scan will not re-report
       return;
     }
@@ -127,9 +127,10 @@ void RingServer::HandleMigrateKey(MigrateKey msg) {
       done(OkStatus());
       return;
     }
-    uint32_t shard = 0;
-    uint32_t geom = 0;
-    MetaEntry* entry = FindEntry(*info, msg.key, ref->version, &shard, &geom);
+    const EntryLoc loc = EntryOf(*info, key, *ref);
+    MetaEntry* entry = loc.entry;
+    const uint32_t shard = loc.shard;
+    const uint32_t geom = loc.geom;
     if (entry == nullptr) {
       done(OkStatus());
       return;
@@ -146,8 +147,7 @@ void RingServer::HandleMigrateKey(MigrateKey msg) {
       if (entry->committed) {
         // Marker durable but the install was never acknowledged (crash or
         // lost ack): re-send it. The install is idempotent at the receiver.
-        SendInstall(*info, msg.key, shard, geom, entry->version,
-                    std::move(done));
+        SendInstall(*info, key, entry->version, std::move(done));
         return;
       }
       // Marker still collecting acks: retry once it commits.
@@ -168,25 +168,23 @@ void RingServer::HandleMigrateKey(MigrateKey msg) {
     // Write the durable moved-marker one version above the highest committed
     // write. From this moment RouteKey refuses new old-shape ops on the key;
     // once the marker commits on its redundancy set, ship the contents.
-    const Version floor = volatile_index_.NextVersion(msg.key);
+    const Version floor = volatile_index_.NextVersion(key);
     const MemgestInfo* info_ptr = info;
-    const Key key = msg.key;
     StartWrite(*info, shard, key, floor, nullptr, false,
-               [this, info_ptr, key, shard, geom, floor,
+               [this, info_ptr, key, floor,
                 done = std::move(done)](Status s) mutable {
                  if (!s.ok()) {
                    done(s);
                    return;
                  }
-                 SendInstall(*info_ptr, key, shard, geom, floor,
-                             std::move(done));
+                 SendInstall(*info_ptr, key, floor, std::move(done));
                },
                geom, /*moved=*/true);
   });
 }
 
-void RingServer::SendInstall(const MemgestInfo& info, const Key& key,
-                             uint32_t shard, uint32_t geom_s, Version floor,
+void RingServer::SendInstall(const MemgestInfo& info, const HashedKey& key,
+                             Version floor,
                              std::function<void(Status)> reply) {
   // Payload: the highest committed non-marker version below the floor. All
   // versions of the key below the marker survive (CommitEntry suppresses GC
@@ -198,9 +196,8 @@ void RingServer::SendInstall(const MemgestInfo& info, const Key& key,
     if (r.version >= floor || r.memgest != info.id) {
       continue;
     }
-    uint32_t fshard = shard;
-    uint32_t fgeom = geom_s;
-    MetaEntry* e = FindEntry(info, key, r.version, &fshard, &fgeom);
+    const EntryLoc loc = EntryOf(info, key, r);
+    const MetaEntry* e = loc.entry;
     if (e == nullptr || !e->committed || e->moved) {
       continue;
     }
@@ -208,9 +205,8 @@ void RingServer::SendInstall(const MemgestInfo& info, const Key& key,
     if (e->tombstone) {
       tombstone = true;
     } else {
-      ShardStore& store = StoreOf(StateOf(info), fshard, fgeom);
       value = std::make_shared<Buffer>();
-      const ByteSpan bytes = store.Read(e->addr, e->len);
+      const ByteSpan bytes = loc.store->Read(e->addr, e->len);
       value->assign(bytes.begin(), bytes.end());
     }
     break;
@@ -220,13 +216,13 @@ void RingServer::SendInstall(const MemgestInfo& info, const Key& key,
     // a tombstone so the new owner still holds the version floor.
     tombstone = true;
   }
-  const uint32_t cur_shard = KeyShard(key, config_.num_shards());
+  const uint32_t cur_shard = key.Shard(config_.num_shards());
   const net::NodeId new_owner = config_.CoordinatorOfShard(cur_shard);
   const uint64_t payload = value ? value->size() : 0;
 
   InstallKey msg;
   msg.memgest = info.id;
-  msg.key = key;
+  msg.key = key.str();
   msg.floor = floor;
   msg.value = value;
   msg.tombstone = tombstone;
@@ -238,10 +234,7 @@ void RingServer::SendInstall(const MemgestInfo& info, const Key& key,
              reply = std::move(reply)](Status s) mutable {
     // Runs back at the old owner once the new owner replies.
     if (s.ok()) {
-      uint32_t mshard = 0;
-      uint32_t mgeom = 0;
-      if (MetaEntry* marker =
-              FindEntry(*info_ptr, key, floor, &mshard, &mgeom);
+      if (MetaEntry* marker = FindEntry(*info_ptr, key, floor).entry;
           marker != nullptr) {
         marker->moved_done = true;
       }
@@ -266,7 +259,7 @@ void RingServer::SendInstall(const MemgestInfo& info, const Key& key,
     return;
   }
   auto* peer = rt_->server(new_owner);
-  SendToNode(new_owner, ReqBytes(key.size(), payload),
+  SendToNode(new_owner, ReqBytes(key.str().size(), payload),
              [peer, msg = std::move(msg)]() mutable {
                peer->HandleInstallKey(std::move(msg));
              });
@@ -283,7 +276,8 @@ void RingServer::HandleInstallKey(InstallKey msg) {
     if (!IsAlive() || !serving_) {
       return;  // the old owner's driver retry re-sends the install
     }
-    const uint32_t cur_shard = KeyShard(msg.key, config_.num_shards());
+    const HashedKey key(msg.key);
+    const uint32_t cur_shard = key.Shard(config_.num_shards());
     if (config_.CoordinatorOfShard(cur_shard) != id_) {
       return;  // stale routing (a failover moved the shard); retry covers
     }
@@ -299,14 +293,12 @@ void RingServer::HandleInstallKey(InstallKey msg) {
     // the old owner's own moved-marker sits at version == floor in the old
     // geometry and must not satisfy the install.
     bool covered = false;
-    for (const auto& r : volatile_index_.Refs(msg.key)) {
+    for (const auto& r : volatile_index_.Refs(key)) {
       if (r.version < msg.floor || r.memgest != msg.memgest) {
         continue;
       }
-      uint32_t fshard = 0;
-      uint32_t fgeom = 0;
-      const MetaEntry* e = FindEntry(*info, msg.key, r.version, &fshard, &fgeom);
-      if (e != nullptr && fgeom == config_.s && !e->moved) {
+      const EntryLoc loc = EntryOf(*info, key, r);
+      if (loc.entry != nullptr && loc.geom == config_.s && !loc.entry->moved) {
         covered = true;
         break;
       }
@@ -318,8 +310,8 @@ void RingServer::HandleInstallKey(InstallKey msg) {
     ++counters_.installs;
     hub().metrics().Inc("server.installs", 1, id_, info->id);
     const Version version =
-        std::max(volatile_index_.NextVersion(msg.key), msg.floor);
-    StartWrite(*info, cur_shard, msg.key, version, msg.value, msg.tombstone,
+        std::max(volatile_index_.NextVersion(key), msg.floor);
+    StartWrite(*info, cur_shard, key, version, msg.value, msg.tombstone,
                [this, from = msg.from, ack = msg.ack](Status s) {
                  SendToNode(from, kAckBytes, [ack, s] { ack(s); });
                });
@@ -340,23 +332,28 @@ void RingServer::PurgeStaleGeometries() {
       // heap + table is dropped below. Careful with version-number
       // collisions: an installed key reuses its moved-marker's version at the
       // new shape, so the ref may now belong to the live current-shape entry
-      // and must survive the purge. The entry must be *indexed*, though: a
+      // and must survive the purge — with its handles re-pointed there if
+      // they named the dropped entry. The entry must be *indexed*, though: a
       // plain replica mirror of the new owner's install also resolves (key,
       // version) here, but owns no ref — keeping the ref for a mirror leaves
       // it dangling, and a later get on this node trips over it instead of
       // forwarding.
       store->meta.ForEach([&](const Key& key, const MetaEntry& entry) {
         ++dropped_entries;
-        const uint32_t cur_shard = KeyShard(key, config_.num_shards());
-        if (const ShardStore* cur =
-                state.stores.Find(GeomKey(config_.s, cur_shard));
-            cur != nullptr) {
-          const MetaEntry* live = cur->meta.Find(key, entry.version);
+        const HashedKey hkey(key);
+        const uint32_t cur_key =
+            GeomKey(config_.s, hkey.Shard(config_.num_shards()));
+        if (ShardStore* cur = state.stores.Find(cur_key); cur != nullptr) {
+          MetaEntry* live = cur->meta.Find(key, entry.version);
           if (live != nullptr && live->indexed) {
+            VolatileIndex::Ref* ref = volatile_index_.Find(hkey, entry.version);
+            if (ref != nullptr && ref->store == store.get()) {
+              *ref = VolatileIndex::Ref{entry.version, live, cur, gid, cur_key};
+            }
             return;
           }
         }
-        volatile_index_.Remove(key, entry.version);
+        volatile_index_.Remove(hkey, entry.version);
       });
     }
     state.stores.EraseIf(stale);

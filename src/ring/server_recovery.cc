@@ -69,7 +69,7 @@ void RingServer::OnConfig(const consensus::ClusterConfig& config) {
       // scale-in just completed: whatever state we hold is stale. Start
       // over as a clean, non-serving spare.
       memgests_.clear();
-      volatile_index_ = VolatileIndex();
+      volatile_index_.Clear();
       serving_ = false;
       is_spare_ = true;
     }
@@ -82,7 +82,7 @@ void RingServer::OnConfig(const consensus::ClusterConfig& config) {
       // no spare had been available to take it): the restart was
       // memory-less, so rebuild through the normal promotion path.
       memgests_.clear();
-      volatile_index_ = VolatileIndex();
+      volatile_index_.Clear();
     }
     BeginPromotion(static_cast<uint32_t>(new_slot));
     return;
@@ -111,7 +111,7 @@ void RingServer::Restart() {
   // back as a non-serving spare; membership readmission (and, if the
   // cluster re-promotes it, the normal recovery path) restores service.
   memgests_.clear();
-  volatile_index_ = VolatileIndex();
+  volatile_index_.Clear();
   client_ops_.clear();
   client_ops_order_.clear();
   counters_ = Counters{};
@@ -499,7 +499,9 @@ void RingServer::RebuildVolatileIndex() {
         // mirrors — a stale true would fool the geometry purge later.
         entry.indexed = mine;
         if (mine) {
-          volatile_index_.Add(key, entry.version, id);
+          volatile_index_.Add(HashedKey(key),
+                              VolatileIndex::Ref{entry.version, &entry,
+                                                 store.get(), id, store_key});
         }
       });
     }
@@ -1159,7 +1161,14 @@ void RingServer::HandleRedundancyRecovered(RedundancyRecovered msg) {
       }
     });
     for (const auto& [key, version] : to_commit) {
-      CommitEntry(*info, msg.shard, key, version, geom);
+      const HashedKey hkey(key);
+      // Looked up afresh per commit: the waiters an earlier commit releases
+      // may write or collect entries of this store.
+      MetaEntry* entry =
+          StoreEntry(*info, msg.shard, geom, hkey, version).entry;
+      if (entry != nullptr && !entry->committed) {
+        CommitEntry(*info, msg.shard, hkey, *entry);
+      }
     }
   });
 }

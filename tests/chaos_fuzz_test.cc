@@ -267,6 +267,12 @@ ChaosDigest RunChaos(uint64_t seed, bool fast_failover = false) {
     cluster.RunFor(settle - cluster.simulator().now());
   }
 
+  // Key-directory audit on the healed, quiescent cluster.
+  if (const std::string why = cluster.CheckKeyDirectories(); !why.empty()) {
+    ++violations;
+    ADD_FAILURE() << "key directory: " << why << " seed=" << seed;
+  }
+
   // Committed-data / read-your-writes sweep on the healed cluster.
   for (const auto& [key, st] : truth) {
     if (st.acked.empty()) {
@@ -645,6 +651,13 @@ MembershipChaosDigest RunMembershipChaos(uint64_t seed) {
     if (rng.NextBernoulli(0.7)) {
       cluster.RunFor((100 + rng.NextBelow(400)) * sim::kMicrosecond);
     }
+    // The audit holds mid-resize too, where a node can hold one (key,
+    // version) in both shapes' stores.
+    if (const std::string why = cluster.CheckKeyDirectories(); !why.empty()) {
+      ++violations;
+      ADD_FAILURE() << "key directory after op " << op << ": " << why
+                    << " seed=" << seed;
+    }
   }
   EXPECT_TRUE(cluster.RunUntilDone([&] {
     return outstanding == 0 && !grow.active() && !shrink.active();
@@ -654,6 +667,12 @@ MembershipChaosDigest RunMembershipChaos(uint64_t seed) {
                               30 * sim::kMillisecond;
   if (cluster.simulator().now() < settle) {
     cluster.RunFor(settle - cluster.simulator().now());
+  }
+
+  // Key-directory audit across whatever shape the cluster ended up in.
+  if (const std::string why = cluster.CheckKeyDirectories(); !why.empty()) {
+    ++violations;
+    ADD_FAILURE() << "key directory: " << why << " seed=" << seed;
   }
 
   // Committed-data sweep across whatever shape the cluster ended up in.
@@ -774,6 +793,7 @@ struct ScriptedElastic {
     written = n;
   }
   void VerifyAllKeys() {
+    EXPECT_EQ(cluster->CheckKeyDirectories(), "");
     for (int i = 0; i < written; ++i) {
       auto got = cluster->Get("sk-" + std::to_string(i));
       ASSERT_TRUE(got.ok()) << "sk-" << i << ": " << got.status();

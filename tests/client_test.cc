@@ -172,7 +172,7 @@ TEST(ClientTest, DeferredRetriedMoveStillReplies) {
   bool move_done = false;
   Status move_status = InternalError("no reply");
   MoveRequest req;
-  req.key = key;
+  req.key = HashedKey(key);
   req.dst = rep1;
   req.client = cluster.client(1).node();
   req.req_id = 7777;

@@ -199,6 +199,10 @@ TEST(StatsTest, SingleSample) {
 TEST(HashTest, DeterministicAndSpread) {
   EXPECT_EQ(HashKey("abc"), HashKey("abc"));
   EXPECT_NE(HashKey("abc"), HashKey("abd"));
+  // A HashedKey carries the hash of its key, the empty default included.
+  EXPECT_EQ(HashedKey("abc").hash(), HashKey("abc"));
+  EXPECT_EQ(HashedKey().hash(), HashKey(""));
+  EXPECT_EQ(HashedKey("abc").Shard(7), KeyShard("abc", 7));
   // Shard balance: 3 shards over 30k sequential keys should be near-uniform.
   const uint32_t s = 3;
   std::vector<int> counts(s, 0);

@@ -184,6 +184,8 @@ void RunRandomTraffic(uint64_t seed, uint32_t groups, bool with_policy,
     cluster.RunFor(2 * sim::kMillisecond);
   }
 
+  EXPECT_EQ(cluster.CheckKeyDirectories(), "");
+
   // Quiescent agreement + read-your-writes sweep: all clients agree, and
   // the version is at least the highest acked put version (background moves
   // only ever advance a key's version).

@@ -65,6 +65,7 @@ TEST_P(FailureMatrixTest, CommittedDataSurvivesAndClusterServes) {
     cluster.RunFor(p.detection_window_ns() + kRecoverySlack);
   }
 
+  EXPECT_EQ(cluster.CheckKeyDirectories(), "") << "victim=" << c.victim;
   for (const auto& [key, value] : committed) {
     auto got = cluster.Get(key);
     ASSERT_TRUE(got.ok()) << key << " victim=" << c.victim;
@@ -139,6 +140,7 @@ TEST(CrashRecoveryTest, RejoinReclaimsOwnSlotWhenNoSpareExists) {
   // Slot 1 is dark (no spare): its shard is unavailable, not wrong.
   cluster.RestartNode(1);
   cluster.RunFor(p.detection_window_ns() + kRecoverySlack);
+  EXPECT_EQ(cluster.CheckKeyDirectories(), "");
   for (const auto& [key, value] : committed) {
     auto got = cluster.Get(key);
     ASSERT_TRUE(got.ok()) << key;
@@ -173,6 +175,7 @@ TEST(DoubleFailureTest, Srs32ToleratesTwoSequentialFailures) {
   // Second failure: a parity home.
   cluster.KillNode(3, /*force_detect=*/true);
   cluster.RunFor(50 * sim::kMillisecond);
+  EXPECT_EQ(cluster.CheckKeyDirectories(), "");
   for (const auto& [key, value] : committed) {
     auto got = cluster.Get(key);
     ASSERT_TRUE(got.ok()) << key;
@@ -204,6 +207,7 @@ TEST(DoubleFailureTest, Rep3SurvivesCoordinatorAndReplica) {
   cluster.RunFor(50 * sim::kMillisecond);
   cluster.KillNode(2, /*force_detect=*/true);
   cluster.RunFor(50 * sim::kMillisecond);
+  EXPECT_EQ(cluster.CheckKeyDirectories(), "");
   auto got = cluster.Get(key);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, value);

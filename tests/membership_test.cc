@@ -176,6 +176,7 @@ class ElasticClusterTest : public ::testing::Test {
   }
 
   void VerifyAllKeys() {
+    EXPECT_EQ(cluster_->CheckKeyDirectories(), "");
     for (const auto& [key, value] : expected_) {
       auto got = cluster_->Get(key);
       ASSERT_TRUE(got.ok()) << key << ": " << got.status();

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -42,21 +44,220 @@ TEST(MemgestDescriptorTest, Basics) {
   EXPECT_EQ(srs32.ToString(), "SRS(3,2)");
 }
 
+// A directory ref carrying only a version and a memgest (the directory
+// never dereferences its handles).
+VolatileIndex::Ref RefAt(Version version, MemgestId memgest,
+                         MetaEntry* entry = nullptr) {
+  VolatileIndex::Ref ref;
+  ref.version = version;
+  ref.memgest = memgest;
+  ref.entry = entry;
+  return ref;
+}
+
 TEST(VolatileIndexTest, VersionOrdering) {
   VolatileIndex idx;
-  EXPECT_EQ(idx.NextVersion("a"), 1u);
-  idx.Add("a", 1, 0);
-  idx.Add("a", 3, 1);
-  idx.Add("a", 2, 0);
-  ASSERT_TRUE(idx.Highest("a").has_value());
-  EXPECT_EQ(idx.Highest("a")->version, 3u);
-  EXPECT_EQ(idx.Highest("a")->memgest, 1u);
-  EXPECT_EQ(idx.NextVersion("a"), 4u);
-  idx.Remove("a", 3);
-  EXPECT_EQ(idx.Highest("a")->version, 2u);
-  idx.Remove("a", 1);
-  idx.Remove("a", 2);
-  EXPECT_FALSE(idx.Highest("a").has_value());
+  const HashedKey a("a");
+  EXPECT_EQ(idx.NextVersion(a), 1u);
+  idx.Add(a, RefAt(1, 0));
+  idx.Add(a, RefAt(3, 1));
+  idx.Add(a, RefAt(2, 0));
+  ASSERT_NE(idx.Highest(a), nullptr);
+  EXPECT_EQ(idx.Highest(a)->version, 3u);
+  EXPECT_EQ(idx.Highest(a)->memgest, 1u);
+  EXPECT_EQ(idx.NextVersion(a), 4u);
+  EXPECT_EQ(idx.ref_count(), 3u);
+  idx.Remove(a, 3);
+  EXPECT_EQ(idx.Highest(a)->version, 2u);
+  idx.Remove(a, 1);
+  idx.Remove(a, 2);
+  EXPECT_EQ(idx.Highest(a), nullptr);
+  EXPECT_EQ(idx.key_count(), 0u);
+  EXPECT_EQ(idx.ref_count(), 0u);
+}
+
+TEST(VolatileIndexTest, HandlesRideWithTheirRef) {
+  VolatileIndex idx;
+  MetaEntry first;
+  MetaEntry second;
+  const HashedKey k("k");
+  idx.Add(k, RefAt(4, 2, &first));
+  ASSERT_NE(idx.Find(k, 4), nullptr);
+  EXPECT_EQ(idx.Find(k, 4)->entry, &first);
+  EXPECT_EQ(idx.Find(k, 5), nullptr);
+  // A re-add at the same version replaces the ref, handles included.
+  idx.Add(k, RefAt(4, 2, &second));
+  EXPECT_EQ(idx.ref_count(), 1u);
+  EXPECT_EQ(idx.Highest(k)->entry, &second);
+  // Another key with the very same 64-bit hash is a different key.
+  const HashedKey twin = HashedKey::WithHashForTesting("twin", k.hash());
+  EXPECT_EQ(idx.Highest(twin), nullptr);
+  idx.Add(twin, RefAt(9, 0, &first));
+  EXPECT_EQ(idx.Highest(k)->version, 4u);
+  EXPECT_EQ(idx.Highest(twin)->version, 9u);
+  EXPECT_TRUE(idx.Remove(k, 4));
+  EXPECT_FALSE(idx.Remove(k, 4));
+  EXPECT_EQ(idx.Highest(twin)->entry, &first);
+}
+
+TEST(VolatileIndexTest, StaysWithinTheMapIndexPerKeyBudget) {
+  // About 1000 keys per coordinator on get_100node, one ref each. The
+  // unordered_map<Key, vector<Ref>> this directory replaced cost about
+  // 120 heap bytes per 8-byte key; the directory must not cost more.
+  VolatileIndex idx;
+  for (uint64_t i = 0; i < 1000; ++i) {
+    char name[16];
+    std::snprintf(name, sizeof(name), "%08llu",
+                  static_cast<unsigned long long>(i));
+    idx.Add(HashedKey(name), RefAt(1, 0));
+  }
+  EXPECT_EQ(idx.key_count(), 1000u);
+  EXPECT_LE(idx.ApproxBytes(), 1000u * 120);
+}
+
+// The index as first written — an ordered map from key to its refs,
+// descending by version: the reference model the key directory must match
+// step for step.
+struct MapIndex {
+  std::map<Key, std::vector<VolatileIndex::Ref>> refs;
+  size_t ref_count = 0;
+
+  const VolatileIndex::Ref* Highest(const Key& key) const {
+    auto it = refs.find(key);
+    return it == refs.end() ? nullptr : &it->second.front();
+  }
+  const VolatileIndex::Ref* Find(const Key& key, Version version) const {
+    auto it = refs.find(key);
+    if (it == refs.end()) {
+      return nullptr;
+    }
+    for (const auto& r : it->second) {
+      if (r.version == version) {
+        return &r;
+      }
+    }
+    return nullptr;
+  }
+  void Add(const Key& key, const VolatileIndex::Ref& ref) {
+    auto& v = refs[key];
+    auto pos = std::lower_bound(v.begin(), v.end(), ref.version,
+                                [](const VolatileIndex::Ref& a, Version x) {
+                                  return a.version > x;
+                                });
+    if (pos != v.end() && pos->version == ref.version) {
+      *pos = ref;
+    } else {
+      v.insert(pos, ref);
+      ++ref_count;
+    }
+  }
+  bool Remove(const Key& key, Version version) {
+    auto it = refs.find(key);
+    if (it == refs.end()) {
+      return false;
+    }
+    auto& v = it->second;
+    const size_t before = v.size();
+    std::erase_if(v, [version](const VolatileIndex::Ref& r) {
+      return r.version == version;
+    });
+    const bool removed = v.size() != before;
+    ref_count -= before - v.size();
+    if (v.empty()) {
+      refs.erase(it);
+    }
+    return removed;
+  }
+};
+
+bool SameRef(const VolatileIndex::Ref* a, const VolatileIndex::Ref* b) {
+  if (a == nullptr || b == nullptr) {
+    return a == b;
+  }
+  return a->version == b->version && a->memgest == b->memgest &&
+         a->entry == b->entry;
+}
+
+TEST(VolatileIndexTest, MatchesMapReferenceOnRandomSteps) {
+  std::vector<MetaEntry> entries(8);  // handle targets, compared by address
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    // Key universe: plain keys; groups of four keys sharing one full 64-bit
+    // hash; and keys whose hashes all share their low 20 bits, as the keys
+    // of one coordinator shard share hash % num_shards.
+    std::vector<HashedKey> keys;
+    const uint32_t universe = 200 + static_cast<uint32_t>(rng.NextBelow(1800));
+    for (uint32_t i = 0; i < universe; ++i) {
+      const Key name = "dk-" + std::to_string(seed) + "-" + std::to_string(i);
+      switch (i % 3) {
+        case 0:
+          keys.emplace_back(name);
+          break;
+        case 1:
+          keys.push_back(HashedKey::WithHashForTesting(
+              name, 0x5EEDC0111DE00000ull + seed * 4096 + i / 12));
+          break;
+        default:
+          keys.push_back(HashedKey::WithHashForTesting(
+              name, (HashKey(name) & ~0xFFFFFull) | 0x2A2Aull));
+          break;
+      }
+    }
+    VolatileIndex fast;
+    MapIndex ref;
+    size_t peak_keys = 0;
+    for (int step = 0; step < 20000; ++step) {
+      const HashedKey& key = keys[rng.NextBelow(keys.size())];
+      const Version version = 1 + rng.NextBelow(12);
+      // The first half grows the table, the second half drains it.
+      const bool growing = step < 10000;
+      const uint64_t op = rng.NextBelow(10);
+      if (op < (growing ? 4u : 1u)) {
+        const auto r = RefAt(version, static_cast<MemgestId>(rng.NextBelow(3)),
+                             &entries[rng.NextBelow(entries.size())]);
+        fast.Add(key, r);
+        ref.Add(key.str(), r);
+      } else if (op < 5) {
+        // Remove: mostly a version the key holds, sometimes any version.
+        Version v = version;
+        if (const auto* h = ref.Highest(key.str());
+            h != nullptr && rng.NextBernoulli(0.7)) {
+          v = h->version - rng.NextBelow(2);
+        }
+        ASSERT_EQ(fast.Remove(key, v), ref.Remove(key.str(), v))
+            << "seed " << seed << " step " << step;
+      } else if (op < 7) {
+        ASSERT_TRUE(SameRef(fast.Highest(key), ref.Highest(key.str())))
+            << "seed " << seed << " step " << step;
+      } else if (op < 8) {
+        ASSERT_TRUE(SameRef(fast.Find(key, version),
+                            ref.Find(key.str(), version)))
+            << "seed " << seed << " step " << step;
+      } else if (op < 9) {
+        const auto* h = ref.Highest(key.str());
+        ASSERT_EQ(fast.NextVersion(key), h == nullptr ? 1 : h->version + 1);
+      } else {
+        const std::vector<VolatileIndex::Ref> got = fast.Refs(key);
+        auto it = ref.refs.find(key.str());
+        const size_t want = it == ref.refs.end() ? 0 : it->second.size();
+        ASSERT_EQ(got.size(), want) << "seed " << seed << " step " << step;
+        for (size_t i = 0; i < want; ++i) {
+          ASSERT_TRUE(SameRef(&got[i], &it->second[i]));
+        }
+      }
+      ASSERT_EQ(fast.key_count(), ref.refs.size())
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(fast.ref_count(), ref.ref_count);
+      peak_keys = std::max(peak_keys, fast.key_count());
+    }
+    EXPECT_GT(peak_keys, 100u) << "table never grew, seed " << seed;
+    EXPECT_LT(fast.key_count(), peak_keys) << "never drained, seed " << seed;
+    // Every key is still answered right after the churn.
+    for (const HashedKey& key : keys) {
+      ASSERT_TRUE(SameRef(fast.Highest(key), ref.Highest(key.str())))
+          << key.str();
+    }
+  }
 }
 
 TEST(MetadataTableTest, InsertFindErase) {
@@ -842,6 +1043,87 @@ TEST_F(RingKvsTest, DeterministicAcrossRuns) {
     return cluster.simulator().now();
   };
   EXPECT_EQ(run(42), run(42));
+}
+
+// Resize precedence (§13): after a handoff the old owner can hold the same
+// (key, version) twice — its moved-marker in the previous shape's store and,
+// as a replica of the new owner's shard, a mirror of the install (which
+// reuses the marker's version) in the current shape's store. Lookups must
+// answer with the current-shape copy everywhere; a get that resolved the
+// marker while routing saw the mirror would re-route forever.
+TEST(ResizePrecedenceTest, GetPrefersTheCurrentShapeCopyOfAVersion) {
+  RingOptions o;
+  o.s = 3;
+  o.d = 2;
+  o.spares = 1;
+  o.seed = 17;
+  RingCluster cluster(o);
+  const MemgestId g = *cluster.CreateMemgest(MemgestDescriptor::Replicated(3));
+  std::vector<Key> keys;
+  for (int i = 0; i < 48; ++i) {
+    keys.push_back("rp-" + std::to_string(i));
+    ASSERT_TRUE(cluster.Put(keys.back(), "v-" + keys.back(), g).ok());
+  }
+  consensus::MembershipGroup& membership = cluster.runtime().membership();
+  ASSERT_TRUE(membership.BeginAddServer(5));
+  cluster.RunFor(2 * sim::kMillisecond);  // the new shape reaches every node
+  const consensus::ClusterConfig& cfg =
+      membership.ConfigView(cluster.runtime().leader_node());
+  ASSERT_TRUE(cfg.rebalancing());
+  const consensus::Placement prev = cfg.Previous();
+  const consensus::Placement cur = cfg.Current();
+  const MemgestInfo& info = *cluster.runtime().registry().Get(g);
+
+  // A key whose old owner backs the new owner's shard as a replica.
+  Key key;
+  net::NodeId old_owner = 0;
+  net::NodeId new_owner = 0;
+  for (const Key& k : keys) {
+    const uint32_t cur_shard = KeyShard(k, cur.num_shards());
+    old_owner = prev.CoordinatorOfShard(KeyShard(k, prev.num_shards()));
+    new_owner = cur.CoordinatorOfShard(cur_shard);
+    bool backs = false;
+    for (uint32_t slot :
+         MemgestRegistry::ReplicaSlotsFor(info, cur_shard, cfg.s, cfg.d)) {
+      backs = backs || cur.NodeOfSlot(slot) == old_owner;
+    }
+    if (old_owner != new_owner && backs) {
+      key = k;
+      break;
+    }
+  }
+  ASSERT_FALSE(key.empty());
+
+  // Hand the key over: marker at the old owner, install at the new one.
+  bool migrated = false;
+  Status status = InternalError("no reply");
+  RingServer::MigrateKey msg;
+  msg.key = key;
+  msg.requester = cluster.runtime().leader_node();
+  msg.reply = [&](Status s) {
+    status = s;
+    migrated = true;
+  };
+  cluster.server(old_owner).HandleMigrateKey(msg);
+  ASSERT_TRUE(cluster.RunUntilDone([&] { return migrated; }));
+  ASSERT_TRUE(status.ok()) << status;
+  cluster.RunFor(1 * sim::kMillisecond);  // every replica applied the install
+  // The install reused the marker's version: the put was v1, the marker v2.
+  EXPECT_EQ(cluster.server(new_owner).RetainedCommittedVersions(key),
+            std::vector<Version>{2});
+  EXPECT_EQ(cluster.CheckKeyDirectories(), "");
+
+  // Client 0 still routes by the previous shape, so the get lands on the
+  // old owner first. It must terminate and read the installed value.
+  auto got = cluster.Get(key);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(ToString(*got), "v-" + key);
+  EXPECT_EQ(cluster.CheckKeyDirectories(), "");
+
+  // Retiring the previous shape drops the marker and its ref.
+  ASSERT_TRUE(membership.CompleteRebalance());
+  cluster.RunFor(2 * sim::kMillisecond);
+  EXPECT_EQ(cluster.CheckKeyDirectories(), "");
 }
 
 }  // namespace

@@ -29,6 +29,7 @@
 #   tools/check.sh --e2e      # end-to-end benchmark: standalone Release
 #                             # build of e2e_bench (as e2e_bench/run.py
 #                             # builds it) + its smoke test (ctest -L bench)
+#                             # + one short tools/e2e_ab.sh pair vs HEAD
 #   tools/check.sh --golden   # golden-output gate: every deterministic
 #                             # bench binary (slow set included) and the
 #                             # ring-mc sweeps against tests/golden/
@@ -184,6 +185,15 @@ if [[ "${MODE}" == "--e2e" ]]; then
   cmake --build build-e2e -j "${JOBS}" --target e2e_bench
   echo "== e2e: smoke (every workload scaled down, correctness gate on) =="
   ctest --test-dir build-e2e -L bench --output-on-failure
+  echo "== e2e: A/B tooling, HEAD vs working tree (one 1-second seed) =="
+  # The claim verdict of a tree against itself means nothing (exit 0 or 1);
+  # a build or run failure (exit 2) is bitrot.
+  rc=0
+  tools/e2e_ab.sh HEAD put_saturate host_ops_per_s 1:1 || rc=$?
+  if [[ "${rc}" -gt 1 ]]; then
+    echo "check.sh: tools/e2e_ab.sh failed (exit ${rc})" >&2
+    exit 1
+  fi
   echo "check.sh: e2e suite passed"
   exit 0
 fi
