@@ -19,10 +19,13 @@
 //                   outside src/sim — protocol code must go through
 //                   net::Fabric (or the Simulator At/After wrappers for
 //                   local timers) so every event is attributable.
-//   boxed-callback  std::function in src/sim or src/net — the scheduler hot
-//                   path carries callables as pooled sim::Task values; a
-//                   std::function there boxes every out-of-line capture on
-//                   the general heap and silently bypasses the pool.
+//   boxed-callback  std::function in src/sim, src/net or src/ring/client.*
+//                   — the scheduler hot path carries callables as pooled
+//                   sim::Task values; a std::function there boxes every
+//                   out-of-line capture on the general heap and silently
+//                   bypasses the pool. In the client it would bring back
+//                   per-op closures; only its public callback types are
+//                   waived.
 //   use-after-move  `std::move(x)` where `x` is also read elsewhere in the
 //                   same statement — sibling call arguments evaluate in
 //                   unspecified order, so `Send(ReqBytes(req.key.size()),

@@ -1,22 +1,81 @@
 #include "src/ring/client.h"
 
+#include <algorithm>
+#include <cassert>
+#include <string>
+
 #include "src/common/hash.h"
 
 namespace ring {
 namespace {
 constexpr uint64_t kHeaderBytes = 64;
+constexpr uint64_t kAdminBytes = 192;
 
-// Did this completion carry a success? Overloads cover every callback shape
-// routed through Complete (puts/moves, gets, deletes, admin ops).
-bool CompletionOk() { return false; }
-bool CompletionOk(const Status& status) { return status.ok(); }
-bool CompletionOk(const Status& status, Version /*version*/) {
-  return status.ok();
+// How an op shows up in its trace span and metrics.
+struct OpLabel {
+  const char* name;
+  obs::OpKind kind;
+  MemgestId memgest;
+};
+OpLabel LabelOf(const PutRequest& r) {
+  return {"put", obs::OpKind::kPut, r.memgest};
 }
-bool CompletionOk(const GetResult& result) { return result.status.ok(); }
+OpLabel LabelOf(const GetRequest&) {
+  return {"get", obs::OpKind::kGet, obs::kNoMemgest};
+}
+OpLabel LabelOf(const MoveRequest& r) {
+  return {"move", obs::OpKind::kMove, r.dst};
+}
+OpLabel LabelOf(const DeleteRequest&) {
+  return {"delete", obs::OpKind::kDelete, obs::kNoMemgest};
+}
+OpLabel LabelOf(const AdminRequest&) {
+  return {"admin", obs::OpKind::kAdmin, obs::kNoMemgest};
+}
+
+// The status an op completes with once its retry budget runs out.
+template <typename Req>
+Status GiveUpStatus(const Req& r) {
+  return UnavailableError(std::string(LabelOf(r).name) +
+                          " retry budget exhausted");
+}
+Status GiveUpStatus(const AdminRequest& r) {
+  switch (r.op) {
+    case AdminRequest::Op::kCreateMemgest:
+      return TimeoutError("createMemgest timed out");
+    case AdminRequest::Op::kDeleteMemgest:
+      return TimeoutError("deleteMemgest timed out");
+    case AdminRequest::Op::kSetDefaultMemgest:
+      return TimeoutError("setDefaultMemgest timed out");
+    case AdminRequest::Op::kGetMemgestDescriptor:
+      return TimeoutError("getMemgestDescriptor timed out");
+  }
+  return InternalError("unknown admin op");
+}
+
+// Did this reply carry a success? Feeds the windowed SLIs.
+bool Succeeded(const WriteReply& r) { return r.status.ok(); }
+bool Succeeded(const GetResult& r) { return r.status.ok(); }
 template <typename T>
-bool CompletionOk(const Result<T>& result) {
-  return result.ok();
+bool Succeeded(const Result<T>& r) {
+  return r.ok();
+}
+
+// Runs an op's callback with its reply. Only the pairs below can meet:
+// req_ids are unique per client, so a reply reaches the op that sent it.
+void Deliver(RingClient::PutCallback& cb, WriteReply r) {
+  cb(std::move(r.status), r.version);
+}
+void Deliver(RingClient::StatusCallback& cb, WriteReply r) {
+  cb(std::move(r.status));
+}
+void Deliver(RingClient::GetCallback& cb, GetResult r) { cb(std::move(r)); }
+void Deliver(RingClient::AdminCallback& cb, Result<MemgestId> r) {
+  cb(std::move(r));
+}
+void Deliver(RingClient::DescriptorCallback& cb,
+             Result<MemgestDescriptor> r) {
+  cb(std::move(r));
 }
 }  // namespace
 
@@ -24,7 +83,11 @@ RingClient::RingClient(RingRuntime* runtime, uint32_t index)
     : rt_(runtime),
       node_(runtime->client_node(index)),
       config_(runtime->membership().ConfigView(0)),
-      rng_(runtime->options().seed * 0x9e3779b97f4a7c15ULL + node_) {}
+      rng_(runtime->options().seed * 0x9e3779b97f4a7c15ULL + node_) {
+  rt_->AttachClient(node_, this);
+}
+
+RingClient::~RingClient() { rt_->AttachClient(node_, nullptr); }
 
 net::NodeId RingClient::CoordinatorFor(const HashedKey& key) const {
   return config_.CoordinatorOfShard(key.Shard(config_.num_shards()));
@@ -34,50 +97,145 @@ void RingClient::RefreshConfig() {
   config_ = rt_->membership().ConfigView(rt_->leader_node());
 }
 
-template <typename Fn>
-auto RingClient::Complete(uint64_t req_id, sim::SimTime start,
-                          const char* opname, obs::OpKind kind,
-                          MemgestId memgest, Fn cb) {
-  return [this, req_id, start, opname, kind, memgest, cb](auto&&... args) {
-    auto it = outstanding_.find(req_id);
-    if (it == outstanding_.end() || it->second.done) {
-      return;  // duplicate reply (multicast raced with the original)
-    }
-    outstanding_.erase(it);
-    ++completed_;
-    const sim::SimTime end = rt_->simulator().now();
-    latencies_.Add(static_cast<double>(end - start) / 1000.0);
-    obs::Hub& hub = rt_->simulator().hub();
-    hub.tracer().Record(opname, obs::Category::kOp, node_, OpId(req_id),
-                        start, end);
-    hub.metrics().Inc("client.ops", 1, node_, memgest, kind);
-    hub.metrics().Observe("client.op_latency_ns", end - start, node_, memgest,
-                          kind);
-    // Ok/error split feeds the windowed SLIs (goodput and error rate).
-    const bool ok = CompletionOk(args...);
-    hub.metrics().Inc(ok ? obs::kSliOpsOk : obs::kSliOpErrors, 1, node_,
-                      memgest, kind);
-    if (!ok) {
-      hub.recorder().Record(obs::RecKind::kClient, "op_failed", node_,
-                            OpId(req_id), memgest);
-    }
-    cb(std::forward<decltype(args)>(args)...);
-  };
+void RingClient::OnReply(uint64_t req_id, WriteReply reply) {
+  Complete(req_id, std::move(reply));
 }
 
-void RingClient::Launch(uint64_t req_id, std::function<void(bool)> send,
-                        std::function<void()> fail) {
-  const auto& p = rt_->simulator().params();
-  Outstanding o;
-  o.send = send;
-  o.fail = std::move(fail);
-  if (p.client_retry_budget_ns > 0) {
-    o.deadline = rt_->simulator().now() + p.client_retry_budget_ns;
+void RingClient::OnReply(uint64_t req_id, GetResult result) {
+  Complete(req_id, std::move(result));
+}
+
+void RingClient::OnReply(uint64_t req_id, Result<MemgestId> result) {
+  Complete(req_id, std::move(result));
+}
+
+void RingClient::OnReply(uint64_t req_id, Result<MemgestDescriptor> result) {
+  Complete(req_id, std::move(result));
+}
+
+template <typename Reply>
+void RingClient::Complete(uint64_t req_id, Reply reply) {
+  auto it = outstanding_.find(req_id);
+  if (it == outstanding_.end()) {
+    return;  // duplicate reply (multicast raced with the original)
   }
-  outstanding_.emplace(req_id, std::move(o));
-  send(false);
-  rt_->simulator().After(p.client_retry_timeout_ns,
-                         [this, req_id] { CheckTimeout(req_id); });
+  Outstanding op = std::move(it->second);
+  outstanding_.erase(it);
+  if (!first_checks_.empty() && first_checks_.front().req_id == req_id) {
+    DropFinishedChecks();
+  }
+  ++completed_;
+  const sim::SimTime end = rt_->simulator().now();
+  latencies_.Add(static_cast<double>(end - op.start) / 1000.0);
+  const OpLabel label =
+      std::visit([](const auto& r) { return LabelOf(r); }, op.req);
+  obs::Hub& hub = rt_->simulator().hub();
+  hub.tracer().Record(label.name, obs::Category::kOp, node_, OpId(req_id),
+                      op.start, end);
+  hub.metrics().Inc("client.ops", 1, node_, label.memgest, label.kind);
+  hub.metrics().Observe("client.op_latency_ns", end - op.start, node_,
+                        label.memgest, label.kind);
+  // Ok/error split feeds the windowed SLIs (goodput and error rate).
+  const bool ok = Succeeded(reply);
+  hub.metrics().Inc(ok ? obs::kSliOpsOk : obs::kSliOpErrors, 1, node_,
+                    label.memgest, label.kind);
+  if (!ok) {
+    hub.recorder().Record(obs::RecKind::kClient, "op_failed", node_,
+                          OpId(req_id), label.memgest);
+  }
+  std::visit(
+      [&reply](auto& cb) {
+        if constexpr (requires { Deliver(cb, std::move(reply)); }) {
+          Deliver(cb, std::move(reply));
+        } else {
+          assert(false && "reply shape does not match the op");
+        }
+      },
+      op.cb);
+}
+
+void RingClient::CompleteWithStatus(uint64_t req_id, Status status) {
+  const Callback& cb = outstanding_.at(req_id).cb;
+  if (std::holds_alternative<GetCallback>(cb)) {
+    Complete(req_id, GetResult{std::move(status), 0, nullptr});
+  } else if (std::holds_alternative<AdminCallback>(cb)) {
+    Complete(req_id, Result<MemgestId>(std::move(status)));
+  } else if (std::holds_alternative<DescriptorCallback>(cb)) {
+    Complete(req_id, Result<MemgestDescriptor>(std::move(status)));
+  } else {
+    Complete(req_id, WriteReply{std::move(status)});
+  }
+}
+
+void RingClient::Submit(uint64_t cost_ns, Request req, Callback cb) {
+  cpu().Execute(cost_ns, [this, req = std::move(req),
+                          cb = std::move(cb)]() mutable {
+    Launch(std::move(req), std::move(cb));
+  });
+}
+
+void RingClient::Launch(Request req, Callback cb) {
+  const auto& p = rt_->simulator().params();
+  const sim::SimTime now = rt_->simulator().now();
+  const uint64_t req_id =
+      std::visit([](const auto& r) { return r.req_id; }, req);
+  Outstanding& o =
+      outstanding_
+          .emplace(req_id, Outstanding{std::move(req), std::move(cb), now})
+          .first->second;
+  if (p.client_retry_budget_ns > 0) {
+    o.deadline = now + p.client_retry_budget_ns;
+  }
+  Post(o.req, /*broadcast=*/false);
+  FileCheck(now + p.client_retry_timeout_ns, req_id, /*rearm=*/false);
+}
+
+template <auto Handle, typename Req>
+void RingClient::PostKeyed(Req req, uint64_t bytes, bool broadcast) {
+  obs::ScopedOp scope(rt_->simulator().hub(), req.op_id);
+  req.retry = broadcast;
+  if (!broadcast) {
+    RingServer* peer = rt_->server(CoordinatorFor(req.key));
+    rt_->fabric().Send(node_, peer->id(), bytes,
+                       [peer, req = std::move(req)]() mutable {
+                         (peer->*Handle)(std::move(req));
+                       });
+    return;
+  }
+  for (net::NodeId n = 0; n < rt_->membership().num_members(); ++n) {
+    if (config_.failed[n] || !rt_->fabric().alive(n)) {
+      continue;
+    }
+    RingServer* peer = rt_->server(n);
+    rt_->fabric().Send(node_, n, bytes, [peer, req]() mutable {
+      (peer->*Handle)(std::move(req));
+    });
+  }
+}
+
+void RingClient::Post(const Request& req, bool broadcast) {
+  if (const auto* r = std::get_if<PutRequest>(&req)) {
+    const uint64_t len = r->value ? r->value->size() : 0;
+    PostKeyed<&RingServer::HandlePut>(
+        *r, kHeaderBytes + r->key.str().size() + len, broadcast);
+  } else if (const auto* r = std::get_if<GetRequest>(&req)) {
+    PostKeyed<&RingServer::HandleGet>(
+        *r, kHeaderBytes + r->key.str().size(), broadcast);
+  } else if (const auto* r = std::get_if<MoveRequest>(&req)) {
+    PostKeyed<&RingServer::HandleMove>(
+        *r, kHeaderBytes + r->key.str().size(), broadcast);
+  } else if (const auto* r = std::get_if<DeleteRequest>(&req)) {
+    PostKeyed<&RingServer::HandleDelete>(
+        *r, kHeaderBytes + r->key.str().size(), broadcast);
+  } else {
+    // Memgest management always goes to the leader, retries included.
+    RefreshConfig();
+    RingServer* peer = rt_->server(config_.leader);
+    rt_->fabric().Send(node_, config_.leader, kAdminBytes,
+                       [peer, r = std::get<AdminRequest>(req)]() mutable {
+                         peer->HandleAdmin(std::move(r));
+                       });
+  }
 }
 
 uint64_t RingClient::NextRetryWait(Outstanding* o) {
@@ -102,328 +260,202 @@ uint64_t RingClient::NextRetryWait(Outstanding* o) {
 
 void RingClient::CheckTimeout(uint64_t req_id) {
   auto it = outstanding_.find(req_id);
-  if (it == outstanding_.end() || it->second.done) {
+  if (it == outstanding_.end()) {
     return;
   }
   if (!rt_->fabric().alive(node_)) {
-    return;
+    return;  // a dead client drops the check; nothing re-arms it
   }
+  Outstanding& o = it->second;
   const auto& p = rt_->simulator().params();
   const sim::SimTime now = rt_->simulator().now();
-  if (++it->second.retries > p.client_max_retries ||
-      (it->second.deadline != 0 && now >= it->second.deadline)) {
+  if (++o.retries > p.client_max_retries ||
+      (o.deadline != 0 && now >= o.deadline)) {
     // Budget exhausted: surface unavailability instead of retrying forever.
     ++timeouts_;
     rt_->simulator().hub().metrics().Inc("client.unavailable", 1, node_);
     rt_->simulator().hub().recorder().Record(obs::RecKind::kClient,
                                              "retry_budget_exhausted", node_,
-                                             OpId(req_id),
-                                             it->second.retries);
-    auto fail = it->second.fail;
-    fail();  // marks done + erases via the Complete wrapper
+                                             OpId(req_id), o.retries);
+    Status status =
+        std::visit([](const auto& r) { return GiveUpStatus(r); }, o.req);
+    CompleteWithStatus(req_id, std::move(status));
     return;
   }
   // Re-learn the configuration and multicast: only the responsible node
   // will answer (§5.5).
   rt_->simulator().hub().recorder().Record(obs::RecKind::kClient,
                                            "client_retry", node_,
-                                           OpId(req_id), it->second.retries);
+                                           OpId(req_id), o.retries);
   RefreshConfig();
-  auto send = it->second.send;
   cpu().Execute(p.client_base_ns +
                     rt_->membership().num_members() * p.client_post_ns,
-                [send] { send(true); });
-  rt_->simulator().After(NextRetryWait(&it->second),
-                         [this, req_id] { CheckTimeout(req_id); });
+                [this, req = o.req] { Post(req, /*broadcast=*/true); });
+  FileCheck(now + NextRetryWait(&o), req_id, /*rearm=*/true);
+}
+
+void RingClient::FileCheck(sim::SimTime time, uint64_t req_id, bool rearm) {
+  const Check check{{time, rt_->simulator().ReserveSeq()}, req_id};
+  if (!rearm &&
+      (first_checks_.empty() || first_checks_.back().at < check.at)) {
+    first_checks_.push_back(check);
+  } else {
+    rearm_checks_.push_back(check);
+    std::push_heap(rearm_checks_.begin(), rearm_checks_.end(), Later);
+  }
+  for (const Slot& pending : timer_events_) {
+    if (pending <= check.at) {
+      return;  // that event fires first and re-arms the timer
+    }
+  }
+  ArmTimer();
+}
+
+void RingClient::DropFinishedChecks() {
+  while (!first_checks_.empty() &&
+         !outstanding_.contains(first_checks_.front().req_id)) {
+    first_checks_.pop_front();
+  }
+  while (!rearm_checks_.empty() &&
+         !outstanding_.contains(rearm_checks_.front().req_id)) {
+    std::pop_heap(rearm_checks_.begin(), rearm_checks_.end(), Later);
+    rearm_checks_.pop_back();
+  }
+}
+
+const RingClient::Check* RingClient::EarliestCheck() {
+  DropFinishedChecks();
+  if (first_checks_.empty()) {
+    return rearm_checks_.empty() ? nullptr : &rearm_checks_.front();
+  }
+  if (rearm_checks_.empty() ||
+      first_checks_.front().at < rearm_checks_.front().at) {
+    return &first_checks_.front();
+  }
+  return &rearm_checks_.front();
+}
+
+void RingClient::ArmTimer() {
+  const Check* next = EarliestCheck();
+  if (next == nullptr) {
+    return;
+  }
+  const Slot at = next->at;
+  for (const Slot& pending : timer_events_) {
+    if (pending <= at) {
+      return;
+    }
+  }
+  timer_events_.push_back(at);
+  rt_->simulator().AtReserved(at.first, at.second,
+                              [this, at] { OnTimer(at); });
+}
+
+void RingClient::OnTimer(Slot at) {
+  std::erase(timer_events_, at);
+  // The check this event was armed for may belong to an op that finished
+  // since; then the event does nothing but re-arm.
+  const Check* next = EarliestCheck();
+  assert((next == nullptr || !(next->at < at)) && "a retry check was missed");
+  if (next != nullptr && next->at == at) {
+    const uint64_t req_id = next->req_id;
+    if (!first_checks_.empty() && next == &first_checks_.front()) {
+      first_checks_.pop_front();
+    } else {
+      std::pop_heap(rearm_checks_.begin(), rearm_checks_.end(), Later);
+      rearm_checks_.pop_back();
+    }
+    CheckTimeout(req_id);
+  }
+  ArmTimer();
 }
 
 void RingClient::Put(const Key& key, std::shared_ptr<Buffer> value,
                      MemgestId memgest, PutCallback cb) {
   const auto& p = rt_->simulator().params();
   const uint32_t len = value ? static_cast<uint32_t>(value->size()) : 0;
-  const uint64_t req_id = next_req_++;
+  PutRequest r;
+  r.key = HashedKey(key);
+  r.value = std::move(value);
+  r.memgest = memgest;
+  r.client = node_;
+  r.req_id = next_req_++;
+  r.op_id = OpId(r.req_id);
   NotifyObserver(key, obs::OpKind::kPut, memgest, len);
-  const uint64_t issue_cost =
-      p.client_base_ns + p.client_post_ns +
-      static_cast<uint64_t>(p.client_put_byte_ns * len);
-  cpu().Execute(issue_cost, [this, key = HashedKey(key),
-                             value = std::move(value), memgest,
-                             cb = std::move(cb), req_id, len] {
-    const sim::SimTime start = rt_->simulator().now();
-    auto reply = Complete(req_id, start, "put", obs::OpKind::kPut, memgest,
-                          cb);
-    const uint64_t bytes = kHeaderBytes + key.str().size() + len;
-    auto send = [this, key, value, memgest, req_id, reply,
-                 bytes](bool broadcast) {
-      obs::ScopedOp scope(rt_->simulator().hub(), OpId(req_id));
-      PutRequest r;
-      r.key = key;
-      r.value = value;
-      r.memgest = memgest;
-      r.client = node_;
-      r.req_id = req_id;
-      r.op_id = OpId(req_id);
-      r.retry = broadcast;
-      r.reply = reply;
-      if (!broadcast) {
-        auto* peer = rt_->server(CoordinatorFor(key));
-        rt_->fabric().Send(node_, peer->id(), bytes,
-                           [peer, r] { peer->HandlePut(r); });
-        return;
-      }
-      for (net::NodeId n = 0; n < rt_->membership().num_members(); ++n) {
-        if (config_.failed[n] || !rt_->fabric().alive(n)) {
-          continue;
-        }
-        auto* peer = rt_->server(n);
-        rt_->fabric().Send(node_, n, bytes,
-                           [peer, r] { peer->HandlePut(r); });
-      }
-    };
-    auto fail = [reply] {
-      reply(UnavailableError("put retry budget exhausted"), 0);
-    };
-    Launch(req_id, std::move(send), std::move(fail));
-  });
+  Submit(p.client_base_ns + p.client_post_ns +
+            static_cast<uint64_t>(p.client_put_byte_ns * len),
+        std::move(r), std::move(cb));
 }
 
 void RingClient::Get(const Key& key, ReadMode mode, GetCallback cb) {
   const auto& p = rt_->simulator().params();
-  const uint64_t req_id = next_req_++;
+  GetRequest r;
+  r.key = HashedKey(key);
+  r.mode = mode;
+  r.client = node_;
+  r.req_id = next_req_++;
+  r.op_id = OpId(r.req_id);
   NotifyObserver(key, obs::OpKind::kGet, kDefaultMemgest, 0);
-  cpu().Execute(p.client_base_ns + p.client_post_ns,
-                [this, key = HashedKey(key), mode, cb = std::move(cb),
-                 req_id] {
-    const sim::SimTime start = rt_->simulator().now();
-    auto reply = Complete(req_id, start, "get", obs::OpKind::kGet,
-                          obs::kNoMemgest, cb);
-    const uint64_t bytes = kHeaderBytes + key.str().size();
-    auto send = [this, key, mode, req_id, reply, bytes](bool broadcast) {
-      obs::ScopedOp scope(rt_->simulator().hub(), OpId(req_id));
-      GetRequest r;
-      r.key = key;
-      r.client = node_;
-      r.req_id = req_id;
-      r.op_id = OpId(req_id);
-      r.retry = broadcast;
-      r.mode = mode;
-      r.reply = reply;
-      if (!broadcast) {
-        auto* peer = rt_->server(CoordinatorFor(key));
-        rt_->fabric().Send(node_, peer->id(), bytes,
-                           [peer, r] { peer->HandleGet(r); });
-        return;
-      }
-      for (net::NodeId n = 0; n < rt_->membership().num_members(); ++n) {
-        if (config_.failed[n] || !rt_->fabric().alive(n)) {
-          continue;
-        }
-        auto* peer = rt_->server(n);
-        rt_->fabric().Send(node_, n, bytes,
-                           [peer, r] { peer->HandleGet(r); });
-      }
-    };
-    auto fail = [reply] {
-      reply(GetResult{UnavailableError("get retry budget exhausted"), 0,
-                      nullptr});
-    };
-    Launch(req_id, std::move(send), std::move(fail));
-  });
+  Submit(p.client_base_ns + p.client_post_ns, std::move(r), std::move(cb));
 }
 
 void RingClient::Move(const Key& key, MemgestId dst, PutCallback cb) {
   const auto& p = rt_->simulator().params();
-  const uint64_t req_id = next_req_++;
+  MoveRequest r;
+  r.key = HashedKey(key);
+  r.dst = dst;
+  r.client = node_;
+  r.req_id = next_req_++;
+  r.op_id = OpId(r.req_id);
   NotifyObserver(key, obs::OpKind::kMove, dst, 0);
-  cpu().Execute(p.client_base_ns + p.client_post_ns,
-                [this, key = HashedKey(key), dst, cb = std::move(cb),
-                 req_id] {
-    const sim::SimTime start = rt_->simulator().now();
-    auto reply = Complete(req_id, start, "move", obs::OpKind::kMove, dst, cb);
-    const uint64_t bytes = kHeaderBytes + key.str().size();
-    auto send = [this, key, dst, req_id, reply, bytes](bool broadcast) {
-      obs::ScopedOp scope(rt_->simulator().hub(), OpId(req_id));
-      MoveRequest r;
-      r.key = key;
-      r.dst = dst;
-      r.client = node_;
-      r.req_id = req_id;
-      r.op_id = OpId(req_id);
-      r.retry = broadcast;
-      r.reply = reply;
-      if (!broadcast) {
-        auto* peer = rt_->server(CoordinatorFor(key));
-        rt_->fabric().Send(node_, peer->id(), bytes,
-                           [peer, r] { peer->HandleMove(r); });
-        return;
-      }
-      for (net::NodeId n = 0; n < rt_->membership().num_members(); ++n) {
-        if (config_.failed[n] || !rt_->fabric().alive(n)) {
-          continue;
-        }
-        auto* peer = rt_->server(n);
-        rt_->fabric().Send(node_, n, bytes,
-                           [peer, r] { peer->HandleMove(r); });
-      }
-    };
-    auto fail = [reply] {
-      reply(UnavailableError("move retry budget exhausted"), 0);
-    };
-    Launch(req_id, std::move(send), std::move(fail));
-  });
+  Submit(p.client_base_ns + p.client_post_ns, std::move(r), std::move(cb));
 }
 
 void RingClient::Delete(const Key& key, StatusCallback cb) {
   const auto& p = rt_->simulator().params();
-  const uint64_t req_id = next_req_++;
+  DeleteRequest r;
+  r.key = HashedKey(key);
+  r.client = node_;
+  r.req_id = next_req_++;
+  r.op_id = OpId(r.req_id);
   NotifyObserver(key, obs::OpKind::kDelete, kDefaultMemgest, 0);
-  cpu().Execute(p.client_base_ns + p.client_post_ns,
-                [this, key = HashedKey(key), cb = std::move(cb), req_id] {
-    const sim::SimTime start = rt_->simulator().now();
-    auto reply = Complete(req_id, start, "delete", obs::OpKind::kDelete,
-                          obs::kNoMemgest, cb);
-    const uint64_t bytes = kHeaderBytes + key.str().size();
-    auto send = [this, key, req_id, reply, bytes](bool broadcast) {
-      obs::ScopedOp scope(rt_->simulator().hub(), OpId(req_id));
-      DeleteRequest r;
-      r.key = key;
-      r.client = node_;
-      r.req_id = req_id;
-      r.op_id = OpId(req_id);
-      r.retry = broadcast;
-      r.reply = reply;
-      if (!broadcast) {
-        auto* peer = rt_->server(CoordinatorFor(key));
-        rt_->fabric().Send(node_, peer->id(), bytes,
-                           [peer, r] { peer->HandleDelete(r); });
-        return;
-      }
-      for (net::NodeId n = 0; n < rt_->membership().num_members(); ++n) {
-        if (config_.failed[n] || !rt_->fabric().alive(n)) {
-          continue;
-        }
-        auto* peer = rt_->server(n);
-        rt_->fabric().Send(node_, n, bytes,
-                           [peer, r] { peer->HandleDelete(r); });
-      }
-    };
-    auto fail = [reply] {
-      reply(UnavailableError("delete retry budget exhausted"));
-    };
-    Launch(req_id, std::move(send), std::move(fail));
-  });
+  Submit(p.client_base_ns + p.client_post_ns, std::move(r), std::move(cb));
 }
 
 void RingClient::CreateMemgest(const MemgestDescriptor& desc,
                                AdminCallback cb) {
-  const auto& p = rt_->simulator().params();
-  const uint64_t req_id = next_req_++;
-  cpu().Execute(p.client_base_ns + p.client_post_ns,
-                [this, desc, cb = std::move(cb), req_id] {
-    const sim::SimTime start = rt_->simulator().now();
-    auto reply = Complete(req_id, start, "admin", obs::OpKind::kAdmin,
-                          obs::kNoMemgest, cb);
-    auto send = [this, desc, req_id, reply](bool broadcast) {
-      (void)broadcast;
-      RefreshConfig();
-      AdminRequest r;
-      r.op = AdminRequest::Op::kCreateMemgest;
-      r.desc = desc;
-      r.client = node_;
-      r.reply = reply;
-      auto* peer = rt_->server(config_.leader);
-      rt_->fabric().Send(node_, config_.leader, 192,
-                         [peer, r] { peer->HandleAdmin(r); });
-    };
-    auto fail = [reply] {
-      reply(Result<MemgestId>(TimeoutError("createMemgest timed out")));
-    };
-    Launch(req_id, std::move(send), std::move(fail));
-  });
+  AdminRequest r;
+  r.op = AdminRequest::Op::kCreateMemgest;
+  r.desc = desc;
+  SubmitAdmin(std::move(r), std::move(cb));
 }
 
 void RingClient::DeleteMemgest(MemgestId id, AdminCallback cb) {
-  const uint64_t req_id = next_req_++;
-  const auto& p = rt_->simulator().params();
-  cpu().Execute(p.client_base_ns + p.client_post_ns,
-                [this, id, cb = std::move(cb), req_id] {
-    const sim::SimTime start = rt_->simulator().now();
-    auto reply = Complete(req_id, start, "admin", obs::OpKind::kAdmin,
-                          obs::kNoMemgest, cb);
-    auto send = [this, id, reply](bool) {
-      RefreshConfig();
-      AdminRequest r;
-      r.op = AdminRequest::Op::kDeleteMemgest;
-      r.id = id;
-      r.client = node_;
-      r.reply = reply;
-      auto* peer = rt_->server(config_.leader);
-      rt_->fabric().Send(node_, config_.leader, 192,
-                         [peer, r] { peer->HandleAdmin(r); });
-    };
-    auto fail = [reply] {
-      reply(Result<MemgestId>(TimeoutError("deleteMemgest timed out")));
-    };
-    Launch(req_id, std::move(send), std::move(fail));
-  });
+  AdminRequest r;
+  r.op = AdminRequest::Op::kDeleteMemgest;
+  r.id = id;
+  SubmitAdmin(std::move(r), std::move(cb));
 }
 
 void RingClient::SetDefaultMemgest(MemgestId id, AdminCallback cb) {
-  const uint64_t req_id = next_req_++;
-  const auto& p = rt_->simulator().params();
-  cpu().Execute(p.client_base_ns + p.client_post_ns,
-                [this, id, cb = std::move(cb), req_id] {
-    const sim::SimTime start = rt_->simulator().now();
-    auto reply = Complete(req_id, start, "admin", obs::OpKind::kAdmin,
-                          obs::kNoMemgest, cb);
-    auto send = [this, id, reply](bool) {
-      RefreshConfig();
-      AdminRequest r;
-      r.op = AdminRequest::Op::kSetDefaultMemgest;
-      r.id = id;
-      r.client = node_;
-      r.reply = reply;
-      auto* peer = rt_->server(config_.leader);
-      rt_->fabric().Send(node_, config_.leader, 192,
-                         [peer, r] { peer->HandleAdmin(r); });
-    };
-    auto fail = [reply] {
-      reply(Result<MemgestId>(TimeoutError("setDefaultMemgest timed out")));
-    };
-    Launch(req_id, std::move(send), std::move(fail));
-  });
+  AdminRequest r;
+  r.op = AdminRequest::Op::kSetDefaultMemgest;
+  r.id = id;
+  SubmitAdmin(std::move(r), std::move(cb));
 }
 
-}  // namespace ring
+void RingClient::GetMemgestDescriptor(MemgestId id, DescriptorCallback cb) {
+  AdminRequest r;
+  r.op = AdminRequest::Op::kGetMemgestDescriptor;
+  r.id = id;
+  SubmitAdmin(std::move(r), std::move(cb));
+}
 
-namespace ring {
-
-void RingClient::GetMemgestDescriptor(
-    MemgestId id, std::function<void(Result<MemgestDescriptor>)> cb) {
-  const uint64_t req_id = next_req_++;
+void RingClient::SubmitAdmin(AdminRequest req, Callback cb) {
   const auto& p = rt_->simulator().params();
-  cpu().Execute(p.client_base_ns + p.client_post_ns,
-                [this, id, cb = std::move(cb), req_id] {
-    const sim::SimTime start = rt_->simulator().now();
-    auto reply = Complete(req_id, start, "admin", obs::OpKind::kAdmin,
-                          obs::kNoMemgest, cb);
-    auto send = [this, id, reply](bool) {
-      RefreshConfig();
-      AdminRequest r;
-      r.op = AdminRequest::Op::kGetMemgestDescriptor;
-      r.id = id;
-      r.client = node_;
-      r.descriptor_reply = reply;
-      auto* peer = rt_->server(config_.leader);
-      rt_->fabric().Send(node_, config_.leader, 192,
-                         [peer, r] { peer->HandleAdmin(r); });
-    };
-    auto fail = [reply] {
-      reply(Result<MemgestDescriptor>(
-          TimeoutError("getMemgestDescriptor timed out")));
-    };
-    Launch(req_id, std::move(send), std::move(fail));
-  });
+  req.client = node_;
+  req.req_id = next_req_++;
+  Submit(p.client_base_ns + p.client_post_ns, std::move(req), std::move(cb));
 }
 
 }  // namespace ring

@@ -1,5 +1,7 @@
 #include "src/ring/runtime.h"
 
+#include <cassert>
+
 namespace ring {
 namespace {
 
@@ -29,6 +31,7 @@ RingRuntime::RingRuntime(const RingOptions& options)
   for (net::NodeId id = 0; id < num_server_nodes(); ++id) {
     servers_.push_back(std::make_unique<RingServer>(this, id));
   }
+  clients_.assign(options.clients, nullptr);
   membership_.SetOnConfig(
       [this](net::NodeId node, const consensus::ClusterConfig& config) {
         if (auto* srv = server(node)) {
@@ -66,6 +69,15 @@ RingRuntime::RingRuntime(const RingOptions& options)
     injector_->Arm();
   }
   membership_.Start();
+}
+
+void RingRuntime::AttachClient(net::NodeId id, RingClient* client) {
+  assert(id >= num_server_nodes() &&
+         id - num_server_nodes() < clients_.size());
+  RingClient*& slot = clients_[id - num_server_nodes()];
+  assert((client == nullptr || slot == nullptr) &&
+         "one RingClient per client node");
+  slot = client;
 }
 
 void RingRuntime::RestartNode(net::NodeId node) {

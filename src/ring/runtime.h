@@ -1,5 +1,6 @@
 // RingRuntime: wiring of one simulated Ring deployment — simulator, fabric,
-// membership, memgest registry, and the server objects.
+// membership, memgest registry, the server objects, and the client
+// endpoints servers reply to.
 #ifndef RING_SRC_RING_RUNTIME_H_
 #define RING_SRC_RING_RUNTIME_H_
 
@@ -14,6 +15,8 @@
 #include "src/sim/simulator.h"
 
 namespace ring {
+
+class RingClient;
 
 struct RingOptions {
   uint32_t s = 3;        // coordinator shards per memgest group
@@ -98,6 +101,18 @@ class RingRuntime {
     return id < servers_.size() ? servers_[id].get() : nullptr;
   }
 
+  // Client endpoint at a client node id: servers deliver every reply
+  // through it. nullptr for server ids and for endpoints no RingClient
+  // holds (a reply to one is dropped, like one to a dead node).
+  RingClient* client(net::NodeId id) const {
+    const uint64_t i = id - static_cast<uint64_t>(num_server_nodes());
+    return id >= num_server_nodes() && i < clients_.size() ? clients_[i]
+                                                           : nullptr;
+  }
+  // RingClient's constructor attaches it to its node; its destructor passes
+  // nullptr.
+  void AttachClient(net::NodeId id, RingClient* client);
+
   // The node currently acting as leader (membership's view).
   net::NodeId leader_node() const { return membership_.CurrentLeader(); }
 
@@ -116,6 +131,8 @@ class RingRuntime {
   consensus::MembershipGroup membership_;
   MemgestRegistry registry_;
   std::vector<std::unique_ptr<RingServer>> servers_;
+  // Indexed by client node id - num_server_nodes().
+  std::vector<RingClient*> clients_;
   std::unique_ptr<fault::FaultInjector> injector_;
 };
 

@@ -6,6 +6,7 @@
 #include "src/common/hash.h"
 #include "src/common/logging.h"
 #include "src/gf/gf256.h"
+#include "src/ring/client.h"
 #include "src/ring/runtime.h"
 
 namespace ring {
@@ -271,9 +272,16 @@ uint32_t RingServer::HomeShardForKey(const HashedKey& key) {
   return cpu().ShardForHash(key.Shard(config_.num_shards()));
 }
 
-void RingServer::ReplyToClient(net::NodeId client, uint64_t bytes,
-                               sim::Task fn) {
-  rt_->fabric().Send(id_, client, bytes, std::move(fn));
+template <typename Reply>
+void RingServer::ReplyToClient(net::NodeId client, uint64_t req_id,
+                               uint64_t bytes, Reply reply) {
+  RingRuntime* rt = rt_;
+  rt_->fabric().Send(id_, client, bytes,
+                     [rt, client, req_id, reply = std::move(reply)]() mutable {
+                       if (RingClient* endpoint = rt->client(client)) {
+                         endpoint->OnReply(req_id, std::move(reply));
+                       }
+                     });
 }
 
 void RingServer::SendToSlot(uint32_t slot_index, uint64_t bytes,
@@ -290,18 +298,18 @@ bool RingServer::ClaimClientOp(net::NodeId client, uint64_t req_id) {
   const auto id = std::make_pair(client, req_id);
   auto it = client_ops_.find(id);
   if (it != client_ops_.end()) {
-    if (it->second) {
+    if (it->second.has_value()) {
       // Executed already but the reply was evidently lost: resend it.
       ++counters_.resent_replies;
       hub().metrics().Inc("server.resent_replies", 1, id_);
       hub().recorder().Record(obs::RecKind::kDedup, "resent_reply", id_,
                               hub().current_op(), client, req_id);
-      it->second();
+      ReplyToClient(client, req_id, kReplyBytes, *it->second);
     }
     // Else still executing; the in-flight reply will cover this duplicate.
     return false;
   }
-  client_ops_.emplace(id, nullptr);
+  client_ops_.emplace(id, std::nullopt);
   client_ops_order_.push_back(id);
   while (client_ops_order_.size() > kClientOpWindow) {
     client_ops_.erase(client_ops_order_.front());
@@ -311,14 +319,12 @@ bool RingServer::ClaimClientOp(net::NodeId client, uint64_t req_id) {
 }
 
 void RingServer::ReplyToClientOnce(net::NodeId client, uint64_t req_id,
-                                   uint64_t bytes, std::function<void()> fn) {
+                                   WriteReply reply) {
   auto it = client_ops_.find(std::make_pair(client, req_id));
   if (it != client_ops_.end()) {
-    it->second = [this, client, bytes, fn] {
-      ReplyToClient(client, bytes, fn);
-    };
+    it->second = reply;
   }
-  ReplyToClient(client, bytes, std::move(fn));
+  ReplyToClient(client, req_id, kReplyBytes, std::move(reply));
 }
 
 // ---------------------------------------------------------------------------
@@ -377,21 +383,19 @@ void RingServer::HandlePut(PutRequest req) {
       return;  // duplicate: executed (reply resent) or still in flight
     }
     if (info == nullptr) {
-      ReplyToClientOnce(req.client, req.req_id, kReplyBytes,
-                        [reply = req.reply] {
-                          reply(InvalidArgumentError("no such memgest"), 0);
-                        });
+      ReplyToClientOnce(req.client, req.req_id,
+                        WriteReply{InvalidArgumentError("no such memgest")});
       return;
     }
     ++counters_.puts;
     hub().metrics().Inc("server.puts", 1, id_, info->id, obs::OpKind::kPut);
     const Version version = volatile_index_.NextVersion(req.key);
     StartWrite(*info, route.shard, req.key, version, req.value, false,
-               [this, client = req.client, req_id = req.req_id,
-                reply = req.reply, version, op_id = req.op_id](Status s) {
+               [this, client = req.client, req_id = req.req_id, version,
+                op_id = req.op_id](Status s) {
                  obs::ScopedOp reply_scope(hub(), op_id);
-                 ReplyToClientOnce(client, req_id, kReplyBytes,
-                                   [reply, s, version] { reply(s, version); });
+                 ReplyToClientOnce(client, req_id,
+                                   WriteReply{std::move(s), version});
                },
                route.geom_s);
   });
@@ -1137,16 +1141,14 @@ void RingServer::ResolveGet(GetRequest req) {
              req.key.hash(), req.key.hash() + 1, "get/version");
   const VolatileIndex::Ref* ref = volatile_index_.Highest(req.key);
   if (ref == nullptr) {
-    ReplyToClient(req.client, kReplyBytes, [reply = req.reply] {
-      reply(GetResult{NotFoundError("no such key"), 0, nullptr});
-    });
+    ReplyToClient(req.client, req.req_id, kReplyBytes,
+                  GetResult{NotFoundError("no such key"), 0, nullptr});
     return;
   }
   const MemgestInfo* info = rt_->registry().Get(ref->memgest);
   if (info == nullptr) {
-    ReplyToClient(req.client, kReplyBytes, [reply = req.reply] {
-      reply(GetResult{InternalError("memgest vanished"), 0, nullptr});
-    });
+    ReplyToClient(req.client, req.req_id, kReplyBytes,
+                  GetResult{InternalError("memgest vanished"), 0, nullptr});
     return;
   }
   // The highest version may live under either live shape (§13): serve it
@@ -1164,9 +1166,8 @@ void RingServer::DeliverGet(const MemgestInfo& info, uint32_t shard,
                             uint32_t geom_s, MetaEntry* entry,
                             GetRequest req) {
   if (entry == nullptr) {
-    ReplyToClient(req.client, kReplyBytes, [reply = req.reply] {
-      reply(GetResult{InternalError("metadata missing"), 0, nullptr});
-    });
+    ReplyToClient(req.client, req.req_id, kReplyBytes,
+                  GetResult{InternalError("metadata missing"), 0, nullptr});
     return;
   }
   if (entry->moved) {
@@ -1176,9 +1177,8 @@ void RingServer::DeliverGet(const MemgestInfo& info, uint32_t shard,
     return;
   }
   if (entry->tombstone) {
-    ReplyToClient(req.client, kReplyBytes, [reply = req.reply] {
-      reply(GetResult{NotFoundError("deleted"), 0, nullptr});
-    });
+    ReplyToClient(req.client, req.req_id, kReplyBytes,
+                  GetResult{NotFoundError("deleted"), 0, nullptr});
     return;
   }
   NoteAccess(RegionKind::kCommitFlag, AccessKind::kRead,
@@ -1250,18 +1250,15 @@ void RingServer::DeliverGet(const MemgestInfo& info, uint32_t shard,
        req = std::move(req)](Status s) mutable {
         obs::ScopedOp present_scope(hub(), req.op_id);
         if (!s.ok()) {
-          ReplyToClient(req.client, kReplyBytes,
-                        [reply = req.reply, s] {
-                          reply(GetResult{s, 0, nullptr});
-                        });
+          ReplyToClient(req.client, req.req_id, kReplyBytes,
+                        GetResult{std::move(s), 0, nullptr});
           return;
         }
         const MetaEntry* e =
             StoreEntry(*info_ptr, shard, geom_s, req.key, version).entry;
         if (e == nullptr) {
-          ReplyToClient(req.client, kReplyBytes, [reply = req.reply] {
-            reply(GetResult{NotFoundError("gone"), 0, nullptr});
-          });
+          ReplyToClient(req.client, req.req_id, kReplyBytes,
+                        GetResult{NotFoundError("gone"), 0, nullptr});
           return;
         }
         CopyForGet(*info_ptr, shard, geom_s, *e, std::move(req));
@@ -1310,10 +1307,8 @@ void RingServer::CopyForGet(const MemgestInfo& info, uint32_t shard,
     auto data = std::make_shared<Buffer>();
     const ByteSpan bytes = live.store->Read(addr, len);
     data->assign(bytes.begin(), bytes.end());
-    ReplyToClient(req.client, kReplyBytes + len,
-                  [reply = req.reply, data, version] {
-                    reply(GetResult{OkStatus(), version, data});
-                  });
+    ReplyToClient(req.client, req.req_id, kReplyBytes + len,
+                  GetResult{OkStatus(), version, std::move(data)});
   });
 }
 
@@ -1364,26 +1359,20 @@ void RingServer::HandleMove(MoveRequest req) {
                req.key.hash(), req.key.hash() + 1, "move/version");
     const VolatileIndex::Ref* ref = volatile_index_.Highest(req.key);
     if (ref == nullptr) {
-      ReplyToClientOnce(req.client, req.req_id, kReplyBytes,
-                        [reply = req.reply] {
-                          reply(NotFoundError("no such key"), 0);
-                        });
+      ReplyToClientOnce(req.client, req.req_id,
+                        WriteReply{NotFoundError("no such key")});
       return;
     }
     const MemgestInfo* dst = rt_->registry().Get(req.dst);
     if (dst == nullptr) {
-      ReplyToClientOnce(req.client, req.req_id, kReplyBytes,
-                        [reply = req.reply] {
-                          reply(InvalidArgumentError("no such memgest"), 0);
-                        });
+      ReplyToClientOnce(req.client, req.req_id,
+                        WriteReply{InvalidArgumentError("no such memgest")});
       return;
     }
     const MemgestInfo* src = rt_->registry().Get(ref->memgest);
     if (src == nullptr) {
-      ReplyToClientOnce(req.client, req.req_id, kReplyBytes,
-                        [reply = req.reply] {
-                          reply(InternalError("source memgest vanished"), 0);
-                        });
+      ReplyToClientOnce(req.client, req.req_id,
+                        WriteReply{InternalError("source memgest vanished")});
       return;
     }
     const EntryLoc loc = EntryOf(*src, req.key, *ref);
@@ -1391,10 +1380,8 @@ void RingServer::HandleMove(MoveRequest req) {
     const uint32_t src_shard = entry != nullptr ? loc.shard : shard;
     const uint32_t src_geom = entry != nullptr ? loc.geom : route.geom_s;
     if (entry == nullptr || entry->tombstone) {
-      ReplyToClientOnce(req.client, req.req_id, kReplyBytes,
-                        [reply = req.reply] {
-                          reply(NotFoundError("deleted"), 0);
-                        });
+      ReplyToClientOnce(req.client, req.req_id,
+                        WriteReply{NotFoundError("deleted")});
       return;
     }
     if (!entry->committed) {
@@ -1418,17 +1405,15 @@ void RingServer::HandleMove(MoveRequest req) {
          req = std::move(req)](Status s) mutable {
           obs::ScopedOp present_scope(hub(), req.op_id);
           if (!s.ok()) {
-            ReplyToClientOnce(req.client, req.req_id, kReplyBytes,
-                              [reply = req.reply, s] { reply(s, 0); });
+            ReplyToClientOnce(req.client, req.req_id,
+                              WriteReply{std::move(s)});
             return;
           }
           const MetaEntry* e =
               StoreEntry(*src, shard, geom, req.key, src_version).entry;
           if (e == nullptr) {
-            ReplyToClientOnce(req.client, req.req_id, kReplyBytes,
-                              [reply = req.reply] {
-                                reply(NotFoundError("gone"), 0);
-                              });
+            ReplyToClientOnce(req.client, req.req_id,
+                              WriteReply{NotFoundError("gone")});
             return;
           }
           // Local read + re-encode into the destination memgest. All data is
@@ -1484,13 +1469,10 @@ void RingServer::HandleMove(MoveRequest req) {
             // rebalance driver's job, not the move path's.
             StartWrite(*dst, shard, req.key, version, value, false,
                        [this, client = req.client, req_id = req.req_id,
-                        reply = req.reply, version,
-                        op_id = req.op_id](Status st) {
+                        version, op_id = req.op_id](Status st) {
                          obs::ScopedOp reply_scope(hub(), op_id);
-                         ReplyToClientOnce(client, req_id, kReplyBytes,
-                                           [reply, st, version] {
-                                             reply(st, version);
-                                           });
+                         ReplyToClientOnce(client, req_id,
+                                           WriteReply{std::move(st), version});
                        },
                        geom);
           });
@@ -1548,16 +1530,13 @@ void RingServer::HandleDelete(DeleteRequest req) {
                req.key.hash(), req.key.hash() + 1, "delete/version");
     const VolatileIndex::Ref* ref = volatile_index_.Highest(req.key);
     if (ref == nullptr) {
-      ReplyToClientOnce(req.client, req.req_id, kReplyBytes,
-                        [reply = req.reply] {
-                          reply(NotFoundError("no such key"));
-                        });
+      ReplyToClientOnce(req.client, req.req_id,
+                        WriteReply{NotFoundError("no such key")});
       return;
     }
     const MemgestInfo* info = rt_->registry().Get(ref->memgest);
     if (info == nullptr) {
-      ReplyToClientOnce(req.client, req.req_id, kReplyBytes,
-                        [reply = req.reply] { reply(OkStatus()); });
+      ReplyToClientOnce(req.client, req.req_id, WriteReply{OkStatus()});
       return;
     }
     // A delete is a replicated tombstone in the memgest of the current
@@ -1565,10 +1544,9 @@ void RingServer::HandleDelete(DeleteRequest req) {
     const Version version = volatile_index_.NextVersion(req.key);
     StartWrite(*info, shard, req.key, version, nullptr, true,
                [this, client = req.client, req_id = req.req_id,
-                reply = req.reply, op_id = req.op_id](Status s) {
+                op_id = req.op_id](Status s) {
                  obs::ScopedOp reply_scope(hub(), op_id);
-                 ReplyToClientOnce(client, req_id, kReplyBytes,
-                                   [reply, s] { reply(s); });
+                 ReplyToClientOnce(client, req_id, WriteReply{std::move(s)});
                },
                route.geom_s);
   });
@@ -1595,8 +1573,7 @@ void RingServer::HandleAdmin(AdminRequest req) {
             info != nullptr ? Result<MemgestDescriptor>(info->desc)
                             : Result<MemgestDescriptor>(
                                   NotFoundError("no such memgest"));
-        ReplyToClient(req.client, kReplyBytes,
-                      [reply = req.descriptor_reply, out] { reply(out); });
+        ReplyToClient(req.client, req.req_id, kReplyBytes, std::move(out));
         return;
       }
       case AdminRequest::Op::kCreateMemgest:
@@ -1614,8 +1591,7 @@ void RingServer::HandleAdmin(AdminRequest req) {
       }
     }
     if (!result.ok()) {
-      ReplyToClient(req.client, kReplyBytes,
-                    [reply = req.reply, result] { reply(result); });
+      ReplyToClient(req.client, req.req_id, kReplyBytes, std::move(result));
       return;
     }
     // Replicate the decision to all live members; reply after a majority
@@ -1632,13 +1608,13 @@ void RingServer::HandleAdmin(AdminRequest req) {
     const uint32_t majority = live / 2 + 1;
     const bool is_delete = req.op == AdminRequest::Op::kDeleteMemgest;
     const MemgestId affected = is_delete ? req.id : *result;
-    auto maybe_reply = [this, acks, replied, majority, req, result] {
+    auto maybe_reply = [this, acks, replied, majority, client = req.client,
+                        req_id = req.req_id, result] {
       if (*replied || *acks < majority) {
         return;
       }
       *replied = true;
-      ReplyToClient(req.client, kReplyBytes,
-                    [reply = req.reply, result] { reply(result); });
+      ReplyToClient(client, req_id, kReplyBytes, result);
     };
     for (net::NodeId n = 0; n < members; ++n) {
       if (n == id_ || config_.failed[n]) {

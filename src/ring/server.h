@@ -38,14 +38,23 @@ namespace ring {
 class RingRuntime;
 
 // ---------------------------------------------------------------------------
-// Client-facing request/response types. The `reply` closure is delivered back
-// to the client node over the fabric by the server. RingClient hashes the
-// key once (HashedKey); routing and the key directory reuse that hash.
+// Client-facing request/response types. Requests are plain values: the
+// server answers one by sending its reply value back to (client, req_id),
+// where RingClient's in-flight table completes the op (RingClient::OnReply).
+// RingClient hashes the key once (HashedKey); routing and the key directory
+// reuse that hash.
 
 struct GetResult {
   Status status;
   Version version = 0;
   std::shared_ptr<Buffer> data;
+};
+
+// The reply to a put, move or delete; deletes carry version 0. It is also
+// what the at-most-once table records and resends to a retried request.
+struct WriteReply {
+  Status status;
+  Version version = 0;
 };
 
 struct PutRequest {
@@ -60,7 +69,6 @@ struct PutRequest {
   // requests are never forwarded again — a stale second hop drops them and
   // the client's retry machinery takes over.
   bool forwarded = false;
-  std::function<void(Status, Version)> reply;
 };
 
 struct GetRequest {
@@ -73,7 +81,6 @@ struct GetRequest {
   // §16: kNonBlocking serves the newest committed version instead of
   // parking on an in-flight commit's quorum wait.
   ReadMode mode = ReadMode::kStrong;
-  std::function<void(GetResult)> reply;
 };
 
 struct MoveRequest {
@@ -87,7 +94,6 @@ struct MoveRequest {
   // it already claimed its at-most-once slot, so the dedup check is skipped.
   bool resumed = false;
   bool forwarded = false;
-  std::function<void(Status, Version)> reply;
 };
 
 struct DeleteRequest {
@@ -97,10 +103,11 @@ struct DeleteRequest {
   uint64_t op_id = 0;
   bool retry = false;
   bool forwarded = false;
-  std::function<void(Status)> reply;
 };
 
-// Memgest management (leader-processed, paper §5.1).
+// Memgest management (leader-processed, paper §5.1). The reply is a
+// Result<MemgestId>, or a Result<MemgestDescriptor> for
+// kGetMemgestDescriptor.
 struct AdminRequest {
   enum class Op {
     kCreateMemgest,
@@ -112,9 +119,7 @@ struct AdminRequest {
   MemgestDescriptor desc;
   MemgestId id = kDefaultMemgest;
   net::NodeId client = 0;
-  std::function<void(Result<MemgestId>)> reply;
-  // kGetMemgestDescriptor only.
-  std::function<void(Result<MemgestDescriptor>)> descriptor_reply;
+  uint64_t req_id = 0;
 };
 
 // Per-shard object store: a virtual address space (heap) plus the shard's
@@ -637,7 +642,11 @@ class RingServer {
                            std::vector<std::pair<Key, Version>> todo,
                            size_t next, std::function<void()> done);
 
-  void ReplyToClient(net::NodeId client, uint64_t bytes, sim::Task fn);
+  // Sends `reply` (a WriteReply, GetResult or admin Result) to the client
+  // endpoint at node `client`, which completes its op `req_id` with it.
+  template <typename Reply>
+  void ReplyToClient(net::NodeId client, uint64_t req_id, uint64_t bytes,
+                     Reply reply);
   void SendToSlot(uint32_t slot_index, uint64_t bytes, sim::Task fn);
   void SendToNode(net::NodeId node, uint64_t bytes, sim::Task fn);
 
@@ -653,11 +662,11 @@ class RingServer {
   // exactly once per (client, req_id): the caller may execute the operation.
   // On a duplicate whose reply was already produced, the recorded reply is
   // resent; a duplicate of a still-executing op is ignored (the pending
-  // reply will reach the client). ReplyToClientOnce records the reply
-  // closure against the claim so later duplicates can replay it.
+  // reply will reach the client). ReplyToClientOnce records the reply value
+  // against the claim so later duplicates can resend it.
   bool ClaimClientOp(net::NodeId client, uint64_t req_id);
-  void ReplyToClientOnce(net::NodeId client, uint64_t req_id, uint64_t bytes,
-                         std::function<void()> fn);
+  void ReplyToClientOnce(net::NodeId client, uint64_t req_id,
+                         WriteReply reply);
 
   RingRuntime* rt_;
   net::NodeId id_;
@@ -672,8 +681,8 @@ class RingServer {
   bool excluded_ = false;
   uint64_t last_recovery_ns_ = 0;
   Counters counters_;
-  // At-most-once table for client mutations: (client, req_id) -> recorded
-  // reply resend closure (null while the op is still executing). Bounded by
+  // At-most-once table for client mutations: (client, req_id) -> the
+  // recorded reply (empty while the op is still executing). Bounded by
   // FIFO eviction of the oldest of kClientOpWindow claims on this node.
   // Clients pipeline their ops (the e2e_bench generators keep 128 in flight
   // each), so the bound counts claims across all clients: a duplicate that
@@ -692,8 +701,8 @@ class RingServer {
       return static_cast<size_t>(x ^ (x >> 31));
     }
   };
-  std::unordered_map<std::pair<net::NodeId, uint64_t>, std::function<void()>,
-                     ClientOpHash>
+  std::unordered_map<std::pair<net::NodeId, uint64_t>,
+                     std::optional<WriteReply>, ClientOpHash>
       client_ops_;
   std::deque<std::pair<net::NodeId, uint64_t>> client_ops_order_;
   static constexpr size_t kClientOpWindow = 8192;

@@ -76,6 +76,17 @@ class EventQueue {
   // clamped to now).
   void Schedule(SimTime t, Task fn);
 
+  // Takes the next sequence number without scheduling anything. A timer
+  // that reserves its seq where it would have called Schedule, and passes
+  // it to ScheduleReserved later, runs exactly where that Schedule's event
+  // would have run: at `t`, after every event of a lower seq and before
+  // every event of a higher one. RingClient files its ops' retry checks
+  // this way and keeps one event pending per client (DESIGN.md §11.2).
+  uint64_t ReserveSeq() { return next_seq_++; }
+  // Enqueues `fn` at (t, seq), `seq` taken from ReserveSeq() and used once.
+  // (t, seq) must not precede the running event's place in the order.
+  void ScheduleReserved(SimTime t, uint64_t seq, Task fn);
+
   // Schedules a *delivery* event the model checker may permute. With no
   // controller installed this is exactly Schedule(t, fn) — the tag is
   // dropped and the schedule stays byte-identical. With a controller, the
@@ -148,7 +159,9 @@ class EventQueue {
     Task fn;
   };
 
-  void Insert(SimTime t, Task fn);
+  void Insert(SimTime t, uint64_t seq, Task fn);
+  // Raises depth_high_water_ to the current depth.
+  void NoteDepth();
   // Controller-driven frontier step: builds the candidate window, asks the
   // controller, and executes/drops the decision. Returns true when an event
   // ran (the caller's RunNext contract); loops internally over drops and

@@ -46,6 +46,12 @@ class Simulator {
   void After(SimTime delay, Task fn) {
     queue_.Schedule(queue_.now() + delay, std::move(fn));
   }
+  // A timer's place in the event order, taken now and scheduled later with
+  // AtReserved (see EventQueue::ReserveSeq).
+  uint64_t ReserveSeq() { return queue_.ReserveSeq(); }
+  void AtReserved(SimTime t, uint64_t seq, Task fn) {
+    queue_.ScheduleReserved(t, seq, std::move(fn));
+  }
 
   // Runs until the queue drains.
   void Run();

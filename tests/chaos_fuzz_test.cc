@@ -433,11 +433,27 @@ TEST(ChaosRegressionTest, DroppedReplyRetriesAndExecutesExactlyOnce) {
   }();
   const uint64_t puts_before = cluster.server(coord).counters().puts;
   cluster.client(0).ResetStats();  // drop the admin op from the counters
-  ASSERT_TRUE(cluster.Put(key, "exactly-once", g).ok());
+  bool done = false;
+  Status status = InternalError("no reply");
+  Version acked = 0;
+  auto value = std::make_shared<Buffer>(ToBuffer("exactly-once"));
+  cluster.client(0).Put(key, value, g, [&](Status s, Version v) {
+    status = std::move(s);
+    acked = v;
+    done = true;
+  });
+  ASSERT_TRUE(cluster.RunUntilDone([&] { return done; }));
+  ASSERT_TRUE(status.ok()) << status;
   // Executed once; the duplicate retries were answered from the table.
   EXPECT_EQ(cluster.server(coord).counters().puts, puts_before + 1);
   EXPECT_GE(cluster.server(coord).counters().resent_replies, 1u);
   EXPECT_EQ(cluster.client(0).completed(), 1u);
+  // Every original reply was lost, so the ack came from the table: the
+  // resent reply carries the version the coordinator committed.
+  const std::vector<Version> committed =
+      cluster.server(coord).RetainedCommittedVersions(key);
+  ASSERT_EQ(committed.size(), 1u);
+  EXPECT_EQ(acked, committed.front());
   auto got = cluster.Get(key);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(ToString(*got), "exactly-once");

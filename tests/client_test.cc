@@ -2,6 +2,9 @@
 // timeout + multicast retry, duplicate suppression, statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "src/common/hash.h"
 #include "src/ring/cluster.h"
 
@@ -139,6 +142,51 @@ TEST(ClientTest, AdminOpsThroughLeader) {
   EXPECT_FALSE(cluster.DeleteMemgest(*created).ok());
 }
 
+// One retry timer per client: a finished op leaves nothing parked in the
+// event queue. With a 200 ms timeout, a timer event per op would keep every
+// put's check pending long after the put returned, so the queue would grow
+// with the op count.
+TEST(ClientTest, FinishedOpsParkNoRetryEvents) {
+  RingCluster cluster(Opts(9, /*retry_us=*/200'000));
+  auto g = *cluster.CreateMemgest(MemgestDescriptor::Replicated(3));
+  cluster.RunFor(sim::kMillisecond);
+  const sim::EventQueue& queue = cluster.simulator().queue();
+  const size_t idle = queue.pending();  // heartbeats and other timers
+  constexpr int kOps = 4000;
+  constexpr int kInFlight = 32;  // per client
+  constexpr uint32_t kClients = 2;
+  const auto value = std::make_shared<Buffer>(ToBuffer("pipelined"));
+  int issued = 0;
+  int done = 0;
+  size_t peak = 0;
+  std::function<void(uint32_t)> issue = [&](uint32_t c) {
+    const Key key = "p-" + std::to_string(issued++);
+    cluster.client(c).Put(key, value, g, [&, c](Status s, Version) {
+      EXPECT_TRUE(s.ok()) << s;
+      ++done;
+      peak = std::max(peak, queue.pending());
+      if (issued < kOps) {
+        issue(c);
+      }
+    });
+  };
+  for (uint32_t c = 0; c < kClients; ++c) {
+    for (int i = 0; i < kInFlight; ++i) {
+      issue(c);
+    }
+  }
+  ASSERT_TRUE(cluster.RunUntilDone([&] { return done == kOps; }));
+  // Well under one retry timeout: every op's first check is still ahead.
+  EXPECT_LT(cluster.simulator().now(), 100 * sim::kMillisecond);
+  // A put keeps a handful of events in flight (messages, CPU completions);
+  // each client adds one timer event, whatever the op count.
+  const size_t in_flight_work = 8 * kClients * kInFlight;
+  EXPECT_LE(peak, idle + kClients + in_flight_work);
+  EXPECT_LE(queue.pending(), idle + kClients + in_flight_work);
+  EXPECT_EQ(cluster.client(0).outstanding(), 0u);
+  EXPECT_EQ(cluster.client(1).outstanding(), 0u);
+}
+
 // Regression: a *retried* move that gets postponed behind an uncommitted
 // version (§5.2) must still answer once that version commits. The postponed
 // continuation used to re-enter HandleMove with the retry flag still set, so
@@ -146,7 +194,20 @@ TEST(ClientTest, AdminOpsThroughLeader) {
 // through all its retries (each deduped the same way) and reported a
 // spurious timeout for a move the server could have completed.
 TEST(ClientTest, DeferredRetriedMoveStillReplies) {
-  RingCluster cluster(Opts(8));
+  RingOptions o = Opts(8);
+  // The move's first send, to shard 2's coordinator, is lost on the wire:
+  // it reaches the server only as the client's multicast retry.
+  constexpr sim::SimTime kMoveAt = 5 * sim::kMillisecond;
+  const net::NodeId mover = o.s + o.d + o.spares + 1;  // client(1)
+  auto plan = fault::ParseFaultPlan("drop src=" + std::to_string(mover) +
+                                    " dst=2 p=1 from=5ms until=5100us");
+  ASSERT_TRUE(plan.ok());
+  o.fault_plan = *plan;
+  // The move waits out failure detection (tens of ms): keep its retries
+  // going that long.
+  o.params.client_retry_budget_ns = 200 * sim::kMillisecond;
+  RingCluster cluster(o);
+  ASSERT_EQ(cluster.client(1).node(), mover);
   auto fsync =
       *cluster.CreateMemgest(MemgestDescriptor::FullSyncReplicated(2));
   auto rep1 = *cluster.CreateMemgest(MemgestDescriptor::Replicated(1));
@@ -169,23 +230,24 @@ TEST(ClientTest, DeferredRetriedMoveStillReplies) {
 
   // The move arrives as a client *retry* (multicast after the original was
   // lost) and is postponed behind the uncommitted version.
+  ASSERT_LT(cluster.simulator().now(), kMoveAt);
+  cluster.simulator().RunUntil(kMoveAt);
+  const fault::FaultInjector& injector = *cluster.runtime().injector();
+  const uint64_t dropped_before = injector.counters().dropped;
+  const uint64_t moves_before = cluster.server(2).counters().moves;
   bool move_done = false;
   Status move_status = InternalError("no reply");
-  MoveRequest req;
-  req.key = HashedKey(key);
-  req.dst = rep1;
-  req.client = cluster.client(1).node();
-  req.req_id = 7777;
-  req.retry = true;
-  req.reply = [&](Status s, Version) {
+  cluster.client(1).Move(key, rep1, [&](Status s, Version) {
     move_status = s;
     move_done = true;
-  };
-  cluster.server(2).HandleMove(req);
+  });
   cluster.RunFor(1 * sim::kMillisecond);
   EXPECT_FALSE(move_done);
+  EXPECT_EQ(injector.counters().dropped, dropped_before + 1);  // first send
   // Later retries of the same request are deduplicated while it waits.
-  cluster.server(2).HandleMove(req);
+  cluster.RunFor(5 * sim::kMillisecond);
+  EXPECT_FALSE(move_done);
+  EXPECT_EQ(cluster.server(2).counters().moves, moves_before + 1);
 
   // Failure detection promotes the spare, the pending version commits, and
   // the postponed move re-executes — it must reply despite having entered

@@ -109,7 +109,7 @@ TEST(LintRulesTest, RawScheduleFiresOutsideSimOnly) {
   EXPECT_FALSE(HasRule(LintSource(sim_file), "raw-schedule"));
 }
 
-TEST(LintRulesTest, BoxedCallbackFiresInSchedulerDirsOnly) {
+TEST(LintRulesTest, BoxedCallbackFiresInScopedFilesOnly) {
   const std::string code = "void Post(std::function<void()> fn);\n";
   SourceInput sim_file;
   sim_file.relpath = "src/sim/x.cc";
@@ -119,6 +119,13 @@ TEST(LintRulesTest, BoxedCallbackFiresInSchedulerDirsOnly) {
   net_file.relpath = "src/net/x.cc";
   net_file.content = code;
   EXPECT_TRUE(HasRule(LintSource(net_file), "boxed-callback"));
+  // RingClient's in-flight table owns all per-op state.
+  for (const char* path : {"src/ring/client.h", "src/ring/client.cc"}) {
+    SourceInput client_file;
+    client_file.relpath = path;
+    client_file.content = code;
+    EXPECT_TRUE(HasRule(LintSource(client_file), "boxed-callback")) << path;
+  }
   // Protocol layers may still take std::function across public APIs.
   SourceInput ring_file;
   ring_file.relpath = "src/ring/x.cc";
@@ -247,6 +254,19 @@ TEST(LintFixtureTest, SeededViolationsAllFire) {
   EXPECT_TRUE(HasRule(f, "use-after-move"));
   EXPECT_TRUE(HasRule(f, "unchecked-status"));
   EXPECT_GE(f.size(), 9u) << FormatFindings(f);
+}
+
+// Scanned at the client's own path, not with force_all_rules: the waived
+// public callback type passes, the per-op closure member fires.
+TEST(LintFixtureTest, ClientFixtureFlagsOnlyTheClosureMember) {
+  SourceInput in;
+  in.relpath = "src/ring/client.h";
+  in.content = ReadFile(std::string(RING_SOURCE_ROOT) +
+                        "/tests/lint/fixture_client.h");
+  const auto f = LintSource(in);
+  ASSERT_EQ(f.size(), 1u) << FormatFindings(f);
+  EXPECT_EQ(f[0].rule, "boxed-callback");
+  EXPECT_EQ(f[0].line, 17);  // the `send` member, not the waived alias
 }
 
 TEST(LintFixtureTest, AllowlistedFixtureIsClean) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <functional>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <utility>
@@ -72,7 +73,8 @@ TEST(EventQueueTest, EventsCanScheduleEvents) {
 // Ids are handed out in scheduling order, so they break time ties exactly
 // like the queue's sequence numbers: the (time, id) sort of everything
 // scheduled, including events scheduled from inside other events, is the
-// order the queue must run them in.
+// order the queue must run them in. A reserved event takes its id (and its
+// seq) when reserved, however much later it is committed.
 class OrderLog {
  public:
   explicit OrderLog(EventQueue* q) : q_(q) {}
@@ -80,21 +82,24 @@ class OrderLog {
   // Schedules the next id at `t`: a timer, or with `tagged` a delivery the
   // controller chooses (a plain event without one). `then` runs inside it.
   void Add(SimTime t, bool tagged = false, Task then = nullptr) {
-    const int id = static_cast<int>(times_.size());
-    times_.push_back(t);
-    Task fn = [this, id, then = std::move(then)]() mutable {
-      on_time_ = on_time_ && q_->now() == times_[id] && q_->now() >= last_;
-      last_ = q_->now();
-      ran_.push_back(id);
-      if (then) {
-        then();
-      }
-    };
+    const int id = NextId(t);
+    Task fn = Logged(id, std::move(then));
     if (tagged) {
       q_->ScheduleTagged(t, std::move(fn), static_cast<uint64_t>(id));
     } else {
       q_->Schedule(t, std::move(fn));
     }
+  }
+
+  // Takes the next id, and a queue seq, for a timer at `t` without
+  // scheduling it; Commit(id) schedules it later at that reserved place.
+  int Reserve(SimTime t) {
+    const int id = NextId(t);
+    reserved_[id] = q_->ReserveSeq();
+    return id;
+  }
+  void Commit(int id) {
+    q_->ScheduleReserved(times_[id], reserved_.at(id), Logged(id, nullptr));
   }
 
   const std::vector<int>& ran() const { return ran_; }
@@ -110,8 +115,24 @@ class OrderLog {
   bool on_time() const { return on_time_; }
 
  private:
+  int NextId(SimTime t) {
+    times_.push_back(t);
+    return static_cast<int>(times_.size()) - 1;
+  }
+  Task Logged(int id, Task then) {
+    return [this, id, then = std::move(then)]() mutable {
+      on_time_ = on_time_ && q_->now() == times_[id] && q_->now() >= last_;
+      last_ = q_->now();
+      ran_.push_back(id);
+      if (then) {
+        then();
+      }
+    };
+  }
+
   EventQueue* q_;
   std::vector<SimTime> times_;
+  std::map<int, uint64_t> reserved_;  // id -> seq
   std::vector<int> ran_;
   SimTime last_ = 0;
   bool on_time_ = true;
@@ -131,7 +152,10 @@ class DefaultChoice : public ScheduleController {
 
 // A mix spanning all three tiers (fine wheel < ~2 ms, coarse wheel
 // < ~8.6 s, overflow beyond) plus same-time ties, and events scheduled from
-// within a far-future event — the AdvanceWindow re-homing paths.
+// within a far-future event — the AdvanceWindow re-homing paths. Reserved
+// timers take their places among the ordinary events at time 0 and are
+// scheduled later, from an event at 50 us, into each tier, tying ordinary
+// events on both sides of them.
 TEST(EventQueueTest, MatchesTimeSeqReferenceAcrossTiers) {
   EventQueue q;
   OrderLog log(&q);
@@ -142,6 +166,13 @@ TEST(EventQueueTest, MatchesTimeSeqReferenceAcrossTiers) {
     x ^= x << 17;
     return x;
   };
+  constexpr SimTime kReservedAt[] = {
+      100 * kMicrosecond,  // fine wheel, among the 100 us ties
+      300 * kMillisecond,  // coarse slot
+      20 * kSecond,        // overflow
+      15 * kSecond,        // ties the far-future event below
+  };
+  std::vector<int> reserved;
   for (uint64_t i = 0; i < 200; ++i) {
     SimTime t = 0;
     switch (i % 4) {
@@ -151,14 +182,25 @@ TEST(EventQueueTest, MatchesTimeSeqReferenceAcrossTiers) {
       default: t = 100 * kMicrosecond; break;  // ties, seq-ordered
     }
     log.Add(t);
+    if (i % 50 == 25) {
+      for (SimTime r : kReservedAt) {
+        reserved.push_back(log.Reserve(r));
+        log.Add(r);  // an ordinary event right behind it
+      }
+    }
   }
+  log.Add(50 * kMicrosecond, false, [&log, &reserved] {
+    for (int id : reserved) {
+      log.Commit(id);
+    }
+  });
   log.Add(15 * kSecond, false, [&q, &log] {
     log.Add(q.now() + 100);
     log.Add(q.now() + 40 * kSecond);
   });
   while (q.RunNext()) {
   }
-  EXPECT_EQ(log.ran().size(), 203u);
+  EXPECT_EQ(log.ran().size(), 236u);
   EXPECT_EQ(log.ran(), log.Expected());
   EXPECT_TRUE(log.on_time());
 }
@@ -177,16 +219,24 @@ TEST(EventQueueTest, ControllerKeepsTimeSeqOrderAcrossTiers) {
   q.set_controller(&controller, /*reorder_window_ns=*/0);
   log.Add(kMicrosecond, true);
   log.Add(5 * kMicrosecond, true);  // ties the fine-wheel timer, later seq
-  log.Add(2500 * kMicrosecond, true, [&q, &log] {
+  // Reserved timers, committed from inside a delivery: they run at their
+  // reserved places, ahead of later-scheduled events at the same times.
+  const int fine = log.Reserve(2500 * kMicrosecond + 10);
+  const int coarse = log.Reserve(300 * kMillisecond);
+  const int overflow = log.Reserve(20 * kSecond);
+  log.Add(2500 * kMicrosecond, true, [&q, &log, fine, coarse, overflow] {
     log.Add(q.now() + 10);  // lands in the coarse slot's window
     log.Add(q.now() + 600 * kMicrosecond, true);
+    log.Commit(fine);  // ties the timer just added, earlier seq
+    log.Commit(coarse);
+    log.Commit(overflow);
   });
   log.Add(300 * kMillisecond, true);  // ties the coarse timer
   log.Add(4 * kMicrosecond);
   log.Add(20 * kSecond + 1, true);
   while (q.RunNext()) {
   }
-  EXPECT_EQ(log.ran().size(), 12u);
+  EXPECT_EQ(log.ran().size(), 15u);
   EXPECT_EQ(log.ran(), log.Expected());
   EXPECT_TRUE(log.on_time());
   EXPECT_EQ(controller.choices, 6);
