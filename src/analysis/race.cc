@@ -71,9 +71,8 @@ VectorClock RaceDetector::CaptureEdge() {
   return stack_.back().clock;
 }
 
-void RaceDetector::BeginCpuTask(uint32_t node, const VectorClock* inherited,
-                                uint32_t shard) {
-  const uint32_t actor = CpuActorId(node, shard);
+void RaceDetector::BeginCpuTask(uint32_t node, const VectorClock* inherited) {
+  const uint32_t actor = CpuActorId(node);
   VectorClock& clock = ActorClock(actor);
   if (inherited != nullptr) {
     clock.MergeFrom(*inherited);
@@ -93,11 +92,11 @@ void RaceDetector::BeginOneSidedTask(const VectorClock* inherited) {
   stack_.push_back(std::move(frame));
 }
 
-void RaceDetector::BeginCpuAcquire(uint32_t node, uint32_t shard) {
+void RaceDetector::BeginCpuAcquire(uint32_t node) {
   // Copy first: CurrentClock() may reference an actor clock that
   // BeginCpuTask below would otherwise merge into itself mid-mutation.
   const VectorClock acquired = CurrentClock();
-  BeginCpuTask(node, &acquired, shard);
+  BeginCpuTask(node, &acquired);
 }
 
 void RaceDetector::EndTask() {

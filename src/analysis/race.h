@@ -92,18 +92,9 @@ struct RaceReport {
 
 class RaceDetector {
  public:
-  // Actor 0 is the external driver; node n's CPU shard k is actor
-  // 1 + n * cores_per_node + k. With the default single core per node that
-  // collapses to the historical "node n is actor n + 1" mapping.
+  // Actor 0 is the external driver; node n's CPU is actor n + 1.
   static constexpr uint32_t kExternalActor = 0;
-  uint32_t CpuActorId(uint32_t node, uint32_t shard = 0) const {
-    return 1 + node * cores_per_node_ + shard;
-  }
-  // Must match SimParams::cores_per_node; set once before any task begins
-  // (Simulator and Fabric both wire it through).
-  void SetCoresPerNode(uint32_t cores) {
-    cores_per_node_ = cores == 0 ? 1 : cores;
-  }
+  static constexpr uint32_t CpuActorId(uint32_t node) { return 1 + node; }
 
   // Non-null iff the RING_ANALYZE env var contains "race".
   static std::unique_ptr<RaceDetector> FromEnv();
@@ -117,17 +108,16 @@ class RaceDetector {
   // returns a copy. From a one-sided context, returns that task's clock.
   VectorClock CaptureEdge();
 
-  // Runs on `node`'s CPU shard: joins `inherited` (may be null — no edges)
-  // into that shard's clock and makes it current.
-  void BeginCpuTask(uint32_t node, const VectorClock* inherited,
-                    uint32_t shard = 0);
+  // Runs on `node`'s CPU: joins `inherited` (may be null — no edges) into
+  // that CPU's clock and makes it current.
+  void BeginCpuTask(uint32_t node, const VectorClock* inherited);
   // One-sided NIC access: `inherited` (issuer's clock; may be null) becomes
   // the task clock. Never joins a destination actor.
   void BeginOneSidedTask(const VectorClock* inherited);
   // Completion-region acquire: joins the *current* task clock (typically a
-  // one-sided apply) into the clock of `node`'s CPU shard and continues as
-  // that shard.
-  void BeginCpuAcquire(uint32_t node, uint32_t shard = 0);
+  // one-sided apply) into the clock of `node`'s CPU and continues as that
+  // CPU.
+  void BeginCpuAcquire(uint32_t node);
   void EndTask();
 
   // ---- access logging -----------------------------------------------------
@@ -177,7 +167,6 @@ class RaceDetector {
   static constexpr size_t kMaxRaces = 64;
   static constexpr size_t kMaxStoredPerList = 128;
 
-  uint32_t cores_per_node_ = 1;
   std::vector<VectorClock> actor_clocks_;
   std::vector<Frame> stack_;
   std::map<RegionKey, RegionState> regions_;
@@ -190,11 +179,10 @@ class RaceDetector {
 
 class ScopedCpuTask {
  public:
-  ScopedCpuTask(RaceDetector* d, uint32_t node, const VectorClock* inherited,
-                uint32_t shard = 0)
+  ScopedCpuTask(RaceDetector* d, uint32_t node, const VectorClock* inherited)
       : d_(d) {
     if (d_ != nullptr) {
-      d_->BeginCpuTask(node, inherited, shard);
+      d_->BeginCpuTask(node, inherited);
     }
   }
   ~ScopedCpuTask() {
@@ -230,10 +218,9 @@ class ScopedOneSidedTask {
 
 class ScopedCpuAcquire {
  public:
-  ScopedCpuAcquire(RaceDetector* d, uint32_t node, uint32_t shard = 0)
-      : d_(d) {
+  ScopedCpuAcquire(RaceDetector* d, uint32_t node) : d_(d) {
     if (d_ != nullptr) {
-      d_->BeginCpuAcquire(node, shard);
+      d_->BeginCpuAcquire(node);
     }
   }
   ~ScopedCpuAcquire() {

@@ -82,7 +82,7 @@ McScenario SingleSourceRecovery(bool bug) {
 // Bug 3: get/GC TOCTOU. A get defers on an uncommitted big overwrite (v2)
 // and captures its heap address when v2 commits; a later small overwrite
 // (v3) commits and frees v2's region; a big put of another key — already
-// charging on the same CPU shard — reuses the region via first-fit before
+// charging on the same CPU — reuses the region via first-fit before
 // the queued copy reads it. The default schedule (k2's request delivered
 // before v3's) is clean; the violation needs the explorer to flip that
 // delivery race, so rediscovery genuinely exercises schedule search.

@@ -12,13 +12,9 @@ Fabric::Fabric(sim::Simulator* simulator, uint32_t num_nodes)
     : sim_(simulator),
       alive_(num_nodes, true),
       egress_busy_(num_nodes, 0) {
-  const uint32_t cores = simulator->params().cores_per_node;
   cpus_.reserve(num_nodes);
   for (uint32_t i = 0; i < num_nodes; ++i) {
-    cpus_.push_back(std::make_unique<sim::CpuWorker>(simulator, i, cores));
-  }
-  if (analysis::RaceDetector* race = simulator->race(); race != nullptr) {
-    race->SetCoresPerNode(cores);
+    cpus_.push_back(std::make_unique<sim::CpuWorker>(simulator, i));
   }
 }
 
@@ -63,11 +59,6 @@ std::unique_ptr<analysis::VectorClock> Fabric::CaptureEdge() {
     return nullptr;
   }
   return std::make_unique<analysis::VectorClock>(race->CaptureEdge());
-}
-
-uint32_t Fabric::IssuerShard(NodeId src) const {
-  const sim::Simulator::ExecContext& exec = sim_->exec();
-  return exec.node == static_cast<int32_t>(src) ? exec.shard : 0;
 }
 
 void Fabric::Enqueue(NodeId dst, sim::SimTime arrival, Pending p) {
@@ -139,11 +130,7 @@ void Fabric::DeliverTwoSided(NodeId dst, Pending& p) {
   // from the current context, which must be the sender's clock here, not
   // the event loop's.
   analysis::ScopedOneSidedTask carry(sim_->race(), p.edge.get());
-  // RSS-style flow steering: a given sender's traffic always lands on the
-  // same receive shard (shard 0 with a single core).
-  sim::CpuWorker& cpu = *cpus_[dst];
-  cpu.ExecuteOnShard(cpu.ShardForHash(p.peer), sim_->params().server_recv_ns,
-                     std::move(p.primary));
+  cpus_[dst]->Execute(sim_->params().server_recv_ns, std::move(p.primary));
 }
 
 void Fabric::Process(NodeId dst, Pending& p) {
@@ -173,7 +160,6 @@ void Fabric::Process(NodeId dst, Pending& p) {
       Pending done;
       done.kind = Pending::Kind::kCompletion;
       done.peer = p.peer;
-      done.peer_shard = p.peer_shard;
       done.issuer = dst;
       done.op = p.op;
       done.primary = std::move(p.secondary);
@@ -200,7 +186,6 @@ void Fabric::Process(NodeId dst, Pending& p) {
       Pending done;
       done.kind = Pending::Kind::kCompletion;
       done.peer = p.peer;
-      done.peer_shard = p.peer_shard;
       done.issuer = dst;
       done.op = p.op;
       done.primary = std::move(p.secondary);
@@ -211,9 +196,8 @@ void Fabric::Process(NodeId dst, Pending& p) {
     case Pending::Kind::kCompletion:
       if (alive_[dst] && p.primary) {
         obs::ScopedOp scope(sim_->hub(), p.op);
-        // Completion is observed by the issuing CPU shard polling its queue.
-        analysis::ScopedCpuTask done(sim_->race(), dst, p.edge.get(),
-                                     p.peer_shard);
+        // Completion is observed by the issuing CPU polling its queue.
+        analysis::ScopedCpuTask done(sim_->race(), dst, p.edge.get());
         p.primary();
       }
       return;
@@ -318,7 +302,6 @@ void Fabric::Write(NodeId src, NodeId dst, uint64_t payload_bytes,
   p.kind = Pending::Kind::kWriteApply;
   p.peer = src;
   p.issuer = src;
-  p.peer_shard = IssuerShard(src);
   p.op = op;
   p.primary = std::move(apply);
   p.secondary = std::move(on_complete);
@@ -355,7 +338,6 @@ void Fabric::Read(NodeId src, NodeId dst, uint64_t response_bytes,
   p.kind = Pending::Kind::kReadServe;
   p.peer = src;
   p.issuer = src;
-  p.peer_shard = IssuerShard(src);
   p.op = op;
   p.response_bytes = response_bytes;
   p.primary = std::move(fetch);

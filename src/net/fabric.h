@@ -1,7 +1,7 @@
 // Simulated RDMA fabric.
 //
 // Substitutes for the paper's InfiniBand cluster + libibverbs. Endpoints are
-// nodes with N-shard CPUs (sim::CpuWorker); the fabric models
+// nodes with single-core CPUs (sim::CpuWorker); the fabric models
 //   - per-message one-way wire latency,
 //   - per-byte link bandwidth with egress serialization (a NIC pushes one
 //     message at a time),
@@ -143,11 +143,10 @@ class Fabric {
       kTwoSided,    // charge server_recv_ns on dst, run handler
       kWriteApply,  // run apply as NIC DMA, then schedule the ack
       kReadServe,   // run fetch as NIC DMA, then send the response
-      kCompletion,  // run on_complete on the issuing node/shard
+      kCompletion,  // run on_complete on the issuing node
     };
     Kind kind = Kind::kTwoSided;
     NodeId peer = 0;        // issuer (kWriteApply/kReadServe) / poller (kCompletion)
-    uint32_t peer_shard = 0;  // issuing CPU shard for the completion
     // Node whose action caused this delivery (for a completion: the remote
     // node that generated the ack/response). Feeds the MC tagger's
     // happens-before bookkeeping; unused without one.
@@ -168,7 +167,6 @@ class Fabric {
   Departure Depart(NodeId src, NodeId dst, uint64_t payload_bytes);
 
   std::unique_ptr<analysis::VectorClock> CaptureEdge();
-  uint32_t IssuerShard(NodeId src) const;
 
   static constexpr uint64_t PairKey(NodeId at, NodeId from) {
     return (static_cast<uint64_t>(at) << 32) | from;
@@ -184,7 +182,7 @@ class Fabric {
   void Process(NodeId dst, Pending& p);
 
   // Terminal leg of a two-sided delivery: re-checks liveness/pause and
-  // charges the receive cost on the destination's RSS shard. Re-defers
+  // charges the receive cost on the destination's CPU. Re-defers
   // itself while the receiver is paused (the injector flushes at resume).
   void DeliverTwoSided(NodeId dst, Pending& p);
 

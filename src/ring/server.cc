@@ -268,10 +268,6 @@ RingServer::RouteAction RingServer::RouteKey(const HashedKey& key,
   return act;
 }
 
-uint32_t RingServer::HomeShardForKey(const HashedKey& key) {
-  return cpu().ShardForHash(key.Shard(config_.num_shards()));
-}
-
 template <typename Reply>
 void RingServer::ReplyToClient(net::NodeId client, uint64_t req_id,
                                uint64_t bytes, Reply reply) {
@@ -352,9 +348,8 @@ void RingServer::HandlePut(PutRequest req) {
     cost += (info->desc.r - 1) * p.post_send_ns;
   }
   const uint64_t op_id = req.op_id;
-  const uint32_t home = HomeShardForKey(req.key);
-  const sim::SimTime done = cpu().ExecuteOnShard(
-      home, cost, [this, req = std::move(req), info]() mutable {
+  const sim::SimTime done = cpu().Execute(
+      cost, [this, req = std::move(req), info]() mutable {
     obs::ScopedOp op_scope(hub(), req.op_id);
     if (!IsAlive() || !serving_) {
       return;
@@ -617,10 +612,7 @@ void RingServer::HandleReplicaAppend(ReplicaAppend msg) {
   const uint64_t cost = p.replica_base_ns +
                         static_cast<uint64_t>(p.mem_byte_ns * msg.len) +
                         p.post_send_ns;
-  // Home by the shard id the mirror store is keyed under: every append for
-  // a given replica store lands on the same CPU shard.
-  const uint32_t home = cpu().ShardForHash(msg.shard);
-  cpu().ExecuteOnShard(home, cost, [this, msg = std::move(msg)]() mutable {
+  cpu().Execute(cost, [this, msg = std::move(msg)]() mutable {
     obs::ScopedOp op_scope(hub(), msg.op_id);
     if (!IsAlive()) {
       return;
@@ -696,13 +688,8 @@ void RingServer::HandleParityUpdate(ParityUpdate msg) {
   const uint64_t coding_cost = static_cast<uint64_t>(p.gf_byte_ns * msg.len);
   const uint64_t cost = p.parity_base_ns + coding_cost + p.post_send_ns;
   const uint64_t op_id = msg.op_id;
-  // Home by parity group: GF accumulation into one parity strip buffer is
-  // serialized on a single CPU shard (updates for different groups of the
-  // stripe may run on different shards).
-  const uint32_t geom_pre = msg.geom_s == 0 ? config_.s : msg.geom_s;
-  const uint32_t home = cpu().ShardForHash(msg.shard / geom_pre);
-  const sim::SimTime done = cpu().ExecuteOnShard(
-      home, cost, [this, msg = std::move(msg)]() mutable {
+  const sim::SimTime done = cpu().Execute(
+      cost, [this, msg = std::move(msg)]() mutable {
     obs::ScopedOp op_scope(hub(), msg.op_id);
     if (!IsAlive()) {
       return;
@@ -814,10 +801,8 @@ void RingServer::ApplyAck(const Ack& msg) {
              EntryWord(msg.key, msg.version) + msg.ordinal + 1,
              "ack/deposit");
   // The coordinator only touches the payload after polling the completion
-  // word: an acquire edge into this CPU's clock — the shard that homes the
-  // key's writes (it polls its own completion ring).
-  analysis::ScopedCpuAcquire acquire(rt_->simulator().race(), id_,
-                                     cpu().ShardForHash(msg.shard));
+  // word: an acquire edge into this CPU's clock.
+  analysis::ScopedCpuAcquire acquire(rt_->simulator().race(), id_);
   {
     const MemgestInfo* info = rt_->registry().Get(msg.memgest);
     if (info == nullptr) {
@@ -995,13 +980,9 @@ void RingServer::HandleGcNotice(GcNotice msg) {
   auto it = memgests_.find(msg.memgest);
   MemgestState* state = it == memgests_.end() ? nullptr : &it->second;
   if (state != nullptr) {
-    // Each erase acquires on the CPU shard that owns the touched table
-    // (mirror stores home by shard id, parity metadata by group), matching
-    // the homing of the writers that populate them.
     if (ShardStore* store = state->stores.Find(GeomKey(geom, msg.shard));
         store != nullptr) {
-      analysis::ScopedCpuAcquire acquire(rt_->simulator().race(), id_,
-                                         cpu().ShardForHash(msg.shard));
+      analysis::ScopedCpuAcquire acquire(rt_->simulator().race(), id_);
       NoteAccess(RegionKind::kMetadata, AccessKind::kWrite,
                  ScopeOf(msg.memgest, msg.shard), msg.key.hash(),
                  msg.key.hash() + 1, "gc_notice/meta");
@@ -1013,8 +994,7 @@ void RingServer::HandleGcNotice(GcNotice msg) {
         git != state->parity.end()) {
       auto pit = git->second.shard_meta.find(msg.shard);
       if (pit != git->second.shard_meta.end()) {
-        analysis::ScopedCpuAcquire acquire(rt_->simulator().race(), id_,
-                                           cpu().ShardForHash(group));
+        analysis::ScopedCpuAcquire acquire(rt_->simulator().race(), id_);
         NoteAccess(RegionKind::kMetadata, AccessKind::kWrite,
                    ParityMetaScope(msg.memgest, msg.shard), msg.key.hash(),
                    msg.key.hash() + 1, "gc_notice/parity_meta");
@@ -1094,11 +1074,8 @@ void RingServer::HandleGet(GetRequest req) {
     return;
   }
   obs::ScopedOp scope(hub(), req.op_id);
-  // Hoisted: the capture below moves `req`, and argument evaluation order
-  // would otherwise let the move gut req.key before it is hashed.
-  const uint32_t home = HomeShardForKey(req.key);
-  cpu().ExecuteOnShard(home, rt_->simulator().params().server_base_ns,
-                       [this, req = std::move(req)]() mutable {
+  cpu().Execute(rt_->simulator().params().server_base_ns,
+                [this, req = std::move(req)]() mutable {
     obs::ScopedOp op_scope(hub(), req.op_id);
     if (!IsAlive() || !serving_) {
       return;
@@ -1274,10 +1251,8 @@ void RingServer::CopyForGet(const MemgestInfo& info, uint32_t shard,
   const uint64_t addr = entry.addr;
   const uint32_t len = entry.len;
   const Version version = entry.version;
-  // Hoisted: the capture below moves `req`.
-  const uint32_t home = HomeShardForKey(req.key);
-  cpu().ExecuteOnShard(
-      home, cost,
+  cpu().Execute(
+      cost,
       [this, info_ptr = &info, shard, geom_s, addr, len, version,
        req = std::move(req)]() mutable {
     obs::ScopedOp read_scope(hub(), req.op_id);
@@ -1320,11 +1295,8 @@ void RingServer::HandleMove(MoveRequest req) {
     return;
   }
   obs::ScopedOp scope(hub(), req.op_id);
-  // Hoisted: the capture below moves `req`, and argument evaluation order
-  // would otherwise let the move gut req.key before it is hashed.
-  const uint32_t home = HomeShardForKey(req.key);
-  cpu().ExecuteOnShard(home, rt_->simulator().params().server_base_ns,
-                       [this, req = std::move(req)]() mutable {
+  cpu().Execute(rt_->simulator().params().server_base_ns,
+                [this, req = std::move(req)]() mutable {
     obs::ScopedOp op_scope(hub(), req.op_id);
     if (!IsAlive() || !serving_) {
       return;
@@ -1434,10 +1406,9 @@ void RingServer::HandleMove(MoveRequest req) {
               dst->erasure_coded()
                   ? static_cast<uint64_t>(p.gf_byte_ns * e->len)
                   : 0;
-          const uint32_t home = HomeShardForKey(req.key);
-          const sim::SimTime move_done = cpu().ExecuteOnShard(
-              home, cost, [this, src, dst, shard, geom, addr, len, src_version,
-                           req = std::move(req)]() mutable {
+          const sim::SimTime move_done = cpu().Execute(
+              cost, [this, src, dst, shard, geom, addr, len, src_version,
+                     req = std::move(req)]() mutable {
             obs::ScopedOp write_scope(hub(), req.op_id);
             if (!IsAlive() || !serving_) {
               return;
@@ -1490,11 +1461,8 @@ void RingServer::HandleDelete(DeleteRequest req) {
     return;
   }
   obs::ScopedOp scope(hub(), req.op_id);
-  // Hoisted: the capture below moves `req`, and argument evaluation order
-  // would otherwise let the move gut req.key before it is hashed.
-  const uint32_t home = HomeShardForKey(req.key);
-  cpu().ExecuteOnShard(home, rt_->simulator().params().server_base_ns,
-                       [this, req = std::move(req)]() mutable {
+  cpu().Execute(rt_->simulator().params().server_base_ns,
+                [this, req = std::move(req)]() mutable {
     obs::ScopedOp op_scope(hub(), req.op_id);
     if (!IsAlive() || !serving_) {
       return;

@@ -650,14 +650,6 @@ class RingServer {
   void SendToSlot(uint32_t slot_index, uint64_t bytes, sim::Task fn);
   void SendToNode(net::NodeId node, uint64_t bytes, sim::Task fn);
 
-  // CPU-shard homing (cores_per_node > 1). Client operations on a key run
-  // on the shard derived from the key's current-shape shard id, so each
-  // coordinator-owned ShardStore is touched by exactly one CPU shard.
-  // Backup-side work homes on the ids carried by the message instead
-  // (replica appends by shard, parity updates by group) — see the handlers.
-  // With one core everything maps to shard 0.
-  uint32_t HomeShardForKey(const HashedKey& key);
-
   // At-most-once execution of client mutations. ClaimClientOp returns true
   // exactly once per (client, req_id): the caller may execute the operation.
   // On a duplicate whose reply was already produced, the recorded reply is

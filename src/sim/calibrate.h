@@ -9,8 +9,8 @@
 //
 // Calibration is strictly opt-in: default SimParams are untouched, so
 // figure outputs stay byte-identical unless a caller asks for
-// Calibrated(...) — `ringctl calibrate` prints the measurement, and
-// `ringctl latency/throughput --calibrate` apply it.
+// Calibrated(...) — `ringctl calibrate` prints the measurement and the
+// constants derived from it.
 #ifndef RING_SRC_SIM_CALIBRATE_H_
 #define RING_SRC_SIM_CALIBRATE_H_
 

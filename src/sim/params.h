@@ -35,17 +35,6 @@ struct SimParams {
   uint64_t wire_message_overhead_bytes = 64;
 
   // --- Server CPU (single-threaded event loop) ---
-  // CPU shards per node. 1 (the default) reproduces the paper's
-  // single-threaded servers and keeps every figure byte-identical; larger
-  // values model multi-core servers: request handling is homed onto a
-  // deterministic shard per key/store (RingServer::HomeShard), two-sided
-  // receives land on an RSS-style flow shard, and posting work across
-  // shards is an explicit handoff costing cross_shard_handoff_ns.
-  // Must be fixed before constructing the Fabric.
-  uint32_t cores_per_node = 1;
-  // Cost a shard pays to accept work posted by a different shard of the
-  // same node (wakeup + queue transfer). Never charged with one core.
-  uint64_t cross_shard_handoff_ns = 80;
   // Fixed cost to handle any incoming request (dispatch, parsing).
   uint64_t server_recv_ns = 300;
   // Fixed cost of request bookkeeping (hashtable ops, version logic).
@@ -92,8 +81,7 @@ struct SimParams {
   // ops before promoting the spare. Reconfiguration then completes in
   // microseconds of sim time instead of riding detection_window_ns /
   // election_window_ns; the heartbeat slow path stays armed as the backstop.
-  // Off (the default) keeps every schedule byte-identical to the seed, like
-  // cores_per_node == 1.
+  // Off (the default) keeps every schedule byte-identical to the seed.
   bool fast_failover = false;
 
   // --- Client retry policy (chaos hardening) ---

@@ -20,24 +20,11 @@ void Simulator::RunUntil(SimTime t) {
   }
 }
 
-SimTime CpuWorker::ExecuteOnShard(uint32_t shard, uint64_t cost_ns, Task fn) {
-  Shard& core = shards_[shard];
+SimTime CpuWorker::Execute(uint64_t cost_ns, Task fn) {
   obs::Hub& hub = sim_->hub();
-  const Simulator::ExecContext& exec = sim_->exec();
-  if (shards_.size() > 1 && exec.node == static_cast<int32_t>(node_) &&
-      exec.shard != shard) {
-    // Explicit cross-shard handoff (Envoy-style post between workers): the
-    // target shard pays the wakeup/queue cost on top of the item itself.
-    cost_ns += sim_->params().cross_shard_handoff_ns;
-    ++handoffs_;
-    if (hub.metrics_enabled()) {
-      hub.metrics().Inc("cpu.handoffs", 1, node_);
-    }
-  }
-  const SimTime start =
-      core.busy_until > sim_->now() ? core.busy_until : sim_->now();
-  core.busy_until = start + cost_ns;
-  core.consumed += cost_ns;
+  const SimTime start = busy_until_ > sim_->now() ? busy_until_ : sim_->now();
+  busy_until_ = start + cost_ns;
+  consumed_ += cost_ns;
   if (hub.tracing_enabled()) {
     const uint64_t op = hub.current_op();
     if (start > sim_->now()) {
@@ -46,7 +33,7 @@ SimTime CpuWorker::ExecuteOnShard(uint32_t shard, uint64_t cost_ns, Task fn) {
     }
     if (cost_ns > 0) {
       hub.tracer().Record("cpu", obs::Category::kCpu, node_, op, start,
-                          core.busy_until);
+                          busy_until_);
     }
   }
   if (hub.metrics_enabled()) {
@@ -55,18 +42,10 @@ SimTime CpuWorker::ExecuteOnShard(uint32_t shard, uint64_t cost_ns, Task fn) {
       hub.metrics().Observe("cpu.queue_wait_ns", start - sim_->now(), node_);
     }
     hub.metrics().SetGauge("cpu.backlog_ns",
-                           static_cast<int64_t>(core.busy_until - sim_->now()),
+                           static_cast<int64_t>(busy_until_ - sim_->now()),
                            node_);
-    if (shards_.size() > 1) {
-      // Per-shard utilization feed for `ringctl simstats`; keyed by a
-      // synthetic (node * shards + shard) id. Only emitted with real
-      // sharding so single-core metric output stays byte-identical.
-      hub.metrics().Inc(
-          "cpu.shard_busy_ns", cost_ns,
-          node_ * static_cast<uint32_t>(shards_.size()) + shard);
-    }
   }
-  // Race detection: the deferred item runs on this shard; the edge from the
+  // Race detection: the deferred item runs on this CPU; the edge from the
   // enqueuing context (captured now) orders it after its cause.
   Completion completion;
   completion.fn = std::move(fn);
@@ -74,67 +53,39 @@ SimTime CpuWorker::ExecuteOnShard(uint32_t shard, uint64_t cost_ns, Task fn) {
   if (race != nullptr) {
     completion.edge = race->CaptureEdge();
   }
-  core.fifo.push_back(std::move(completion));
-  // Thin event: the payload stays in the FIFO. Completions for one shard
-  // are scheduled with nondecreasing times in seq order, so the queue fires
-  // them front-first.
-  sim_->At(core.busy_until,
-           [this, shard, generation = generation_] {
-             RunCompletion(shard, generation);
-           });
-  return core.busy_until;
+  fifo_.push_back(std::move(completion));
+  // Thin event: the payload stays in the FIFO. Completions are scheduled
+  // with nondecreasing times in seq order, so the queue fires them
+  // front-first.
+  sim_->At(busy_until_, [this, generation = generation_] {
+    RunCompletion(generation);
+  });
+  return busy_until_;
 }
 
-void CpuWorker::RunCompletion(uint32_t shard, uint64_t generation) {
+void CpuWorker::RunCompletion(uint64_t generation) {
   if (generation != generation_) {
     return;  // Reset() cancelled everything scheduled under the old epoch
   }
-  Shard& core = shards_[shard];
-  Completion completion = std::move(core.fifo.front());
-  core.fifo.pop_front();
+  Completion completion = std::move(fifo_.front());
+  fifo_.pop_front();
   analysis::ScopedCpuTask task(
       sim_->race(), node_,
-      completion.edge.has_value() ? &*completion.edge : nullptr, shard);
+      completion.edge.has_value() ? &*completion.edge : nullptr);
   // Wrap the completion so RING_LOG lines emitted by the work item carry
-  // the node they ran on, and so fabric verbs it posts attribute to this
-  // shard.
-  const Simulator::ExecContext prev = sim_->exec();
-  sim_->set_exec({static_cast<int32_t>(node_), shard});
+  // the node they ran on.
   SetLogNode(static_cast<int32_t>(node_));
   if (completion.fn) {
     completion.fn();
   }
   SetLogNode(kLogNoNode);
-  sim_->set_exec(prev);
-}
-
-uint64_t CpuWorker::consumed_ns() const {
-  uint64_t total = 0;
-  for (const Shard& core : shards_) {
-    total += core.consumed;
-  }
-  return total;
-}
-
-uint64_t CpuWorker::backlog_ns() const {
-  uint64_t worst = 0;
-  for (const Shard& core : shards_) {
-    if (core.busy_until > sim_->now()) {
-      worst = worst > core.busy_until - sim_->now()
-                  ? worst
-                  : core.busy_until - sim_->now();
-    }
-  }
-  return worst;
 }
 
 void CpuWorker::Reset() {
   ++generation_;
-  for (Shard& core : shards_) {
-    core.busy_until = 0;
-    core.consumed = 0;
-    core.fifo.clear();
-  }
+  busy_until_ = 0;
+  consumed_ = 0;
+  fifo_.clear();
 }
 
 }  // namespace ring::sim

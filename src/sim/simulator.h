@@ -1,4 +1,4 @@
-// Simulator: the event queue plus per-node N-shard CPU models.
+// Simulator: the event queue plus one single-core CPU model per node.
 #ifndef RING_SRC_SIM_SIMULATOR_H_
 #define RING_SRC_SIM_SIMULATOR_H_
 
@@ -6,7 +6,6 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "src/analysis/race.h"
 #include "src/common/rng.h"
@@ -25,9 +24,6 @@ class Simulator {
     // The hub's windowing layer and flight recorder timestamp off the event
     // queue; the clock captures `this`, so the simulator must stay put.
     hub_.SetClock([this] { return queue_.now(); });
-    if (race_ != nullptr) {
-      race_->SetCoresPerNode(params_.cores_per_node);
-    }
   }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -61,17 +57,6 @@ class Simulator {
   uint64_t events_executed() const { return queue_.executed(); }
   EventQueue& queue() { return queue_; }
 
-  // Which (node, CPU shard) is currently executing a deferred work item;
-  // node is -1 between completions. Maintained by CpuWorker so the fabric
-  // can attribute newly posted verbs to the issuing shard.
-  struct ExecContext {
-    int32_t node = -1;
-    uint32_t shard = 0;
-  };
-  const ExecContext& exec() const { return exec_; }
-  // Internal: CpuWorker scopes the context around each completion.
-  void set_exec(const ExecContext& ctx) { exec_ = ctx; }
-
   // Per-simulation observability: metrics + tracer + current-op context.
   // Owned here so parallel test simulations stay isolated.
   obs::Hub& hub() { return hub_; }
@@ -87,7 +72,6 @@ class Simulator {
   void EnableRaceDetection() {
     if (race_ == nullptr) {
       race_ = std::make_unique<analysis::RaceDetector>();
-      race_->SetCoresPerNode(params_.cores_per_node);
     }
   }
 
@@ -96,69 +80,38 @@ class Simulator {
   Rng rng_;
   SimParams params_;
   obs::Hub hub_;
-  ExecContext exec_;
   std::unique_ptr<analysis::RaceDetector> race_;
 };
 
-// Models one server's CPU as `shards` independent cores (default 1, the
-// paper's single-threaded servers): work items execute FIFO per shard, each
-// consuming CPU time; callers observe completion when their item's cost has
-// been "burned". Saturation behaviour (Figs. 9 and 11) falls out of the
+// Models one server's CPU as a single core, like the paper's
+// single-threaded servers: work items execute FIFO, each consuming CPU
+// time; callers observe completion when their item's cost has been
+// "burned". Saturation behaviour (Figs. 9 and 11) falls out of the
 // busy-until bookkeeping.
 //
-// Shard selection is the caller's: protocol code homes each key's work onto
-// a deterministic shard (see RingServer::HomeShard) so per-store state stays
-// single-shard and the race detector stays quiet. Posting work from one
-// shard onto another is an explicit handoff: it costs an extra
-// `cross_shard_handoff_ns` and is counted, mirroring the post()-style
-// dispatch between Envoy workers.
-//
-// Completion callbacks live in a per-shard FIFO here rather than inside the
-// scheduled events: the event carries only {worker, shard, generation}, so
-// big protocol captures are stored once, and Reset() can cancel every
-// not-yet-run completion by bumping the generation.
+// Completion callbacks live in a FIFO here rather than inside the scheduled
+// events: the event carries only {worker, generation}, so big protocol
+// captures are stored once, and Reset() can cancel every not-yet-run
+// completion by bumping the generation.
 class CpuWorker {
  public:
-  explicit CpuWorker(Simulator* simulator, uint32_t node = 0,
-                     uint32_t shards = 1)
-      : sim_(simulator), node_(node),
-        shards_(shards == 0 ? 1 : shards) {}
+  explicit CpuWorker(Simulator* simulator, uint32_t node = 0)
+      : sim_(simulator), node_(node) {}
 
-  // Enqueues a work item costing `cost_ns` on shard 0 (the single-core
-  // fast path); `fn` runs when it completes (an empty Task just burns the
-  // cost). Returns the completion time.
-  SimTime Execute(uint64_t cost_ns, Task fn) {
-    return ExecuteOnShard(0, cost_ns, std::move(fn));
-  }
-  SimTime ExecuteOnShard(uint32_t shard, uint64_t cost_ns, Task fn);
+  // Enqueues a work item costing `cost_ns`; `fn` runs when it completes (an
+  // empty Task just burns the cost). Returns the completion time.
+  SimTime Execute(uint64_t cost_ns, Task fn);
 
-  uint32_t shard_count() const {
-    return static_cast<uint32_t>(shards_.size());
-  }
-  // Deterministic home shard for a key hash.
-  uint32_t ShardForHash(uint64_t hash) const {
-    return shards_.size() == 1
-               ? 0
-               : static_cast<uint32_t>(hash % shards_.size());
+  // Time at which the core goes idle.
+  SimTime busy_until() const { return busy_until_; }
+  // Total CPU time consumed so far (for utilization).
+  uint64_t consumed_ns() const { return consumed_; }
+  // Work currently queued ahead of a new arrival.
+  uint64_t backlog_ns() const {
+    return busy_until_ > sim_->now() ? busy_until_ - sim_->now() : 0;
   }
 
-  // Time at which shard 0 goes idle (legacy single-core view), or a given
-  // shard. ExecuteOnShard's return value is the per-item completion time.
-  SimTime busy_until() const { return shards_[0].busy_until; }
-  SimTime busy_until(uint32_t shard) const {
-    return shards_[shard].busy_until;
-  }
-  // Total CPU time consumed so far, summed over shards (for utilization).
-  uint64_t consumed_ns() const;
-  uint64_t consumed_ns(uint32_t shard) const {
-    return shards_[shard].consumed;
-  }
-  // Work currently queued ahead of a new arrival (worst shard).
-  uint64_t backlog_ns() const;
-  // Cross-shard posts observed (always 0 with one shard).
-  uint64_t handoffs() const { return handoffs_; }
-
-  // Zeroes all shard state and cancels every scheduled-but-not-run
+  // Zeroes the core's state and cancels every scheduled-but-not-run
   // completion: each scheduled event carries the generation it was issued
   // under and no-ops when it no longer matches.
   void Reset();
@@ -170,19 +123,15 @@ class CpuWorker {
     Task fn;
     std::optional<analysis::VectorClock> edge;
   };
-  struct Shard {
-    SimTime busy_until = 0;
-    uint64_t consumed = 0;
-    std::deque<Completion> fifo;
-  };
 
-  void RunCompletion(uint32_t shard, uint64_t generation);
+  void RunCompletion(uint64_t generation);
 
   Simulator* sim_;
   uint32_t node_ = 0;
   uint64_t generation_ = 0;
-  uint64_t handoffs_ = 0;
-  std::vector<Shard> shards_;
+  SimTime busy_until_ = 0;
+  uint64_t consumed_ = 0;
+  std::deque<Completion> fifo_;
 };
 
 }  // namespace ring::sim

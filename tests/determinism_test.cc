@@ -26,13 +26,11 @@ struct RunOutput {
 // across object sizes 2^4..2^11, with seeded random pacing — the shape of
 // the fig7 latency workload, shrunk to test size.
 RunOutput RunFig7StyleWorkload(bool analyze_races, bool telemetry = false,
-                               uint32_t cores_per_node = 1,
                                bool fast_failover = false) {
   RingOptions options;
   options.seed = 42;
   options.clients = 2;
   options.analyze_races = analyze_races;
-  options.params.cores_per_node = cores_per_node;
   options.params.fast_failover = fast_failover;
   RingCluster cluster(options);
   obs::Hub& hub = cluster.simulator().hub();
@@ -108,7 +106,7 @@ TEST(DeterminismTest, IdleFastFailoverDoesNotPerturbTheSchedule) {
   const RunOutput off = RunFig7StyleWorkload(/*analyze_races=*/false);
   const RunOutput armed =
       RunFig7StyleWorkload(/*analyze_races=*/false, /*telemetry=*/false,
-                           /*cores_per_node=*/1, /*fast_failover=*/true);
+                           /*fast_failover=*/true);
   EXPECT_EQ(off.metrics, armed.metrics);
   EXPECT_EQ(off.trace, armed.trace);
   EXPECT_EQ(off.trace_summary, armed.trace_summary);
@@ -133,26 +131,6 @@ TEST(DeterminismTest, TelemetryPipelineDoesNotPerturbTheSchedule) {
   EXPECT_EQ(off.metrics, on.metrics);
   EXPECT_EQ(off.trace, on.trace);
   EXPECT_EQ(off.trace_summary, on.trace_summary);
-}
-
-TEST(DeterminismTest, MultiCoreCpuModelIsDeterministicAndRaceFree) {
-  // cores_per_node=2 routes server work through per-key shard homing. Two
-  // runs must agree byte-for-byte, and a third run under the race detector
-  // must stay quiet (shard homing keeps per-store state single-shard) while
-  // perturbing nothing.
-  const RunOutput first =
-      RunFig7StyleWorkload(/*analyze_races=*/false, /*telemetry=*/false,
-                           /*cores_per_node=*/2);
-  const RunOutput second =
-      RunFig7StyleWorkload(/*analyze_races=*/false, /*telemetry=*/false,
-                           /*cores_per_node=*/2);
-  EXPECT_EQ(first.metrics, second.metrics);
-  EXPECT_EQ(first.trace, second.trace);
-  const RunOutput observed =
-      RunFig7StyleWorkload(/*analyze_races=*/true, /*telemetry=*/false,
-                           /*cores_per_node=*/2);
-  EXPECT_EQ(first.metrics, observed.metrics);
-  EXPECT_EQ(first.trace, observed.trace);
 }
 
 }  // namespace

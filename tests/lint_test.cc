@@ -146,6 +146,19 @@ TEST(LintRulesTest, UseAfterMoveFires) {
   ASSERT_EQ(f.size(), 1u) << FormatFindings(f);
   EXPECT_EQ(f[0].rule, "use-after-move");
   EXPECT_EQ(f[0].line, 2);
+  // A capture-init move races a sibling argument that reads the same
+  // object: argument evaluation order is unspecified, so the read may see
+  // a moved-from key.
+  const auto g = LintSnippet(
+      "void F(Req req) {\n"
+      "  Post(Home(req.key), cost,\n"
+      "       [this, req = std::move(req)]() mutable {\n"
+      "    Handle(req);\n"
+      "  });\n"
+      "}\n");
+  ASSERT_EQ(g.size(), 1u) << FormatFindings(g);
+  EXPECT_EQ(g[0].rule, "use-after-move");
+  EXPECT_EQ(g[0].line, 3);
 }
 
 TEST(LintRulesTest, UseAfterMoveHoistedReadIsFine) {

@@ -442,48 +442,6 @@ TEST(CpuWorkerTest, ResetCancelsScheduledCompletions) {
   EXPECT_EQ(cpu.consumed_ns(), 100u);  // only the post-reset item counts
 }
 
-TEST(CpuWorkerTest, ShardsRunInParallel) {
-  Simulator simulator;
-  CpuWorker cpu(&simulator, /*node=*/0, /*shards=*/2);
-  std::vector<SimTime> done;
-  cpu.ExecuteOnShard(0, 100, [&] { done.push_back(simulator.now()); });
-  cpu.ExecuteOnShard(1, 100, [&] { done.push_back(simulator.now()); });
-  simulator.Run();
-  // Independent cores: both items finish at 100, not serialized to 200.
-  EXPECT_EQ(done, (std::vector<SimTime>{100, 100}));
-  EXPECT_EQ(cpu.consumed_ns(), 200u);
-  EXPECT_EQ(cpu.consumed_ns(0), 100u);
-  EXPECT_EQ(cpu.consumed_ns(1), 100u);
-  EXPECT_EQ(cpu.shard_count(), 2u);
-  EXPECT_EQ(cpu.handoffs(), 0u);
-}
-
-TEST(CpuWorkerTest, CrossShardHandoffIsCountedAndCosted) {
-  Simulator simulator;
-  CpuWorker cpu(&simulator, /*node=*/0, /*shards=*/2);
-  SimTime handed_off_done = 0;
-  cpu.ExecuteOnShard(0, 100, [&] {
-    // Running on shard 0, posting to shard 1: an explicit handoff that
-    // pays the wakeup cost on top of the item itself.
-    cpu.ExecuteOnShard(1, 100, [&] { handed_off_done = simulator.now(); });
-  });
-  simulator.Run();
-  EXPECT_EQ(cpu.handoffs(), 1u);
-  EXPECT_EQ(handed_off_done,
-            200 + simulator.params().cross_shard_handoff_ns);
-}
-
-TEST(CpuWorkerTest, ShardForHashIsStableAndInRange) {
-  Simulator simulator;
-  CpuWorker single(&simulator);
-  CpuWorker multi(&simulator, /*node=*/1, /*shards=*/4);
-  for (uint64_t h : {0ull, 1ull, 12345ull, ~0ull}) {
-    EXPECT_EQ(single.ShardForHash(h), 0u);
-    EXPECT_LT(multi.ShardForHash(h), 4u);
-    EXPECT_EQ(multi.ShardForHash(h), multi.ShardForHash(h));
-  }
-}
-
 }  // namespace
 }  // namespace ring::sim
 

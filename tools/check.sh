@@ -18,7 +18,7 @@
 #   tools/check.sh --membership  # elastic membership: unit + chaos seeds
 #                             # plain and ASan, rebalance bench, ringctl
 #                             # cluster smoke
-#   tools/check.sh --perf     # simulator fast path: scheduler/pool/shard
+#   tools/check.sh --perf     # simulator fast path: scheduler/pool/CPU
 #                             # unit tests, sim_core quick bench, simstats
 #                             # smoke
 #   tools/check.sh --mc       # schedule-space model checker: mc_test (DPOR,
@@ -142,12 +142,12 @@ if [[ "${MODE}" == "--perf" ]]; then
   echo "== perf: build simulator fast-path targets =="
   cmake -B build -S . "${LAUNCHER_ARGS[@]}" >/dev/null
   cmake --build build -j "${JOBS}" --target sim_test sim_core ringctl
-  echo "== perf: scheduler/pool/shard unit tests =="
+  echo "== perf: scheduler/pool/CPU unit tests =="
   ./build/tests/sim_test
   echo "== perf: sim_core quick bench =="
   ./build/bench/sim_core --quick | tee /tmp/BENCH_sim.json
   echo "== perf: ringctl simstats smoke =="
-  ./build/tools/ringctl simstats --reps=200 --cores-per-node=2 >/dev/null
+  ./build/tools/ringctl simstats --reps=200 >/dev/null
   echo "check.sh: perf suite passed"
   exit 0
 fi

@@ -1,23 +1,23 @@
 // ringctl: command-line driver for ad-hoc experiments on a simulated Ring
-// deployment. Everything the figure harnesses hard-code is a flag here, so
-// downstream users can probe their own configurations:
+// deployment. tools/ringctl_smoke.sh runs every example below at test size
+// in tier-1, and DESIGN.md §18 names what exercises each flag:
 //
 //   ringctl latency    --scheme=srs32 --size=4096 --reps=2000
 //   ringctl throughput --scheme=rep3 --clients=4 --rate=400000 --groups=5
 //   ringctl recover    --scheme=srs32 --entries=5000 --victim=1
-//   ringctl reliability --k=3 --m=2 --stretch=6
+//   ringctl reliability --stretch=6
 //   ringctl schemes    --shards=4 --redundant=3
 //   ringctl stats      --scheme=srs32 --reps=500 [--json|--prom]
-//   ringctl simstats   --scheme=rep3 --reps=2000 --cores-per-node=2
+//   ringctl simstats   --scheme=rep3 --reps=2000
 //   ringctl trace      --scheme=srs32 --trace_out=trace.json
-//   ringctl autotier   --scheme=rep3 --cold-scheme=srs32 --keys=240
+//   ringctl autotier   --scheme=rep3 --keys=240
 //   ringctl calibrate  --json
 //   ringctl chaos      --scheme=rep3 --seed=5 --plan="crash node=1 at=5ms"
-//   ringctl watch      --scheme=rep3 --seed=5 --window-us=1000
-//   ringctl report     --scheme=rep3 --seed=5 --report-events=12
+//   ringctl watch      --scheme=rep3 --seed=5
+//   ringctl report     --scheme=rep3 --seed=5
 //   ringctl mc         --scenario=wedged-write --spec-out=ce.mcspec
 //   ringctl mc         --replay=ce.mcspec
-//   ringctl cluster status --shards=6 --spares=2
+//   ringctl cluster status --shards=6
 //   ringctl cluster add    --scheme=srs32 --count=2 --keys=500
 //   ringctl cluster remove --scheme=rep3 --keys=500
 //
@@ -38,8 +38,7 @@
 // violation is shrunk to a minimal spec file that `--replay` reproduces
 // byte-identically.
 //
-// Commands can also be selected with --mode=<command>, and any
-// latency/trace run can emit a Chrome trace_event file via
+// Any latency/trace run can emit a Chrome trace_event file via
 // --trace_out=<file> (open it in chrome://tracing or ui.perfetto.dev).
 #include <algorithm>
 #include <chrono>
@@ -51,7 +50,6 @@
 
 #include "src/common/flags.h"
 #include "src/common/hash.h"
-#include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/fault/fault.h"
@@ -92,26 +90,8 @@ Result<MemgestDescriptor> SchemeFromName(const std::string& name) {
       "'");
 }
 
-// Applies host calibration (measured GF kernel throughput) to the simulated
-// coding cost model when --calibrate is set. Opt-in: without the flag the
-// defaults — and therefore all figure outputs — are untouched.
-void MaybeCalibrate(FlagSet& flags, sim::SimParams& params) {
-  if (!flags.GetBool("calibrate")) {
-    return;
-  }
-  const auto cal = sim::MeasureCodingThroughput();
-  const sim::SimParams calibrated = sim::Calibrated(params, cal);
-  std::printf(
-      "calibrated coding cost model (%s kernels): gf_byte_ns %.3f -> %.4f, "
-      "decode_byte_ns %.3f -> %.4f\n",
-      gf::RegionImplName(cal.impl), params.gf_byte_ns, calibrated.gf_byte_ns,
-      params.decode_byte_ns, calibrated.decode_byte_ns);
-  params = calibrated;
-}
-
 int RunCalibrate(FlagSet& flags) {
-  const size_t block = static_cast<size_t>(flags.GetInt("block"));
-  const auto cal = sim::MeasureCodingThroughput(block);
+  const auto cal = sim::MeasureCodingThroughput();
   const sim::SimParams base;
   const sim::SimParams derived = sim::Calibrated(base, cal);
   if (flags.GetBool("json")) {
@@ -144,8 +124,6 @@ int RunCalibrate(FlagSet& flags) {
               base.decode_byte_ns);
   std::printf("  gf_byte_ns     = %.6f\n", derived.gf_byte_ns);
   std::printf("  decode_byte_ns = %.6f\n", derived.decode_byte_ns);
-  std::printf(
-      "apply with --calibrate on `ringctl latency|throughput|recover`\n");
   return 0;
 }
 
@@ -191,7 +169,6 @@ int RunLatency(FlagSet& flags) {
   o.groups = static_cast<uint32_t>(flags.GetInt("groups"));
   o.seed = static_cast<uint64_t>(flags.GetInt("seed"));
   o.params.wire_jitter_ns = 400;
-  MaybeCalibrate(flags, o.params);
   RingCluster cluster(o);
   auto g = cluster.CreateMemgest(*desc);
   if (!g.ok()) {
@@ -325,9 +302,7 @@ int RunStats(FlagSet& flags) {
 
 // `ringctl simstats`: scheduler-core telemetry for a seeded closed-loop
 // put/get mix — wall-clock event throughput, queue depth high-water, task
-// pool hit rate, and per-shard CPU utilization. `--cores-per-node > 1`
-// routes server work through per-key shard homing, which the utilization
-// table then shows spreading across shards.
+// pool hit rate, and per-node CPU utilization.
 int RunSimstats(FlagSet& flags) {
   auto desc = SchemeFromName(flags.GetString("scheme"));
   if (!desc.ok()) {
@@ -339,8 +314,6 @@ int RunSimstats(FlagSet& flags) {
   o.d = static_cast<uint32_t>(flags.GetInt("redundant"));
   o.groups = static_cast<uint32_t>(flags.GetInt("groups"));
   o.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  o.params.cores_per_node =
-      static_cast<uint32_t>(flags.GetInt("cores-per-node"));
   RingCluster cluster(o);
   sim::Simulator& simulator = cluster.simulator();
   simulator.hub().EnableMetrics(true);
@@ -366,11 +339,9 @@ int RunSimstats(FlagSet& flags) {
   const sim::TaskPool::Stats pool = sim::TaskPool::stats();
   const sim::EventQueue& queue = simulator.queue();
 
-  std::printf("simstats: %s, %zu B objects, %d puts + %d gets, seed %llu, "
-              "%u core(s)/node\n",
+  std::printf("simstats: %s, %zu B objects, %d puts + %d gets, seed %llu\n",
               desc->ToString().c_str(), size, reps, reps,
-              static_cast<unsigned long long>(o.seed),
-              o.params.cores_per_node);
+              static_cast<unsigned long long>(o.seed));
   std::printf("  events executed     %" PRIu64 " over %.3f simulated ms\n",
               events, sim_ns / 1e6);
   std::printf("  events/sec (wall)   %.0f  (%.3f s wall)\n",
@@ -381,26 +352,14 @@ int RunSimstats(FlagSet& flags) {
               " pooled + %" PRIu64 " fresh  (hit rate %" PRIu64 "%%)\n",
               pool.inline_ctors, pool.pool_hits, pool.pool_misses,
               pool.hit_rate_pct());
-  const uint32_t cores =
-      o.params.cores_per_node == 0 ? 1 : o.params.cores_per_node;
   const obs::Metrics& metrics = simulator.hub().metrics();
   std::printf("  cpu utilization (busy / simulated elapsed):\n");
   for (uint32_t node = 0; node < cluster.runtime().num_server_nodes();
        ++node) {
-    std::printf("    node %-3u", node);
-    for (uint32_t shard = 0; shard < cores; ++shard) {
-      // cpu.shard_busy_ns is keyed by node * cores + shard and only emitted
-      // with real sharding; the single-core view is cpu.busy_ns per node.
-      const uint64_t busy =
-          cores == 1
-              ? metrics.CounterValue("cpu.busy_ns", node)
-              : metrics.CounterValue("cpu.shard_busy_ns",
-                                     node * cores + shard);
-      std::printf("  shard%u %5.1f%%", shard,
-                  sim_ns == 0 ? 0.0 : 100.0 * static_cast<double>(busy) /
-                                          static_cast<double>(sim_ns));
-    }
-    std::printf("\n");
+    const uint64_t busy = metrics.CounterValue("cpu.busy_ns", node);
+    std::printf("    node %-3u %5.1f%%\n", node,
+                sim_ns == 0 ? 0.0 : 100.0 * static_cast<double>(busy) /
+                                        static_cast<double>(sim_ns));
   }
   return 0;
 }
@@ -471,11 +430,9 @@ int RunThroughput(FlagSet& flags) {
   o.clients = static_cast<uint32_t>(flags.GetInt("clients"));
   o.seed = static_cast<uint64_t>(flags.GetInt("seed"));
   o.params.client_retry_timeout_ns = 200 * sim::kMillisecond;
-  if (flags.GetBool("light-clients")) {
-    o.params.client_put_byte_ns = 0.0;
-    o.params.client_base_ns = 1800;
-  }
-  MaybeCalibrate(flags, o.params);
+  // Lightweight load generators (Fig. 9 style).
+  o.params.client_put_byte_ns = 0.0;
+  o.params.client_base_ns = 1800;
   RingCluster cluster(o);
   auto g = cluster.CreateMemgest(*desc);
   if (!g.ok()) {
@@ -485,8 +442,7 @@ int RunThroughput(FlagSet& flags) {
   workload::YcsbSpec spec;
   spec.num_keys = static_cast<uint64_t>(flags.GetInt("keys"));
   spec.value_len = static_cast<uint32_t>(flags.GetInt("size"));
-  spec.get_fraction = flags.GetDouble("get-fraction");
-  spec.zipfian = flags.GetBool("zipfian");
+  spec.get_fraction = 0.0;
   std::vector<std::unique_ptr<workload::OpenLoopDriver>> drivers;
   for (uint32_t i = 0; i < o.clients; ++i) {
     workload::OpenLoopDriver::Options opt;
@@ -513,11 +469,10 @@ int RunThroughput(FlagSet& flags) {
     d->Stop();
   }
   std::printf(
-      "%s: %u clients x %.0f req/s offered (%.0f%% gets), %u groups ->\n"
+      "%s: %u clients x %.0f puts/s offered (Zipfian), %u groups ->\n"
       "  %.0f req/s sustained (%.1f%% of offered; %llu shed by flow "
       "control)\n",
-      desc->ToString().c_str(), o.clients, flags.GetDouble("rate"),
-      spec.get_fraction * 100, o.groups,
+      desc->ToString().c_str(), o.clients, flags.GetDouble("rate"), o.groups,
       static_cast<double>(after - before) / seconds,
       100.0 * static_cast<double>(after - before) / seconds /
           (flags.GetDouble("rate") * o.clients),
@@ -536,14 +491,21 @@ int RunRecover(FlagSet& flags) {
   o.d = static_cast<uint32_t>(flags.GetInt("redundant"));
   o.spares = 1;
   o.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  MaybeCalibrate(flags, o.params);
+  // The victim's entries are keys homed on its coordinator shard, so it must
+  // be a coordinator: no key hashes to a redundant node's id.
+  const int64_t victim_flag = flags.GetInt("victim");
+  if (victim_flag < 0 || victim_flag >= static_cast<int64_t>(o.s)) {
+    std::fprintf(stderr, "--victim must be a coordinator node in [0, %u), "
+                 "got %lld\n", o.s, static_cast<long long>(victim_flag));
+    return 2;
+  }
+  const uint32_t victim = static_cast<uint32_t>(victim_flag);
   RingCluster cluster(o);
   auto g = cluster.CreateMemgest(*desc);
   if (!g.ok()) {
     std::fprintf(stderr, "createMemgest: %s\n", g.status().ToString().c_str());
     return 1;
   }
-  const uint32_t victim = static_cast<uint32_t>(flags.GetInt("victim"));
   const int entries = static_cast<int>(flags.GetInt("entries"));
   const size_t size = static_cast<size_t>(flags.GetInt("size"));
   for (int i = 0; i < entries; ++i) {
@@ -576,45 +538,43 @@ int RunRecover(FlagSet& flags) {
   return 0;
 }
 
+// `ringctl reliability`: the Markov reliability model of SRS(3,2,s) under
+// the paper's environment (§3.3: 10 failures per node-year, 600 GiB).
 int RunReliability(FlagSet& flags) {
-  const uint32_t k = static_cast<uint32_t>(flags.GetInt("k"));
-  const uint32_t m = static_cast<uint32_t>(flags.GetInt("m"));
   const uint32_t stretch = static_cast<uint32_t>(flags.GetInt("stretch"));
-  auto code = srs::SrsCode::Create(k, m, stretch == 0 ? k : stretch);
+  auto code = srs::SrsCode::Create(3, 2, stretch == 0 ? 3 : stretch);
   if (!code.ok()) {
     std::fprintf(stderr, "%s\n", code.status().ToString().c_str());
     return 1;
   }
-  reliability::Environment env;
-  env.node_failure_rate = flags.GetDouble("lambda");
-  env.dataset_bytes = flags.GetDouble("dataset-gib") * (1ULL << 30);
+  const reliability::Environment env;
   reliability::SrsModel model(*code, env);
   const double r = model.Reliability(1.0);
   const double a = model.IntervalAvailability(1.0);
-  std::printf("SRS(%u,%u,%u), lambda=%.1f/yr, dataset=%.0f GiB:\n", k, m,
-              code->s(), env.node_failure_rate,
+  std::printf("SRS(%u,%u,%u), lambda=%.1f/yr, dataset=%.0f GiB:\n",
+              code->k(), code->m(), code->s(), env.node_failure_rate,
               env.dataset_bytes / (1ULL << 30));
   std::printf("  annual reliability   %.10f (%.2f nines)\n", r,
               reliability::Nines(r));
   std::printf("  interval availability %.10f (%.2f nines)\n", a,
               reliability::Nines(a));
   std::printf("  storage overhead     %.2fx, tolerates >= %u failures\n",
-              code->StorageOverhead(), m);
+              code->StorageOverhead(), code->m());
   return 0;
 }
 
-// `ringctl autotier`: run the adaptive resilience manager against a
-// shifting-hotspot workload and report the storage it saves versus keeping
+// `ringctl autotier`: run the adaptive resilience manager (threshold
+// policy, SRS(3,2) cold tier) against a Zipf workload whose hotspot shifts
+// by 80 keys every 30 ms, and report the storage it saves versus keeping
 // every key in the hot scheme.
 int RunAutotier(FlagSet& flags) {
   auto hot_desc = SchemeFromName(flags.GetString("scheme"));
-  auto cold_desc = SchemeFromName(flags.GetString("cold-scheme"));
-  if (!hot_desc.ok() || !cold_desc.ok()) {
-    std::fprintf(stderr, "%s\n",
-                 (hot_desc.ok() ? cold_desc : hot_desc).status().ToString()
-                     .c_str());
+  if (!hot_desc.ok()) {
+    std::fprintf(stderr, "%s\n", hot_desc.status().ToString().c_str());
     return 1;
   }
+  const MemgestDescriptor cold_desc =
+      MemgestDescriptor::ErasureCoded(3, 2, "srs32");
   RingOptions o;
   o.s = static_cast<uint32_t>(flags.GetInt("shards"));
   o.d = static_cast<uint32_t>(flags.GetInt("redundant"));
@@ -626,7 +586,7 @@ int RunAutotier(FlagSet& flags) {
   o.params.client_retry_timeout_ns = 200 * sim::kMillisecond;
   RingCluster cluster(o);
   auto hot = cluster.CreateMemgest(*hot_desc);
-  auto cold = cluster.CreateMemgest(*cold_desc);
+  auto cold = cluster.CreateMemgest(cold_desc);
   if (!hot.ok() || !cold.ok()) {
     std::fprintf(stderr, "createMemgest: %s\n",
                  (hot.ok() ? cold : hot).status().ToString().c_str());
@@ -634,21 +594,13 @@ int RunAutotier(FlagSet& flags) {
   }
 
   policy::AutoTierOptions ao;
-  ao.epoch_ns =
-      static_cast<sim::SimTime>(flags.GetDouble("epoch-ms") *
-                                static_cast<double>(sim::kMillisecond));
-  ao.policy.mode = flags.GetBool("cost-objective")
-                       ? policy::PolicyMode::kCostObjective
-                       : policy::PolicyMode::kThreshold;
-  ao.policy.hot_enter = flags.GetDouble("hot-enter");
-  ao.policy.cold_enter = flags.GetDouble("cold-enter");
-  ao.policy.ops_per_month_per_temp = flags.GetDouble("ops-per-temp");
-  ao.mover.moves_per_sec = flags.GetDouble("moves-per-sec");
+  ao.epoch_ns = 5 * sim::kMillisecond;
+  ao.mover.moves_per_sec = 4000.0;
   ao.mover.client_index = 1;
   policy::AutoTierManager manager(
       &cluster,
       {policy::Tier{*hot, *hot_desc, cost::PriceTable{}.hot},
-       policy::Tier{*cold, *cold_desc, cost::PriceTable{}.cool}},
+       policy::Tier{*cold, cold_desc, cost::PriceTable{}.cool}},
       ao);
 
   const int keys = static_cast<int>(flags.GetInt("keys"));
@@ -670,10 +622,8 @@ int RunAutotier(FlagSet& flags) {
 
   // Closed-loop Zipf gets whose head rotates through the key space, so the
   // manager has to both demote the cold tail and chase the hotspot.
-  const auto period = static_cast<sim::SimTime>(
-      flags.GetDouble("hotspot-period-ms") *
-      static_cast<double>(sim::kMillisecond));
-  const uint64_t shift = static_cast<uint64_t>(flags.GetInt("hotspot-shift"));
+  const sim::SimTime period = 30 * sim::kMillisecond;
+  const uint64_t shift = 80;
   workload::ZipfGenerator zipf(static_cast<uint64_t>(keys), 0.99);
   Rng rng(o.seed + 1);
   auto& client = cluster.client(0);
@@ -696,9 +646,9 @@ int RunAutotier(FlagSet& flags) {
   std::printf(
       "autotier %s <-> %s, %d keys x %zu B, hotspot rotating %llu keys "
       "every %.0f ms:\n",
-      hot_desc->ToString().c_str(), cold_desc->ToString().c_str(), keys, size,
+      hot_desc->ToString().c_str(), cold_desc.ToString().c_str(), keys, size,
       static_cast<unsigned long long>(shift),
-      flags.GetDouble("hotspot-period-ms"));
+      static_cast<double>(period) / sim::kMillisecond);
   std::printf("  %llu closed-loop gets, get p99 %.2f us\n",
               static_cast<unsigned long long>(gets),
               client.latencies().empty() ? -1.0
@@ -712,10 +662,9 @@ int RunAutotier(FlagSet& flags) {
       static_cast<unsigned long long>(mover.completed()),
       static_cast<unsigned long long>(mover.retried()),
       static_cast<unsigned long long>(mover.aborted()));
-  std::printf("  realized storage+ops cost: %.4f $/month (%s policy)\n",
-              manager.RealizedStorageCost(),
-              flags.GetBool("cost-objective") ? "cost-objective"
-                                              : "threshold");
+  std::printf("  realized storage+ops cost: %.4f $/month (threshold "
+              "policy)\n",
+              manager.RealizedStorageCost());
   manager.Stop();
   return 0;
 }
@@ -743,7 +692,7 @@ int RunChaos(FlagSet& flags, ChaosMode mode) {
   RingOptions o;
   o.s = static_cast<uint32_t>(flags.GetInt("shards"));
   o.d = static_cast<uint32_t>(flags.GetInt("redundant"));
-  o.spares = static_cast<uint32_t>(flags.GetInt("spares"));
+  o.spares = 2;
   o.clients = std::max(1u, static_cast<uint32_t>(flags.GetInt("clients")));
   o.seed = static_cast<uint64_t>(flags.GetInt("seed"));
   o.params.fast_failover = flags.GetBool("fast-failover");
@@ -776,9 +725,7 @@ int RunChaos(FlagSet& flags, ChaosMode mode) {
   hub.EnableMetrics(true);
   uint64_t window_ns = 0;
   if (mode != ChaosMode::kChaos) {
-    obs::TimeSeries::Options tso;
-    tso.window_ns = std::max<uint64_t>(
-        1, static_cast<uint64_t>(flags.GetDouble("window-us") * 1000.0));
+    obs::TimeSeries::Options tso;  // 1 ms windows
     // Retain the whole horizon (plus quiesce slack) so the report never
     // loses early windows to ring eviction.
     tso.capacity_windows =
@@ -942,9 +889,6 @@ int RunChaos(FlagSet& flags, ChaosMode mode) {
     // spurious never-recovered dip (until_ns is window-inclusive, so back
     // off 1 ns from the boundary).
     ro.sli.until_ns = horizon - 1;
-    ro.dip_context_events =
-        static_cast<size_t>(std::max(0, static_cast<int>(
-            flags.GetInt("report-events"))));
     std::printf("\n%s",
                 obs::PostMortemReport(hub.timeseries(), hub.recorder(), ro)
                     .c_str());
@@ -994,7 +938,7 @@ int RunCluster(FlagSet& flags, const std::string& action) {
   RingOptions o;
   o.s = static_cast<uint32_t>(flags.GetInt("shards"));
   o.d = static_cast<uint32_t>(flags.GetInt("redundant"));
-  o.spares = static_cast<uint32_t>(flags.GetInt("spares"));
+  o.spares = 2;
   o.clients = 2;
   o.seed = static_cast<uint64_t>(flags.GetInt("seed"));
   o.params.wire_jitter_ns = 400;
@@ -1189,16 +1133,13 @@ int RunMc(FlagSet& flags) {
     std::fprintf(stderr, "mc: %s\n", sc.status().message().c_str());
     return 2;
   }
-  mc::ExplorerOptions opts;
-  opts.max_traces = static_cast<uint64_t>(flags.GetInt("max-traces"));
-  opts.dpor = !flags.GetBool("naive");
-  opts.sleep_sets = opts.dpor;
-  opts.state_dedup = opts.dpor;
-  std::printf("mc: scenario '%s' (%s), bug %s, budget %llu traces, %s\n",
+  mc::ExplorerOptions opts;  // DPOR + sleep sets + state dedup
+  opts.max_traces = 5000;
+  std::printf("mc: scenario '%s' (%s), bug %s, budget %llu traces, "
+              "dpor+sleep\n",
               sc->name.c_str(), sc->description.c_str(),
               inject ? "injected" : "off",
-              static_cast<unsigned long long>(opts.max_traces),
-              opts.dpor ? "dpor+sleep" : "naive enumeration");
+              static_cast<unsigned long long>(opts.max_traces));
   const mc::ExploreResult res = mc::Explorer(sc->config, opts).Explore();
   std::printf("mc: %llu traces over %llu fault skeletons, %llu deduped, "
               "%zu distinct final states\n",
@@ -1237,17 +1178,11 @@ int Main(int argc, char** argv) {
       "<latency|throughput|recover|reliability|schemes|stats|simstats|trace|"
       "autotier|chaos|watch|report|mc|cluster <status|add|remove>>");
   flags.DefineString("scheme", "rep3", "storage scheme: repN or srsKM")
-      .DefineString("cold-scheme", "srs32",
-                    "cold-tier scheme for autotier: repN or srsKM")
-      .DefineString("mode", "", "command (alias for the positional argument)")
       .DefineString("plan", "",
                     "chaos: fault schedule spec (';'-separated directives, "
                     "see src/fault/fault.h; empty = seeded random plan)")
       .DefineString("trace_out", "",
                     "write a Chrome trace_event JSON file (latency/trace)")
-      .DefineString("log", "",
-                    "log level: error, warn, info or debug (default off); "
-                    "lines carry simulated time + node")
       .DefineInt("shards", 3, "coordinator shards per group (s)")
       .DefineInt("redundant", 2, "redundant slots (d)")
       .DefineInt("groups", 1, "rotated memgest groups (1 = paper layout)")
@@ -1256,41 +1191,12 @@ int Main(int argc, char** argv) {
       .DefineInt("reps", 1000, "closed-loop repetitions")
       .DefineInt("keys", 2000, "distinct keys in the workload")
       .DefineInt("entries", 2000, "objects on the victim shard (recover)")
-      .DefineInt("victim", 1, "node to kill (recover)")
-      .DefineInt("spares", 2, "idle spare nodes provisioned (cluster, chaos)")
+      .DefineInt("victim", 1, "coordinator node to kill (recover)")
       .DefineInt("count", 1, "transitions to perform (cluster add/remove)")
       .DefineInt("seed", 7, "deterministic simulation seed")
-      .DefineInt("cores-per-node", 1,
-                 "CPU shards per server node (simstats; >1 shows the "
-                 "per-key shard-homing spread)")
-      .DefineInt("k", 3, "SRS data blocks (reliability)")
-      .DefineInt("m", 2, "SRS parity blocks (reliability)")
-      .DefineInt("stretch", 0, "SRS stretch s (0 = k, i.e. plain RS)")
+      .DefineInt("stretch", 0, "SRS(3,2) stretch s (0 = 3, i.e. plain RS)")
       .DefineDouble("rate", 200000, "offered load per client, req/s")
       .DefineDouble("seconds", 1.0, "measurement window, simulated seconds")
-      .DefineDouble("get-fraction", 0.0, "fraction of gets in the mix")
-      .DefineDouble("lambda", 10.0, "node failure rate per year")
-      .DefineDouble("dataset-gib", 600.0, "protected dataset size")
-      .DefineDouble("epoch-ms", 5.0, "autotier temperature epoch, ms")
-      .DefineDouble("moves-per-sec", 4000.0,
-                    "background move rate limit (autotier)")
-      .DefineDouble("hot-enter", 8.0, "accesses/epoch to promote (autotier)")
-      .DefineDouble("cold-enter", 2.0, "accesses/epoch to demote (autotier)")
-      .DefineDouble("hotspot-period-ms", 30.0,
-                    "hotspot rotation period, ms (autotier; 0 = static)")
-      .DefineInt("hotspot-shift", 80,
-                 "keys the hotspot shifts by each period (autotier)")
-      .DefineBool("cost-objective", false,
-                  "price placements with the cloud cost model instead of "
-                  "temperature thresholds (autotier)")
-      .DefineDouble("ops-per-temp", 1e6,
-                    "monthly ops per unit temperature for pricing "
-                    "(autotier --cost-objective; lower values make storage "
-                    "rent dominate)")
-      .DefineBool("calibrate", false,
-                  "measure the host's GF kernel throughput and derive "
-                  "gf_byte_ns/decode_byte_ns before simulating "
-                  "(latency/throughput/recover)")
       .DefineBool("fast-failover", false,
                   "arm §16 revoke-then-promote reconfiguration "
                   "(chaos/watch/report; `revoke node=N at=T` plan directives "
@@ -1298,18 +1204,6 @@ int Main(int argc, char** argv) {
       .DefineBool("json", false, "machine-readable output (calibrate, stats)")
       .DefineBool("prom", false,
                   "Prometheus text exposition instead of the summary (stats)")
-      .DefineDouble("window-us", 1000.0,
-                    "SLI window width in simulated microseconds "
-                    "(watch/report)")
-      .DefineInt("report-events", 12,
-                 "flight-recorder events shown around each availability dip "
-                 "(report)")
-      .DefineInt("block", 65536,
-                 "region size in bytes timed by calibrate (the paper's "
-                 "64 KiB recovery block)")
-      .DefineBool("zipfian", true, "Zipfian (vs uniform) key popularity")
-      .DefineBool("light-clients", true,
-                  "lightweight load generators (Fig. 9 style)")
       .DefineString("scenario", "wedged-write",
                     "mc: preset schedule space (wedged-write, "
                     "single-source-recovery, gc-revalidate)")
@@ -1321,35 +1215,17 @@ int Main(int argc, char** argv) {
                     "verify byte-identity instead of exploring")
       .DefineString("spec-out", "",
                     "mc: write the minimized counterexample spec here "
-                    "(default: stdout)")
-      .DefineInt("max-traces", 5000, "mc: exploration budget in traces")
-      .DefineBool("naive", false,
-                  "mc: full enumeration instead of DPOR + sleep sets");
+                    "(default: stdout)");
   Status s = flags.Parse(argc, argv);
   if (!s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 2;
   }
-  const std::string log = flags.GetString("log");
-  if (log == "error") {
-    SetLogLevel(LogLevel::kError);
-  } else if (log == "warn") {
-    SetLogLevel(LogLevel::kWarn);
-  } else if (log == "info") {
-    SetLogLevel(LogLevel::kInfo);
-  } else if (log == "debug") {
-    SetLogLevel(LogLevel::kDebug);
-  } else if (!log.empty()) {
-    std::fprintf(stderr, "unknown --log level '%s'\n", log.c_str());
-    return 2;
-  }
-  if (flags.positional().empty() && flags.GetString("mode").empty()) {
+  if (flags.positional().empty()) {
     std::fprintf(stderr, "%s", flags.Usage().c_str());
     return 2;
   }
-  const std::string command = flags.positional().empty()
-                                  ? flags.GetString("mode")
-                                  : flags.positional()[0];
+  const std::string command = flags.positional()[0];
   // `cluster` takes a sub-action as a second positional; every other
   // command takes exactly one.
   if (flags.positional().size() > (command == "cluster" ? 2u : 1u)) {
