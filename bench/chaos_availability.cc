@@ -9,10 +9,11 @@
 // feeds the telemetry pipeline (client.ops_ok / client.op_latency_ns into
 // 1 ms time-series windows); per-window goodput, error rate, and p50/p99
 // come from TimeSeries::Slis, and unavailability windows are the SLI dips
-// FindDips extracts — the same machinery `ringctl report` uses. Replication
-// rides out the crash with a replica promotion; erasure coding pays
-// decoding on first touch; Rep(1) keys on the victim are lost for good —
-// the rejoined node comes back memory-less.
+// FindDips extracts — the same machinery `ringctl report` uses. The crash is
+// handled by revoke-then-promote (DESIGN.md §16). Replication rides it out
+// with a replica promotion; erasure coding pays decoding on first touch;
+// Rep(1) keys on the victim are lost for good — the rejoined node comes back
+// memory-less.
 //
 // Emits BENCH_chaos.json (override the path with argv[1]) with the full
 // per-window SLI rows per scheme.
@@ -45,13 +46,12 @@ Key VictimKey(uint32_t shard, int i) {
 struct SchemeResult {
   const char* label = nullptr;
   const char* scheme = nullptr;
-  bool fast = false;  // §16 revoke-then-promote armed
   uint64_t window_ns = 0;
   size_t probes = 0;
   uint64_t failed = 0;  // probe callbacks that returned a non-ok status
   // Crash handling, measured: sim time from the 5 ms crash until the
   // leader's config marks the victim failed (detection + reconfiguration),
-  // and the revoke-round span alone (0 in legacy mode).
+  // and the revoke-round span alone.
   uint64_t crash_reconfig_ns = 0;
   uint64_t revoke_round_ns = 0;
   uint64_t fast_failovers = 0;
@@ -62,11 +62,8 @@ struct SchemeResult {
 };
 
 SchemeResult Run(const char* label, const char* scheme,
-                 MemgestDescriptor desc, bool fast) {
+                 MemgestDescriptor desc) {
   RingOptions o = bench::PaperCluster(/*clients=*/1, /*spares=*/1, 1307);
-  // §16 fast path: QP lease revocation + witness promotion. The legacy runs
-  // keep the heartbeat detector as the only failure path.
-  o.params.fast_failover = fast;
   // Fast failure handling so the crash window is dominated by the protocol,
   // not by a deliberately conservative detector; probes fail fast instead of
   // burning the full default retry budget.
@@ -108,7 +105,6 @@ SchemeResult Run(const char* label, const char* scheme,
   SchemeResult result;
   result.label = label;
   result.scheme = scheme;
-  result.fast = fast;
   result.window_ns = hub.timeseries().window_ns();
   auto& client = cluster.client(0);
   const consensus::MembershipGroup& membership =
@@ -175,15 +171,11 @@ void PrintScheme(const SchemeResult& r) {
   std::printf("  unavailable %7.2f ms total, longest dip %7.2f ms\n",
               static_cast<double>(unavailable * r.window_ns) / 1e6,
               static_cast<double>(longest_ns) / 1e6);
-  std::printf("  crash handled in %8.1f us (%s",
+  std::printf("  crash handled in %8.1f us (fast: revoke-then-promote, "
+              "revoke round %.1f us, %llu revocations)\n",
               static_cast<double>(r.crash_reconfig_ns) / 1e3,
-              r.fast ? "fast: revoke-then-promote" : "legacy heartbeat");
-  if (r.fast) {
-    std::printf(", revoke round %.1f us, %llu revocations",
-                static_cast<double>(r.revoke_round_ns) / 1e3,
-                static_cast<unsigned long long>(r.revocations_issued));
-  }
-  std::printf(")\n");
+              static_cast<double>(r.revoke_round_ns) / 1e3,
+              static_cast<unsigned long long>(r.revocations_issued));
   for (const obs::Dip& d : r.dips) {
     std::printf("    [%7.2f, %7.2f) ms  %s\n",
                 static_cast<double>(d.start_ns) / 1e6,
@@ -221,8 +213,6 @@ void WriteJson(const char* path, const std::vector<SchemeResult>& results) {
     }
     std::fprintf(f, "%s\n    {\n      \"scheme\": \"%s\",\n",
                  s == 0 ? "" : ",", r.scheme);
-    std::fprintf(f, "      \"fast_failover\": %s,\n",
-                 r.fast ? "true" : "false");
     std::fprintf(f, "      \"crash_reconfig_us\": %.1f,\n",
                  static_cast<double>(r.crash_reconfig_ns) / 1e3);
     std::fprintf(f, "      \"revoke_round_us\": %.1f,\n",
@@ -287,24 +277,12 @@ int main(int argc, char** argv) {
       "60-68 ms,\n# 1 KiB objects on the victim shard, probe every 100 us, "
       "1 ms SLI windows\n\n");
   std::vector<SchemeResult> results;
-  results.push_back(Run("Rep(3)   (replica promotion)", "rep3",
-                        MemgestDescriptor::Replicated(3), /*fast=*/false));
   results.push_back(Run("Rep(3)   fast failover (revoke-then-promote)",
-                        "rep3", MemgestDescriptor::Replicated(3),
-                        /*fast=*/true));
-  results.push_back(Run("SRS(3,2) (decode on demand)", "srs32",
-                        MemgestDescriptor::ErasureCoded(3, 2),
-                        /*fast=*/false));
+                        "rep3", MemgestDescriptor::Replicated(3)));
   results.push_back(Run("SRS(3,2) fast failover (revoke-then-promote)",
-                        "srs32", MemgestDescriptor::ErasureCoded(3, 2),
-                        /*fast=*/true));
-  results.push_back(Run("Rep(1)   (unreliable: lost for good, until "
-                        "rewritten)",
-                        "rep1", MemgestDescriptor::Replicated(1),
-                        /*fast=*/false));
+                        "srs32", MemgestDescriptor::ErasureCoded(3, 2)));
   results.push_back(Run("Rep(1)   fast failover (revoke-then-promote)",
-                        "rep1", MemgestDescriptor::Replicated(1),
-                        /*fast=*/true));
+                        "rep1", MemgestDescriptor::Replicated(1)));
   for (const SchemeResult& r : results) {
     PrintScheme(r);
   }

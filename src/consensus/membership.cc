@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "src/common/logging.h"
 #include "src/obs/hub.h"
 
 namespace ring::consensus {
@@ -40,17 +39,13 @@ void MembershipGroup::Start() {
   assert(!started_);
   started_ = true;
   auto* simulator = fabric_->simulator();
-  if (simulator->params().fast_failover) {
-    // Arm the §16 fast path: operations bouncing off dead or revoked peers
-    // NACK back to their issuer, and the NACKs feed suspicion reports into
-    // revoke-then-promote. The heartbeat machinery below stays armed as the
-    // slow-path backstop.
-    fast_armed_ = true;
-    fabric_->set_nack_handler(
-        [this](net::NodeId issuer, net::NodeId dst, bool permission_revoked) {
-          OnTransportNack(issuer, dst, permission_revoked);
-        });
-  }
+  // Operations bouncing off dead or revoked peers NACK back to their issuer,
+  // and the NACKs feed suspicion reports into revoke-then-promote. The
+  // heartbeat machinery below is the backstop detector.
+  fabric_->set_nack_handler(
+      [this](net::NodeId issuer, net::NodeId dst, bool permission_revoked) {
+        OnTransportNack(issuer, dst, permission_revoked);
+      });
   for (auto& agent : agents_) {
     const net::NodeId id = agent->id;
     agent->last_leader_seen = simulator->now();
@@ -173,10 +168,6 @@ void MembershipGroup::HandleJoinRequest(net::NodeId member, net::NodeId node,
   agent.config.Readmit(node);
   agent.last_seen[node] = fabric_->simulator()->now();
   ++config_changes_;
-  RING_LOG(kInfo) << "leader " << member << " readmits node " << node
-                  << (agent.config.slot_of_node[node] == kSpareSlot
-                          ? " as a spare"
-                          : " into its old slot");
   BroadcastConfig(member);
 }
 
@@ -265,8 +256,6 @@ void MembershipGroup::TakeOver(net::NodeId node) {
   for (net::NodeId peer = 0; peer < num_members(); ++peer) {
     agent.last_seen[peer] = simulator->now();
   }
-  RING_LOG(kInfo) << "node " << node << " takes leadership (epoch "
-                  << agent.config.epoch << ")";
   BroadcastConfig(node);
 }
 
@@ -291,12 +280,9 @@ void MembershipGroup::HandleNodeFailure(net::NodeId leader,
   } else {
     const int32_t spare = agent.config.FindSpare();
     if (spare < 0) {
-      RING_LOG(kWarn) << "no spare available for failed node " << victim;
       agent.config.MarkFailed(victim);
     } else {
       agent.config.Promote(victim, static_cast<net::NodeId>(spare));
-      RING_LOG(kInfo) << "leader " << leader << " promotes spare " << spare
-                      << " for failed node " << victim;
     }
   }
   ++config_changes_;
@@ -310,14 +296,10 @@ void MembershipGroup::BroadcastConfig(net::NodeId leader) {
     if (peer == leader) {
       continue;
     }
-    // §16: under fast failover a fenced-but-live peer must still hear the
-    // epoch bump — revocation only cuts its write path, and without the new
-    // config it would keep serving reads for a slot it no longer owns until
+    // §16: a fenced-but-live peer must still hear the epoch bump —
+    // revocation only cuts its write path, and without the new config it
+    // would keep serving reads for a slot it no longer owns until
     // readmission (ms away). Sends to genuinely dead peers just NACK back.
-    // Legacy mode keeps skipping failed peers (byte-identical schedules).
-    if (config.failed[peer] && !fast_armed_) {
-      continue;
-    }
     fabric_->Send(leader, peer, kConfigBytes,
                   [this, peer, config] { ApplyConfig(peer, config); });
   }
@@ -336,15 +318,13 @@ void MembershipGroup::ApplyConfig(net::NodeId node,
   agent.config = config;
   agent.is_leader = (config.leader == node);
   agent.last_leader_seen = fabric_->simulator()->now();
-  if (fast_armed_) {
-    // Readmission restores permissions: any member the adopted config shows
-    // live again regains its queue pairs at this node. (A node the config
-    // still marks failed stays fenced — its stale-lease writes keep NACKing
-    // until a leader readmits it.)
-    for (net::NodeId f = 0; f < num_members(); ++f) {
-      if (!config.failed[f]) {
-        fabric_->Restore(node, f);
-      }
+  // Readmission restores permissions: any member the adopted config shows
+  // live again regains its queue pairs at this node. (A node the config
+  // still marks failed stays fenced — its stale-lease writes keep NACKing
+  // until a leader readmits it.)
+  for (net::NodeId f = 0; f < num_members(); ++f) {
+    if (!config.failed[f]) {
+      fabric_->Restore(node, f);
     }
   }
   if (on_config_) {
@@ -358,33 +338,13 @@ void MembershipGroup::InjectFailure(net::NodeId victim) {
 
 void MembershipGroup::ForceDetect(net::NodeId victim) {
   fabric_->Kill(victim);
-  if (fast_armed_) {
-    // Fig. 12 / Fig. 16 bench aid composes with §16: the "immediate
-    // detection" becomes an immediate suspicion report, and the failure is
-    // handled by revoke-then-promote instead of the legacy direct call.
-    ReportSuspect(victim);
-    return;
-  }
-  net::NodeId leader = CurrentLeader();
-  if (leader == victim) {
-    // The victim led the cluster: the lowest live member detects the death
-    // and takes over immediately (the election outcome, without waiting for
-    // the ranked timeout).
-    for (net::NodeId n = 0; n < num_members(); ++n) {
-      if (n != victim && fabric_->alive(n) && !agents_[n]->config.failed[n]) {
-        TakeOver(n);
-        return;
-      }
-    }
-    return;
-  }
-  HandleNodeFailure(leader, victim);
+  ReportSuspect(victim);
 }
 
-// ---- Fast failover (§16): lease revocation + witness promotion ------------
+// ---- Revoke-then-promote (§16): lease revocation + witness promotion ------
 
 void MembershipGroup::ReportSuspect(net::NodeId suspect) {
-  if (!fast_armed_ || suspect >= num_members()) {
+  if (suspect >= num_members()) {
     return;
   }
   const net::NodeId leader = CurrentLeader();
@@ -404,9 +364,6 @@ void MembershipGroup::ReportSuspect(net::NodeId suspect) {
 
 void MembershipGroup::OnTransportNack(net::NodeId observer, net::NodeId dst,
                                       bool permission_revoked) {
-  if (!fast_armed_) {
-    return;
-  }
   if (permission_revoked) {
     // The observer's own permissions were revoked at `dst`: its write lease
     // is gone and the cluster has (or is about to have) moved on without it.
@@ -416,8 +373,6 @@ void MembershipGroup::OnTransportNack(net::NodeId observer, net::NodeId dst,
     if (observer < num_members()) {
       Agent& agent = *agents_[observer];
       if (!agent.config.failed[observer]) {
-        RING_LOG(kInfo) << "node " << observer << " lost its lease (revoked"
-                        << " at " << dst << "); stepping down to rejoin";
         agent.is_leader = false;
         agent.config.failed[observer] = true;
       }
@@ -444,7 +399,7 @@ void MembershipGroup::OnTransportNack(net::NodeId observer, net::NodeId dst,
 }
 
 void MembershipGroup::HandleSuspicion(net::NodeId member, net::NodeId suspect) {
-  if (!fast_armed_ || member >= num_members() || suspect >= num_members()) {
+  if (member >= num_members() || suspect >= num_members()) {
     return;
   }
   if (!fabric_->alive(member) || fabric_->paused(member)) {
@@ -458,7 +413,7 @@ void MembershipGroup::HandleSuspicion(net::NodeId member, net::NodeId suspect) {
   if (suspect == leader) {
     const net::NodeId cand = TakeoverCandidate(member, suspect);
     if (cand == member) {
-      FastTakeOver(member, suspect);
+      RevokeThenPromote(member, suspect, /*takeover=*/true);
     } else if (cand < num_members()) {
       fabric_->Send(member, cand, kHeartbeatBytes,
                     [this, cand, suspect] { HandleSuspicion(cand, suspect); });
@@ -466,7 +421,7 @@ void MembershipGroup::HandleSuspicion(net::NodeId member, net::NodeId suspect) {
     return;
   }
   if (agent.is_leader) {
-    FastHandleFailure(member, suspect);
+    RevokeThenPromote(member, suspect, /*takeover=*/false);
   } else {
     // Relay to the leader. If the leader is dead too, this Send bounces and
     // the resulting NACK re-enters HandleSuspicion with the leader as the
@@ -476,25 +431,24 @@ void MembershipGroup::HandleSuspicion(net::NodeId member, net::NodeId suspect) {
   }
 }
 
-void MembershipGroup::FastHandleFailure(net::NodeId leader,
-                                        net::NodeId victim) {
-  Agent& agent = *agents_[leader];
-  if (agent.config.failed[victim]) {
-    return;
+void MembershipGroup::RevokeThenPromote(net::NodeId actor, net::NodeId victim,
+                                        bool takeover) {
+  Agent& agent = *agents_[actor];
+  if (agent.config.failed[victim] ||
+      (takeover && agent.config.leader != victim)) {
+    return;  // the view moved on while the evidence was in flight
   }
-  if (!fast_inflight_.insert(RoundKey(leader, victim)).second) {
+  if (!fast_inflight_.insert(RoundKey(actor, victim)).second) {
     return;  // a dead node NACKs every probe; one round handles them all
   }
   auto* simulator = fabric_->simulator();
   const sim::SimTime t0 = simulator->now();
   simulator->hub().recorder().Record(obs::RecKind::kFault, "fast_revoke",
-                                     leader, 0, victim);
+                                     actor, 0, victim);
   const std::vector<net::NodeId> witnesses =
       WitnessesOf(agent.config, victim);
-  RING_LOG(kInfo) << "leader " << leader << " fast-fails node " << victim
-                  << " (revoking at " << witnesses.size() << " witnesses)";
   if (witnesses.empty()) {
-    FinishFastRound(leader, victim, /*takeover=*/false, t0);
+    FinishFastRound(actor, victim, takeover, t0);
     return;
   }
   auto remaining =
@@ -503,48 +457,11 @@ void MembershipGroup::FastHandleFailure(net::NodeId leader,
     ++revocations_issued_;
     net::Fabric* fabric = fabric_;
     fabric_->Write(
-        leader, w, kRevokeBytes,
+        actor, w, kRevokeBytes,
         /*apply=*/[fabric, w, victim] { fabric->Revoke(w, victim); },
-        /*on_complete=*/[this, leader, victim, remaining, t0] {
+        /*on_complete=*/[this, actor, victim, takeover, remaining, t0] {
           if (--*remaining == 0) {
-            FinishFastRound(leader, victim, /*takeover=*/false, t0);
-          }
-        });
-  }
-}
-
-void MembershipGroup::FastTakeOver(net::NodeId node, net::NodeId old_leader) {
-  Agent& agent = *agents_[node];
-  if (agent.config.leader != old_leader || agent.config.failed[old_leader]) {
-    return;  // the view moved on while the evidence was in flight
-  }
-  if (!fast_inflight_.insert(RoundKey(node, old_leader)).second) {
-    return;
-  }
-  auto* simulator = fabric_->simulator();
-  const sim::SimTime t0 = simulator->now();
-  simulator->hub().recorder().Record(obs::RecKind::kFault, "fast_revoke",
-                                     node, 0, old_leader);
-  const std::vector<net::NodeId> witnesses =
-      WitnessesOf(agent.config, old_leader);
-  RING_LOG(kInfo) << "node " << node << " fast-takeover from dead leader "
-                  << old_leader << " (revoking at " << witnesses.size()
-                  << " witnesses)";
-  if (witnesses.empty()) {
-    FinishFastRound(node, old_leader, /*takeover=*/true, t0);
-    return;
-  }
-  auto remaining =
-      std::make_shared<uint32_t>(static_cast<uint32_t>(witnesses.size()));
-  for (const net::NodeId w : witnesses) {
-    ++revocations_issued_;
-    net::Fabric* fabric = fabric_;
-    fabric_->Write(
-        node, w, kRevokeBytes,
-        /*apply=*/[fabric, w, old_leader] { fabric->Revoke(w, old_leader); },
-        /*on_complete=*/[this, node, old_leader, remaining, t0] {
-          if (--*remaining == 0) {
-            FinishFastRound(node, old_leader, /*takeover=*/true, t0);
+            FinishFastRound(actor, victim, takeover, t0);
           }
         });
   }
@@ -558,7 +475,7 @@ void MembershipGroup::FinishFastRound(net::NodeId actor, net::NodeId victim,
   }
   Agent& agent = *agents_[actor];
   if (agent.config.failed[victim] || agent.config.failed[actor]) {
-    return;  // the slow path (or another actor) won the race
+    return;  // the heartbeat backstop (or another actor) won the race
   }
   if (takeover) {
     if (agent.config.leader != victim) {
@@ -580,8 +497,6 @@ void MembershipGroup::FinishFastRound(net::NodeId actor, net::NodeId victim,
   if (hub.metrics_enabled()) {
     hub.metrics().Inc("failover.fast", 1, actor);
   }
-  RING_LOG(kInfo) << "fast failover of node " << victim << " completed in "
-                  << (simulator->now() - t0) << " ns";
 }
 
 std::vector<net::NodeId> MembershipGroup::WitnessesOf(
@@ -651,9 +566,6 @@ bool MembershipGroup::BeginAddServer(net::NodeId node) {
       !agent.config.BeginAddServer(node)) {
     return false;
   }
-  RING_LOG(kInfo) << "leader " << leader << " grows the group: node " << node
-                  << " becomes coordinator slot " << (agent.config.s - 1)
-                  << " (epoch " << agent.config.epoch << ")";
   ++config_changes_;
   BroadcastConfig(leader);
   return true;
@@ -666,8 +578,6 @@ bool MembershipGroup::BeginRemoveServer(uint32_t slot) {
       !agent.config.BeginRemoveServer(slot)) {
     return false;
   }
-  RING_LOG(kInfo) << "leader " << leader << " shrinks the group: slot "
-                  << slot << " leaves (epoch " << agent.config.epoch << ")";
   ++config_changes_;
   BroadcastConfig(leader);
   return true;
@@ -681,8 +591,6 @@ bool MembershipGroup::CompleteRebalance() {
     return false;
   }
   agent.config.CompleteRebalance();
-  RING_LOG(kInfo) << "leader " << leader << " completes the rebalance (epoch "
-                  << agent.config.epoch << ")";
   ++config_changes_;
   BroadcastConfig(leader);
   return true;

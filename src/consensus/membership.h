@@ -1,12 +1,16 @@
 // Membership, failure detection, leader election, and configuration
-// replication (paper §5.5).
+// replication (paper §5.5, DESIGN.md §16).
 //
-// Simplified DARE-style replicated state machine: the leader broadcasts
-// heartbeats and collects heartbeats from every node; a node silent for
-// `failure_timeout` is declared failed, a spare is promoted into its slot
-// and the new configuration epoch is replicated to all live nodes (majority
-// acknowledged). If the leader dies, the live node with the lowest id takes
-// over after a ranked timeout and replicates a new epoch.
+// Simplified DARE-style replicated state machine. A failure is handled by
+// revoke-then-promote: an operation that bounces off a dead peer NACKs, the
+// NACK becomes a suspicion report, and the leader revokes the suspect's
+// write permissions at its redundancy witnesses with one-sided ops, then
+// promotes a spare into its slot and replicates the new configuration epoch
+// to all live nodes. Heartbeats are the backstop detector for failures no
+// operation bounces off (a gray pause, a lost link): a node silent for
+// `failure_timeout` is declared failed and a spare promoted directly, and if
+// the leader goes silent the live node with the lowest id takes over after
+// a ranked timeout and replicates a new epoch.
 #ifndef RING_SRC_CONSENSUS_MEMBERSHIP_H_
 #define RING_SRC_CONSENSUS_MEMBERSHIP_H_
 
@@ -63,31 +67,25 @@ class MembershipGroup {
   // stall it just experienced is not misread as everyone else's silence.
   void NoteResumed(net::NodeId node);
 
-  // Benchmark aid: makes the leader handle `victim`'s death immediately,
-  // bypassing the heartbeat timeout (Fig. 12 measures recovery from the
-  // moment of detection). With `SimParams::fast_failover` set the handling
-  // routes through revoke-then-promote (the fabric NACK path would have
-  // reported the death anyway); with it off, the legacy immediate-promotion
-  // path runs untouched.
+  // Benchmark aid: kills `victim` and reports it suspect at once, so its
+  // revoke-then-promote round starts without waiting for an operation to
+  // bounce off it (Fig. 12 measures recovery from the moment of detection).
   void ForceDetect(net::NodeId victim);
 
-  // --- Fast failover (§16): lease revocation + witness promotion -----------
+  // --- Revoke-then-promote (§16): lease revocation + witness promotion -----
   // External suspicion entry point (chaos `revoke` directive, tests): treat
   // `suspect` as failed *now* — the leader revokes its write permissions at
   // its redundancy witnesses with one-sided ops, bumps the epoch and
   // promotes a spare, whether or not the suspect is actually dead (a false
   // suspicion fences a live node out: its stale-lease writes NACK, and it
-  // re-enters through the normal readmission petition). No-op unless
-  // SimParams::fast_failover armed the path.
+  // re-enters through the normal readmission petition).
   void ReportSuspect(net::NodeId suspect);
 
-  // True when Start() armed the revoke-then-promote path.
-  bool fast_failover_armed() const { return fast_armed_; }
-  // Fast reconfigurations completed (revoke round -> promotion).
+  // Revoke rounds completed (revoke round -> promotion). Failures only the
+  // heartbeat backstop detects are handled without a round and not counted.
   uint64_t fast_failovers() const { return fast_failovers_; }
   // Span of the last completed revoke round, first revocation issued to
-  // promotion applied (ns). The µs-scale number Fig. 12-style benches
-  // compare against the legacy heartbeat-timeout path.
+  // promotion applied (ns).
   uint64_t last_fast_failover_ns() const { return last_fast_failover_ns_; }
   // One-sided revocation operations issued by leaders/witness candidates.
   uint64_t revocations_issued() const { return revocations_issued_; }
@@ -128,7 +126,7 @@ class MembershipGroup {
   void BroadcastConfig(net::NodeId leader);
   void ApplyConfig(net::NodeId node, const ClusterConfig& config);
 
-  // ---- fast failover internals (§16) ----
+  // ---- revoke-then-promote internals (§16) ----
   // Fabric NACK observer: `observer`'s operation bounced off `dst`.
   void OnTransportNack(net::NodeId observer, net::NodeId dst,
                        bool permission_revoked);
@@ -136,13 +134,12 @@ class MembershipGroup {
   // relay it towards whoever can (the leader, or the takeover candidate
   // when the leader itself is the suspect).
   void HandleSuspicion(net::NodeId member, net::NodeId suspect);
-  // Leader-side revoke-then-promote: one one-sided revocation per witness,
-  // then the epoch bump + spare promotion of HandleNodeFailure.
-  void FastHandleFailure(net::NodeId leader, net::NodeId victim);
-  // Leader-death fast path: `node` (the designated takeover candidate)
-  // revokes the dead leader's permissions at its witnesses, then TakeOver.
-  void FastTakeOver(net::NodeId node, net::NodeId old_leader);
-  // Second phase of either fast path, entered once every witness completion
+  // One one-sided revocation of `victim`'s permissions per witness, issued
+  // by `actor`; then FinishFastRound. With `takeover`, `victim` is the
+  // leader and `actor` the takeover candidate, which then runs TakeOver;
+  // otherwise `actor` leads and runs HandleNodeFailure.
+  void RevokeThenPromote(net::NodeId actor, net::NodeId victim, bool takeover);
+  // Second phase of a revoke round, entered once every witness completion
   // arrived. `t0` is the revoke-round start (failover span bookkeeping).
   void FinishFastRound(net::NodeId actor, net::NodeId victim, bool takeover,
                        sim::SimTime t0);
@@ -162,8 +159,7 @@ class MembershipGroup {
   ConfigCallback on_config_;
   uint64_t config_changes_ = 0;
   bool started_ = false;
-  // ---- fast failover state ----
-  bool fast_armed_ = false;
+  // ---- revoke-round state ----
   // In-flight revoke rounds, keyed (actor << 32) | victim: dedups the NACK
   // storm a dead node causes (every probe bounces) into one round.
   std::set<uint64_t> fast_inflight_;

@@ -57,8 +57,8 @@ struct LinkFault {
 // while its NIC stays alive (gray failure); crash kills the node and a later
 // recover restarts it memory-less to rejoin via the spare/recovery path;
 // revoke reports the node as a failure suspect to the membership layer's
-// fast path (§16) — a false suspicion when the node is actually healthy,
-// exercising lease fencing + readmission (no-op without fast_failover).
+// revoke-then-promote path (§16) — a false suspicion when the node is
+// actually healthy, exercising lease fencing + readmission.
 struct NodeEvent {
   enum class Kind : uint8_t {
     kPartition,
@@ -124,8 +124,7 @@ struct ChaosShape {
   double max_dup_prob = 0.3;
   bool allow_crash = true;  // needs a spare-capable cluster to be safe
   bool allow_pause = true;
-  // Extra `revoke` suspicion events (§16) sprinkled over the horizon; only
-  // meaningful against a fast_failover cluster (no-op hooks otherwise).
+  // Extra `revoke` suspicion events (§16) sprinkled over the horizon.
   // Each revocation consumes spare capacity like a crash: a false suspicion
   // fences a healthy node out until readmission, so the generator gates it
   // on the same spare budget. 0 (the default) keeps pre-existing

@@ -388,7 +388,6 @@ struct TraceRunner::Impl : public sim::ScheduleController,
     if (config.write_retransmit_ns != 0) {
       options.params.write_retransmit_ns = config.write_retransmit_ns;
     }
-    options.params.fast_failover = config.fast_failover;
     options.multiversion_depth = config.multiversion_depth;
     options.test_bugs.no_write_retransmit = config.bug_no_write_retransmit;
     options.test_bugs.single_source_recovery =
@@ -423,8 +422,8 @@ struct TraceRunner::Impl : public sim::ScheduleController,
       cl.simulator().At(base + op.at_ns,
                         [this, op, g = *gid] { Issue(op, g); });
     }
-    // §16 scripted suspicion reports: fed straight into the fast path, like
-    // a chaos `revoke` directive. No-ops unless fast_failover armed it.
+    // §16 scripted suspicion reports: fed straight into revoke-then-promote,
+    // like a chaos `revoke` directive.
     for (const McRevoke& r : config.revokes) {
       workload_end = std::max(workload_end, base + r.at_ns);
       cl.simulator().At(base + r.at_ns, [&cl, node = r.node] {

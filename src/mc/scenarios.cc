@@ -110,9 +110,9 @@ McScenario GcRevalidate(bool bug) {
   return sc;
 }
 
-// §16 space 1: a crash-triggered fast round racing a scripted revocation of
-// the same node. The explorer's crash (force-detect routes through the fast
-// path when armed) and the chaos-style revoke both target node 0; the
+// §16 space 1: a crash-triggered revoke round racing a scripted revocation
+// of the same node. The explorer's crash (force-detect reports the node
+// suspect) and the chaos-style revoke both target node 0; the
 // fast_inflight_ dedup must collapse them into one revoke-then-promote
 // round, and every interleaving must keep acked writes durable. No
 // injectable bug: the space must be violation-free either way.
@@ -130,7 +130,6 @@ McScenario RevocationRace(bool /*inject_bug*/) {
   c.clients = 1;
   c.seed = 1;
   c.scheme = "rep3";
-  c.fast_failover = true;
   c.reorder_window_ns = 3000;
   c.max_steps = 64;
   c.max_crashes = 1;
@@ -165,7 +164,6 @@ McScenario StaleLeaseWrite(bool /*inject_bug*/) {
   c.clients = 1;
   c.seed = 1;
   c.scheme = "rep2";
-  c.fast_failover = true;
   c.multiversion_depth = 2;
   c.nonblocking_reads = true;
   c.reorder_window_ns = 3000;

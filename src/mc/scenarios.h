@@ -1,5 +1,5 @@
 // Preset model-checking scenarios: the PR 5 regression bugs plus the §16
-// fast-failover races as bounded schedule-space configs. Shared by
+// revoke-then-promote races as bounded schedule-space configs. Shared by
 // tests/mc_test.cc and `ringctl mc` so the CLI, CI and the unit tests
 // explore the identical spaces.
 //

@@ -94,9 +94,6 @@ std::string ScheduleSpec::ToString() const {
      << " write_retransmit_ns=" << config.write_retransmit_ns;
   // §16 keys only when non-default so pre-existing spec texts round-trip
   // unchanged.
-  if (config.fast_failover) {
-    os << " fast_failover=1";
-  }
   if (config.multiversion_depth != 0) {
     os << " multiversion_depth=" << config.multiversion_depth;
   }
@@ -195,8 +192,6 @@ Result<ScheduleSpec> ScheduleSpec::Parse(const std::string& text) {
           spec.config.quiesce_ns = ParseU64(v);
         } else if (k == "write_retransmit_ns") {
           spec.config.write_retransmit_ns = ParseU64(v);
-        } else if (k == "fast_failover") {
-          spec.config.fast_failover = ParseU64(v) != 0;
         } else if (k == "multiversion_depth") {
           spec.config.multiversion_depth = static_cast<uint32_t>(ParseU64(v));
         } else if (k == "nonblocking_reads") {

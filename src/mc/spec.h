@@ -33,7 +33,7 @@ struct McOp {
 };
 
 // Scripted §16 revocation: at `at_ns` (workload-relative, like McOp::at_ns)
-// the membership fast path receives a suspicion report against `node` —
+// the membership layer receives a suspicion report against `node` —
 // possibly false. Deterministic like ops; the explorer then interleaves the
 // resulting revoke-then-promote round against the workload.
 struct McRevoke {
@@ -66,9 +66,8 @@ struct McConfig {
   // Override SimParams::write_retransmit_ns (0 keeps the sim default).
   uint64_t write_retransmit_ns = 0;
 
-  // §16 fast-failover/multiversion knobs. Defaults keep pre-existing specs
-  // (and their digests) byte-identical; ToString only emits them when set.
-  bool fast_failover = false;       // arm lease-revocation reconfiguration
+  // §16 multiversion knobs. Defaults keep pre-existing specs (and their
+  // digests) byte-identical; ToString only emits them when set.
   uint32_t multiversion_depth = 0;  // ν retained committed versions per key
   bool nonblocking_reads = false;   // issue gets with ReadMode::kNonBlocking
 

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/common/hash.h"
-#include "src/common/logging.h"
 
 namespace ring::membership {
 namespace {
@@ -161,8 +160,6 @@ bool RebalanceCoordinator::Engage(const char* what, uint64_t detail) {
                           hub().current_op(), detail, cfg.epoch);
   hub().metrics().Inc("rebalance.transitions", 1, last_leader_);
   hub().metrics().SetGauge("rebalance.active", 1, last_leader_);
-  RING_LOG(kInfo) << "rebalance " << what << " s " << plan_.old_s << " -> "
-                  << plan_.new_s << " (epoch " << cfg.epoch << ")";
   // Let the config broadcast land before the first scan round.
   ArmPump(options_.rescan_delay_ns);
   return true;
@@ -417,11 +414,6 @@ void RebalanceCoordinator::Finish(bool ok) {
                       leader);
   hub().metrics().SetGauge("rebalance.active", 0, leader);
   hub().metrics().SetGauge("rebalance.pending_keys", 0, leader);
-  RING_LOG(kInfo) << "rebalance " << (ok ? "complete" : "FAILED") << ": "
-                  << stats_.keys_moved << " keys moved, "
-                  << stats_.keys_reencoded << " re-encoded, "
-                  << stats_.bytes_moved << " bytes, "
-                  << stats_.scan_rounds << " rounds";
 }
 
 void RebalanceCoordinator::FoldServerCounters(uint64_t* moved,

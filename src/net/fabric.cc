@@ -77,8 +77,8 @@ void Fabric::Enqueue(NodeId dst, sim::SimTime arrival, Pending p) {
 }
 
 bool Fabric::RejectDelivery(NodeId dst, const Pending& p) {
-  // One emptiness/null branch on the delivery fast path: with no revocations
-  // and no NACK observer (the default) this is equivalent to the seed fabric.
+  // One emptiness branch and one liveness load on the delivery fast path: a
+  // live destination that revoked nothing rejects nothing.
   const bool revoked_here = revoked(dst, p.issuer);
   const bool dead_with_observer = !alive_[dst] && nack_armed();
   if (!revoked_here && !dead_with_observer) {

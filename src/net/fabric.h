@@ -87,9 +87,9 @@ class Fabric {
   // only while the issuer is alive; `permission_revoked` distinguishes "the
   // peer is unreachable" (grounds to suspect the peer) from "my own
   // permissions were revoked there" (the issuer is the suspect and must not
-  // counter-suspect the witness). Null (the default) restores the seed's
-  // silent-drop semantics — no extra events, byte-identical schedules; only
-  // the fast-failover path installs one.
+  // counter-suspect the witness). Null (the default) keeps silent-drop
+  // semantics for a fabric used without membership; MembershipGroup::Start
+  // installs one.
   // Cold control-plane hook: invoked once per NACK (fabric rejections only),
   // never on the per-delivery fast path, so the general-heap capture box
   // never touches the pooled sim::Task allocator's hot loop.

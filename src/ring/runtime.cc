@@ -47,7 +47,7 @@ RingRuntime::RingRuntime(const RingOptions& options)
     hooks.recover = [this](uint32_t node) { RestartNode(node); };
     hooks.resumed = [this](uint32_t node) { membership_.NoteResumed(node); };
     // §16: a chaos `revoke` is a suspicion report — possibly false — fed
-    // straight into the fast path (no-op unless fast_failover armed it).
+    // straight into revoke-then-promote.
     hooks.revoke = [this](uint32_t node) { membership_.ReportSuspect(node); };
     injector_->set_hooks(std::move(hooks));
     injector_->set_crash_guard([this](uint32_t node) {

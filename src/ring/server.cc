@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "src/common/hash.h"
-#include "src/common/logging.h"
 #include "src/gf/gf256.h"
 #include "src/ring/client.h"
 #include "src/ring/runtime.h"

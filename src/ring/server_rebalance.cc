@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "src/common/hash.h"
-#include "src/common/logging.h"
 #include "src/ring/runtime.h"
 #include "src/ring/server.h"
 
@@ -368,8 +367,6 @@ void RingServer::PurgeStaleGeometries() {
   hub().metrics().Inc("rebalance.purged_entries", dropped_entries, id_);
   hub().recorder().Record(obs::RecKind::kRecovery, "geometry_purge", id_,
                           hub().current_op(), dropped_entries);
-  RING_LOG(kInfo) << "node " << id_ << " purged stale geometries ("
-                  << dropped_entries << " entries)";
 }
 
 }  // namespace ring

@@ -5,7 +5,6 @@
 #include <cassert>
 
 #include "src/common/hash.h"
-#include "src/common/logging.h"
 #include "src/gf/gf256.h"
 #include "src/ring/runtime.h"
 #include "src/ring/server.h"
@@ -42,14 +41,11 @@ void RingServer::OnConfig(const consensus::ClusterConfig& config) {
     // rejoin transition below.
     serving_ = false;
     excluded_ = true;
-    if (rt_->options().params.fast_failover) {
-      // §16: fenced while live. Every redundancy append or ack this node
-      // could still send NACKs at the witnesses, so its in-flight quorum
-      // rounds are permanently stuck — abandon them instead of letting the
-      // wedged-write probe count zombies. (Legacy mode keeps them: without
-      // fabric fencing a straggler round may still complete and reply.)
-      AbandonPendingWrites();
-    }
+    // §16: fenced while live. Every redundancy append or ack this node
+    // could still send NACKs at the witnesses, so its in-flight quorum
+    // rounds are permanently stuck — abandon them instead of letting the
+    // wedged-write probe count zombies.
+    AbandonPendingWrites();
     return;
   }
   const bool readmitted = excluded_;
@@ -129,7 +125,6 @@ void RingServer::Restart() {
 void RingServer::BeginPromotion(uint32_t new_slot) {
   serving_ = false;
   const sim::SimTime start = rt_->simulator().now();
-  RING_LOG(kInfo) << "node " << id_ << " promoting into slot " << new_slot;
 
   // Enumerate the metadata-fetch tasks implied by the slot's roles. During
   // a rebalance (§13) both shapes are live: the node recovers its roles
@@ -222,8 +217,6 @@ void RingServer::BeginPromotion(uint32_t new_slot) {
                               obs::kNoMemgest, obs::OpKind::kRecovery);
       hub().recorder().Record(obs::RecKind::kRecovery, "promotion", id_, 0,
                               last_recovery_ns_);
-      RING_LOG(kInfo) << "node " << id_ << " serving after "
-                      << last_recovery_ns_ / 1000 << "us";
       RecoverAllData([this] { NotifyRedundancyRecovered(); });
     });
   };
@@ -1022,8 +1015,6 @@ void RingServer::RebuildParity(const MemgestInfo& info, uint32_t pkey,
                           obs::OpKind::kRecovery);
       hub().recorder().Record(obs::RecKind::kRecovery, "parity_rebuild", id_,
                               0, info_ptr->id);
-      RING_LOG(kInfo) << "node " << id_ << " rebuilt parity for memgest "
-                      << info_ptr->id;
       done();
     });
     if (gf_cost > 0) {

@@ -5,8 +5,6 @@
 #include <cstddef>
 #include <utility>
 
-#include "src/common/logging.h"
-
 namespace ring::sim {
 
 EventQueue::EventQueue() : buckets_(kNumBuckets), coarse_(kNumCoarse) {}
@@ -72,7 +70,6 @@ bool EventQueue::RunNextControlled() {
       Event ev = PopEarliest();
       now_ = ev.time;
       ++executed_;
-      SetLogSimTime(now_);
       ev.fn();
       return true;
     }
@@ -118,7 +115,6 @@ bool EventQueue::RunNextControlled() {
       now_ = frontier;
     }
     ++executed_;
-    SetLogSimTime(now_);
     ev.fn();
     return true;
   }
@@ -261,7 +257,6 @@ bool EventQueue::RunNext() {
   Event ev = PopEarliest();
   now_ = ev.time;
   ++executed_;
-  SetLogSimTime(now_);
   ev.fn();
   return true;
 }

@@ -73,16 +73,6 @@ struct SimParams {
   uint64_t heartbeat_period_ns = 10 * kMillisecond;
   uint64_t failure_timeout_ns = 35 * kMillisecond;
   uint64_t client_retry_timeout_ns = 300 * kMicrosecond;
-  // RDMA-aware fast failover (§16): when set, queue-pair permission
-  // revocation is armed as a first-class fabric primitive — operations
-  // addressed to a dead or revoked peer NACK back to the issuer, the NACK
-  // feeds a suspicion report to the leader, and the leader revokes the
-  // suspect's write permissions at its redundancy witnesses with one-sided
-  // ops before promoting the spare. Reconfiguration then completes in
-  // microseconds of sim time instead of riding detection_window_ns /
-  // election_window_ns; the heartbeat slow path stays armed as the backstop.
-  // Off (the default) keeps every schedule byte-identical to the seed.
-  bool fast_failover = false;
 
   // --- Client retry policy (chaos hardening) ---
   // The first retry fires one flat client_retry_timeout_ns after issue;

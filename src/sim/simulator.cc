@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "src/common/logging.h"
-
 namespace ring::sim {
 
 void Simulator::Run() {
@@ -72,13 +70,9 @@ void CpuWorker::RunCompletion(uint64_t generation) {
   analysis::ScopedCpuTask task(
       sim_->race(), node_,
       completion.edge.has_value() ? &*completion.edge : nullptr);
-  // Wrap the completion so RING_LOG lines emitted by the work item carry
-  // the node they ran on.
-  SetLogNode(static_cast<int32_t>(node_));
   if (completion.fn) {
     completion.fn();
   }
-  SetLogNode(kLogNoNode);
 }
 
 void CpuWorker::Reset() {

@@ -88,11 +88,12 @@ struct ChaosDigest {
 };
 
 // One full chaos run: random plan + random traffic + oracles + final sweep.
-// With `fast_failover` the §16 stack is armed end to end: lease-revocation
-// reconfiguration, random false-suspicion `revoke` events in the plan, and
-// non-blocking multiversion gets. The default (false) leg stays byte-
-// identical to pre-§16 builds.
-ChaosDigest RunChaos(uint64_t seed, bool fast_failover = false) {
+// With `revokes_and_nonblocking_reads` the rest of the §16 stack joins the
+// revoke-then-promote failover every run has: random false-suspicion
+// `revoke` events in the plan, ν = 3 retained versions, and non-blocking
+// multiversion gets.
+ChaosDigest RunChaos(uint64_t seed,
+                     bool revokes_and_nonblocking_reads = false) {
   RingOptions options;
   options.s = 3;
   options.d = 2;
@@ -110,8 +111,7 @@ ChaosDigest RunChaos(uint64_t seed, bool fast_failover = false) {
   shape.quiet_after_ns = 40 * sim::kMillisecond;
   shape.link_faults = 4;
   shape.node_events = 2;
-  if (fast_failover) {
-    options.params.fast_failover = true;
+  if (revokes_and_nonblocking_reads) {
     options.multiversion_depth = 3;
     // False suspicions consume spare capacity like crashes; tell the
     // generator so the budget never exceeds what promotions can absorb.
@@ -120,8 +120,9 @@ ChaosDigest RunChaos(uint64_t seed, bool fast_failover = false) {
   }
   options.fault_plan = fault::RandomFaultPlan(seed * 31 + 7, shape);
   options.fault_seed = seed;
-  const ReadMode read_mode =
-      fast_failover ? ReadMode::kNonBlocking : ReadMode::kStrong;
+  const ReadMode read_mode = revokes_and_nonblocking_reads
+                                 ? ReadMode::kNonBlocking
+                                 : ReadMode::kStrong;
 
   RingCluster cluster(options);
   obs::Hub& hub = cluster.simulator().hub();
@@ -354,14 +355,14 @@ TEST(ChaosReplayTest, SameSeedReplaysByteIdentically) {
   }
 }
 
-// §16 fast-failover chaos: the same oracles under lease-revocation
-// reconfiguration, random false-suspicion revokes, and non-blocking
-// multiversion reads — all in one armed stack.
+// §16 chaos: the same oracles under random false-suspicion revokes and
+// non-blocking multiversion reads — all in one stack.
 class ChaosFastFailoverFuzzTest : public ::testing::TestWithParam<uint64_t> {
 };
 
 TEST_P(ChaosFastFailoverFuzzTest, OraclesHoldWithFastFailoverArmed) {
-  const ChaosDigest d = RunChaos(GetParam(), /*fast_failover=*/true);
+  const ChaosDigest d =
+      RunChaos(GetParam(), /*revokes_and_nonblocking_reads=*/true);
   EXPECT_EQ(d.oracle_violations, 0u);
   EXPECT_FALSE(d.outcomes.empty());
 }
@@ -375,21 +376,23 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // The §16 machinery (revocations included) is as deterministic as the rest:
-// same seed, byte-identical fast-mode replay.
+// same seed, byte-identical replay.
 TEST(ChaosFastFailoverReplayTest, SameSeedReplaysByteIdentically) {
   for (uint64_t seed : {2ULL, 9ULL}) {
-    const ChaosDigest first = RunChaos(seed, /*fast_failover=*/true);
-    const ChaosDigest again = RunChaos(seed, /*fast_failover=*/true);
+    const ChaosDigest first =
+        RunChaos(seed, /*revokes_and_nonblocking_reads=*/true);
+    const ChaosDigest again =
+        RunChaos(seed, /*revokes_and_nonblocking_reads=*/true);
     EXPECT_TRUE(first == again)
-        << "seed " << seed << " diverged on fast-mode replay";
+        << "seed " << seed << " diverged on replay with revokes";
     EXPECT_EQ(first.outcomes, again.outcomes);
   }
 }
 
-// A random plan with revocations actually exercises the fast path: at least
-// one seed-pinned run completes a revoke-then-promote round.
+// A random plan with revocations actually drives revoke rounds: at least one
+// seed-pinned run completes a revoke-then-promote round.
 TEST(ChaosFastFailoverFuzzCoverage, RevocationsDriveFastRounds) {
-  const ChaosDigest d = RunChaos(3, /*fast_failover=*/true);
+  const ChaosDigest d = RunChaos(3, /*revokes_and_nonblocking_reads=*/true);
   EXPECT_GE(d.revocations, 1u);
   EXPECT_GE(d.fast_failovers, 1u);
 }
@@ -781,7 +784,7 @@ TEST(MembershipChaosReplayTest, SameSeedReplaysByteIdentically) {
 
 struct ScriptedElastic {
   explicit ScriptedElastic(uint64_t seed, uint32_t spares,
-                           fault::FaultPlan plan = {}, bool fast = false) {
+                           fault::FaultPlan plan = {}) {
     RingOptions o;
     o.s = 3;
     o.d = 2;
@@ -789,7 +792,6 @@ struct ScriptedElastic {
     o.clients = 1;
     o.seed = seed;
     o.fault_plan = std::move(plan);
-    o.params.fast_failover = fast;
     cluster = std::make_unique<RingCluster>(o);
     rep3 = *cluster->CreateMemgest(MemgestDescriptor::Replicated(3));
     srs32 = *cluster->CreateMemgest(MemgestDescriptor::ErasureCoded(3, 2));
@@ -897,8 +899,9 @@ TEST(MembershipChaosScriptTest, LeaderCrashMidTransitionReanchorsAndDrains) {
 
 // Scripted §16 scenarios: lease revocation composed with the classic gray
 // failures — a partition, a gray pause, and a mid-drain rebalance. All three
-// pin the fast revoke-then-promote path deterministically and check that the
-// falsely-fenced node is readmitted and no committed data is lost.
+// pin the revoke-then-promote path deterministically and check that the
+// falsely-fenced node is readmitted and no committed data is lost. A fourth
+// pins the heartbeat backstop: a pause no operation bounces off.
 
 TEST(FastFailoverScriptTest, RevokeDuringPartitionPromotesAndReadmits) {
   // Node 1 is partitioned away, then revoked while unreachable. The witness
@@ -908,7 +911,7 @@ TEST(FastFailoverScriptTest, RevokeDuringPartitionPromotesAndReadmits) {
       "partition a=0,2,3,4,5,6 b=1 at=6ms heal=14ms\n"
       "revoke node=1 at=6500us\n");
   ASSERT_TRUE(plan.ok()) << plan.status();
-  ScriptedElastic e(41, /*spares=*/1, *plan, /*fast=*/true);
+  ScriptedElastic e(41, /*spares=*/1, *plan);
   e.WriteKeys(40);
   ASSERT_LT(e.cluster->simulator().now(), 6 * sim::kMillisecond)
       << "writes outran the partition window";
@@ -922,13 +925,13 @@ TEST(FastFailoverScriptTest, RevokeDuringPartitionPromotesAndReadmits) {
 
 TEST(FastFailoverScriptTest, RevokeDuringGrayPauseFencesAndRecovers) {
   // A gray pause: node 1 is alive but unresponsive. Revocation fences it
-  // mid-pause; on resume it discovers the epoch bump (the fast path
-  // broadcasts config even to fenced peers) and petitions for readmission.
+  // mid-pause; on resume it discovers the epoch bump (config broadcasts
+  // reach fenced peers too) and petitions for readmission.
   auto plan = fault::ParseFaultPlan(
       "pause node=1 at=6ms resume=12ms\n"
       "revoke node=1 at=7ms\n");
   ASSERT_TRUE(plan.ok()) << plan.status();
-  ScriptedElastic e(42, /*spares=*/1, *plan, /*fast=*/true);
+  ScriptedElastic e(42, /*spares=*/1, *plan);
   e.WriteKeys(40);
   ASSERT_LT(e.cluster->simulator().now(), 6 * sim::kMillisecond)
       << "writes outran the pause window";
@@ -941,9 +944,10 @@ TEST(FastFailoverScriptTest, RevokeDuringGrayPauseFencesAndRecovers) {
 
 TEST(FastFailoverScriptTest, RevokeMidRebalanceDrainCompletes) {
   // A source node is falsely revoked in the middle of a slow elastic drain.
-  // The fast path promotes a spare into its slot; the idempotent scan/migrate
-  // protocol re-drains whatever the fencing dropped and the resize completes.
-  ScriptedElastic e(43, /*spares=*/2, {}, /*fast=*/true);
+  // Revoke-then-promote moves a spare into its slot; the idempotent
+  // scan/migrate protocol re-drains whatever the fencing dropped and the
+  // resize completes.
+  ScriptedElastic e(43, /*spares=*/2);
   e.WriteKeys(90);
   membership::RebalanceOptions ro;
   ro.keys_per_sec = 4000.0;  // stretch the drain so the revoke lands inside
@@ -959,6 +963,28 @@ TEST(FastFailoverScriptTest, RevokeMidRebalanceDrainCompletes) {
   EXPECT_GE(m.fast_failovers(), 1u);
   EXPECT_EQ(e.LeaderConfig().s, 4u);
   EXPECT_FALSE(e.LeaderConfig().rebalancing());
+  e.VerifyAllKeys();
+}
+
+TEST(FastFailoverScriptTest, GrayPausePastTimeoutFallsToHeartbeatBackstop) {
+  // Nothing bounces off a paused node, so no NACK reports it and no revoke
+  // round starts. Node 1 stays paused past the failure timeout: only the
+  // heartbeat backstop detects it, and the leader promotes the spare
+  // directly. After the resume node 1 petitions and is readmitted.
+  auto plan = fault::ParseFaultPlan("pause node=1 at=6ms resume=80ms");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ScriptedElastic e(44, /*spares=*/1, *plan);
+  e.WriteKeys(40);
+  ASSERT_LT(e.cluster->simulator().now(), 6 * sim::kMillisecond)
+      << "writes outran the pause window";
+  auto& m = e.cluster->runtime().membership();
+  e.cluster->simulator().RunUntil(75 * sim::kMillisecond);
+  EXPECT_TRUE(e.LeaderConfig().failed[1]);
+  EXPECT_EQ(e.LeaderConfig().NodeOfSlot(1), 5u);  // the spare took slot 1
+  e.cluster->simulator().RunUntil(200 * sim::kMillisecond);
+  EXPECT_FALSE(e.LeaderConfig().failed[1]);
+  EXPECT_EQ(m.fast_failovers(), 0u);
+  EXPECT_EQ(m.revocations_issued(), 0u);
   e.VerifyAllKeys();
 }
 

@@ -196,11 +196,15 @@ TEST(ClientTest, FinishedOpsParkNoRetryEvents) {
 TEST(ClientTest, DeferredRetriedMoveStillReplies) {
   RingOptions o = Opts(8);
   // The move's first send, to shard 2's coordinator, is lost on the wire:
-  // it reaches the server only as the client's multicast retry.
+  // it reaches the server only as the client's multicast retry. Node 3 is
+  // gray-paused from 1 ms on: alive on the wire, so nothing sent to it
+  // bounces, and only the heartbeat timeout detects it.
+  constexpr sim::SimTime kPauseAt = 1 * sim::kMillisecond;
   constexpr sim::SimTime kMoveAt = 5 * sim::kMillisecond;
   const net::NodeId mover = o.s + o.d + o.spares + 1;  // client(1)
   auto plan = fault::ParseFaultPlan("drop src=" + std::to_string(mover) +
-                                    " dst=2 p=1 from=5ms until=5100us");
+                                    " dst=2 p=1 from=5ms until=5100us\n"
+                                    "pause node=3 at=1ms resume=300ms");
   ASSERT_TRUE(plan.ok());
   o.fault_plan = *plan;
   // The move waits out failure detection (tens of ms): keep its retries
@@ -220,8 +224,9 @@ TEST(ClientTest, DeferredRetriedMoveStillReplies) {
     }
   }();
   // Wedge the commit: the full-sync put needs an ack from its replica on
-  // node 3, which is dead but not yet detected.
-  cluster.KillNode(3, /*force_detect=*/false);
+  // node 3, which is paused but not yet detected.
+  ASSERT_LT(cluster.simulator().now(), kPauseAt);
+  cluster.simulator().RunUntil(kPauseAt);
   bool put_done = false;
   cluster.client(0).Put(key, std::make_shared<Buffer>(ToBuffer("wedged")),
                         fsync, [&](Status, Version) { put_done = true; });
@@ -249,9 +254,9 @@ TEST(ClientTest, DeferredRetriedMoveStillReplies) {
   EXPECT_FALSE(move_done);
   EXPECT_EQ(cluster.server(2).counters().moves, moves_before + 1);
 
-  // Failure detection promotes the spare, the pending version commits, and
-  // the postponed move re-executes — it must reply despite having entered
-  // as a retry.
+  // The heartbeat backstop detects node 3 and promotes the spare, the
+  // pending version commits, and the postponed move re-executes — it must
+  // reply despite having entered as a retry.
   cluster.RunFor(150 * sim::kMillisecond);
   ASSERT_TRUE(move_done);
   EXPECT_TRUE(move_status.ok()) << move_status;

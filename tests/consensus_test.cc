@@ -138,24 +138,13 @@ TEST_F(MembershipTest, ForceDetectSkipsTimeout) {
 class FastMembershipTest : public ::testing::Test {
  protected:
   static constexpr uint32_t kNodes = 8;
-  static sim::SimParams FastParams() {
-    sim::SimParams p;
-    p.fast_failover = true;
-    return p;
-  }
   FastMembershipTest()
-      : simulator_(7, FastParams()), fabric_(&simulator_, kNodes),
-        group_(&fabric_, 3, 2) {}
+      : simulator_(7), fabric_(&simulator_, kNodes), group_(&fabric_, 3, 2) {}
 
   sim::Simulator simulator_;
   net::Fabric fabric_;
   MembershipGroup group_;
 };
-
-TEST_F(FastMembershipTest, StartArmsTheFastPath) {
-  group_.Start();
-  EXPECT_TRUE(group_.fast_failover_armed());
-}
 
 TEST_F(FastMembershipTest, ReportSuspectRevokesThenPromotesInMicroseconds) {
   group_.Start();
@@ -191,7 +180,7 @@ TEST_F(FastMembershipTest, FalseSuspicionFencesThenReadmitsLiveNode) {
   EXPECT_EQ(c.CoordinatorOfShard(2), 5u);
 }
 
-TEST_F(FastMembershipTest, DeadLeaderNacksTriggerFastTakeOver) {
+TEST_F(FastMembershipTest, DeadLeaderNacksTriggerRevokeTakeOver) {
   group_.Start();
   simulator_.RunUntil(20 * sim::kMillisecond);
   group_.InjectFailure(0);  // the leader; no ForceDetect — NACKs report it
@@ -214,20 +203,6 @@ TEST_F(FastMembershipTest, ForceDetectRoutesThroughRevokeThenPromote) {
   EXPECT_TRUE(group_.ConfigView(0).failed[3]);
   EXPECT_GE(group_.fast_failovers(), 1u);
   EXPECT_GE(group_.revocations_issued(), 1u);
-}
-
-TEST_F(MembershipTest, ReportSuspectIsANoOpWhenFastPathIsOff) {
-  group_.Start();
-  simulator_.RunUntil(20 * sim::kMillisecond);
-  EXPECT_FALSE(group_.fast_failover_armed());
-  group_.ReportSuspect(2);
-  simulator_.RunUntil(100 * sim::kMillisecond);
-  EXPECT_EQ(group_.fast_failovers(), 0u);
-  EXPECT_EQ(group_.revocations_issued(), 0u);
-  for (uint32_t n = 0; n < kNodes; ++n) {
-    EXPECT_EQ(group_.ConfigView(n).epoch, 1u);
-    EXPECT_FALSE(group_.ConfigView(n).failed[2]);
-  }
 }
 
 TEST_F(MembershipTest, CascadingFailuresConsumeSpares) {

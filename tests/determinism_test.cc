@@ -25,13 +25,11 @@ struct RunOutput {
 // Mixed put/get traffic over the paper's memgest spread (rep1/rep3/srs32)
 // across object sizes 2^4..2^11, with seeded random pacing — the shape of
 // the fig7 latency workload, shrunk to test size.
-RunOutput RunFig7StyleWorkload(bool analyze_races, bool telemetry = false,
-                               bool fast_failover = false) {
+RunOutput RunFig7StyleWorkload(bool analyze_races, bool telemetry = false) {
   RingOptions options;
   options.seed = 42;
   options.clients = 2;
   options.analyze_races = analyze_races;
-  options.params.fast_failover = fast_failover;
   RingCluster cluster(options);
   obs::Hub& hub = cluster.simulator().hub();
   hub.EnableMetrics(true);
@@ -97,19 +95,6 @@ TEST(DeterminismTest, SameSeedSameBytesTwiceInProcess) {
   EXPECT_EQ(first.trace_summary, second.trace_summary);
   EXPECT_FALSE(first.metrics.empty());
   EXPECT_FALSE(first.trace.empty());
-}
-
-TEST(DeterminismTest, IdleFastFailoverDoesNotPerturbTheSchedule) {
-  // §16: arming revoke-then-promote registers a fabric NACK observer and
-  // branches in the membership layer, but with no failures injected not a
-  // single event may move — the fast path must be pay-for-use.
-  const RunOutput off = RunFig7StyleWorkload(/*analyze_races=*/false);
-  const RunOutput armed =
-      RunFig7StyleWorkload(/*analyze_races=*/false, /*telemetry=*/false,
-                           /*fast_failover=*/true);
-  EXPECT_EQ(off.metrics, armed.metrics);
-  EXPECT_EQ(off.trace, armed.trace);
-  EXPECT_EQ(off.trace_summary, armed.trace_summary);
 }
 
 TEST(DeterminismTest, RaceDetectorDoesNotPerturbTheSchedule) {

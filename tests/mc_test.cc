@@ -283,14 +283,14 @@ TEST(McScenarios, RejectsUnknownName) {
   EXPECT_EQ(PresetScenarios(false).size(), 5u);
 }
 
-// --- §16 fast-failover spaces ----------------------------------------------
+// --- §16 revoke-then-promote spaces -----------------------------------------
 // No injectable bug: bounded exploration of each space must be entirely
 // violation-free, and the deterministic-replay contract must hold with
 // scripted revocations and non-blocking reads in play.
 
 // Shared check for the robustness scenarios: the space is clean, the default
 // trace is deterministic, and a dense replay of it is byte-identical (the
-// revoke/fast-failover machinery introduces no hidden nondeterminism).
+// revoke-then-promote machinery introduces no hidden nondeterminism).
 void ExpectCleanSpace(const McConfig& config) {
   const TraceResult a = RunDefault(config);
   const TraceResult b = RunDefault(config);
@@ -333,14 +333,12 @@ TEST(McFastFailover, SpecRoundTripsRevokes) {
   ScheduleSpec spec;
   spec.config = ScenarioConfig("stale-lease-write", false);
   const std::string text = spec.ToString();
-  EXPECT_NE(text.find("fast_failover=1"), std::string::npos);
   EXPECT_NE(text.find("multiversion_depth=2"), std::string::npos);
   EXPECT_NE(text.find("nonblocking_reads=1"), std::string::npos);
   EXPECT_NE(text.find("revoke node=0 at=1000"), std::string::npos);
   const Result<ScheduleSpec> parsed = ScheduleSpec::Parse(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   EXPECT_EQ(parsed->ToString(), text);
-  EXPECT_TRUE(parsed->config.fast_failover);
   EXPECT_EQ(parsed->config.multiversion_depth, 2u);
   EXPECT_TRUE(parsed->config.nonblocking_reads);
   ASSERT_EQ(parsed->config.revokes.size(), 1u);
@@ -350,7 +348,6 @@ TEST(McFastFailover, SpecRoundTripsRevokes) {
   ScheduleSpec legacy;
   legacy.config = MicroConfig();
   const std::string old_text = legacy.ToString();
-  EXPECT_EQ(old_text.find("fast_failover"), std::string::npos);
   EXPECT_EQ(old_text.find("revoke"), std::string::npos);
 }
 

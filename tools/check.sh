@@ -91,11 +91,9 @@ if [[ "${MODE}" == "--chaos" ]]; then
   cmake --build build -j "${JOBS}" \
     --target chaos_fuzz_test consensus_test chaos_availability
   ./build/tests/chaos_fuzz_test
-  echo "== chaos: fast-failover leg (revoke-then-promote, §16) =="
-  ./build/tests/chaos_fuzz_test \
-    --gtest_filter='*FastFailover*:FastFailoverScript*'
-  ./build/tests/consensus_test --gtest_filter='FastMembershipTest.*'
-  echo "== chaos: availability bench smoke (legacy + fast columns) =="
+  echo "== chaos: membership and revoke-then-promote (§16) =="
+  ./build/tests/consensus_test
+  echo "== chaos: availability bench smoke =="
   ./build/bench/chaos_availability
   echo "== chaos: fuzz seeds (asan,ubsan) =="
   cmake -B build-sanitize -S . -DRING_SANITIZE=address,undefined \

@@ -695,7 +695,6 @@ int RunChaos(FlagSet& flags, ChaosMode mode) {
   o.spares = 2;
   o.clients = std::max(1u, static_cast<uint32_t>(flags.GetInt("clients")));
   o.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  o.params.fast_failover = flags.GetBool("fast-failover");
   const uint32_t servers = o.s + o.d + o.spares;
   const uint64_t horizon =
       static_cast<uint64_t>(flags.GetDouble("seconds") * 1e9);
@@ -1197,10 +1196,6 @@ int Main(int argc, char** argv) {
       .DefineInt("stretch", 0, "SRS(3,2) stretch s (0 = 3, i.e. plain RS)")
       .DefineDouble("rate", 200000, "offered load per client, req/s")
       .DefineDouble("seconds", 1.0, "measurement window, simulated seconds")
-      .DefineBool("fast-failover", false,
-                  "arm §16 revoke-then-promote reconfiguration "
-                  "(chaos/watch/report; `revoke node=N at=T` plan directives "
-                  "need this)")
       .DefineBool("json", false, "machine-readable output (calibrate, stats)")
       .DefineBool("prom", false,
                   "Prometheus text exposition instead of the summary (stats)")
