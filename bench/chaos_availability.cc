@@ -140,9 +140,8 @@ SchemeResult Run(const char* label, const char* scheme,
   // and until_ns is window-inclusive). A window is unavailable when its
   // acked-probe rate falls below half the median — probes that fail
   // outright or stall past the window both starve ops_ok.
-  obs::TimeSeries::SliOptions so;
-  so.until_ns = (t0 + kHorizon) / result.window_ns * result.window_ns - 1;
-  result.rows = hub.timeseries().Slis(so);
+  result.rows = hub.timeseries().Slis(
+      (t0 + kHorizon) / result.window_ns * result.window_ns - 1);
   result.dips = obs::FindDips(result.rows, result.window_ns);
   result.injected = cluster.runtime().injector()->counters();
   return result;

@@ -39,7 +39,7 @@ int main() {
       *cluster.CreateMemgest(MemgestDescriptor::ErasureCoded(3, 2, "cold"));
 
   // Tiers are listed hottest-first; each carries the cloud price sheet the
-  // cost-objective mode would use (threshold mode is the default).
+  // realized-cost gauge charges.
   policy::AutoTierOptions ao;
   ao.epoch_ns = 5 * sim::kMillisecond;
   ao.mover.client_index = 1;

@@ -1,6 +1,7 @@
 #include "src/analysis/lint.h"
 
 #include <algorithm>
+#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -25,6 +26,13 @@ bool InScannedDir(const std::string& relpath) {
     }
   }
   return false;
+}
+
+std::string ReadText(const fs::path& path) {
+  std::ifstream f(path);
+  std::stringstream ss;
+  ss << f.rdbuf();
+  return ss.str();
 }
 
 std::vector<std::string> SplitLines(const std::string& content) {
@@ -630,12 +638,9 @@ std::vector<LintFinding> BuildGraphFindings(const std::string& root) {
   std::sort(cmake_files.begin(), cmake_files.end());
 
   for (const fs::path& path : cmake_files) {
-    std::ifstream f(path);
-    std::stringstream ss;
-    ss << f.rdbuf();
     const std::string dir =
         fs::relative(path.parent_path(), root).generic_string();
-    for (const CmakeCommand& cmd : ParseCmake(ss.str())) {
+    for (const CmakeCommand& cmd : ParseCmake(ReadText(path))) {
       if (cmd.args.empty() || cmd.args[0].find("${") != std::string::npos) {
         continue;  // function bodies parameterize the target name
       }
@@ -719,6 +724,319 @@ std::vector<LintFinding> BuildGraphFindings(const std::string& root) {
   return findings;
 }
 
+// ---- test-only-api rule ----------------------------------------------------
+//
+// Token-level reachability. A file splits into units: a function (signature
+// and body), a class or enum head, a data member (reached with its class)
+// or any other namespace-scope statement (always reached). A src/ header's
+// function, class or enumerator is reached when a non-test root file other
+// than its own .h/.cc names it, or a reached unit of the own .h/.cc does.
+// Case labels do not reach: handling a value nobody produces is no use of
+// it. A name shared by two classes reaches both, so the scan can miss but
+// never invent a finding.
+
+struct Tok {
+  std::string text;
+  size_t line;  // 0-based
+};
+
+bool IsIdent(const std::string& t) {
+  return !t.empty() && (std::isalpha(static_cast<unsigned char>(t[0])) != 0 ||
+                        t[0] == '_');
+}
+
+bool IsWordChar(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
+// Words, "::" and single punctuation characters; comments, literals and
+// preprocessor lines are dropped.
+std::vector<Tok> Tokenize(const std::string& s) {
+  std::vector<Tok> out;
+  size_t line = 0;
+  size_t i = 0;
+  auto skip_past = [&](size_t end, size_t len) {
+    end = end == std::string::npos ? s.size() : end + len;
+    line += static_cast<size_t>(
+        std::count(s.begin() + i, s.begin() + end, '\n'));
+    i = end;
+  };
+  while (i < s.size()) {
+    const char c = s[i];
+    const size_t bol = s.find_last_not_of(" \t", i == 0 ? 0 : i - 1);
+    if (c == '#' && (i == 0 || bol == std::string::npos || s[bol] == '\n')) {
+      size_t end = s.find('\n', i);
+      while (end != std::string::npos && s[end - 1] == '\\') {
+        end = s.find('\n', end + 1);
+      }
+      skip_past(end, 0);
+    } else if (s.compare(i, 2, "//") == 0) {
+      skip_past(s.find('\n', i), 0);
+    } else if (s.compare(i, 2, "/*") == 0) {
+      skip_past(s.find("*/", i + 2), 2);
+    } else if (c == '"' && i > 0 && s[i - 1] == 'R') {  // raw string
+      const size_t open = s.find('(', i);
+      const std::string close = ")" + s.substr(i + 1, open - i - 1) + "\"";
+      skip_past(s.find(close, open), close.size());
+    } else if (c == '"' || (c == '\'' && (i == 0 || !IsWordChar(s[i - 1])))) {
+      size_t j = i + 1;
+      while (j < s.size() && s[j] != c && s[j] != '\n') {
+        j += s[j] == '\\' ? 2 : 1;
+      }
+      skip_past(j, 1);
+    } else if (std::isspace(static_cast<unsigned char>(c)) != 0) {
+      skip_past(i, 1);
+    } else {
+      size_t j = i + (s.compare(i, 2, "::") == 0 ? 2 : 1);
+      while (IsWordChar(c) && j < s.size() && IsWordChar(s[j])) {
+        ++j;
+      }
+      out.push_back({s.substr(i, j - i), line});
+      i = j;
+    }
+  }
+  return out;
+}
+
+struct Unit {
+  std::string name;   // function/class/enum; empty: always reached
+  std::string owner;  // a data member's class
+  std::vector<std::string> uses;
+};
+
+size_t MatchingClose(const std::vector<Tok>& toks, size_t open) {
+  const std::string& o = toks[open].text;
+  const std::string c = o == "(" ? ")" : "}";
+  for (int depth = 0; open < toks.size(); ++open) {
+    depth += toks[open].text == o ? 1 : toks[open].text == c ? -1 : 0;
+    if (depth == 0) {
+      break;
+    }
+  }
+  return open;
+}
+
+// Index of the function name in a declaration: the word before the first
+// '(' outside template brackets and attribute groups, unless an '=' comes
+// first. stmt.size() when there is none; `operator`'s index for operators.
+size_t Declarator(const std::vector<Tok>& stmt) {
+  static const std::set<std::string> kNotAName = {
+      "return", "sizeof", "static_assert", "noexcept", "throw", "new",
+      "delete", "if", "for", "while", "switch", "explicit", "requires"};
+  int angle = 0;
+  for (size_t k = 0; k < stmt.size(); ++k) {
+    const std::string& t = stmt[k].text;
+    const std::string& p = k > 0 ? stmt[k - 1].text : t;
+    angle += t == "<" ? 1 : (t == ">" && angle > 0 ? -1 : 0);
+    if (t == "operator") {
+      return k;
+    }
+    if ((t == "=" && angle == 0) ||
+        (t == "(" && angle == 0 && k > 0 && !IsIdent(p))) {
+      break;
+    }
+    if (t != "(" || angle != 0 || k == 0) {
+      continue;
+    }
+    if (p == "alignas" || p == "decltype" || p.rfind("__", 0) == 0) {
+      k = MatchingClose(stmt, k);
+    } else {
+      return kNotAName.count(p) == 0 ? k - 1 : stmt.size();
+    }
+  }
+  return stmt.size();
+}
+
+// Splits one file into units; with `decls`, also collects the declared
+// functions, classes, enums and enumerators.
+void ParseUnits(const std::string& content, std::vector<Unit>* units,
+                std::vector<Tok>* decls) {
+  const std::vector<Tok> toks = Tokenize(content);
+  std::vector<std::pair<char, std::string>> scopes;  // 'n'/'c'/'e', class
+  std::vector<Tok> stmt;
+  // One unit from `from`, named by from[name_at] unless that is out of range
+  // or `operator`; the `A::B::` qualifier of a definition is no use.
+  auto add = [&](const std::vector<Tok>& from, size_t name_at) {
+    Unit u;
+    size_t qualifier = name_at;
+    if (name_at < from.size() && from[name_at].text != "operator") {
+      u.name = from[name_at].text;
+      while (qualifier >= 2 && from[qualifier - 1].text == "::" &&
+             IsIdent(from[qualifier - 2].text)) {
+        qualifier -= 2;
+      }
+      if (decls != nullptr) {
+        decls->push_back(from[name_at]);
+      }
+    } else if (!scopes.empty() && scopes.back().first == 'c') {
+      u.owner = scopes.back().second;
+    }
+    bool in_case = false;
+    for (size_t k = 0; k < from.size(); ++k) {
+      in_case = from[k].text == "case" || (in_case && from[k].text != ":");
+      if (!in_case && IsIdent(from[k].text) &&
+          (k < qualifier || k >= name_at)) {
+        u.uses.push_back(from[k].text);
+      }
+    }
+    units->push_back(std::move(u));
+  };
+  for (size_t i = 0; i < toks.size(); ++i) {
+    const std::string& t = toks[i].text;
+    if (!scopes.empty() && scopes.back().first == 'e') {  // enumerators
+      for (; i < toks.size() && toks[i].text != "}"; ++i) {
+        if (decls != nullptr && IsIdent(toks[i].text) &&
+            (toks[i - 1].text == "{" || toks[i - 1].text == ",")) {
+          decls->push_back(toks[i]);
+        }
+      }
+      scopes.pop_back();
+    } else if ((t == "public" || t == "private" || t == "protected") &&
+               i + 1 < toks.size() && toks[i + 1].text == ":") {
+      ++i;
+    } else if (t == "}" || t == ";") {
+      if (t == ";" && !stmt.empty()) {
+        add(stmt, Declarator(stmt));
+      } else if (t == "}" && !scopes.empty()) {
+        scopes.pop_back();
+      }
+      stmt.clear();
+    } else if (t != "{") {
+      stmt.push_back(toks[i]);
+    } else {
+      const size_t fn = Declarator(stmt);
+      size_t kw = 0;  // class-key or `enum` outside template brackets
+      for (int angle = 0; kw < stmt.size(); ++kw) {
+        const std::string& x = stmt[kw].text;
+        angle += x == "<" ? 1 : (x == ">" && angle > 0 ? -1 : 0);
+        if (angle == 0 && (x == "class" || x == "struct" || x == "union" ||
+                           x == "enum")) {
+          break;
+        }
+      }
+      const bool is_enum = kw < stmt.size() && stmt[kw].text == "enum";
+      if (std::any_of(stmt.begin(), stmt.end(),
+                      [](const Tok& x) { return x.text == "namespace"; }) ||
+          (!stmt.empty() && stmt[0].text == "extern")) {
+        scopes.push_back({'n', ""});
+      } else if (is_enum || (fn == stmt.size() && kw < stmt.size())) {
+        size_t at = kw + 1;
+        while (at < stmt.size() &&
+               (!IsIdent(stmt[at].text) || stmt[at].text == "alignas" ||
+                stmt[at].text == "class" || stmt[at].text == "struct")) {
+          at = stmt[at].text == "(" ? MatchingClose(stmt, at) + 1 : at + 1;
+        }
+        add(stmt, at);
+        scopes.push_back(
+            {is_enum ? 'e' : 'c', at < stmt.size() ? stmt[at].text : ""});
+      } else {
+        // A body follows a complete declarator, except that in a
+        // constructor's initializer list `member{` opens a brace init.
+        int paren = 0;
+        bool init_list = false;
+        for (size_t k = 0; k < stmt.size(); ++k) {
+          paren += stmt[k].text == "(" ? 1 : stmt[k].text == ")" ? -1 : 0;
+          init_list |= k > fn && paren == 0 && stmt[k].text == ":";
+        }
+        const std::string& last = stmt.empty() ? t : stmt.back().text;
+        const bool body = fn < stmt.size() && paren == 0 &&
+                          !(init_list && (IsIdent(last) || last == ">"));
+        const size_t close = std::min(MatchingClose(toks, i) + 1, toks.size());
+        stmt.insert(stmt.end(), toks.begin() + i, toks.begin() + close);
+        if (body) {
+          add(stmt, fn);
+        }
+        i = close - 1;
+        if (!body) {
+          continue;
+        }
+      }
+      stmt.clear();
+    }
+  }
+}
+
+std::vector<LintFinding> TestOnlyApiFindings(const std::string& root) {
+  std::map<std::string, std::set<std::string>> ids;  // non-test file -> words
+  std::map<std::string, size_t> files_naming;
+  std::set<std::string> test_words;
+  for (const std::string dir :
+       {"src", "bench", "tools", "e2e_bench", "examples", "tests"}) {
+    std::error_code ec;
+    for (fs::recursive_directory_iterator it(fs::path(root) / dir, ec), end;
+         it != end; it.increment(ec)) {
+      const std::string ext = it->path().extension().string();
+      if (!it->is_regular_file() ||
+          (ext != ".h" && ext != ".cc" && ext != ".cpp")) {
+        continue;
+      }
+      std::set<std::string> words;
+      for (const Tok& tok : Tokenize(ReadText(it->path()))) {
+        words.insert(tok.text);
+      }
+      if (dir == "tests") {
+        test_words.insert(words.begin(), words.end());
+        continue;
+      }
+      for (const std::string& w : words) {
+        ++files_naming[w];
+      }
+      ids[fs::relative(it->path(), root).generic_string()] = std::move(words);
+    }
+  }
+  std::vector<LintFinding> findings;
+  for (const auto& [header, header_words] : ids) {
+    if (header.rfind("src/", 0) != 0 || fs::path(header).extension() != ".h") {
+      continue;
+    }
+    const std::string text = ReadText(fs::path(root) / header);
+    const auto cc = ids.find(header.substr(0, header.size() - 2) + ".cc");
+    std::vector<Unit> units;
+    std::vector<Tok> decls;
+    ParseUnits(text, &units, &decls);
+    if (cc != ids.end()) {
+      ParseUnits(ReadText(fs::path(root) / cc->first), &units, nullptr);
+    }
+    // Reached through the own .h/.cc; a waived oracle keeps what it uses.
+    const std::vector<std::string> lines = SplitLines(text);
+    std::set<std::string> reached;
+    for (const Tok& d : decls) {
+      if (Allowlisted(lines, d.line, "test-only-api")) {
+        reached.insert(d.text);
+      }
+    }
+    auto is_reached = [&](const std::string& w) {
+      const auto n = files_naming.find(w);
+      const size_t own = header_words.count(w) +
+                         (cc != ids.end() ? cc->second.count(w) : 0);
+      return reached.count(w) != 0 ||
+             (n != files_naming.end() && n->second > own);
+    };
+    std::vector<bool> live(units.size(), false);
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (size_t u = 0; u < units.size(); ++u) {
+        const std::string& key =
+            units[u].name.empty() ? units[u].owner : units[u].name;
+        if (!live[u] && (key.empty() || is_reached(key))) {
+          live[u] = changed = true;
+          reached.insert(units[u].uses.begin(), units[u].uses.end());
+        }
+      }
+    }
+    for (const Tok& d : decls) {
+      if (test_words.count(d.text) != 0 && !is_reached(d.text)) {
+        findings.push_back({header, static_cast<int>(d.line + 1),
+                            "test-only-api",
+                            "'" + d.text + "' is named by tests but by no "
+                            "non-test code; delete it, or waive it naming "
+                            "the production code it cross-checks"});
+      }
+    }
+  }
+  return findings;
+}
+
 }  // namespace
 
 std::vector<LintFinding> LintSource(const SourceInput& in,
@@ -782,6 +1100,10 @@ std::vector<LintFinding> LintBuildGraph(const std::string& root) {
   return BuildGraphFindings(root);
 }
 
+std::vector<LintFinding> LintTestOnlyApi(const std::string& root) {
+  return TestOnlyApiFindings(root);
+}
+
 std::vector<LintFinding> LintTree(const std::string& root) {
   std::vector<LintFinding> findings;
   std::vector<fs::path> files;
@@ -806,18 +1128,12 @@ std::vector<LintFinding> LintTree(const std::string& root) {
     if (!InScannedDir(in.relpath)) {
       continue;
     }
-    std::ifstream f(path);
-    std::stringstream ss;
-    ss << f.rdbuf();
-    in.content = ss.str();
+    in.content = ReadText(path);
     if (path.extension() == ".cc") {
       fs::path header = path;
       header.replace_extension(".h");
       if (fs::exists(header, ec)) {
-        std::ifstream hf(header);
-        std::stringstream hs;
-        hs << hf.rdbuf();
-        in.paired_header = hs.str();
+        in.paired_header = ReadText(header);
       }
     }
     std::vector<LintFinding> file_findings = LintSource(in);
@@ -826,6 +1142,8 @@ std::vector<LintFinding> LintTree(const std::string& root) {
   }
   std::vector<LintFinding> graph = LintBuildGraph(root);
   findings.insert(findings.end(), graph.begin(), graph.end());
+  std::vector<LintFinding> test_only = LintTestOnlyApi(root);
+  findings.insert(findings.end(), test_only.begin(), test_only.end());
   std::sort(findings.begin(), findings.end());
   return findings;
 }

@@ -38,12 +38,20 @@
 //                   explicitly discarded with a `(void)` cast.
 //   orphan-cc       a .cc under src/ whose target is not reachable from any
 //                   test executable's link graph — untested code.
+//   test-only-api   a function, class or enumerator declared in a src/
+//                   header that a file under tests/ names and no non-test
+//                   root reaches (src/ outside the symbol's own .h/.cc,
+//                   bench/, tools/, e2e_bench/, examples/) — code only its
+//                   own tests exercise. Token-level: a name shared with
+//                   another class may hide a finding, never invent one.
+//                   Waive an independent oracle on its declaration with
+//                   `// ring-lint: ok(test-only-api) <code it cross-checks>`.
 //
 // Text rules scan src/sim, src/net, src/ring, src/srs and src/policy
-// (raw-schedule exempts src/sim itself). The build-graph rule covers all of
-// src/. This is a regex/AST-lite pass: it reads lines, not a real AST, so a
-// reviewed, genuinely-safe use is silenced with an allowlist comment on the
-// same or the preceding line:
+// (raw-schedule exempts src/sim itself). The build-graph and test-only-api
+// rules cover all of src/. This is a regex/AST-lite pass: it reads lines,
+// not a real AST, so a reviewed, genuinely-safe use is silenced with an
+// allowlist comment on the same or the preceding line:
 //
 //   // ring-lint: ok(unordered-iter) <reason>
 #ifndef RING_SRC_ANALYSIS_LINT_H_
@@ -86,6 +94,9 @@ std::vector<LintFinding> LintSource(const SourceInput& in,
 // Build-graph rule: parses every CMakeLists.txt under `root` and reports
 // each src/ .cc not reachable from a test target's link closure.
 std::vector<LintFinding> LintBuildGraph(const std::string& root);
+
+// test-only-api over the checkout at `root`.
+std::vector<LintFinding> LintTestOnlyApi(const std::string& root);
 
 // Walks `root` (a repo checkout), runs text rules over the scanned dirs and
 // the build-graph rule, and returns all findings sorted by (file, line).

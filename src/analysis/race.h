@@ -124,13 +124,15 @@ class RaceDetector {
   void OnAccess(const Region& region, AccessKind kind, const char* site,
                 uint64_t now, uint64_t op_id);
 
+  // ring-lint: ok(test-only-api) the Fabric/RingServer access hooks
   const std::vector<RaceReport>& races() const { return races_; }
+  // ring-lint: ok(test-only-api) the Fabric/RingServer access hooks
   uint64_t accesses_logged() const { return accesses_; }
   uint64_t races_dropped() const { return races_dropped_; }
 
-  // Human-readable report. With a tracer, each access is annotated with its
-  // op's protocol-phase history (the named spans recorded under its op_id,
-  // in simulated-time order).
+  // Human-readable report; with a tracer, each access is annotated with its
+  // op's protocol-phase history (the spans recorded under its op_id).
+  // ring-lint: ok(test-only-api) the Fabric/RingServer access hooks
   std::string Report(const obs::Tracer* tracer = nullptr) const;
 
  private:

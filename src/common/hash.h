@@ -31,8 +31,8 @@ class HashedKey {
   explicit HashedKey(std::string key)
       : key_(std::move(key)), hash_(HashKey(key_)) {}
 
-  // Full-hash collisions cannot be found by search; tests of hash-keyed
-  // tables build them here.
+  // Full-hash collisions cannot be found by search; tests build them here.
+  // ring-lint: ok(test-only-api) VolatileIndex's collision probing
   static HashedKey WithHashForTesting(std::string key, uint64_t hash) {
     HashedKey k;
     k.key_ = std::move(key);

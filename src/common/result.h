@@ -43,9 +43,6 @@ class [[nodiscard]] Result {
   T* operator->() { return &value(); }
   const T* operator->() const { return &value(); }
 
-  // Returns the contained value or `fallback` when in error state.
-  T value_or(T fallback) const& { return ok() ? *value_ : std::move(fallback); }
-
  private:
   Status status_;
   std::optional<T> value_;

@@ -6,16 +6,6 @@
 
 namespace ring {
 
-double Samples::Min() const {
-  assert(!values_.empty());
-  return *std::min_element(values_.begin(), values_.end());
-}
-
-double Samples::Max() const {
-  assert(!values_.empty());
-  return *std::max_element(values_.begin(), values_.end());
-}
-
 double Samples::Mean() const {
   assert(!values_.empty());
   double sum = 0.0;
@@ -23,16 +13,6 @@ double Samples::Mean() const {
     sum += v;
   }
   return sum / static_cast<double>(values_.size());
-}
-
-double Samples::Stddev() const {
-  assert(!values_.empty());
-  const double mean = Mean();
-  double acc = 0.0;
-  for (double v : values_) {
-    acc += (v - mean) * (v - mean);
-  }
-  return std::sqrt(acc / static_cast<double>(values_.size()));
 }
 
 const std::vector<double>& Samples::Sorted() const {

@@ -25,10 +25,7 @@ class Samples {
   size_t count() const { return values_.size(); }
   bool empty() const { return values_.empty(); }
 
-  double Min() const;
-  double Max() const;
   double Mean() const;
-  double Stddev() const;
   // Percentile in [0,100] with linear interpolation. Precondition: !empty().
   double Percentile(double p) const;
   double Median() const { return Percentile(50.0); }

@@ -10,12 +10,8 @@ std::string_view StatusCodeName(StatusCode code) {
       return "invalid_argument";
     case StatusCode::kNotFound:
       return "not_found";
-    case StatusCode::kAlreadyExists:
-      return "already_exists";
     case StatusCode::kFailedPrecondition:
       return "failed_precondition";
-    case StatusCode::kOutOfRange:
-      return "out_of_range";
     case StatusCode::kUnavailable:
       return "unavailable";
     case StatusCode::kTimeout:
@@ -24,8 +20,6 @@ std::string_view StatusCodeName(StatusCode code) {
       return "data_loss";
     case StatusCode::kInternal:
       return "internal";
-    case StatusCode::kUnimplemented:
-      return "unimplemented";
   }
   return "unknown";
 }
@@ -50,14 +44,8 @@ Status InvalidArgumentError(std::string message) {
 Status NotFoundError(std::string message) {
   return Status(StatusCode::kNotFound, std::move(message));
 }
-Status AlreadyExistsError(std::string message) {
-  return Status(StatusCode::kAlreadyExists, std::move(message));
-}
 Status FailedPreconditionError(std::string message) {
   return Status(StatusCode::kFailedPrecondition, std::move(message));
-}
-Status OutOfRangeError(std::string message) {
-  return Status(StatusCode::kOutOfRange, std::move(message));
 }
 Status UnavailableError(std::string message) {
   return Status(StatusCode::kUnavailable, std::move(message));
@@ -70,9 +58,6 @@ Status DataLossError(std::string message) {
 }
 Status InternalError(std::string message) {
   return Status(StatusCode::kInternal, std::move(message));
-}
-Status UnimplementedError(std::string message) {
-  return Status(StatusCode::kUnimplemented, std::move(message));
 }
 
 }  // namespace ring

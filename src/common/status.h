@@ -18,14 +18,11 @@ enum class StatusCode : uint8_t {
   kOk = 0,
   kInvalidArgument,
   kNotFound,
-  kAlreadyExists,
   kFailedPrecondition,
-  kOutOfRange,
   kUnavailable,
   kTimeout,
   kDataLoss,
   kInternal,
-  kUnimplemented,
 };
 
 // Returns a stable, lowercase name for a status code (e.g. "not_found").
@@ -65,14 +62,11 @@ inline std::ostream& operator<<(std::ostream& os, const Status& s) {
 Status OkStatus();
 Status InvalidArgumentError(std::string message);
 Status NotFoundError(std::string message);
-Status AlreadyExistsError(std::string message);
 Status FailedPreconditionError(std::string message);
-Status OutOfRangeError(std::string message);
 Status UnavailableError(std::string message);
 Status TimeoutError(std::string message);
 Status DataLossError(std::string message);
 Status InternalError(std::string message);
-Status UnimplementedError(std::string message);
 
 // Propagates a non-OK status to the caller.
 #define RING_RETURN_IF_ERROR(expr)            \

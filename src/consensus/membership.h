@@ -101,8 +101,6 @@ class MembershipGroup {
 
   net::NodeId CurrentLeader() const;
 
-  uint64_t config_changes() const { return config_changes_; }
-
  private:
   struct Agent {
     net::NodeId id;
@@ -157,7 +155,6 @@ class MembershipGroup {
   net::Fabric* fabric_;
   std::vector<std::unique_ptr<Agent>> agents_;
   ConfigCallback on_config_;
-  uint64_t config_changes_ = 0;
   bool started_ = false;
   // ---- revoke-round state ----
   // In-flight revoke rounds, keyed (actor << 32) | victim: dedups the NACK

@@ -1,7 +1,6 @@
 #include "src/gf/gf256.h"
 
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 
 #include "src/gf/gf256_internal.h"
@@ -72,13 +71,6 @@ void ScalarAdd(const uint8_t* src, uint8_t* dst, size_t n) {
   }
 }
 
-void ScalarMul(uint8_t c, const uint8_t* src, uint8_t* dst, size_t n) {
-  const auto& row = T().mul[c];
-  for (size_t i = 0; i < n; ++i) {
-    dst[i] = row[src[i]];
-  }
-}
-
 void ScalarMulAdd(uint8_t c, const uint8_t* src, uint8_t* dst, size_t n) {
   const auto& row = T().mul[c];
   for (size_t i = 0; i < n; ++i) {
@@ -104,8 +96,7 @@ void ScalarMulAddMulti(const uint8_t* coeffs, const uint8_t* const* srcs,
   }
 }
 
-constexpr RegionKernels kScalar{ScalarAdd, ScalarMul, ScalarMulAdd,
-                                ScalarMulAddMulti};
+constexpr RegionKernels kScalar{ScalarAdd, ScalarMulAdd, ScalarMulAddMulti};
 
 // --- Dispatch ---------------------------------------------------------------
 
@@ -115,22 +106,15 @@ struct Dispatch {
 };
 
 Dispatch Select() {
-#ifndef RING_GF_FORCE_SCALAR
-  const char* force = std::getenv("RING_FORCE_SCALAR");
-  const bool forced_scalar =
-      force != nullptr && force[0] != '\0' && force[0] != '0';
-  if (!forced_scalar) {
-    if (const RegionKernels* k = Avx2Kernels()) {
-      return {k, RegionImpl::kAvx2};
-    }
-    if (const RegionKernels* k = NeonKernels()) {
-      return {k, RegionImpl::kNeon};
-    }
-    if (const RegionKernels* k = Ssse3Kernels()) {
-      return {k, RegionImpl::kSsse3};
-    }
+  if (const RegionKernels* k = Avx2Kernels()) {
+    return {k, RegionImpl::kAvx2};
   }
-#endif
+  if (const RegionKernels* k = NeonKernels()) {
+    return {k, RegionImpl::kNeon};
+  }
+  if (const RegionKernels* k = Ssse3Kernels()) {
+    return {k, RegionImpl::kSsse3};
+  }
   return {&kScalar, RegionImpl::kScalar};
 }
 
@@ -147,30 +131,9 @@ const RegionKernels& ScalarKernels() { return kScalar; }
 
 uint8_t Mul(uint8_t a, uint8_t b) { return internal::T().mul[a][b]; }
 
-uint8_t Div(uint8_t a, uint8_t b) {
-  assert(b != 0 && "division by zero in GF(2^8)");
-  if (a == 0) {
-    return 0;
-  }
-  const auto& t = internal::T();
-  return t.exp[t.log[a] + 255 - t.log[b]];
-}
-
 uint8_t Inv(uint8_t a) {
   assert(a != 0 && "inverse of zero in GF(2^8)");
   return internal::T().inv[a];
-}
-
-uint8_t Pow(uint8_t a, uint32_t e) {
-  if (e == 0) {
-    return 1;
-  }
-  if (a == 0) {
-    return 0;
-  }
-  const auto& t = internal::T();
-  const uint32_t l = (static_cast<uint32_t>(t.log[a]) * e) % 255;
-  return t.exp[l];
 }
 
 RegionImpl ActiveRegionImpl() { return internal::Active().impl; }
@@ -214,25 +177,6 @@ RegionImpl SetRegionImpl(RegionImpl impl) {
 void AddRegion(std::span<const uint8_t> src, std::span<uint8_t> dst) {
   assert(src.size() == dst.size());
   internal::Active().kernels->add(src.data(), dst.data(), dst.size());
-}
-
-void MulRegion(uint8_t c, std::span<const uint8_t> src,
-               std::span<uint8_t> dst) {
-  assert(src.size() == dst.size());
-  if (dst.empty()) {
-    return;
-  }
-  if (c == 0) {
-    std::memset(dst.data(), 0, dst.size());
-    return;
-  }
-  if (c == 1) {
-    if (dst.data() != src.data() && !dst.empty()) {
-      std::memcpy(dst.data(), src.data(), dst.size());
-    }
-    return;
-  }
-  internal::Active().kernels->mul(c, src.data(), dst.data(), dst.size());
 }
 
 void MulAddRegion(uint8_t c, std::span<const uint8_t> src,

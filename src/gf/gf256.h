@@ -5,11 +5,13 @@
 // region operations erasure coding spends its cycles in (XOR and
 // multiply-accumulate over whole buffers).
 //
-// Region operations dispatch once at startup to the widest kernel the CPU
-// supports — split-nibble PSHUFB/TBL multiply for SSSE3, AVX2 and NEON —
-// with the portable scalar table-lookup code as the fallback. The scalar
-// path can be forced for testing with the RING_FORCE_SCALAR CMake option
-// (compile-time) or the RING_FORCE_SCALAR environment variable (runtime).
+// Ring's coding path needs only two region operations: XOR (a put ships
+// old XOR new as a delta) and multiply-accumulate (each parity node adds
+// coefficient x delta). They dispatch once at startup to the widest kernel
+// the CPU supports — split-nibble PSHUFB/TBL multiply for SSSE3, AVX2 and
+// NEON — with the portable scalar table-lookup code as the fallback. The
+// RING_FORCE_SCALAR CMake option compiles the SIMD kernels out; tests and
+// calibration switch tiers with SetRegionImpl.
 #ifndef RING_SRC_GF_GF256_H_
 #define RING_SRC_GF_GF256_H_
 
@@ -23,28 +25,21 @@ inline constexpr uint16_t kPrimitivePoly = 0x11D;
 
 // Scalar operations ---------------------------------------------------------
 
-// Addition and subtraction in GF(2^8) are both XOR.
+// Addition (and subtraction) in GF(2^8) is XOR.
 inline uint8_t Add(uint8_t a, uint8_t b) { return a ^ b; }
-inline uint8_t Sub(uint8_t a, uint8_t b) { return a ^ b; }
 
 // Product of a and b in the field.
 uint8_t Mul(uint8_t a, uint8_t b);
 
-// Quotient a / b. Precondition: b != 0.
-uint8_t Div(uint8_t a, uint8_t b);
-
 // Multiplicative inverse. Precondition: a != 0.
 uint8_t Inv(uint8_t a);
-
-// a raised to the e-th power (Pow(0, 0) == 1 by convention).
-uint8_t Pow(uint8_t a, uint32_t e);
 
 // Kernel dispatch -----------------------------------------------------------
 
 enum class RegionImpl : uint8_t { kScalar = 0, kSsse3, kAvx2, kNeon };
 
 // The implementation the region operations currently run on. Selected once
-// on first use: widest supported tier, unless RING_FORCE_SCALAR is set.
+// on first use: the widest tier compiled in and supported by the CPU.
 RegionImpl ActiveRegionImpl();
 const char* RegionImplName(RegionImpl impl);
 
@@ -60,9 +55,6 @@ RegionImpl SetRegionImpl(RegionImpl impl);
 
 // dst ^= src
 void AddRegion(std::span<const uint8_t> src, std::span<uint8_t> dst);
-
-// dst = c * src
-void MulRegion(uint8_t c, std::span<const uint8_t> src, std::span<uint8_t> dst);
 
 // dst ^= c * src   (the inner loop of RS encode/decode/delta-update)
 void MulAddRegion(uint8_t c, std::span<const uint8_t> src,

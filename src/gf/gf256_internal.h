@@ -44,7 +44,6 @@ inline constexpr size_t kMaxFusedSources = 32;
 
 struct RegionKernels {
   void (*add)(const uint8_t* src, uint8_t* dst, size_t n);
-  void (*mul)(uint8_t c, const uint8_t* src, uint8_t* dst, size_t n);
   void (*mul_add)(uint8_t c, const uint8_t* src, uint8_t* dst, size_t n);
   // Fused multi-source accumulate: dst ^= sum_i coeffs[i] * srcs[i], reading
   // and writing each dst cache line once regardless of the source count.

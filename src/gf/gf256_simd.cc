@@ -64,26 +64,6 @@ __attribute__((target("ssse3"))) void Ssse3Add(const uint8_t* src,
   }
 }
 
-__attribute__((target("ssse3"))) void Ssse3Mul(uint8_t c, const uint8_t* src,
-                                               uint8_t* dst, size_t n) {
-  const __m128i lo =
-      _mm_load_si128(reinterpret_cast<const __m128i*>(T().nib_lo[c]));
-  const __m128i hi =
-      _mm_load_si128(reinterpret_cast<const __m128i*>(T().nib_hi[c]));
-  const __m128i mask = _mm_set1_epi8(0x0F);
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i s =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                     Mul16(s, lo, hi, mask));
-  }
-  const auto& row = T().mul[c];
-  for (; i < n; ++i) {
-    dst[i] = row[src[i]];
-  }
-}
-
 __attribute__((target("ssse3"))) void Ssse3MulAdd(uint8_t c,
                                                   const uint8_t* src,
                                                   uint8_t* dst, size_t n) {
@@ -165,24 +145,6 @@ __attribute__((target("avx2"))) void Avx2Add(const uint8_t* src, uint8_t* dst,
   }
   for (; i < n; ++i) {
     dst[i] ^= src[i];
-  }
-}
-
-__attribute__((target("avx2"))) void Avx2Mul(uint8_t c, const uint8_t* src,
-                                             uint8_t* dst, size_t n) {
-  const __m256i lo = Broadcast16(T().nib_lo[c]);
-  const __m256i hi = Broadcast16(T().nib_hi[c]);
-  const __m256i mask = _mm256_set1_epi8(0x0F);
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        Mul32(s, lo, hi, mask));
-  }
-  const auto& row = T().mul[c];
-  for (; i < n; ++i) {
-    dst[i] = row[src[i]];
   }
 }
 
@@ -285,9 +247,8 @@ __attribute__((target("avx2"))) void Avx2MulAddMulti(const uint8_t* coeffs,
   }
 }
 
-constexpr RegionKernels kSsse3{Ssse3Add, Ssse3Mul, Ssse3MulAdd,
-                               Ssse3MulAddMulti};
-constexpr RegionKernels kAvx2{Avx2Add, Avx2Mul, Avx2MulAdd, Avx2MulAddMulti};
+constexpr RegionKernels kSsse3{Ssse3Add, Ssse3MulAdd, Ssse3MulAddMulti};
+constexpr RegionKernels kAvx2{Avx2Add, Avx2MulAdd, Avx2MulAddMulti};
 
 }  // namespace
 
@@ -337,20 +298,6 @@ void NeonAdd(const uint8_t* src, uint8_t* dst, size_t n) {
   }
 }
 
-void NeonMul(uint8_t c, const uint8_t* src, uint8_t* dst, size_t n) {
-  const uint8x16_t lo = vld1q_u8(T().nib_lo[c]);
-  const uint8x16_t hi = vld1q_u8(T().nib_hi[c]);
-  const uint8x16_t mask = vdupq_n_u8(0x0F);
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    vst1q_u8(dst + i, Mul16(vld1q_u8(src + i), lo, hi, mask));
-  }
-  const auto& row = T().mul[c];
-  for (; i < n; ++i) {
-    dst[i] = row[src[i]];
-  }
-}
-
 void NeonMulAdd(uint8_t c, const uint8_t* src, uint8_t* dst, size_t n) {
   const uint8x16_t lo = vld1q_u8(T().nib_lo[c]);
   const uint8x16_t hi = vld1q_u8(T().nib_hi[c]);
@@ -390,7 +337,7 @@ void NeonMulAddMulti(const uint8_t* coeffs, const uint8_t* const* srcs,
   }
 }
 
-constexpr RegionKernels kNeon{NeonAdd, NeonMul, NeonMulAdd, NeonMulAddMulti};
+constexpr RegionKernels kNeon{NeonAdd, NeonMulAdd, NeonMulAddMulti};
 
 }  // namespace
 

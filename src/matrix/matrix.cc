@@ -28,18 +28,6 @@ Matrix Matrix::Identity(size_t n) {
   return m;
 }
 
-Matrix Matrix::Vandermonde(size_t rows, size_t cols) {
-  assert(rows <= 255 && "GF(2^8) has only 255 distinct nonzero points");
-  Matrix m(rows, cols);
-  for (size_t i = 0; i < rows; ++i) {
-    const uint8_t x = static_cast<uint8_t>(i + 1);
-    for (size_t j = 0; j < cols; ++j) {
-      m.Set(i, j, Pow(x, static_cast<uint32_t>(j)));
-    }
-  }
-  return m;
-}
-
 Matrix Matrix::Multiply(const Matrix& other) const {
   assert(cols_ == other.rows_);
   Matrix out(rows_, other.cols_);

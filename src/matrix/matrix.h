@@ -25,10 +25,6 @@ class Matrix {
 
   static Matrix Identity(size_t n);
 
-  // (rows x cols) Vandermonde matrix V[i][j] = (i+1)^j. Any `cols` rows of it
-  // are linearly independent because the evaluation points are distinct.
-  static Matrix Vandermonde(size_t rows, size_t cols);
-
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
 

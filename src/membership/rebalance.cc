@@ -1,16 +1,28 @@
 #include "src/membership/rebalance.h"
 
-#include <algorithm>
 #include <set>
 #include <utility>
-
-#include "src/common/hash.h"
 
 namespace ring::membership {
 namespace {
 
 // Simulated wire sizes (shared convention with the ring servers).
 constexpr uint64_t kSmallMsgBytes = 64;
+// Migration pacing beyond the keys/sec rate (policy::Mover semantics).
+constexpr double kBurst = 8.0;
+constexpr uint32_t kMaxConcurrent = 4;
+constexpr uint32_t kMaxRetries = 6;
+constexpr sim::SimTime kRetryBackoffNs = 500 * sim::kMicrosecond;
+// One scan reports at most this many keys per node (bounds the reply
+// message); the driver keeps scanning until a clean empty round.
+constexpr uint32_t kScanBatch = 512;
+// A scan round without all replies, or a migrate without an ack, is
+// abandoned after this long and retried via the next round.
+constexpr sim::SimTime kScanTimeoutNs = 10 * sim::kMillisecond;
+constexpr sim::SimTime kMigrateTimeoutNs = 5 * sim::kMillisecond;
+// Delay between a drained round and the verify re-scan (also the retry
+// cadence while a source node is mid-recovery).
+constexpr sim::SimTime kRescanDelayNs = 2 * sim::kMillisecond;
 
 }  // namespace
 
@@ -49,28 +61,6 @@ RebalancePlanner::Plan RebalancePlanner::Compute(
   return plan;
 }
 
-bool RebalancePlanner::KeyMoves(const consensus::ClusterConfig& config,
-                                const Key& key) {
-  if (!config.rebalancing()) {
-    return false;
-  }
-  const consensus::Placement cur = config.Current();
-  const consensus::Placement prev = config.Previous();
-  return prev.CoordinatorOfShard(KeyShard(key, prev.num_shards())) !=
-         cur.CoordinatorOfShard(KeyShard(key, cur.num_shards()));
-}
-
-std::vector<Key> RebalancePlanner::ChangedKeys(
-    const consensus::ClusterConfig& config, const std::vector<Key>& keys) {
-  std::vector<Key> out;
-  for (const Key& key : keys) {
-    if (KeyMoves(config, key)) {
-      out.push_back(key);
-    }
-  }
-  return out;
-}
-
 // --- RebalanceCoordinator --------------------------------------------------
 
 RebalanceCoordinator::RebalanceCoordinator(RingCluster* cluster,
@@ -80,10 +70,10 @@ RebalanceCoordinator::RebalanceCoordinator(RingCluster* cluster,
       mover_(cluster, [this] {
         policy::MoverOptions mo;
         mo.moves_per_sec = options_.keys_per_sec;
-        mo.burst = options_.burst;
-        mo.max_concurrent = options_.max_concurrent;
-        mo.max_retries = options_.max_retries;
-        mo.retry_backoff_ns = options_.retry_backoff_ns;
+        mo.burst = kBurst;
+        mo.max_concurrent = kMaxConcurrent;
+        mo.max_retries = kMaxRetries;
+        mo.retry_backoff_ns = kRetryBackoffNs;
         mo.issuer = [this](const Key& key, MemgestId,
                            std::function<void(Status, Version)> done) {
           IssueMigrate(key, std::move(done));
@@ -95,7 +85,7 @@ RebalanceCoordinator::RebalanceCoordinator(RingCluster* cluster,
     // re-discovered by the next scan; either way this key's slot is free.
     source_of_.erase(key);
     if (active_ && scans_outstanding_ == 0 && mover_.pending_keys() == 0) {
-      ArmPump(options_.rescan_delay_ns);
+      ArmPump(kRescanDelayNs);
     }
   });
 }
@@ -161,7 +151,7 @@ bool RebalanceCoordinator::Engage(const char* what, uint64_t detail) {
   hub().metrics().Inc("rebalance.transitions", 1, last_leader_);
   hub().metrics().SetGauge("rebalance.active", 1, last_leader_);
   // Let the config broadcast land before the first scan round.
-  ArmPump(options_.rescan_delay_ns);
+  ArmPump(kRescanDelayNs);
   return true;
 }
 
@@ -217,7 +207,7 @@ void RebalanceCoordinator::PumpScan() {
     }
     ++scans_outstanding_;
     RingServer::RebalanceScan msg;
-    msg.max_keys = options_.scan_batch;
+    msg.max_keys = kScanBatch;
     msg.requester = leader;
     msg.reply = [this, w = std::weak_ptr<char>(alive_), round,
                  node](std::vector<Key> keys) {
@@ -234,7 +224,7 @@ void RebalanceCoordinator::PumpScan() {
   // Replies from crashed or partitioned nodes never arrive: close the round
   // by timeout. Collected keys still migrate, but an incomplete round can
   // never be the clean empty round that ends the transition.
-  simulator().After(options_.scan_timeout_ns,
+  simulator().After(kScanTimeoutNs,
                     [this, w = std::weak_ptr<char>(alive_), round] {
     if (w.expired()) {
       return;
@@ -254,7 +244,7 @@ void RebalanceCoordinator::OnScanReply(uint64_t round, net::NodeId node,
     return;  // a late reply of an abandoned round; the next scan re-reports
   }
   --scans_outstanding_;
-  if (keys.size() >= options_.scan_batch && options_.scan_batch != 0) {
+  if (keys.size() >= kScanBatch) {
     round_complete_ = false;  // truncated report: more keys remain
   }
   for (Key& key : keys) {
@@ -281,7 +271,7 @@ void RebalanceCoordinator::CloseRound() {
     TryComplete();
     return;
   }
-  ArmPump(options_.rescan_delay_ns);
+  ArmPump(kRescanDelayNs);
 }
 
 void RebalanceCoordinator::IssueMigrate(
@@ -318,7 +308,7 @@ void RebalanceCoordinator::IssueMigrate(
                      [srv, msg = std::move(msg)]() mutable {
                        srv->HandleMigrateKey(std::move(msg));
                      });
-  simulator().After(options_.migrate_timeout_ns,
+  simulator().After(kMigrateTimeoutNs,
                     [this, w = std::weak_ptr<char>(alive_), key, ticket] {
     if (w.expired()) {
       return;
@@ -383,7 +373,7 @@ void RebalanceCoordinator::TryComplete() {
   // CompleteRebalance fails benignly during a leader election; re-verify
   // and retry next round.
   if (!rt().membership().CompleteRebalance()) {
-    ArmPump(options_.rescan_delay_ns);
+    ArmPump(kRescanDelayNs);
     return;
   }
   Finish(true);
@@ -429,50 +419,6 @@ void RebalanceCoordinator::FoldServerCounters(uint64_t* moved,
       *installs += srv->counters().installs;
     }
   }
-}
-
-// --- synchronous wrappers --------------------------------------------------
-
-namespace {
-
-Status Drive(RingCluster& cluster, RebalanceCoordinator& coord,
-             RebalanceStats* stats) {
-  const bool drained =
-      cluster.RunUntilDone([&coord] { return !coord.active(); });
-  if (stats != nullptr) {
-    *stats = coord.stats();
-  }
-  if (!drained) {
-    return TimeoutError("rebalance did not drain within the event budget");
-  }
-  if (coord.failed()) {
-    return UnavailableError("rebalance gave up before draining");
-  }
-  return OkStatus();
-}
-
-}  // namespace
-
-Status ScaleOut(RingCluster& cluster, net::NodeId node,
-                RebalanceOptions options, RebalanceStats* stats) {
-  RebalanceCoordinator coord(&cluster, options);
-  if (!coord.AddServer(node)) {
-    return FailedPreconditionError(
-        "scale-out rejected (resize in flight, node not a live spare, or "
-        "no geometry at the new shape)");
-  }
-  return Drive(cluster, coord, stats);
-}
-
-Status ScaleIn(RingCluster& cluster, uint32_t slot, RebalanceOptions options,
-               RebalanceStats* stats) {
-  RebalanceCoordinator coord(&cluster, options);
-  if (!coord.RemoveServer(slot)) {
-    return FailedPreconditionError(
-        "scale-in rejected (resize in flight, bad slot, or a memgest needs "
-        "k <= s at the new shape)");
-  }
-  return Drive(cluster, coord, stats);
 }
 
 }  // namespace ring::membership

@@ -53,31 +53,11 @@ class RebalancePlanner {
   // Meaningful only while config.rebalancing(); returns an empty plan
   // otherwise.
   static Plan Compute(const consensus::ClusterConfig& config);
-  // True when `key` is served by a different node under the new shape than
-  // under the previous one (requires config.rebalancing()).
-  static bool KeyMoves(const consensus::ClusterConfig& config, const Key& key);
-  // The minimal changed subset of `keys`: those for which KeyMoves holds.
-  static std::vector<Key> ChangedKeys(const consensus::ClusterConfig& config,
-                                      const std::vector<Key>& keys);
 };
 
 struct RebalanceOptions {
-  // Token bucket pacing of per-key migrations (reuses policy::Mover).
+  // Token-bucket rate of per-key migrations (reuses policy::Mover).
   double keys_per_sec = 50000.0;
-  double burst = 8.0;
-  uint32_t max_concurrent = 4;
-  uint32_t max_retries = 6;
-  sim::SimTime retry_backoff_ns = 500 * sim::kMicrosecond;
-  // One scan reports at most this many keys per node (bounds the reply
-  // message); the driver keeps scanning until a clean empty round.
-  uint32_t scan_batch = 512;
-  // A scan round without all replies, or a migrate without an ack, is
-  // abandoned after this long and retried via the next round.
-  sim::SimTime scan_timeout_ns = 10 * sim::kMillisecond;
-  sim::SimTime migrate_timeout_ns = 5 * sim::kMillisecond;
-  // Delay between a drained round and the verify re-scan (also the retry
-  // cadence while a source node is mid-recovery).
-  sim::SimTime rescan_delay_ns = 2 * sim::kMillisecond;
   // Give up after this many scan rounds; 0 = keep going (chaos runs recover
   // eventually, and the simulator's event budget bounds runaway drivers).
   uint32_t max_rounds = 0;
@@ -142,8 +122,8 @@ class RebalanceCoordinator {
   RingCluster* cluster_;
   RebalanceOptions options_;
   // Lifetime token: every timer and reply callback captures a weak reference
-  // and no-ops once the coordinator is destroyed — a sync wrapper's stack
-  // coordinator dies with timeout timers still queued in the simulator.
+  // and no-ops once the coordinator is destroyed — a stack coordinator can
+  // die with timeout timers still queued in the simulator.
   std::shared_ptr<char> alive_ = std::make_shared<char>(0);
   policy::Mover mover_;  // reused token bucket; issuer -> IssueMigrate
   RebalancePlanner::Plan plan_;
@@ -167,13 +147,6 @@ class RebalanceCoordinator {
   uint64_t base_bytes_ = 0;
   uint64_t base_installs_ = 0;
 };
-
-// Synchronous wrappers: begin the transition and drive the simulation until
-// the rebalance drains (examples, ringctl, benches).
-Status ScaleOut(RingCluster& cluster, net::NodeId node,
-                RebalanceOptions options = {}, RebalanceStats* stats = nullptr);
-Status ScaleIn(RingCluster& cluster, uint32_t slot,
-               RebalanceOptions options = {}, RebalanceStats* stats = nullptr);
 
 }  // namespace ring::membership
 

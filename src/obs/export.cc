@@ -175,56 +175,4 @@ std::string StatsJson(const Metrics& metrics) {
   return os.str();
 }
 
-std::string TimeSeriesJson(const TimeSeries& timeseries,
-                           const TimeSeries::SliOptions& sli_options) {
-  std::ostringstream os;
-  os << "{\"window_ns\":" << timeseries.window_ns()
-     << ",\"dropped_series\":" << timeseries.dropped_series()
-     << ",\"series\":[";
-  bool first = true;
-  for (const auto& [key, s] : timeseries.series()) {
-    if (!s.any) {
-      continue;
-    }
-    os << (first ? "" : ",") << "{";
-    JsonKey(os, key);
-    os << ",\"type\":\"" << (s.is_hist ? "latency" : "counter")
-       << "\",\"first_window\":" << s.first;
-    if (s.is_hist) {
-      os << ",\"windows\":[";
-      bool fw = true;
-      for (uint64_t w = s.first; w <= s.last; ++w) {
-        const TimeSeries::WindowHist* h = s.HistAt(w);
-        os << (fw ? "" : ",") << "{\"w\":" << w << ",\"count\":" << h->count
-           << ",\"sum\":" << h->sum << ",\"p50\":" << h->Percentile(50)
-           << ",\"p99\":" << h->Percentile(99) << "}";
-        fw = false;
-      }
-      os << "]";
-    } else {
-      os << ",\"values\":[";
-      for (uint64_t w = s.first; w <= s.last; ++w) {
-        os << (w == s.first ? "" : ",") << s.CountAt(w);
-      }
-      os << "]";
-    }
-    os << "}";
-    first = false;
-  }
-  os << "],\"slis\":[";
-  first = true;
-  for (const TimeSeries::SliWindow& row : timeseries.Slis(sli_options)) {
-    os << (first ? "" : ",") << "{\"window\":" << row.window
-       << ",\"start_ns\":" << row.start_ns << ",\"ops_ok\":" << row.ops_ok
-       << ",\"ops_err\":" << row.ops_err
-       << ",\"goodput_per_sec\":" << JsonDouble(row.goodput_per_sec)
-       << ",\"error_rate\":" << JsonDouble(row.error_rate)
-       << ",\"p50_ns\":" << row.p50_ns << ",\"p99_ns\":" << row.p99_ns
-       << ",\"available\":" << (row.available ? "true" : "false") << "}";
-    first = false;
-  }
-  os << "]}";
-  return os.str();
-}
-
 }  // namespace ring::obs

@@ -1,14 +1,13 @@
-// Export layer: machine-readable renderings of the metrics registry and the
-// time-series layer — Prometheus-style text exposition for scrape-shaped
-// tooling, and JSON with a stable key schema {name, node, memgest, op} for
-// scripts and CI (null for dimensions that do not apply).
+// Export layer: machine-readable renderings of the metrics registry —
+// Prometheus-style text exposition for scrape-shaped tooling, and JSON with
+// a stable key schema {name, node, memgest, op} for scripts and CI (null for
+// dimensions that do not apply).
 #ifndef RING_SRC_OBS_EXPORT_H_
 #define RING_SRC_OBS_EXPORT_H_
 
 #include <string>
 
 #include "src/obs/metrics.h"
-#include "src/obs/timeseries.h"
 
 namespace ring::obs {
 
@@ -21,11 +20,6 @@ std::string PrometheusText(const Metrics& metrics);
 //  "gauges":[...], "histograms":[... + count/sum/min/max/mean/p50/p99],
 //  "link_bytes":[{"src":...,"dst":...,"bytes":...}]}
 std::string StatsJson(const Metrics& metrics);
-
-// Full windowed dump: every retained series (counter deltas / per-window
-// latency digests) plus the derived SLI rows for `sli_options`.
-std::string TimeSeriesJson(const TimeSeries& timeseries,
-                           const TimeSeries::SliOptions& sli_options = {});
 
 }  // namespace ring::obs
 

@@ -82,6 +82,7 @@ class FlightRecorder {
   uint64_t total_recorded() const { return total_; }
 
   // Last `n` retained events in chronological order.
+  // ring-lint: ok(test-only-api) the client/server/fault recorder hooks
   std::vector<RecEvent> Tail(size_t n) const;
   // Retained events with t_ns in [from_ns, until_ns], chronological.
   std::vector<RecEvent> Between(uint64_t from_ns, uint64_t until_ns) const;

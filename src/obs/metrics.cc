@@ -121,34 +121,6 @@ uint64_t Metrics::CounterTotal(const char* name) const {
   return total;
 }
 
-int64_t Metrics::GaugeValue(const char* name, uint32_t node, uint32_t memgest,
-                            OpKind op) const {
-  const auto it = gauges_.find(MetricKey{name, node, memgest, op});
-  return it == gauges_.end() ? 0 : it->second;
-}
-
-const Histogram* Metrics::FindHistogram(const char* name, uint32_t node,
-                                        uint32_t memgest, OpKind op) const {
-  const auto it = histograms_.find(MetricKey{name, node, memgest, op});
-  return it == histograms_.end() ? nullptr : &it->second;
-}
-
-Histogram Metrics::AggregateHistogram(const char* name) const {
-  Histogram out;
-  for (const auto& [key, h] : histograms_) {
-    if (std::strcmp(key.name, name) != 0 || h.count() == 0) {
-      continue;
-    }
-    out.MergeFrom(h);
-  }
-  return out;
-}
-
-uint64_t Metrics::LinkBytes(uint32_t src, uint32_t dst) const {
-  const auto it = link_bytes_.find({src, dst});
-  return it == link_bytes_.end() ? 0 : it->second;
-}
-
 namespace {
 
 std::string KeyLabel(const MetricKey& key) {

@@ -162,15 +162,6 @@ class Metrics {
   // Sum of a counter over every {node, memgest, op} key it was recorded
   // under (cluster-wide aggregation).
   uint64_t CounterTotal(const char* name) const;
-  int64_t GaugeValue(const char* name, uint32_t node = kNoNode,
-                     uint32_t memgest = kNoMemgest,
-                     OpKind op = OpKind::kNone) const;
-  const Histogram* FindHistogram(const char* name, uint32_t node = kNoNode,
-                                 uint32_t memgest = kNoMemgest,
-                                 OpKind op = OpKind::kNone) const;
-  // Merge of a histogram over every key it was recorded under.
-  Histogram AggregateHistogram(const char* name) const;
-  uint64_t LinkBytes(uint32_t src, uint32_t dst) const;
 
   const std::map<MetricKey, uint64_t>& counters() const { return counters_; }
   const std::map<MetricKey, int64_t>& gauges() const { return gauges_; }

@@ -52,7 +52,9 @@ std::vector<Dip> FindDips(const std::vector<TimeSeries::SliWindow>& rows,
 
 std::string PostMortemReport(const TimeSeries& timeseries,
                              const FlightRecorder& recorder,
-                             const ReportOptions& options) {
+                             uint64_t until_ns) {
+  constexpr size_t kDipContextEvents = 12;
+  constexpr uint64_t kDipLookbackWindows = 2;
   std::ostringstream os;
   const uint64_t wn = timeseries.window_ns();
   char line[192];
@@ -82,8 +84,7 @@ std::string PostMortemReport(const TimeSeries& timeseries,
     os << "\n";
   }
 
-  const std::vector<TimeSeries::SliWindow> rows =
-      timeseries.Slis(options.sli);
+  const std::vector<TimeSeries::SliWindow> rows = timeseries.Slis(until_ns);
   os << "\n== windowed SLIs (window " << wn / 1000 << "us) ==\n";
   if (rows.empty()) {
     os << "  (no SLI series recorded — enable the time-series layer and "
@@ -106,11 +107,11 @@ std::string PostMortemReport(const TimeSeries& timeseries,
                   static_cast<double>(dip.end_ns - dip.start_ns) / 1e6,
                   dip.recovered ? "recovered" : "NOT recovered by end of run");
     os << line;
-    const uint64_t lookback = options.dip_lookback_windows * wn;
+    const uint64_t lookback = kDipLookbackWindows * wn;
     const uint64_t from =
         dip.start_ns > lookback ? dip.start_ns - lookback : 0;
     std::vector<RecEvent> context = recorder.Between(from, dip.end_ns + wn);
-    const size_t cap = options.dip_context_events;
+    const size_t cap = kDipContextEvents;
     if (context.size() > cap) {
       std::snprintf(line, sizeof(line),
                     "  flight recorder (first %zu of %zu events around the "

@@ -14,15 +14,6 @@
 
 namespace ring::obs {
 
-struct ReportOptions {
-  TimeSeries::SliOptions sli;
-  // Flight-recorder events shown around each availability dip.
-  size_t dip_context_events = 12;
-  // Recorder context reaches this many windows before a dip's first window
-  // (the causing fault usually lands just before the SLI degrades).
-  uint64_t dip_lookback_windows = 2;
-};
-
 // Fixed-width table of SLI rows: one line per window with goodput, error
 // rate, p50/p99 and an ok/DIP availability column.
 std::string SliTable(const std::vector<TimeSeries::SliWindow>& rows);
@@ -39,9 +30,13 @@ struct Dip {
 std::vector<Dip> FindDips(const std::vector<TimeSeries::SliWindow>& rows,
                           uint64_t window_ns);
 
+// The SLI rows end at the window holding `until_ns` (see TimeSeries::Slis).
+// Each dip shows up to 12 flight-recorder events from two windows before
+// its first window (the causing fault usually lands just before the SLI
+// degrades) to one window past its end.
 std::string PostMortemReport(const TimeSeries& timeseries,
                              const FlightRecorder& recorder,
-                             const ReportOptions& options = {});
+                             uint64_t until_ns = UINT64_MAX);
 
 }  // namespace ring::obs
 

@@ -186,22 +186,15 @@ const TimeSeries::WindowHist* TimeSeries::Series::HistAt(uint64_t w) const {
   return &hists[w % capacity];
 }
 
-std::vector<TimeSeries::SliWindow> TimeSeries::Slis(
-    const SliOptions& opt) const {
+std::vector<TimeSeries::SliWindow> TimeSeries::Slis(uint64_t until_ns) const {
   const uint64_t wn = options_.window_ns;
-  const auto match = [&opt](const MetricKey& k) {
-    if (opt.memgest != kNoMemgest && k.memgest != opt.memgest) {
-      return false;
-    }
-    return opt.op == OpKind::kNone || k.op == opt.op;
-  };
   std::vector<const Series*> ok_series;
   std::vector<const Series*> err_series;
   std::vector<const Series*> lat_series;
   uint64_t lo = UINT64_MAX;
   uint64_t hi = 0;
   for (const auto& [key, s] : series_) {
-    if (!s.any || !match(key)) {
+    if (!s.any) {
       continue;
     }
     if (std::strcmp(key.name, kSliOpsOk) == 0) {
@@ -219,9 +212,8 @@ std::vector<TimeSeries::SliWindow> TimeSeries::Slis(
   if (ok_series.empty() && err_series.empty() && lat_series.empty()) {
     return {};
   }
-  lo = std::max(lo, opt.from_ns / wn);
-  if (opt.until_ns != UINT64_MAX) {
-    hi = std::min(hi, opt.until_ns / wn);
+  if (until_ns != UINT64_MAX) {
+    hi = std::min(hi, until_ns / wn);
   }
   if (hi < lo) {
     return {};
@@ -257,28 +249,24 @@ std::vector<TimeSeries::SliWindow> TimeSeries::Slis(
     out.push_back(row);
   }
 
-  // Availability: compare each window's acked-op count against a threshold
-  // derived from the median non-empty window (or an absolute floor).
-  uint64_t threshold = opt.min_ok_threshold;
-  if (threshold == 0) {
-    std::vector<uint64_t> active;
-    for (const SliWindow& row : out) {
-      if (row.ops_ok + row.ops_err > 0) {
-        active.push_back(row.ops_ok);
-      }
-    }
-    if (!active.empty()) {
-      const size_t mid = active.size() / 2;
-      std::nth_element(active.begin(), active.begin() + mid, active.end());
-      const double scaled =
-          opt.availability_fraction * static_cast<double>(active[mid]);
-      threshold = std::max<uint64_t>(1, static_cast<uint64_t>(scaled));
+  // Availability: compare each window's acked-op count against half the
+  // median non-empty window.
+  std::vector<uint64_t> active;
+  for (const SliWindow& row : out) {
+    if (row.ops_ok + row.ops_err > 0) {
+      active.push_back(row.ops_ok);
     }
   }
-  if (threshold > 0) {
-    for (SliWindow& row : out) {
-      row.available = row.ops_ok >= threshold;
-    }
+  if (active.empty()) {
+    return out;
+  }
+  const size_t mid = active.size() / 2;
+  std::nth_element(active.begin(), active.begin() + mid, active.end());
+  const double scaled = 0.5 * static_cast<double>(active[mid]);
+  const uint64_t threshold =
+      std::max<uint64_t>(1, static_cast<uint64_t>(scaled));
+  for (SliWindow& row : out) {
+    row.available = row.ops_ok >= threshold;
   }
   return out;
 }

@@ -26,8 +26,7 @@ namespace ring::obs {
 
 // Metric names the SLI derivation is built on. The client records one
 // ops_ok/op_errors increment and one op_latency_ns sample per completed
-// operation (gets carry memgest == kNoMemgest; a memgest-filtered SLI query
-// therefore only sees puts/deletes/moves for that memgest).
+// operation.
 inline constexpr char kSliOpsOk[] = "client.ops_ok";
 inline constexpr char kSliOpErrors[] = "client.op_errors";
 inline constexpr char kSliOpLatencyNs[] = "client.op_latency_ns";
@@ -84,19 +83,6 @@ class TimeSeries {
     bool available = true;
   };
 
-  struct SliOptions {
-    uint32_t memgest = kNoMemgest;  // kNoMemgest = all memgests
-    OpKind op = OpKind::kNone;      // kNone = all op kinds
-    uint64_t from_ns = 0;
-    uint64_t until_ns = UINT64_MAX;
-    // A window is available iff ops_ok >= max(1, fraction * baseline) where
-    // baseline is the median ops_ok over non-empty windows in range —
-    // deterministic and scale-free. min_ok_threshold > 0 overrides with an
-    // absolute per-window floor.
-    double availability_fraction = 0.5;
-    uint64_t min_ok_threshold = 0;
-  };
-
   // Configure before Enable; rejected (no-op) once series exist.
   void Configure(const Options& options);
   const Options& options() const { return options_; }
@@ -119,11 +105,15 @@ class TimeSeries {
 
   // Series dropped because max_series was reached.
   uint64_t dropped_series() const { return dropped_series_; }
+  // ring-lint: ok(test-only-api) Metrics' OnCounter/OnSample forwarding
   const std::map<MetricKey, Series>& series() const { return series_; }
 
-  // Derived per-window SLIs over the retained (and requested) range,
-  // aggregated across nodes; empty when no SLI series exist.
-  std::vector<SliWindow> Slis(const SliOptions& opt) const;
+  // Derived per-window SLIs over the retained range up to the window
+  // holding `until_ns`, aggregated across nodes, memgests and op kinds;
+  // empty when no SLI series exist. A window is available iff ops_ok >=
+  // max(1, half the median ops_ok over the non-empty windows in range) —
+  // deterministic and scale-free.
+  std::vector<SliWindow> Slis(uint64_t until_ns = UINT64_MAX) const;
 
   void Clear();
 

@@ -5,6 +5,15 @@
 #include "src/common/hash.h"
 
 namespace ring::policy {
+namespace {
+
+// Count-min sketch shape, and the temperature below which a tracked entry
+// is dropped.
+constexpr uint32_t kSketchWidth = 1024;
+constexpr uint32_t kSketchDepth = 4;
+constexpr double kDropBelow = 0.01;
+
+}  // namespace
 
 CountMinSketch::CountMinSketch(uint32_t width, uint32_t depth)
     : width_(std::max(width, 1u)),
@@ -48,7 +57,7 @@ void CountMinSketch::Clear() {
 
 AccessTracker::AccessTracker(AccessTrackerOptions options)
     : options_(options),
-      sketch_(options.sketch_width, options.sketch_depth) {}
+      sketch_(kSketchWidth, kSketchDepth) {}
 
 void AccessTracker::Record(const std::string& key) {
   sketch_.Add(key);
@@ -77,7 +86,7 @@ void AccessTracker::EndEpoch() {
     if (seen_this_epoch_.count(it->first) == 0) {
       it->second *= (1.0 - a);
     }
-    if (it->second < options_.drop_below) {
+    if (it->second < kDropBelow) {
       it = temperature_.erase(it);
     } else {
       ++it;

@@ -52,14 +52,10 @@ class CountMinSketch {
 };
 
 struct AccessTrackerOptions {
-  uint32_t sketch_width = 1024;
-  uint32_t sketch_depth = 4;
   // EWMA smoothing: temperature' = (1-alpha)*temperature + alpha*count.
   double ewma_alpha = 0.5;
   // Bound on the tracked-key map; coldest entries are evicted at epoch end.
   size_t max_tracked_keys = 8192;
-  // Tracked entries whose temperature decays below this are dropped.
-  double drop_below = 0.01;
 };
 
 class AccessTracker {
@@ -87,7 +83,6 @@ class AccessTracker {
 
   size_t tracked() const { return temperature_.size(); }
   uint64_t epochs() const { return epochs_; }
-  const CountMinSketch& sketch() const { return sketch_; }
 
  private:
   AccessTrackerOptions options_;

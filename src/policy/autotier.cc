@@ -6,7 +6,6 @@ AutoTierManager::AutoTierManager(RingCluster* cluster, std::vector<Tier> tiers,
                                  AutoTierOptions options)
     : cluster_(cluster),
       options_(options),
-      tracker_(options.tracker),
       engine_(std::move(tiers), options.policy),
       mover_(cluster, [&options, cluster] {
         // Rebalance-aware admission (§13): re-tiering traffic yields while
@@ -96,8 +95,7 @@ void AutoTierManager::Tick() {
     if (it == placements_.end()) {
       return;  // never saw a put: not ours to manage
     }
-    const auto desired =
-        engine_.Decide(temperature, it->second.bytes, it->second.memgest);
+    const auto desired = engine_.Decide(temperature, it->second.memgest);
     if (desired.has_value() && *desired != it->second.memgest &&
         !mover_.Pending(key)) {
       mover_.Enqueue(key, *desired);
@@ -168,7 +166,7 @@ void AutoTierManager::UpdateGauges() {
                    static_cast<int64_t>(tracker_.tracked()), node);
   metrics.SetGauge("policy.realized_storage_bytes",
                    static_cast<int64_t>(RealizedStorageBytes()), node);
-  // Gauges are integers; export the cost objective in micro-dollars/month.
+  // Gauges are integers; export the realized cost in micro-dollars/month.
   metrics.SetGauge("policy.realized_cost_usd_millionths",
                    static_cast<int64_t>(RealizedStorageCost() * 1e6), node);
 }

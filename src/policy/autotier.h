@@ -29,7 +29,6 @@ namespace ring::policy {
 struct AutoTierOptions {
   // Epoch length: how often temperatures roll and decisions are made.
   sim::SimTime epoch_ns = 10 * sim::kMillisecond;
-  AccessTrackerOptions tracker;
   PolicyOptions policy;
   MoverOptions mover;
 };
@@ -66,8 +65,6 @@ class AutoTierManager {
   uint64_t ticks() const { return ticks_; }
   bool running() const { return running_; }
 
-  AccessTracker& tracker() { return tracker_; }
-  const PolicyEngine& engine() const { return engine_; }
   Mover& mover() { return mover_; }
 
  private:

@@ -81,9 +81,8 @@ class Mover {
   uint64_t retried() const { return retried_; }
   size_t queued() const { return queue_.size(); }
   size_t in_flight() const { return in_flight_; }
-  bool idle() const { return queue_.empty() && in_flight_ == 0; }
   // Keys with any outstanding work: queued, in flight, or backing off
-  // between retry attempts (idle() is briefly true during a backoff).
+  // between retry attempts (nothing is queued or in flight during a backoff).
   size_t pending_keys() const { return pending_.size(); }
 
  private:

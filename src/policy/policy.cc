@@ -24,15 +24,16 @@ double PolicyEngine::PlacementCost(const Tier& tier, double temperature,
   const double storage = stored_gb * tier.prices.storage_gb_month;
   // Operations: temperature (ops/epoch) scaled to ops/month; reads from a
   // cool tier additionally pay per-GB retrieval.
-  const double ops = temperature * options_.ops_per_month_per_temp;
+  constexpr double kOpsPerMonthPerTemp = 1.0e6;
+  const double ops = temperature * kOpsPerMonthPerTemp;
   const double op_cost = ops * tier.prices.read_per_10k / 10'000.0;
   const double retrieval =
       ops * static_cast<double>(bytes) / kGb * tier.prices.retrieval_gb;
   return storage + op_cost + retrieval;
 }
 
-std::optional<MemgestId> PolicyEngine::DecideThreshold(
-    double temperature, MemgestId current) const {
+std::optional<MemgestId> PolicyEngine::Decide(double temperature,
+                                              MemgestId current) const {
   if (tiers_.empty()) {
     return std::nullopt;
   }
@@ -45,43 +46,6 @@ std::optional<MemgestId> PolicyEngine::DecideThreshold(
     return cold.memgest;
   }
   return std::nullopt;  // inside the hysteresis band: stay
-}
-
-std::optional<MemgestId> PolicyEngine::DecideCost(double temperature,
-                                                  uint64_t bytes,
-                                                  MemgestId current) const {
-  const Tier* cur = TierOf(current);
-  if (cur == nullptr) {
-    return std::nullopt;  // not a managed placement
-  }
-  const double cur_cost = PlacementCost(*cur, temperature, bytes);
-  const Tier* best = cur;
-  double best_cost = cur_cost;
-  for (const auto& t : tiers_) {
-    const double c = PlacementCost(t, temperature, bytes);
-    if (c < best_cost) {
-      best = &t;
-      best_cost = c;
-    }
-  }
-  // Move only on a clear win; the margin is the anti-flapping hysteresis.
-  if (best->memgest != current &&
-      best_cost < cur_cost * (1.0 - options_.cost_margin)) {
-    return best->memgest;
-  }
-  return std::nullopt;
-}
-
-std::optional<MemgestId> PolicyEngine::Decide(double temperature,
-                                              uint64_t bytes,
-                                              MemgestId current) const {
-  switch (options_.mode) {
-    case PolicyMode::kThreshold:
-      return DecideThreshold(temperature, current);
-    case PolicyMode::kCostObjective:
-      return DecideCost(temperature, bytes, current);
-  }
-  return std::nullopt;
 }
 
 }  // namespace ring::policy

@@ -1,16 +1,11 @@
 // Placement policy for the adaptive resilience manager: given a key's
 // temperature and current memgest, decide where it should live.
 //
-// Two modes:
-//  - kThreshold: classic hot/cold thresholds with a hysteresis band —
-//    promote at `hot_enter`, demote at `cold_enter` (< hot_enter); keys
-//    inside the band stay put, so temperature noise cannot flap a key
-//    between tiers.
-//  - kCostObjective: price each candidate placement with the Fig. 10 cost
-//    model (src/cost/pricing) — storage at the scheme's overhead plus
-//    per-operation charges at the key's access rate — and move only when
-//    the best candidate beats the current placement by a relative margin
-//    (the hysteresis equivalent for costs).
+// Hot/cold thresholds with a hysteresis band: promote at `hot_enter`,
+// demote at `cold_enter` (< hot_enter); keys inside the band stay put, so
+// temperature noise cannot flap a key between tiers. PlacementCost prices a
+// placement with the Fig. 10 cost model (src/cost/pricing) for the
+// realized-cost gauge.
 #ifndef RING_SRC_POLICY_POLICY_H_
 #define RING_SRC_POLICY_POLICY_H_
 
@@ -27,22 +22,15 @@ namespace ring::policy {
 struct Tier {
   MemgestId memgest = kDefaultMemgest;
   MemgestDescriptor desc;
-  // Prices applied to candidates in this tier (cost-objective mode).
+  // Prices PlacementCost charges for keys in this tier.
   cost::TierPrices prices;
 };
 
-enum class PolicyMode { kThreshold, kCostObjective };
-
 struct PolicyOptions {
-  PolicyMode mode = PolicyMode::kThreshold;
-  // kThreshold: EWMA temperature (ops/epoch) above which a key belongs in
-  // the hot tier, and the lower demotion threshold (hysteresis band between).
+  // EWMA temperature (ops/epoch) above which a key belongs in the hot tier,
+  // and the lower demotion threshold (hysteresis band between).
   double hot_enter = 8.0;
   double cold_enter = 2.0;
-  // kCostObjective: required relative improvement before moving, and the
-  // scale factor from temperature (ops/epoch) to priced ops/month.
-  double cost_margin = 0.10;
-  double ops_per_month_per_temp = 1.0e6;
 };
 
 class PolicyEngine {
@@ -50,13 +38,11 @@ class PolicyEngine {
   // `tiers` ordered hottest first; two tiers (hot, cold) is the common case.
   PolicyEngine(std::vector<Tier> tiers, PolicyOptions options);
 
-  // Desired memgest for a key, or nullopt to stay. `bytes` is the key's
-  // last-known object size (cost mode prices storage with it).
-  std::optional<MemgestId> Decide(double temperature, uint64_t bytes,
-                                  MemgestId current) const;
+  // Desired memgest for a key, or nullopt to stay.
+  std::optional<MemgestId> Decide(double temperature, MemgestId current) const;
 
-  // Monthly cost of holding `bytes` at `temperature` in `tier` (cost mode's
-  // objective; exposed for the realized-cost gauge and tests).
+  // Monthly cost of holding `bytes` at `temperature` in `tier`, with one
+  // unit of temperature priced as 1e6 ops/month (the realized-cost gauge).
   double PlacementCost(const Tier& tier, double temperature,
                        uint64_t bytes) const;
 
@@ -65,11 +51,6 @@ class PolicyEngine {
   const PolicyOptions& options() const { return options_; }
 
  private:
-  std::optional<MemgestId> DecideThreshold(double temperature,
-                                           MemgestId current) const;
-  std::optional<MemgestId> DecideCost(double temperature, uint64_t bytes,
-                                      MemgestId current) const;
-
   std::vector<Tier> tiers_;
   PolicyOptions options_;
 };

@@ -51,6 +51,7 @@ double RebuildRate(double bytes, const Environment& env);
 double Nines(double p, double cap = 16.0);
 
 // Reliability/availability model for RS(k,m) (App. A.1). States 0..m plus FS.
+// ring-lint: ok(test-only-api) SrsModel on plain RS codes (s = k)
 class RsModel {
  public:
   RsModel(uint32_t k, uint32_t m, const Environment& env);
@@ -62,6 +63,7 @@ class RsModel {
   // (1/t) * expected time fully available during [0, t].
   double IntervalAvailability(double t_years) const;
 
+  // ring-lint: ok(test-only-api) the chain behind Reliability()
   const Ctmc& chain() const { return chain_; }
 
  private:
@@ -81,7 +83,9 @@ class SrsModel {
   double PointAvailability(double t_years) const;
   double IntervalAvailability(double t_years) const;
 
+  // ring-lint: ok(test-only-api) SrsModel's use of ToleranceVector
   uint32_t max_tolerated() const { return u_; }
+  // ring-lint: ok(test-only-api) the chain behind Reliability()
   const Ctmc& chain() const { return chain_; }
 
  private:

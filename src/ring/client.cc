@@ -193,7 +193,6 @@ void RingClient::Launch(Request req, Callback cb) {
 template <auto Handle, typename Req>
 void RingClient::PostKeyed(Req req, uint64_t bytes, bool broadcast) {
   obs::ScopedOp scope(rt_->simulator().hub(), req.op_id);
-  req.retry = broadcast;
   if (!broadcast) {
     RingServer* peer = rt_->server(CoordinatorFor(req.key));
     rt_->fabric().Send(node_, peer->id(), bytes,

@@ -82,17 +82,6 @@ void MetadataTable::ForEachMutable(
   }
 }
 
-std::vector<Version> MetadataTable::VersionsOf(const Key& key) const {
-  std::vector<Version> out;
-  auto it = table_.find(key);
-  if (it != table_.end()) {
-    for (const auto& [version, entry] : it->second) {
-      out.push_back(version);
-    }
-  }
-  return out;
-}
-
 void MetadataTable::Clear() {
   table_.clear();
   entry_count_ = 0;

@@ -140,9 +140,6 @@ class MetadataTable {
   // Mutable iteration; the callback must not insert or erase entries.
   void ForEachMutable(const std::function<void(const Key&, MetaEntry&)>& fn);
 
-  // All versions of a key, ascending. Empty when absent.
-  std::vector<Version> VersionsOf(const Key& key) const;
-
   void Clear();
 
  private:

@@ -65,16 +65,6 @@ Status MemgestRegistry::SetDefault(MemgestId id) {
   return OkStatus();
 }
 
-std::vector<uint32_t> MemgestRegistry::ReplicaSlots(const MemgestInfo& info,
-                                                    uint32_t shard) const {
-  return ReplicaSlotsFor(info, shard, s_, d_);
-}
-
-std::vector<uint32_t> MemgestRegistry::ParitySlots(const MemgestInfo& info,
-                                                   uint32_t group) const {
-  return ParitySlotsFor(info, group, s_, d_);
-}
-
 std::vector<uint32_t> MemgestRegistry::ReplicaSlotsFor(const MemgestInfo& info,
                                                        uint32_t shard,
                                                        uint32_t s, uint32_t d) {

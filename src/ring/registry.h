@@ -67,16 +67,10 @@ class MemgestRegistry {
   Status SetDefault(MemgestId id);
 
   // Replica slots for `shard` of a replicated memgest (r-1 slots), rotated
-  // by the shard's group (§5.4).
-  std::vector<uint32_t> ReplicaSlots(const MemgestInfo& info,
-                                     uint32_t shard) const;
-  // Parity slots of an erasure-coded memgest for one group (m slots,
-  // base layout s .. s+m-1 rotated by the group index).
-  std::vector<uint32_t> ParitySlots(const MemgestInfo& info,
-                                    uint32_t group) const;
-  // Shape-explicit variants: the same placement rules evaluated under an
-  // arbitrary group size (shard/group ids must be of that same shape). Used
-  // on both sides of an elastic resize.
+  // by the shard's group (§5.4), and parity slots of an erasure-coded
+  // memgest for one group (m slots, base layout s .. s+m-1 rotated by the
+  // group index), both under group size `s` (shard/group ids of that same
+  // shape; an elastic resize evaluates both shapes).
   static std::vector<uint32_t> ReplicaSlotsFor(const MemgestInfo& info,
                                                uint32_t shard, uint32_t s,
                                                uint32_t d);

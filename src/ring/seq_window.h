@@ -60,10 +60,12 @@ class SeqWindow {
   }
 
   // Sequences below this read as seen without being held.
+  // ring-lint: ok(test-only-api) MarkOnce's compaction
   uint64_t min_retained() const { return min_retained_; }
   // Sequences currently held (at most kWindow).
   size_t size() const { return count_; }
   // Runs currently held: the structure's memory is O(runs()).
+  // ring-lint: ok(test-only-api) MarkOnce's compaction
   size_t runs() const { return runs_.size(); }
 
  private:

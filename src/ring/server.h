@@ -64,7 +64,6 @@ struct PutRequest {
   net::NodeId client = 0;
   uint64_t req_id = 0;
   uint64_t op_id = 0;  // trace id stitching client/server/redundancy spans
-  bool retry = false;
   // Set when a peer relayed this request during a rebalance (§13). Forwarded
   // requests are never forwarded again — a stale second hop drops them and
   // the client's retry machinery takes over.
@@ -76,7 +75,6 @@ struct GetRequest {
   net::NodeId client = 0;
   uint64_t req_id = 0;
   uint64_t op_id = 0;
-  bool retry = false;
   bool forwarded = false;
   // §16: kNonBlocking serves the newest committed version instead of
   // parking on an in-flight commit's quorum wait.
@@ -89,7 +87,6 @@ struct MoveRequest {
   net::NodeId client = 0;
   uint64_t req_id = 0;
   uint64_t op_id = 0;
-  bool retry = false;
   // Internal re-entry of a move that was postponed on an uncommitted entry:
   // it already claimed its at-most-once slot, so the dedup check is skipped.
   bool resumed = false;
@@ -101,7 +98,6 @@ struct DeleteRequest {
   net::NodeId client = 0;
   uint64_t req_id = 0;
   uint64_t op_id = 0;
-  bool retry = false;
   bool forwarded = false;
 };
 

@@ -77,11 +77,6 @@ struct MemgestDescriptor {
     return kind == SchemeKind::kReplicated && r <= 1;
   }
 
-  // Number of redundancy targets a put must reach (replicas or parities).
-  uint32_t redundancy() const {
-    return kind == SchemeKind::kReplicated ? r - 1 : m;
-  }
-
   // Stored bytes per byte of user data.
   double StorageOverhead() const {
     if (kind == SchemeKind::kReplicated) {

@@ -118,32 +118,6 @@ Result<std::vector<Buffer>> RsCode::RecoverData(
   return out;
 }
 
-Result<std::vector<Buffer>> RsCode::RecoverBlocks(
-    const std::vector<std::pair<uint32_t, ByteSpan>>& available,
-    const std::vector<uint32_t>& wanted) const {
-  RING_ASSIGN_OR_RETURN(std::vector<Buffer> data, RecoverData(available));
-  const size_t block_size = data.empty() ? 0 : data[0].size();
-  std::vector<const uint8_t*> srcs(k_);
-  for (uint32_t i = 0; i < k_; ++i) {
-    srcs[i] = data[i].data();
-  }
-  std::vector<Buffer> out;
-  out.reserve(wanted.size());
-  for (uint32_t w : wanted) {
-    if (w < k_) {
-      out.push_back(data[w]);
-    } else if (w < k_ + m_) {
-      Buffer p(block_size);
-      gf::EncodeRegion(std::span<const uint8_t>(g_.Row(w - k_), k_),
-                       std::span<const uint8_t* const>(srcs), p);
-      out.push_back(std::move(p));
-    } else {
-      return InvalidArgumentError("wanted block index out of range");
-    }
-  }
-  return out;
-}
-
 bool RsCode::CanRecover(const std::vector<uint32_t>& lost) const {
   return lost.size() <= m_;
 }

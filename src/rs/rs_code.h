@@ -31,8 +31,6 @@ class RsCode {
   uint32_t k() const { return k_; }
   uint32_t m() const { return m_; }
 
-  // The (k+m) x k coding matrix H = [I; G].
-  const gf::Matrix& coding_matrix() const { return h_; }
   // The m x k generator (parity) part G.
   const gf::Matrix& generator() const { return g_; }
   // Coefficient g[parity][data] applied to data block `data` when computing
@@ -64,12 +62,6 @@ class RsCode {
   // fewer than k blocks are supplied or sizes disagree.
   Result<std::vector<Buffer>> RecoverData(
       const std::vector<std::pair<uint32_t, ByteSpan>>& available) const;
-
-  // Reconstructs exactly the requested blocks (data or parity indices) from
-  // the available ones. Convenience wrapper over RecoverData + re-encode.
-  Result<std::vector<Buffer>> RecoverBlocks(
-      const std::vector<std::pair<uint32_t, ByteSpan>>& available,
-      const std::vector<uint32_t>& wanted) const;
 
   // True when the erasure pattern (set of lost block indices) is decodable,
   // i.e. at least k blocks survive. For MDS codes that is the exact rule.

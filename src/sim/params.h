@@ -101,13 +101,6 @@ struct SimParams {
   uint64_t detection_window_ns() const {
     return failure_timeout_ns + 2 * heartbeat_period_ns;
   }
-  // Worst-case window until a dead *leader* is replaced: the ranked election
-  // adds up to half a heartbeat period per candidate rank, then the new
-  // leader must detect and handle the failure.
-  uint64_t election_window_ns(uint32_t candidates) const {
-    return detection_window_ns() +
-           candidates * heartbeat_period_ns / 2 + heartbeat_period_ns;
-  }
 
   // --- Baseline systems (Fig. 7c) ---
   // Kernel TCP/IP stack one-way latency for memcached/Cocytus-style systems.

@@ -55,16 +55,11 @@ SimTime CpuWorker::Execute(uint64_t cost_ns, Task fn) {
   // Thin event: the payload stays in the FIFO. Completions are scheduled
   // with nondecreasing times in seq order, so the queue fires them
   // front-first.
-  sim_->At(busy_until_, [this, generation = generation_] {
-    RunCompletion(generation);
-  });
+  sim_->At(busy_until_, [this] { RunCompletion(); });
   return busy_until_;
 }
 
-void CpuWorker::RunCompletion(uint64_t generation) {
-  if (generation != generation_) {
-    return;  // Reset() cancelled everything scheduled under the old epoch
-  }
+void CpuWorker::RunCompletion() {
   Completion completion = std::move(fifo_.front());
   fifo_.pop_front();
   analysis::ScopedCpuTask task(
@@ -73,13 +68,6 @@ void CpuWorker::RunCompletion(uint64_t generation) {
   if (completion.fn) {
     completion.fn();
   }
-}
-
-void CpuWorker::Reset() {
-  ++generation_;
-  busy_until_ = 0;
-  consumed_ = 0;
-  fifo_.clear();
 }
 
 }  // namespace ring::sim

@@ -90,9 +90,8 @@ class Simulator {
 // busy-until bookkeeping.
 //
 // Completion callbacks live in a FIFO here rather than inside the scheduled
-// events: the event carries only {worker, generation}, so big protocol
-// captures are stored once, and Reset() can cancel every not-yet-run
-// completion by bumping the generation.
+// events: the event carries only the worker, so big protocol captures are
+// stored once.
 class CpuWorker {
  public:
   explicit CpuWorker(Simulator* simulator, uint32_t node = 0)
@@ -106,15 +105,6 @@ class CpuWorker {
   SimTime busy_until() const { return busy_until_; }
   // Total CPU time consumed so far (for utilization).
   uint64_t consumed_ns() const { return consumed_; }
-  // Work currently queued ahead of a new arrival.
-  uint64_t backlog_ns() const {
-    return busy_until_ > sim_->now() ? busy_until_ - sim_->now() : 0;
-  }
-
-  // Zeroes the core's state and cancels every scheduled-but-not-run
-  // completion: each scheduled event carries the generation it was issued
-  // under and no-ops when it no longer matches.
-  void Reset();
 
   uint32_t node() const { return node_; }
 
@@ -124,11 +114,10 @@ class CpuWorker {
     std::optional<analysis::VectorClock> edge;
   };
 
-  void RunCompletion(uint64_t generation);
+  void RunCompletion();
 
   Simulator* sim_;
   uint32_t node_ = 0;
-  uint64_t generation_ = 0;
   SimTime busy_until_ = 0;
   uint64_t consumed_ = 0;
   std::deque<Completion> fifo_;

@@ -55,9 +55,9 @@ class SrsAddressMap {
   std::vector<Segment> MapDataRange(uint32_t node, uint64_t offset,
                                     uint64_t length) const;
 
-  // The parity address-space extent needed to cover a data extent (rounded up
-  // to whole rows). Parity nodes are s/k times larger per row — the memory
-  // imbalance the paper discusses in §5.4.
+  // The parity extent covering a data extent (whole rows): parity nodes are
+  // s/k times larger per row, the memory imbalance of paper §5.4.
+  // ring-lint: ok(test-only-api) the parity heaps RingServer grows
   uint64_t ParityExtent(uint64_t data_extent) const;
 
   // A block source for decoding one segment: either a surviving data chunk

@@ -34,9 +34,8 @@ class SrsCode {
   // Total chunks per stripe: l = lcm(k, s).
   uint32_t l() const { return l_; }
   uint32_t chunks_per_data_node() const { return l_ / s_; }
+  // Also the number of independent RS(k,m) mini-stripes per stripe.
   uint32_t chunks_per_parity_node() const { return l_ / k_; }
-  // Number of independent RS(k,m) mini-stripes per stripe: l/k.
-  uint32_t ministripes() const { return l_ / k_; }
 
   const rs::RsCode& rs() const { return rs_; }
 
@@ -65,8 +64,9 @@ class SrsCode {
   // and produces per-node payloads.
   Encoded EncodeObject(ByteSpan object) const;
 
-  // Reconstructs the original object from per-node payloads where lost nodes
-  // are empty buffers. Fails when the loss pattern is unrecoverable.
+  // Reconstructs the object from per-node payloads (lost nodes empty); fails
+  // when the loss pattern is unrecoverable.
+  // ring-lint: ok(test-only-api) EncodeObject's chunk layout
   Result<Buffer> DecodeObject(const Encoded& enc) const;
 
   // Failure analysis -------------------------------------------------------
@@ -76,8 +76,8 @@ class SrsCode {
   bool CanRecover(const std::vector<uint32_t>& failed_data_nodes,
                   const std::vector<uint32_t>& failed_parity_nodes) const;
 
-  // Same question answered by rank(Hexp surviving rows) == l; O(l^3) — used
-  // to cross-validate CanRecover in tests.
+  // Same question answered by rank(Hexp surviving rows) == l; O(l^3).
+  // ring-lint: ok(test-only-api) an independent oracle for CanRecover
   bool CanRecoverByRank(const std::vector<uint32_t>& failed_data_nodes,
                         const std::vector<uint32_t>& failed_parity_nodes) const;
 

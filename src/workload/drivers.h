@@ -57,10 +57,6 @@ class OpenLoopDriver {
     MemgestId memgest = kDefaultMemgest;
     YcsbSpec spec;
     uint64_t seed = 7;
-    // Time-varying Zipf hotspot: every `hotspot_period_ns` the popularity
-    // ranking rotates by `hotspot_shift` keys (0 = static distribution).
-    sim::SimTime hotspot_period_ns = 0;
-    uint64_t hotspot_shift = 0;
   };
 
   OpenLoopDriver(RingCluster* cluster, uint32_t client_index,
@@ -73,7 +69,6 @@ class OpenLoopDriver {
   uint64_t issued() const { return issued_; }
   uint64_t completed() const { return completed_; }
   uint64_t dropped() const { return dropped_; }
-  uint64_t errors() const { return errors_; }
 
  private:
   void ScheduleNext();
@@ -90,7 +85,6 @@ class OpenLoopDriver {
   uint64_t issued_ = 0;
   uint64_t completed_ = 0;
   uint64_t dropped_ = 0;
-  uint64_t errors_ = 0;
 };
 
 // Writes every key of the spec once (sequential blocking puts); returns the

@@ -1,6 +1,6 @@
 #include "src/workload/spc_trace.h"
 
-#include <sstream>
+#include <algorithm>
 #include <unordered_set>
 
 #include "src/common/rng.h"
@@ -38,59 +38,6 @@ const Profile* FindProfile(const std::string& name) {
 }
 
 }  // namespace
-
-Result<std::vector<SpcRecord>> ParseSpcTrace(std::istream& in) {
-  std::vector<SpcRecord> out;
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) {
-      continue;
-    }
-    SpcRecord rec;
-    char opcode = 0;
-    std::istringstream ls(line);
-    std::string field;
-    auto next = [&](std::string& f) {
-      return static_cast<bool>(std::getline(ls, f, ','));
-    };
-    std::string asu, lba, size, op, ts;
-    if (!next(asu) || !next(lba) || !next(size) || !next(op) || !next(ts)) {
-      return InvalidArgumentError("malformed SPC record at line " +
-                                  std::to_string(line_no));
-    }
-    try {
-      rec.asu = static_cast<uint32_t>(std::stoul(asu));
-      rec.lba = std::stoull(lba);
-      rec.size = static_cast<uint32_t>(std::stoul(size));
-      opcode = op.empty() ? 0 : op[0];
-      rec.timestamp = std::stod(ts);
-    } catch (...) {
-      return InvalidArgumentError("unparseable SPC record at line " +
-                                  std::to_string(line_no));
-    }
-    if (opcode == 'r' || opcode == 'R') {
-      rec.opcode = 'R';
-    } else if (opcode == 'w' || opcode == 'W') {
-      rec.opcode = 'W';
-    } else {
-      return InvalidArgumentError("bad opcode at line " +
-                                  std::to_string(line_no));
-    }
-    out.push_back(rec);
-  }
-  return out;
-}
-
-std::string FormatSpcTrace(const std::vector<SpcRecord>& records) {
-  std::ostringstream os;
-  for (const auto& r : records) {
-    os << r.asu << "," << r.lba << "," << r.size << "," << r.opcode << ","
-       << r.timestamp << "\n";
-  }
-  return os.str();
-}
 
 TraceAggregates Aggregate(const std::string& name,
                           const std::vector<SpcRecord>& records) {

@@ -3,21 +3,16 @@
 // The paper prices five public SPC traces: Financial1/2 (write-heavy OLTP at
 // a large financial institution) and WebSearch1/2/3 (read-dominated search
 // engine I/O). The original trace files are not redistributable, so this
-// module provides BOTH:
-//   - a parser for the real SPC trace file format (CSV:
-//     "ASU,LBA,Size,Opcode,Timestamp[,extra]"), and
-//   - synthetic generators whose aggregate op mix, sizes, and footprints
-//     match the published characteristics of those five traces — the Fig. 10
-//     experiment depends only on these aggregates.
+// module synthesizes records in the SPC trace format
+// ("ASU,LBA,Size,Opcode,Timestamp") whose aggregate op mix, sizes, and
+// footprints match the published characteristics of those five traces —
+// the Fig. 10 experiment depends only on these aggregates.
 #ifndef RING_SRC_WORKLOAD_SPC_TRACE_H_
 #define RING_SRC_WORKLOAD_SPC_TRACE_H_
 
 #include <cstdint>
-#include <istream>
 #include <string>
 #include <vector>
-
-#include "src/common/result.h"
 
 namespace ring::workload {
 
@@ -44,14 +39,6 @@ struct TraceAggregates {
     return total == 0 ? 0.0 : static_cast<double>(writes) / total;
   }
 };
-
-// Parses SPC-format lines; tolerates blank lines and trailing fields. Fails
-// on malformed records.
-Result<std::vector<SpcRecord>> ParseSpcTrace(std::istream& in);
-
-// Serializes records back to the SPC CSV format (round-trip testing and
-// export of the synthetic traces).
-std::string FormatSpcTrace(const std::vector<SpcRecord>& records);
 
 // Aggregates any record stream (footprint = sum of distinct 4 KiB pages).
 TraceAggregates Aggregate(const std::string& name,

@@ -180,7 +180,9 @@ void RunRandomTraffic(uint64_t seed, uint32_t groups, bool with_policy,
   if (manager.has_value()) {
     // Let queued policy moves finish so the sweep also covers freshly
     // re-tiered keys.
-    ASSERT_TRUE(cluster.RunUntilDone([&] { return manager->mover().idle(); }));
+    const policy::Mover& mover = manager->mover();
+    ASSERT_TRUE(cluster.RunUntilDone(
+        [&] { return mover.queued() == 0 && mover.in_flight() == 0; }));
     cluster.RunFor(2 * sim::kMillisecond);
   }
 

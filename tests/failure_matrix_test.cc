@@ -18,6 +18,14 @@ namespace {
 // rebuild all finish well within this.
 constexpr sim::SimTime kRecoverySlack = 30 * sim::kMillisecond;
 
+// Worst-case window until a dead *leader* is replaced: the ranked election
+// adds up to half a heartbeat period per candidate rank, then the new
+// leader must detect and handle the failure.
+uint64_t ElectionWindowNs(const sim::SimParams& p, uint32_t candidates) {
+  return p.detection_window_ns() + candidates * p.heartbeat_period_ns / 2 +
+         p.heartbeat_period_ns;
+}
+
 struct Case {
   net::NodeId victim;
   bool erasure;      // SRS(3,2) vs Rep(3)
@@ -54,7 +62,7 @@ TEST_P(FailureMatrixTest, CommittedDataSurvivesAndClusterServes) {
   // the victim led the cluster) plus recovery time.
   cluster.RunFor(c.force_detect
                      ? kRecoverySlack
-                     : p.election_window_ns(o.s + o.d + o.spares) +
+                     : ElectionWindowNs(p, o.s + o.d + o.spares) +
                            kRecoverySlack);
 
   if (c.recover) {

@@ -1,6 +1,7 @@
 // Tests for ring-lint (src/analysis/lint.h): each text rule on inline
 // snippets, the seeded-violation and allowlist fixtures, the build-graph
-// orphan rule on a synthetic tree, and the real repo staying clean.
+// orphan and test-only-api rules on synthetic trees, and the real repo
+// staying clean.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -322,6 +323,56 @@ TEST(LintBuildGraphTest, ReportsOrphanSourcesAndTargets) {
   EXPECT_NE(text.find("island.cc"), std::string::npos) << text;
   EXPECT_NE(text.find("orphan.cc"), std::string::npos) << text;
   EXPECT_EQ(text.find("linked.cc"), std::string::npos) << text;
+  fs::remove_all(root);
+}
+
+// ---- test-only-api ----------------------------------------------------------
+
+TEST(LintTestOnlyApiTest, FlagsOnlyWhatNoNonTestRootReaches) {
+  namespace fs = std::filesystem;
+  const fs::path root =
+      fs::path(::testing::TempDir()) / "ring_lint_test_only_api";
+  fs::remove_all(root);
+  for (const char* dir : {"src/core", "tools", "tests"}) {
+    fs::create_directories(root / dir);
+  }
+  auto write = [](const fs::path& p, const std::string& text) {
+    std::ofstream(p) << text;
+  };
+  write(root / "src" / "core" / "api.h",
+        ReadFile(std::string(RING_SOURCE_ROOT) +
+                 "/tests/lint/fixture_test_only_api.h"));
+  write(root / "src" / "core" / "api.cc",
+        "#include \"src/core/api.h\"\n"
+        "namespace fixture {\n"
+        "int Engine::Run() const { return Helper(); }\n"
+        "int Engine::Helper() const {\n"
+        "  switch (options_.mode) {\n"
+        "    case Mode::kTestOnly: return 2;\n"
+        "    default: return 1;\n"
+        "  }\n"
+        "}\n"
+        "int Engine::Probe() const { return 3; }\n"
+        "int TestOnlyFree() { return 4; }\n"
+        "}  // namespace fixture\n");
+  write(root / "tools" / "main.cc",
+        "int main() { return fixture::Engine({}).Run(); }\n");
+  write(root / "tests" / "api_test.cc",
+        "using fixture::Mode; Mode a = Mode::kUsed, b = Mode::kTestOnly;\n"
+        "fixture::Options o; fixture::Engine e(o);\n"
+        "int v = e.Run() + e.Helper() + e.Probe() + e.Oracle() +\n"
+        "        fixture::TestOnlyFree();\n");
+
+  const auto f = LintTestOnlyApi(root.string());
+  std::vector<std::string> flagged;
+  for (const auto& finding : f) {
+    EXPECT_EQ(finding.rule, "test-only-api");
+    EXPECT_EQ(finding.file, "src/core/api.h");
+    flagged.push_back(finding.message.substr(0, finding.message.find(' ')));
+  }
+  EXPECT_EQ(flagged, (std::vector<std::string>{"'kTestOnly'", "'Probe'",
+                                               "'TestOnlyFree'"}))
+      << FormatFindings(f);
   fs::remove_all(root);
 }
 

@@ -110,22 +110,6 @@ TEST(MatrixTest, SelectRowsAndVStack) {
   EXPECT_EQ(st.At(3, 1), 8);
 }
 
-TEST(MatrixTest, VandermondeAnyKRowsIndependent) {
-  // The defining property used for RS codes: any k rows of the (n x k)
-  // Vandermonde matrix are linearly independent.
-  const size_t n = 7;
-  const size_t k = 3;
-  Matrix v = Matrix::Vandermonde(n, k);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      for (size_t l = j + 1; l < n; ++l) {
-        Matrix sub = v.SelectRows({i, j, l});
-        EXPECT_EQ(sub.Rank(), k) << i << "," << j << "," << l;
-      }
-    }
-  }
-}
-
 TEST(MatrixTest, ToStringRenders) {
   Matrix a{{1, 2}, {3, 4}};
   EXPECT_EQ(a.ToString(), "1 2\n3 4\n");

@@ -81,8 +81,8 @@ TEST(MetricsTest, DisabledRecordsNothing) {
   m.Observe("y", 7, 0);
   m.CountLink(0, 1, 100);
   EXPECT_EQ(m.CounterTotal("x"), 0u);
-  EXPECT_EQ(m.FindHistogram("y", 0), nullptr);
-  EXPECT_EQ(m.LinkBytes(0, 1), 0u);
+  EXPECT_TRUE(m.histograms().empty());
+  EXPECT_TRUE(m.link_bytes().empty());
 }
 
 TEST(MetricsTest, CounterAggregationAcrossNodes) {
@@ -101,14 +101,17 @@ TEST(MetricsTest, CounterAggregationAcrossNodes) {
 
   m.Observe("lat", 8, 0);
   m.Observe("lat", 16, 1);
-  const obs::Histogram agg = m.AggregateHistogram("lat");
+  obs::Histogram agg;
+  for (const auto& [key, h] : m.histograms()) {
+    agg.MergeFrom(h);
+  }
   EXPECT_EQ(agg.count(), 2u);
   EXPECT_EQ(agg.sum(), 24u);
 
   m.CountLink(0, 1, 100);
   m.CountLink(0, 1, 50);
-  EXPECT_EQ(m.LinkBytes(0, 1), 150u);
-  EXPECT_EQ(m.LinkBytes(1, 0), 0u);
+  EXPECT_EQ(m.link_bytes().at({0, 1}), 150u);
+  EXPECT_EQ(m.link_bytes().count({1, 0}), 0u);
 }
 
 // -------------------------------------------------------------------- spans
@@ -455,7 +458,7 @@ TEST(TimeSeriesTest, EmptyWindowPercentilesAreZero) {
   EXPECT_EQ(s.HistAt(1)->Percentile(50), 0u);
   EXPECT_EQ(s.HistAt(1)->Percentile(99), 0u);
 
-  const auto rows = f.ts.Slis({});
+  const auto rows = f.ts.Slis();
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[1].ops_ok, 0u);
   EXPECT_EQ(rows[1].p50_ns, 0u);
@@ -481,7 +484,7 @@ TEST(TimeSeriesTest, AvailabilityDipDetected) {
       f.ts.OnCounter(ok, 10);
     }
   }
-  const auto rows = f.ts.Slis({});
+  const auto rows = f.ts.Slis();
   ASSERT_EQ(rows.size(), 10u);
   for (uint64_t w = 0; w < 10; ++w) {
     EXPECT_EQ(rows[w].available, w != 4 && w != 5) << "window " << w;
@@ -593,29 +596,6 @@ TEST(ExportTest, PrometheusTextAndStatsJson) {
   EXPECT_NE(json.find("\"p99\":"), std::string::npos);
   EXPECT_NE(json.find("{\"src\":0,\"dst\":1,\"bytes\":4096}"),
             std::string::npos);
-}
-
-TEST(ExportTest, TimeSeriesJsonIsValidAndCarriesSlis) {
-  TsFixture f(/*window_ns=*/1000, /*capacity=*/16);
-  f.ts.TrackCounter(obs::kSliOpsOk);
-  f.ts.TrackLatency(obs::kSliOpLatencyNs);
-  const obs::MetricKey ok{obs::kSliOpsOk, 1, obs::kNoMemgest,
-                          obs::OpKind::kPut};
-  const obs::MetricKey lat{obs::kSliOpLatencyNs, 1, obs::kNoMemgest,
-                           obs::OpKind::kPut};
-  for (uint64_t w = 0; w < 3; ++w) {
-    f.now = w * 1000;
-    f.ts.OnCounter(ok, 4);
-    f.ts.OnSample(lat, 500 * (w + 1));
-  }
-  const std::string json = obs::TimeSeriesJson(f.ts);
-  EXPECT_TRUE(JsonChecker(json).Valid()) << json.substr(0, 400);
-  EXPECT_NE(json.find("\"window_ns\":1000"), std::string::npos);
-  EXPECT_NE(json.find("\"type\":\"counter\""), std::string::npos);
-  EXPECT_NE(json.find("\"type\":\"latency\""), std::string::npos);
-  EXPECT_NE(json.find("\"values\":[4,4,4]"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"slis\":[{"), std::string::npos);
-  EXPECT_NE(json.find("\"available\":true"), std::string::npos);
 }
 
 // -------------------------------------------------------------- post-mortem

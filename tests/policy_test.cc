@@ -21,7 +21,6 @@ using policy::CountMinSketch;
 using policy::Mover;
 using policy::MoverOptions;
 using policy::PolicyEngine;
-using policy::PolicyMode;
 using policy::PolicyOptions;
 using policy::Tier;
 
@@ -109,7 +108,7 @@ TEST(PolicyEngineTest, HysteresisPreventsFlapping) {
     int moves = 0;
     for (int i = 0; i < 50; ++i) {
       const double temp = (i % 2 == 0) ? 3.0 : 7.0;
-      if (auto d = engine.Decide(temp, 1024, cur)) {
+      if (auto d = engine.Decide(temp, cur)) {
         ++moves;
         cur = *d;
       }
@@ -117,40 +116,15 @@ TEST(PolicyEngineTest, HysteresisPreventsFlapping) {
     EXPECT_EQ(moves, 0) << "flapped from tier " << start;
   }
   // Crossing the thresholds does move — once per crossing, not per epoch.
-  EXPECT_EQ(engine.Decide(1.0, 1024, 0), std::optional<MemgestId>(1));
-  EXPECT_EQ(engine.Decide(9.0, 1024, 1), std::optional<MemgestId>(0));
-  EXPECT_EQ(engine.Decide(9.0, 1024, 0), std::nullopt);  // already hot
-  EXPECT_EQ(engine.Decide(1.0, 1024, 1), std::nullopt);  // already cold
+  EXPECT_EQ(engine.Decide(1.0, 0), std::optional<MemgestId>(1));
+  EXPECT_EQ(engine.Decide(9.0, 1), std::optional<MemgestId>(0));
+  EXPECT_EQ(engine.Decide(9.0, 0), std::nullopt);  // already hot
+  EXPECT_EQ(engine.Decide(1.0, 1), std::nullopt);  // already cold
 }
 
-TEST(PolicyEngineTest, CostObjectivePricesPlacements) {
-  PolicyOptions o;
-  o.mode = PolicyMode::kCostObjective;
-  o.cost_margin = 0.10;
-  o.ops_per_month_per_temp = 1.0e6;
-  PolicyEngine engine({HotTier(0), ColdTier(1)}, o);
-
-  const uint64_t mb = 1 << 20;
-  // An idle object is cheaper erasure-coded (1.67x storage at the cool
-  // price beats 3x at the hot price); a busy one is cheaper replicated
-  // (cool reads carry per-op + retrieval charges).
-  EXPECT_EQ(engine.Decide(0.0, 64 * mb, 0), std::optional<MemgestId>(1));
-  EXPECT_EQ(engine.Decide(50.0, 64 * mb, 1), std::optional<MemgestId>(0));
-  // Near the indifference point the margin keeps the key where it is.
-  const double hot_cost = engine.PlacementCost(HotTier(0), 1.0, 64 * mb);
-  const double cold_cost = engine.PlacementCost(ColdTier(1), 1.0, 64 * mb);
-  EXPECT_GT(hot_cost, 0.0);
-  EXPECT_GT(cold_cost, 0.0);
-  // Sweep temperatures: each decision must be stable (deciding twice from
-  // the suggested placement never bounces straight back).
-  for (double temp = 0.0; temp < 60.0; temp += 1.5) {
-    for (MemgestId cur : {MemgestId{0}, MemgestId{1}}) {
-      if (auto d = engine.Decide(temp, 64 * mb, cur)) {
-        EXPECT_EQ(engine.Decide(temp, 64 * mb, *d), std::nullopt)
-            << "cost flap at temp " << temp;
-      }
-    }
-  }
+// Nothing queued or in flight (a key may still be backing off).
+bool Idle(const Mover& mover) {
+  return mover.queued() == 0 && mover.in_flight() == 0;
 }
 
 TEST(MoverTest, TokenBucketHonorsRateUnderFailureInjection) {
@@ -189,7 +163,7 @@ TEST(MoverTest, TokenBucketHonorsRateUnderFailureInjection) {
   // Tick every 100 us; kill a coordinator a third of the way through so
   // some moves ride through a failover (and get retried by the mover).
   bool killed = false;
-  for (int tick = 0; tick < 1200 && !mover.idle(); ++tick) {
+  for (int tick = 0; tick < 1200 && !Idle(mover); ++tick) {
     cluster.RunFor(100 * sim::kMicrosecond);
     if (!killed && tick == 80) {
       cluster.KillNode(1, /*force_detect=*/true);
@@ -197,7 +171,7 @@ TEST(MoverTest, TokenBucketHonorsRateUnderFailureInjection) {
     }
     mover.Tick();
   }
-  ASSERT_TRUE(mover.idle());
+  ASSERT_TRUE(Idle(mover));
   EXPECT_TRUE(killed);
 
   // Every scheduled move reached a terminal state, and despite the failure
@@ -258,11 +232,11 @@ TEST(MoverTest, AbortsCleanlyWhenPartitionedFromTheCluster) {
   }
   // Each attempt burns the client retry budget (20 ms) before surfacing
   // kUnavailable; two attempts per move finish well before the heal.
-  for (int tick = 0; tick < 1800 && !mover.idle(); ++tick) {
+  for (int tick = 0; tick < 1800 && !Idle(mover); ++tick) {
     cluster.RunFor(100 * sim::kMicrosecond);
     mover.Tick();
   }
-  ASSERT_TRUE(mover.idle());
+  ASSERT_TRUE(Idle(mover));
   EXPECT_LT(cluster.simulator().now(), 180 * sim::kMillisecond);
   EXPECT_EQ(mover.aborted(), static_cast<uint64_t>(kKeys));
   EXPECT_EQ(mover.completed(), 0u);
@@ -278,11 +252,11 @@ TEST(MoverTest, AbortsCleanlyWhenPartitionedFromTheCluster) {
   // After the partition heals the same mover client works again.
   cluster.RunFor(210 * sim::kMillisecond - cluster.simulator().now());
   mover.Enqueue("pa-0", srs32);
-  for (int tick = 0; tick < 600 && !mover.idle(); ++tick) {
+  for (int tick = 0; tick < 600 && !Idle(mover); ++tick) {
     cluster.RunFor(100 * sim::kMicrosecond);
     mover.Tick();
   }
-  ASSERT_TRUE(mover.idle());
+  ASSERT_TRUE(Idle(mover));
   EXPECT_EQ(mover.completed(), 1u);
   auto moved = cluster.Get("pa-0");
   ASSERT_TRUE(moved.ok());
@@ -380,12 +354,10 @@ TEST(AutoTierManagerTest, ConvergesOnHotColdSplitAndReheats) {
   cluster.simulator().hub().EnableMetrics(true);
   manager.Tick();
   const auto& metrics = cluster.simulator().hub().metrics();
-  EXPECT_EQ(metrics.GaugeValue("policy.managed_keys",
-                               cluster.client(0).node()),
+  const uint32_t node = cluster.client(0).node();
+  EXPECT_EQ(metrics.gauges().at({"policy.managed_keys", node}),
             static_cast<int64_t>(kKeys));
-  EXPECT_GT(metrics.GaugeValue("policy.realized_storage_bytes",
-                               cluster.client(0).node()),
-            0);
+  EXPECT_GT(metrics.gauges().at({"policy.realized_storage_bytes", node}), 0);
 }
 
 }  // namespace

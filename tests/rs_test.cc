@@ -7,7 +7,6 @@
 #include "src/common/bytes.h"
 #include "src/common/rng.h"
 #include "src/gf/gf256.h"
-#include "src/rs/crs_bitmatrix.h"
 #include "src/rs/rs_code.h"
 
 namespace ring::rs {
@@ -45,21 +44,6 @@ TEST(RsCodeTest, FirstParityRowIsXor) {
   }
 }
 
-TEST(RsCodeTest, CodingMatrixTopIsIdentity) {
-  auto code = RsCode::Create(4, 2);
-  ASSERT_TRUE(code.ok());
-  const auto& h = code->coding_matrix();
-  ASSERT_EQ(h.rows(), 6u);
-  ASSERT_EQ(h.cols(), 4u);
-  for (uint32_t i = 0; i < 4; ++i) {
-    for (uint32_t j = 0; j < 4; ++j) {
-      EXPECT_EQ(h.At(i, j), i == j ? 1 : 0);
-    }
-  }
-}
-
-// MDS property: every square submatrix of G must be nonsingular. Checked
-// exhaustively for small parameters.
 TEST(RsCodeTest, GeneratorSubmatricesNonsingular) {
   auto code = RsCode::Create(4, 3);
   ASSERT_TRUE(code.ok());
@@ -121,37 +105,6 @@ TEST_P(RsRecoveryTest, AllErasurePatternsRecoverable) {
     for (uint32_t i = 0; i < k; ++i) {
       ASSERT_EQ((*recovered)[i], data[i]) << "mask=" << mask << " block=" << i;
     }
-  }
-}
-
-TEST_P(RsRecoveryTest, RecoverBlocksRebuildsParity) {
-  const auto [k, m] = GetParam();
-  auto code = RsCode::Create(k, m);
-  ASSERT_TRUE(code.ok());
-  std::vector<Buffer> data = RandomBlocks(k, 48, 7);
-  std::vector<Buffer> parity = code->Encode(Spans(data));
-  if (m == 0) {
-    return;
-  }
-  // Lose parity 0 and data 0 (when m >= 2) and rebuild both.
-  std::vector<std::pair<uint32_t, ByteSpan>> available;
-  for (uint32_t i = 1; i < k; ++i) {
-    available.emplace_back(i, ByteSpan(data[i]));
-  }
-  if (m >= 2) {
-    for (uint32_t j = 1; j < m; ++j) {
-      available.emplace_back(k + j, ByteSpan(parity[j]));
-    }
-    available.emplace_back(0 + k, ByteSpan(parity[0]));  // keep parity 0 too
-    auto rebuilt = code->RecoverBlocks(available, {0, k});
-    ASSERT_TRUE(rebuilt.ok());
-    EXPECT_EQ((*rebuilt)[0], data[0]);
-    EXPECT_EQ((*rebuilt)[1], parity[0]);
-  } else {
-    available.emplace_back(0, ByteSpan(data[0]));
-    auto rebuilt = code->RecoverBlocks(available, {k});
-    ASSERT_TRUE(rebuilt.ok());
-    EXPECT_EQ((*rebuilt)[0], parity[0]);
   }
 }
 
@@ -217,90 +170,6 @@ TEST(RsCodeTest, CanRecoverRule) {
   EXPECT_TRUE(code->CanRecover({0}));
   EXPECT_TRUE(code->CanRecover({0, 4}));
   EXPECT_FALSE(code->CanRecover({0, 1, 2}));
-}
-
-// ---------------------------------------------------------------------------
-// Cauchy bitmatrix (XOR-only) encoding
-
-TEST(CrsBitmatrixTest, DimensionsAndDensity) {
-  auto code = RsCode::Create(3, 2);
-  ASSERT_TRUE(code.ok());
-  auto bm = CrsBitmatrix::FromCode(*code);
-  EXPECT_EQ(bm.k(), 3u);
-  EXPECT_EQ(bm.m(), 2u);
-  // Parity row 0 is all-ones in GF (plain XOR): its 8x8 blocks are identity
-  // matrices, 8 ones each -> exactly k*8 ones in the first 8 bit-rows.
-  size_t first_rows_ones = 0;
-  for (uint32_t r = 0; r < 8; ++r) {
-    for (uint32_t c = 0; c < 3 * 8; ++c) {
-      first_rows_ones += bm.Bit(r, c);
-    }
-  }
-  EXPECT_EQ(first_rows_ones, 3u * 8);
-  // Total density is bounded by the matrix area and is nontrivial.
-  EXPECT_GT(bm.Ones(), 3u * 8);
-  EXPECT_LT(bm.Ones(), 2u * 8 * 3 * 8);
-}
-
-TEST(CrsBitmatrixTest, IdentityBlockForUnitCoefficient) {
-  // Coefficient 1 must expand to the 8x8 identity.
-  auto code = RsCode::Create(4, 3);
-  ASSERT_TRUE(code.ok());
-  ASSERT_EQ(code->Coefficient(0, 2), 1);  // row 0 is all ones
-  auto bm = CrsBitmatrix::FromCode(*code);
-  for (uint32_t r = 0; r < 8; ++r) {
-    for (uint32_t c = 0; c < 8; ++c) {
-      EXPECT_EQ(bm.Bit(r, 2 * 8 + c), r == c) << r << "," << c;
-    }
-  }
-}
-
-class CrsEquivalenceTest : public ::testing::TestWithParam<RsParams> {};
-
-// The bitmatrix represents the same linear map as the table-based encoder:
-// parity output must be byte-identical for every parameter set.
-TEST_P(CrsEquivalenceTest, MatchesTableEncoder) {
-  const auto [k, m] = GetParam();
-  auto code = RsCode::Create(k, m);
-  ASSERT_TRUE(code.ok());
-  auto bm = CrsBitmatrix::FromCode(*code);
-  for (size_t size : {8u, 64u, 1000u}) {
-    std::vector<Buffer> data = RandomBlocks(k, size, k * 31 + m);
-    const auto table_parity = code->Encode(Spans(data));
-    const auto xor_parity = bm.Encode(Spans(data));
-    ASSERT_EQ(xor_parity.size(), table_parity.size());
-    for (uint32_t j = 0; j < m; ++j) {
-      EXPECT_EQ(xor_parity[j], table_parity[j]) << "parity " << j;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Params, CrsEquivalenceTest,
-    ::testing::Values(RsParams{2, 1}, RsParams{3, 2}, RsParams{4, 3},
-                      RsParams{6, 3}, RsParams{1, 1}),
-    [](const ::testing::TestParamInfo<RsParams>& info) {
-      return "k" + std::to_string(info.param.k) + "m" +
-             std::to_string(info.param.m);
-    });
-
-// And therefore CRS-encoded parity decodes through the unchanged RS path.
-TEST(CrsBitmatrixTest, ParityDecodesViaRsCode) {
-  auto code = RsCode::Create(3, 2);
-  ASSERT_TRUE(code.ok());
-  auto bm = CrsBitmatrix::FromCode(*code);
-  std::vector<Buffer> data = RandomBlocks(3, 256, 77);
-  const auto parity = bm.Encode(Spans(data));
-  // Lose data blocks 0 and 2; recover from block 1 + both parities.
-  std::vector<std::pair<uint32_t, ByteSpan>> available = {
-      {1, ByteSpan(data[1])},
-      {3, ByteSpan(parity[0])},
-      {4, ByteSpan(parity[1])},
-  };
-  auto recovered = code->RecoverData(available);
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ((*recovered)[0], data[0]);
-  EXPECT_EQ((*recovered)[2], data[2]);
 }
 
 TEST(RsCodeTest, EncodeEmptyBlocks) {

@@ -415,33 +415,6 @@ TEST(CpuWorkerTest, IdleGapsDoNotAccumulate) {
   EXPECT_EQ(completions, (std::vector<SimTime>{100, 1100}));
 }
 
-TEST(CpuWorkerTest, BacklogReportsQueuedWork) {
-  Simulator simulator;
-  CpuWorker cpu(&simulator);
-  cpu.Execute(500, [] {});
-  cpu.Execute(500, [] {});
-  EXPECT_EQ(cpu.backlog_ns(), 1000u);
-  simulator.Run();
-  EXPECT_EQ(cpu.backlog_ns(), 0u);
-}
-
-TEST(CpuWorkerTest, ResetCancelsScheduledCompletions) {
-  Simulator simulator;
-  CpuWorker cpu(&simulator);
-  int ran = 0;
-  cpu.Execute(100, [&] { ran += 1; });  // would complete at 100
-  simulator.At(50, [&] {
-    // Reset mid-flight: the completion above is already in the event queue
-    // but must no-op (its generation is stale), and its captured state must
-    // not fire. Fresh work after the reset runs normally.
-    cpu.Reset();
-    cpu.Execute(100, [&] { ran += 10; });  // completes at 150
-  });
-  simulator.Run();
-  EXPECT_EQ(ran, 10);
-  EXPECT_EQ(cpu.consumed_ns(), 100u);  // only the post-reset item counts
-}
-
 }  // namespace
 }  // namespace ring::sim
 

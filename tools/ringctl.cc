@@ -494,7 +494,7 @@ int RunRecover(FlagSet& flags) {
   // The victim's entries are keys homed on its coordinator shard, so it must
   // be a coordinator: no key hashes to a redundant node's id.
   const int64_t victim_flag = flags.GetInt("victim");
-  if (victim_flag < 0 || victim_flag >= static_cast<int64_t>(o.s)) {
+  if (victim_flag >= static_cast<int64_t>(o.s)) {
     std::fprintf(stderr, "--victim must be a coordinator node in [0, %u), "
                  "got %lld\n", o.s, static_cast<long long>(victim_flag));
     return 2;
@@ -693,7 +693,7 @@ int RunChaos(FlagSet& flags, ChaosMode mode) {
   o.s = static_cast<uint32_t>(flags.GetInt("shards"));
   o.d = static_cast<uint32_t>(flags.GetInt("redundant"));
   o.spares = 2;
-  o.clients = std::max(1u, static_cast<uint32_t>(flags.GetInt("clients")));
+  o.clients = static_cast<uint32_t>(flags.GetInt("clients"));
   o.seed = static_cast<uint64_t>(flags.GetInt("seed"));
   const uint32_t servers = o.s + o.d + o.spares;
   const uint64_t horizon =
@@ -756,13 +756,12 @@ int RunChaos(FlagSet& flags, ChaosMode mode) {
     if (closed <= printed_until) {
       return;
     }
-    obs::TimeSeries::SliOptions so;
     // Only fully-closed windows, and nothing past the traffic horizon — the
     // post-quiesce sweep offers no load, so its windows say nothing about
     // availability. until_ns is window-inclusive; back off 1 ns to keep the
     // still-open (and first post-horizon) window out.
-    so.until_ns = std::min(closed * window_ns, horizon) - 1;
-    for (const auto& row : hub.timeseries().Slis(so)) {
+    const uint64_t until_ns = std::min(closed * window_ns, horizon) - 1;
+    for (const auto& row : hub.timeseries().Slis(until_ns)) {
       if (row.window < printed_until) {
         continue;
       }
@@ -785,13 +784,13 @@ int RunChaos(FlagSet& flags, ChaosMode mode) {
   // Mixed open-loop traffic across the schedule's horizon; every ack is
   // remembered for the post-quiesce sweep.
   const int reps = static_cast<int>(flags.GetInt("reps"));
-  const int nkeys = std::max(1, static_cast<int>(flags.GetInt("keys")));
+  const int nkeys = static_cast<int>(flags.GetInt("keys"));
   const size_t size = static_cast<size_t>(flags.GetInt("size"));
   Rng rng(o.seed * 7919 + 3);
   std::map<Key, std::map<Version, uint64_t>> acked;  // key -> version -> tag
   uint64_t puts_ok = 0, puts_failed = 0, gets_ok = 0, gets_failed = 0;
   int outstanding = 0;
-  const sim::SimTime gap = horizon / std::max(1, reps);
+  const sim::SimTime gap = horizon / reps;
   for (int op = 0; op < reps; ++op) {
     const uint32_t c = static_cast<uint32_t>(rng.NextBelow(o.clients));
     const Key key = "chaos-" + std::to_string(rng.NextBelow(nkeys));
@@ -883,14 +882,12 @@ int RunChaos(FlagSet& flags, ChaosMode mode) {
               static_cast<unsigned long long>(f.recoveries),
               static_cast<unsigned long long>(f.partitions));
   if (mode == ChaosMode::kReport) {
-    obs::ReportOptions ro;
     // The traffic stops at the horizon; windows after it would read as a
     // spurious never-recovered dip (until_ns is window-inclusive, so back
     // off 1 ns from the boundary).
-    ro.sli.until_ns = horizon - 1;
-    std::printf("\n%s",
-                obs::PostMortemReport(hub.timeseries(), hub.recorder(), ro)
-                    .c_str());
+    std::printf("\n%s", obs::PostMortemReport(hub.timeseries(),
+                                              hub.recorder(), horizon - 1)
+                            .c_str());
   }
   return sweep_bad == 0 ? 0 : 1;
 }
@@ -948,7 +945,7 @@ int RunCluster(FlagSet& flags, const std::string& action) {
     std::fprintf(stderr, "createMemgest: %s\n", g.status().ToString().c_str());
     return 1;
   }
-  const int keys = std::max(1, static_cast<int>(flags.GetInt("keys")));
+  const int keys = static_cast<int>(flags.GetInt("keys"));
   const size_t size = static_cast<size_t>(flags.GetInt("size"));
   for (int i = 0; i < keys; ++i) {
     if (!cluster.Put("el-" + std::to_string(i), MakePatternBuffer(size, i), *g)
@@ -963,7 +960,7 @@ int RunCluster(FlagSet& flags, const std::string& action) {
   }
 
   const bool grow = action == "add";
-  const int count = std::max(1, static_cast<int>(flags.GetInt("count")));
+  const int count = static_cast<int>(flags.GetInt("count"));
   for (int i = 0; i < count; ++i) {
     membership::RebalanceCoordinator coord(&cluster);
     const net::NodeId leader = cluster.runtime().leader_node();
@@ -1215,6 +1212,28 @@ int Main(int argc, char** argv) {
   if (!s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 2;
+  }
+  // Lower bounds of every numeric flag, checked before any command runs:
+  // below them a command divides by zero, indexes an empty cluster or
+  // never finishes. (recover also checks --victim against --shards.)
+  constexpr std::pair<const char*, int64_t> kIntMins[] = {
+      {"shards", 1},  {"redundant", 0}, {"groups", 1},  {"clients", 1},
+      {"size", 0},    {"reps", 1},      {"keys", 1},    {"entries", 0},
+      {"victim", 0},  {"count", 1},     {"seed", 0},    {"stretch", 0}};
+  for (const auto& [name, min] : kIntMins) {
+    if (flags.GetInt(name) < min) {
+      std::fprintf(stderr, "--%s must be >= %lld, got %lld\n", name,
+                   static_cast<long long>(min),
+                   static_cast<long long>(flags.GetInt(name)));
+      return 2;
+    }
+  }
+  for (const char* name : {"rate", "seconds"}) {
+    if (!(flags.GetDouble(name) > 0)) {
+      std::fprintf(stderr, "--%s must be > 0, got %g\n", name,
+                   flags.GetDouble(name));
+      return 2;
+    }
   }
   if (flags.positional().empty()) {
     std::fprintf(stderr, "%s", flags.Usage().c_str());

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # ringctl smoke: runs every example from the header comment of
-# tools/ringctl.cc at test size and checks its exit code, plus the one
-# invocation that must be rejected. ctest runs it as `ringctl_smoke`.
+# tools/ringctl.cc at test size and checks its exit code, plus the
+# invocations that must be rejected with exit 2. ctest runs it as
+# `ringctl_smoke`.
 #
 #   tools/ringctl_smoke.sh
 #
@@ -55,6 +56,16 @@ expect 0 cluster add --scheme=srs32 --count=2 --keys=50
 expect 0 cluster remove --scheme=rep3 --keys=50
 # Node 3 is a redundant node under the default s=3: no key homes there.
 expect 2 recover --victim=3
+# Numeric flags below their lower bound are refused before the command runs
+# (each of these crashed, hung or printed garbage before the check).
+expect 2 latency --reps=0
+expect 2 chaos --seconds=0
+expect 2 throughput --clients=0
+expect 2 throughput --groups=0
+expect 2 autotier --keys=0
+expect 2 throughput --rate=0
+expect 2 throughput --seconds=0
+expect 2 schemes --shards=0
 
 [[ -s "${SCRATCH}/trace.json" ]] || {
   echo "ringctl_smoke: trace wrote no ${SCRATCH}/trace.json" >&2
