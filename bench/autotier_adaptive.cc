@@ -57,8 +57,6 @@ RunResult Run(bool adaptive) {
 
   policy::AutoTierOptions ao;
   ao.epoch_ns = 5 * sim::kMillisecond;
-  ao.policy.hot_enter = 8.0;
-  ao.policy.cold_enter = 2.0;
   ao.mover.moves_per_sec = 4000.0;
   ao.mover.client_index = 1;  // moves ride a separate client endpoint
   policy::AutoTierManager manager(

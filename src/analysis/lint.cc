@@ -154,6 +154,17 @@ const TextRule& BoxedCallbackRule() {
   return *rule;
 }
 
+const TextRule& ServerAdmissionRule() {
+  static const TextRule* rule = new TextRule{
+      "server-admission",
+      "server work reaches the CPU only through RingServer::OnCpu, which "
+      "checks liveness and carries the op context; a direct cpu().Execute "
+      "or obs::ScopedOp restates what OnCpu and the fabric already do",
+      std::regex(R"(\bcpu\s*\(\s*\)\s*\.\s*Execute\s*\()"
+                 R"(|\bobs\s*::\s*ScopedOp\b)")};
+  return *rule;
+}
+
 // Member/local names declared as std::unordered_{map,set}. Single-line
 // declarations only — an AST-lite compromise that covers this codebase.
 std::set<std::string> UnorderedNames(const std::string& content) {
@@ -1047,7 +1058,7 @@ std::vector<LintFinding> LintSource(const SourceInput& in,
     return findings;
   }
   const std::vector<std::string> lines = SplitLines(in.content);
-  for (const TextRule& rule : WallclockAndRandRules()) {
+  const auto apply = [&](const TextRule& rule) {
     for (size_t i = 0; i < lines.size(); ++i) {
       if (std::regex_search(CodeOnly(lines[i]), rule.pattern) &&
           !Allowlisted(lines, i, rule.name)) {
@@ -1055,18 +1066,14 @@ std::vector<LintFinding> LintSource(const SourceInput& in,
             {in.relpath, static_cast<int>(i + 1), rule.name, rule.message});
       }
     }
+  };
+  for (const TextRule& rule : WallclockAndRandRules()) {
+    apply(rule);
   }
   const bool sim_internal = !force_all_rules &&
                             in.relpath.rfind("src/sim/", 0) == 0;
   if (!sim_internal) {
-    const TextRule& rule = RawScheduleRule();
-    for (size_t i = 0; i < lines.size(); ++i) {
-      if (std::regex_search(CodeOnly(lines[i]), rule.pattern) &&
-          !Allowlisted(lines, i, rule.name)) {
-        findings.push_back(
-            {in.relpath, static_cast<int>(i + 1), rule.name, rule.message});
-      }
-    }
+    apply(RawScheduleRule());
   }
   // Only the scheduler-adjacent trees must stay pool-pure: protocol layers
   // may still hand std::function across public APIs, but src/sim and src/net
@@ -1080,14 +1087,12 @@ std::vector<LintFinding> LintSource(const SourceInput& in,
                            in.relpath == "src/ring/client.h" ||
                            in.relpath == "src/ring/client.cc";
   if (pool_scoped) {
-    const TextRule& rule = BoxedCallbackRule();
-    for (size_t i = 0; i < lines.size(); ++i) {
-      if (std::regex_search(CodeOnly(lines[i]), rule.pattern) &&
-          !Allowlisted(lines, i, rule.name)) {
-        findings.push_back(
-            {in.relpath, static_cast<int>(i + 1), rule.name, rule.message});
-      }
-    }
+    apply(BoxedCallbackRule());
+  }
+  // RingServer admits work in one place (OnCpu); its op context rides the
+  // fabric and the CPU queue. Only the reviewed sites may touch either.
+  if (force_all_rules || in.relpath.rfind("src/ring/server", 0) == 0) {
+    apply(ServerAdmissionRule());
   }
   LintUnorderedIter(in, lines, &findings);
   LintUseAfterMove(in, lines, &findings);

@@ -26,6 +26,13 @@
 //                   bypasses the pool. In the client it would bring back
 //                   per-op closures; only its public callback types are
 //                   waived.
+//   server-admission `cpu().Execute(` or `obs::ScopedOp` in
+//                   src/ring/server*.{h,cc} — RingServer::OnCpu is the one
+//                   way server work reaches the CPU: it skips a dead node
+//                   and the queued item keeps the op that enqueued it, as a
+//                   fabric delivery keeps its sender's. Only OnCpu and the
+//                   two places that must switch ops (the commit-waiter loop
+//                   and the write-retransmit timer) carry waivers.
 //   use-after-move  `std::move(x)` where `x` is also read elsewhere in the
 //                   same statement — sibling call arguments evaluate in
 //                   unspecified order, so `Send(ReqBytes(req.key.size()),

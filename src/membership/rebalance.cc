@@ -296,7 +296,6 @@ void RebalanceCoordinator::IssueMigrate(
   const net::NodeId leader = rt().leader_node();
   RingServer::MigrateKey msg;
   msg.key = key;
-  msg.op_id = hub().current_op();
   msg.requester = leader;
   msg.reply = [this, w = std::weak_ptr<char>(alive_), key, ticket](Status s) {
     if (w.expired()) {

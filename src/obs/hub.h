@@ -1,10 +1,12 @@
 // Hub: per-simulation bundle of the metrics registry and the span tracer,
 // plus the "current operation" context used to stitch distributed traces.
 //
-// The simulator is single-threaded, so the current op is a plain member set
-// by ScopedOp around handler bodies. Context does not survive scheduled
-// events automatically — code that defers work through CpuWorker::Execute or
-// Fabric::Send must re-establish it from the op_id carried in the message.
+// The simulator is single-threaded, so the current op is a plain member.
+// Deferred work carries it: a fabric delivery runs under the op that sent the
+// message (net::Fabric), and a CPU work item under the op that enqueued it
+// (sim::CpuWorker). Only a plain timer (Simulator::At/After) starts at op 0;
+// a timer that acts for an op, or a callback that must run under another op
+// than its caller's, sets it with ScopedOp.
 #ifndef RING_SRC_OBS_HUB_H_
 #define RING_SRC_OBS_HUB_H_
 

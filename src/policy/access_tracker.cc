@@ -7,11 +7,13 @@
 namespace ring::policy {
 namespace {
 
-// Count-min sketch shape, and the temperature below which a tracked entry
-// is dropped.
+// Count-min sketch shape, the temperature below which a tracked entry is
+// dropped, and the EWMA smoothing weight:
+// temperature' = (1 - alpha) * temperature + alpha * count.
 constexpr uint32_t kSketchWidth = 1024;
 constexpr uint32_t kSketchDepth = 4;
 constexpr double kDropBelow = 0.01;
+constexpr double kEwmaAlpha = 0.5;
 
 }  // namespace
 
@@ -65,7 +67,7 @@ void AccessTracker::Record(const std::string& key) {
 }
 
 void AccessTracker::EndEpoch() {
-  const double a = options_.ewma_alpha;
+  const double a = kEwmaAlpha;
   // Fold this epoch's (sketch-estimated) counts into the EWMAs. Keys seen
   // this epoch but not yet tracked enter at their full epoch count so a new
   // hotspot heats up in one epoch.

@@ -52,8 +52,6 @@ class CountMinSketch {
 };
 
 struct AccessTrackerOptions {
-  // EWMA smoothing: temperature' = (1-alpha)*temperature + alpha*count.
-  double ewma_alpha = 0.5;
   // Bound on the tracked-key map; coldest entries are evicted at epoch end.
   size_t max_tracked_keys = 8192;
 };

@@ -6,7 +6,7 @@ AutoTierManager::AutoTierManager(RingCluster* cluster, std::vector<Tier> tiers,
                                  AutoTierOptions options)
     : cluster_(cluster),
       options_(options),
-      engine_(std::move(tiers), options.policy),
+      engine_(std::move(tiers)),
       mover_(cluster, [&options, cluster] {
         // Rebalance-aware admission (§13): re-tiering traffic yields while
         // an elastic resize drains, so the migration keeps the whole

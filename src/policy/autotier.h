@@ -29,7 +29,6 @@ namespace ring::policy {
 struct AutoTierOptions {
   // Epoch length: how often temperatures roll and decisions are made.
   sim::SimTime epoch_ns = 10 * sim::kMillisecond;
-  PolicyOptions policy;
   MoverOptions mover;
 };
 

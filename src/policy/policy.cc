@@ -2,8 +2,8 @@
 
 namespace ring::policy {
 
-PolicyEngine::PolicyEngine(std::vector<Tier> tiers, PolicyOptions options)
-    : tiers_(std::move(tiers)), options_(options) {}
+PolicyEngine::PolicyEngine(std::vector<Tier> tiers)
+    : tiers_(std::move(tiers)) {}
 
 const Tier* PolicyEngine::TierOf(MemgestId memgest) const {
   for (const auto& t : tiers_) {
@@ -39,10 +39,10 @@ std::optional<MemgestId> PolicyEngine::Decide(double temperature,
   }
   const Tier& hot = tiers_.front();
   const Tier& cold = tiers_.back();
-  if (temperature >= options_.hot_enter && current != hot.memgest) {
+  if (temperature >= kHotEnter && current != hot.memgest) {
     return hot.memgest;
   }
-  if (temperature <= options_.cold_enter && current != cold.memgest) {
+  if (temperature <= kColdEnter && current != cold.memgest) {
     return cold.memgest;
   }
   return std::nullopt;  // inside the hysteresis band: stay

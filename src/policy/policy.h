@@ -1,8 +1,8 @@
 // Placement policy for the adaptive resilience manager: given a key's
 // temperature and current memgest, decide where it should live.
 //
-// Hot/cold thresholds with a hysteresis band: promote at `hot_enter`,
-// demote at `cold_enter` (< hot_enter); keys inside the band stay put, so
+// Hot/cold thresholds with a hysteresis band: promote at kHotEnter,
+// demote at kColdEnter (< kHotEnter); keys inside the band stay put, so
 // temperature noise cannot flap a key between tiers. PlacementCost prices a
 // placement with the Fig. 10 cost model (src/cost/pricing) for the
 // realized-cost gauge.
@@ -26,17 +26,15 @@ struct Tier {
   cost::TierPrices prices;
 };
 
-struct PolicyOptions {
-  // EWMA temperature (ops/epoch) above which a key belongs in the hot tier,
-  // and the lower demotion threshold (hysteresis band between).
-  double hot_enter = 8.0;
-  double cold_enter = 2.0;
-};
-
 class PolicyEngine {
  public:
+  // EWMA temperature (ops/epoch) at or above which a key belongs in the hot
+  // tier, and the lower demotion threshold (hysteresis band between).
+  static constexpr double kHotEnter = 8.0;
+  static constexpr double kColdEnter = 2.0;
+
   // `tiers` ordered hottest first; two tiers (hot, cold) is the common case.
-  PolicyEngine(std::vector<Tier> tiers, PolicyOptions options);
+  explicit PolicyEngine(std::vector<Tier> tiers);
 
   // Desired memgest for a key, or nullopt to stay.
   std::optional<MemgestId> Decide(double temperature, MemgestId current) const;
@@ -48,11 +46,9 @@ class PolicyEngine {
 
   const std::vector<Tier>& tiers() const { return tiers_; }
   const Tier* TierOf(MemgestId memgest) const;
-  const PolicyOptions& options() const { return options_; }
 
  private:
   std::vector<Tier> tiers_;
-  PolicyOptions options_;
 };
 
 }  // namespace ring::policy

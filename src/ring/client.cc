@@ -143,6 +143,9 @@ void RingClient::Complete(uint64_t req_id, Reply reply) {
     hub.recorder().Record(obs::RecKind::kClient, "op_failed", node_,
                           OpId(req_id), label.memgest);
   }
+  // The reply arrived under this op; the callback is the application's, and
+  // whatever it issues next is not part of this op.
+  obs::ScopedOp outside_op(hub, 0);
   std::visit(
       [&reply](auto& cb) {
         if constexpr (requires { Deliver(cb, std::move(reply)); }) {

@@ -170,7 +170,6 @@ class RingServer {
     // Per-(memgest, shard) write sequence number: replay fence for chaos
     // duplicates (each append applies exactly once per replica).
     uint64_t seq = 0;
-    uint64_t op_id = 0;
     // Geometry of the write (§13): group size s the shard id belongs to.
     // 0 means "receiver's current shape" (static-cluster wire default).
     uint32_t geom_s = 0;
@@ -195,7 +194,6 @@ class RingServer {
     // Per-(memgest, shard) write sequence number: fences parity rebuild
     // against in-flight updates (apply only seq > snapshot seq).
     uint64_t seq = 0;
-    uint64_t op_id = 0;
     // Geometry of the write (§13); 0 = receiver's current shape. Parity
     // buffers are per-geometry, so updates of different shapes never mix.
     uint32_t geom_s = 0;
@@ -243,8 +241,7 @@ class RingServer {
     uint32_t shard;
     net::NodeId requester;
     uint32_t geom_s = 0;  // shape of `shard`; 0 = receiver's current shape
-    std::function<void(std::shared_ptr<MetadataTable>, uint64_t wire_bytes)>
-        reply;
+    std::function<void(std::shared_ptr<MetadataTable>)> reply;
   };
   void HandleMetaFetch(MetaFetch msg);
 
@@ -256,7 +253,6 @@ class RingServer {
     uint64_t addr;
     uint32_t len;
     net::NodeId requester;
-    uint64_t op_id = 0;
     uint32_t geom_s = 0;  // shape of `shard`; 0 = receiver's current shape
     std::function<void(std::shared_ptr<Buffer>)> reply;
   };
@@ -277,7 +273,6 @@ class RingServer {
   // key (or it was already handed over / re-encoded).
   struct MigrateKey {
     Key key;
-    uint64_t op_id = 0;
     net::NodeId requester = 0;
     std::function<void(Status)> reply;
   };
@@ -293,7 +288,6 @@ class RingServer {
     std::shared_ptr<Buffer> value;  // nullptr together with tombstone=true
     bool tombstone = false;
     net::NodeId from;
-    uint64_t op_id = 0;
     std::function<void(Status)> ack;  // runs back at the old owner
   };
   void HandleInstallKey(InstallKey msg);
@@ -303,7 +297,8 @@ class RingServer {
 
   // §16: a fenced node's in-flight quorum rounds can never complete (its
   // append/ack paths NACK), so drop their bookkeeping — clients finish via
-  // retry against the promoted owner. Fast-failover mode only.
+  // retry against the promoted owner. Runs when a config marks this node
+  // failed.
   void AbandonPendingWrites();
 
   // Crash-recovery: the process rebooted memory-less. Clears all store
@@ -491,6 +486,19 @@ class RingServer {
 
   sim::CpuWorker& cpu();
   obs::Hub& hub();
+  // The one way server work reaches the CPU: charges `cost_ns` on this
+  // node's core and runs `fn` when the charge completes, under the op that
+  // is current now (sim::CpuWorker carries it). A dead node neither charges
+  // nor runs: liveness is checked here and again when the charge completes,
+  // so work queued before a crash dies with the node. Returns the completion
+  // time, 0 when nothing was charged.
+  template <typename Fn>
+  sim::SimTime OnCpu(uint64_t cost_ns, Fn fn);
+  // Marks the last `coding_ns` of a CPU charge that completes at `done` (an
+  // OnCpu result) as GF work, so the breakdown splits coding out of plain
+  // CPU time. Nothing when either is 0.
+  void TraceCodingTail(const char* name, uint64_t op, sim::SimTime done,
+                       uint64_t coding_ns);
   // Race-detector hook: logs an access to a declared region of this node's
   // protocol state ([lo, hi) bytes within `scope` of `kind`). One branch and
   // out when analysis is off.
@@ -519,6 +527,12 @@ class RingServer {
     net::NodeId target = 0;  // kForward
   };
   RouteAction RouteKey(const HashedKey& key, bool forwarded);
+  // Admission of a client op (put, get, move, delete) once it runs on this
+  // node's CPU: forwards `req` to the key's owner (Handle is the owner's
+  // entry point, `payload_bytes` the value bytes riding along) or drops it,
+  // and returns the route only when this node serves the key.
+  template <auto Handle, typename Req>
+  std::optional<RouteAction> Route(Req& req, uint64_t payload_bytes);
   // Where an entry lives: the entry, its store, and the store's shard id
   // and shape. `entry` and `store` are null when nothing was found.
   struct EntryLoc {
@@ -572,12 +586,33 @@ class RingServer {
                       uint32_t geom_s = 0);
 
   // Write path pieces. `shard` is a shard id under `geom_s` (0 = current
-  // shape); `moved` writes a §13 moved-marker entry.
+  // shape); `moved` writes a §13 moved-marker entry. `on_commit` runs once
+  // the write commits, as the entry's first waiter.
   void StartWrite(const MemgestInfo& info, uint32_t shard,
                   const HashedKey& key, Version version,
                   std::shared_ptr<Buffer> value, bool tombstone,
-                  std::function<void(Status)> on_commit, uint32_t geom_s = 0,
+                  std::function<void()> on_commit, uint32_t geom_s = 0,
                   bool moved = false);
+  // The redundancy slots of `shard` under shape `geom_s`, indexed by backup
+  // ordinal: its replicas (Rep(r); none for Rep(1)) or the parity nodes of
+  // its group (SRS).
+  std::vector<uint32_t> BackupSlots(const MemgestInfo& info, uint32_t shard,
+                                    uint32_t geom_s) const;
+  // Sends backup message `ordinal` (replica ordinal or parity index) of
+  // `entry`, an un-committed write of `key` in `info`'s `shard`, to `slot`
+  // (BackupSlots()[ordinal]): a ReplicaAppend or ParityUpdate built from the
+  // entry and its PendingWrite. The slot's node is resolved under the
+  // write's shape on every (re)send, so a retransmission after a promotion
+  // reaches the new slot owner, and dies if the shape was retired (epoch
+  // fencing).
+  void SendBackup(const MemgestInfo& info, uint32_t shard,
+                  const HashedKey& key, const MetaEntry& entry,
+                  uint32_t ordinal, uint32_t slot);
+  // Deposits `ack` in `coordinator`'s completion region (one-sided write).
+  void SendAck(net::NodeId coordinator, const Ack& ack);
+  // Parks `fn` on `entry` until it commits; it runs under the op current
+  // now.
+  void ParkUntilCommit(MetaEntry& entry, std::function<void()> fn);
   // Commits `entry`, an un-committed write of `key` in `info`'s `shard`.
   void CommitEntry(const MemgestInfo& info, uint32_t shard,
                    const HashedKey& key, MetaEntry& entry);
@@ -614,7 +649,7 @@ class RingServer {
   void SendMetaFetchAttempt(
       const MemgestInfo& info, uint32_t shard, uint32_t geom,
       int32_t src_slot, std::shared_ptr<bool> responded,
-      std::function<void(std::shared_ptr<MetadataTable>, uint64_t)> reply);
+      std::function<void(std::shared_ptr<MetadataTable>)> reply);
   // Alive holders of a shard's metadata, preference-ordered. All of them
   // for replicated schemes (quorum commit: survivors must be unioned), one
   // for erasure coding (every parity node has the full table).
@@ -643,7 +678,6 @@ class RingServer {
   template <typename Reply>
   void ReplyToClient(net::NodeId client, uint64_t req_id, uint64_t bytes,
                      Reply reply);
-  void SendToSlot(uint32_t slot_index, uint64_t bytes, sim::Task fn);
   void SendToNode(net::NodeId node, uint64_t bytes, sim::Task fn);
 
   // At-most-once execution of client mutations. ClaimClientOp returns true
@@ -695,6 +729,19 @@ class RingServer {
   std::deque<std::pair<net::NodeId, uint64_t>> client_ops_order_;
   static constexpr size_t kClientOpWindow = 8192;
 };
+
+template <typename Fn>
+sim::SimTime RingServer::OnCpu(uint64_t cost_ns, Fn fn) {
+  if (!IsAlive()) {
+    return 0;
+  }
+  // ring-lint: ok(server-admission) the one CPU admission point
+  return cpu().Execute(cost_ns, [this, fn = std::move(fn)]() mutable {
+    if (IsAlive()) {
+      fn();
+    }
+  });
+}
 
 }  // namespace ring
 

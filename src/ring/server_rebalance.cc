@@ -21,14 +21,8 @@ uint64_t ReqBytes(size_t key_len, size_t payload) {
 }  // namespace
 
 void RingServer::HandleRebalanceScan(RebalanceScan msg) {
-  if (!IsAlive()) {
-    return;
-  }
-  cpu().Execute(rt_->simulator().params().server_base_ns,
-                [this, msg = std::move(msg)]() mutable {
-    if (!IsAlive()) {
-      return;
-    }
+  OnCpu(rt_->simulator().params().server_base_ns,
+        [this, msg = std::move(msg)]() mutable {
     // Keys needing migration are exactly the ones whose highest version
     // still lives in a previous-shape store of a shard this node served as
     // old-placement coordinator. std::set gives a sorted, deduplicated
@@ -80,9 +74,9 @@ void RingServer::HandleRebalanceScan(RebalanceScan msg) {
       }
     }
     const auto& p = rt_->simulator().params();
-    cpu().Execute(scanned * p.recovery_entry_ns / 2,
-                  [this, requester = msg.requester, reply = std::move(msg.reply),
-                   keys = std::vector<Key>(pending.begin(), pending.end())] {
+    OnCpu(scanned * p.recovery_entry_ns / 2,
+          [this, requester = msg.requester, reply = std::move(msg.reply),
+           keys = std::vector<Key>(pending.begin(), pending.end())] {
       uint64_t wire = kHeaderBytes;
       for (const Key& k : keys) {
         wire += k.size() + 8;
@@ -96,14 +90,9 @@ void RingServer::HandleRebalanceScan(RebalanceScan msg) {
 }
 
 void RingServer::HandleMigrateKey(MigrateKey msg) {
-  if (!IsAlive()) {
-    return;
-  }
-  obs::ScopedOp scope(hub(), msg.op_id);
-  cpu().Execute(rt_->simulator().params().server_base_ns,
-                [this, msg = std::move(msg)]() mutable {
-    obs::ScopedOp op_scope(hub(), msg.op_id);
-    if (!IsAlive() || !serving_) {
+  OnCpu(rt_->simulator().params().server_base_ns,
+        [this, msg = std::move(msg)]() mutable {
+    if (!serving_) {
       return;  // driver timeout + retry covers the silence
     }
     auto done = [this, requester = msg.requester,
@@ -150,7 +139,7 @@ void RingServer::HandleMigrateKey(MigrateKey msg) {
         return;
       }
       // Marker still collecting acks: retry once it commits.
-      entry->Pending().waiters.push_back([this, msg]() mutable {
+      ParkUntilCommit(*entry, [this, msg]() mutable {
         HandleMigrateKey(std::move(msg));
       });
       return;
@@ -159,7 +148,7 @@ void RingServer::HandleMigrateKey(MigrateKey msg) {
       // A client write is in flight; the marker must fence *above* it, so
       // wait for it to settle and re-run (the re-run recomputes the highest
       // version — more writes may have landed meanwhile).
-      entry->Pending().waiters.push_back([this, msg]() mutable {
+      ParkUntilCommit(*entry, [this, msg]() mutable {
         HandleMigrateKey(std::move(msg));
       });
       return;
@@ -170,12 +159,7 @@ void RingServer::HandleMigrateKey(MigrateKey msg) {
     const Version floor = volatile_index_.NextVersion(key);
     const MemgestInfo* info_ptr = info;
     StartWrite(*info, shard, key, floor, nullptr, false,
-               [this, info_ptr, key, floor,
-                done = std::move(done)](Status s) mutable {
-                 if (!s.ok()) {
-                   done(s);
-                   return;
-                 }
+               [this, info_ptr, key, floor, done = std::move(done)]() mutable {
                  SendInstall(*info_ptr, key, floor, std::move(done));
                },
                geom, /*moved=*/true);
@@ -226,7 +210,6 @@ void RingServer::SendInstall(const MemgestInfo& info, const HashedKey& key,
   msg.value = value;
   msg.tombstone = tombstone;
   msg.from = id_;
-  msg.op_id = hub().current_op();
   const MemgestInfo* info_ptr = &info;
   const bool local = new_owner == id_;
   msg.ack = [this, info_ptr, key, floor, payload, local,
@@ -252,7 +235,7 @@ void RingServer::SendInstall(const MemgestInfo& info, const HashedKey& key,
     reply(s);
   };
   hub().recorder().Record(obs::RecKind::kRecovery, "rebalance_install", id_,
-                          msg.op_id, info.id, floor);
+                          hub().current_op(), info.id, floor);
   if (local) {
     HandleInstallKey(std::move(msg));
     return;
@@ -265,14 +248,9 @@ void RingServer::SendInstall(const MemgestInfo& info, const HashedKey& key,
 }
 
 void RingServer::HandleInstallKey(InstallKey msg) {
-  if (!IsAlive()) {
-    return;
-  }
-  obs::ScopedOp scope(hub(), msg.op_id);
-  cpu().Execute(rt_->simulator().params().server_base_ns,
-                [this, msg = std::move(msg)]() mutable {
-    obs::ScopedOp op_scope(hub(), msg.op_id);
-    if (!IsAlive() || !serving_) {
+  OnCpu(rt_->simulator().params().server_base_ns,
+        [this, msg = std::move(msg)]() mutable {
+    if (!serving_) {
       return;  // the old owner's driver retry re-sends the install
     }
     const HashedKey key(msg.key);
@@ -311,8 +289,8 @@ void RingServer::HandleInstallKey(InstallKey msg) {
     const Version version =
         std::max(volatile_index_.NextVersion(key), msg.floor);
     StartWrite(*info, cur_shard, key, version, msg.value, msg.tombstone,
-               [this, from = msg.from, ack = msg.ack](Status s) {
-                 SendToNode(from, kAckBytes, [ack, s] { ack(s); });
+               [this, from = msg.from, ack = msg.ack] {
+                 SendToNode(from, kAckBytes, [ack] { ack(OkStatus()); });
                });
   });
 }

@@ -12,7 +12,6 @@
 namespace ring {
 namespace {
 constexpr uint64_t kSmallMsgBytes = 64;
-constexpr uint64_t kAckBytes = 48;
 constexpr uint64_t kLogRecordBytes = 32;
 // Re-send cadence for unanswered metadata fetches during a promotion (lossy
 // links and partitions drop them; the promotion must not wedge).
@@ -203,11 +202,7 @@ void RingServer::BeginPromotion(uint32_t new_slot) {
       }
     }
     const auto& p = rt_->simulator().params();
-    cpu().Execute(p.server_base_ns + entries * p.recovery_entry_ns,
-                  [this, start] {
-      if (!IsAlive()) {
-        return;
-      }
+    OnCpu(p.server_base_ns + entries * p.recovery_entry_ns, [this, start] {
       RebuildVolatileIndex();
       serving_ = true;
       last_recovery_ns_ = rt_->simulator().now() - start;
@@ -245,18 +240,9 @@ std::vector<int32_t> RingServer::AliveMetaSources(const MemgestInfo& info,
   // Candidate holders of the shard's metadata, in preference order:
   // the coordinator itself, then replicas (Rep) or parity nodes (SRS).
   // All slot ids live in `geom`'s slot space.
-  std::vector<uint32_t> candidates;
-  candidates.push_back(placement->SlotOfShard(shard));
-  if (info.desc.kind == SchemeKind::kReplicated) {
-    for (uint32_t slot :
-         MemgestRegistry::ReplicaSlotsFor(info, shard, geom, config_.d)) {
-      candidates.push_back(slot);
-    }
-  } else {
-    for (uint32_t slot : MemgestRegistry::ParitySlotsFor(
-             info, placement->GroupOfShard(shard), geom, config_.d)) {
-      candidates.push_back(slot);
-    }
+  std::vector<uint32_t> candidates{placement->SlotOfShard(shard)};
+  for (const uint32_t slot : BackupSlots(info, shard, geom)) {
+    candidates.push_back(slot);
   }
   const int32_t my_slot = placement->SlotOfNode(id_);
   std::vector<int32_t> alive;
@@ -303,20 +289,15 @@ void RingServer::FetchShardMetadata(const MemgestInfo& info, uint32_t shard,
     auto responded = std::make_shared<bool>(false);
     auto reply = [this, info_ptr, shard, geom, as_parity, src_slot, remaining,
                   shared_done,
-                  responded](std::shared_ptr<MetadataTable> table,
-                             uint64_t wire_bytes) {
-      (void)wire_bytes;
+                  responded](std::shared_ptr<MetadataTable> table) {
       if (*responded) {
         return;
       }
       *responded = true;
       const auto& p = rt_->simulator().params();
-      cpu().Execute(table->entry_count() * p.recovery_entry_ns,
-                    [this, info_ptr, shard, geom, as_parity, src_slot, table,
-                     remaining, shared_done] {
-        if (!IsAlive()) {
-          return;
-        }
+      OnCpu(table->entry_count() * p.recovery_entry_ns,
+            [this, info_ptr, shard, geom, as_parity, src_slot, table,
+             remaining, shared_done] {
         MemgestState& state = StateOf(*info_ptr);
         ParityStore* parity =
             as_parity ? &state.parity.at(GeomKey(geom, shard / geom))
@@ -384,7 +365,7 @@ void RingServer::FetchShardMetadata(const MemgestInfo& info, uint32_t shard,
 void RingServer::SendMetaFetchAttempt(
     const MemgestInfo& info, uint32_t shard, uint32_t geom, int32_t src_slot,
     std::shared_ptr<bool> responded,
-    std::function<void(std::shared_ptr<MetadataTable>, uint64_t)> reply) {
+    std::function<void(std::shared_ptr<MetadataTable>)> reply) {
   if (*responded || !IsAlive()) {
     return;
   }
@@ -395,7 +376,7 @@ void RingServer::SendMetaFetchAttempt(
     // The shape was retired mid-promotion (a rebalance completed): treat the
     // fetch as answered with nothing so the promotion can finish.
     *responded = true;
-    reply(std::make_shared<MetadataTable>(), 0);
+    reply(std::make_shared<MetadataTable>());
     return;
   }
   MetaFetch msg;
@@ -422,14 +403,8 @@ void RingServer::SendMetaFetchAttempt(
 }
 
 void RingServer::HandleMetaFetch(MetaFetch msg) {
-  if (!IsAlive()) {
-    return;
-  }
-  const auto& p = rt_->simulator().params();
-  cpu().Execute(p.server_base_ns, [this, msg = std::move(msg)]() mutable {
-    if (!IsAlive()) {
-      return;
-    }
+  OnCpu(rt_->simulator().params().server_base_ns,
+        [this, msg = std::move(msg)]() mutable {
     const uint32_t geom = msg.geom_s == 0 ? config_.s : msg.geom_s;
     auto it = memgests_.find(msg.memgest);
     auto table = std::make_shared<MetadataTable>();
@@ -460,12 +435,12 @@ void RingServer::HandleMetaFetch(MetaFetch msg) {
     }
     // Serialization cost on the source side.
     const uint64_t wire = table->ApproxBytes() + log_bytes + kSmallMsgBytes;
-    cpu().Execute(table->entry_count() *
-                      rt_->simulator().params().recovery_entry_ns / 2,
-                  [this, msg = std::move(msg), table, wire]() mutable {
+    OnCpu(table->entry_count() *
+              rt_->simulator().params().recovery_entry_ns / 2,
+          [this, msg = std::move(msg), table, wire]() mutable {
       rt_->fabric().Send(id_, msg.requester, wire,
-                         [reply = std::move(msg.reply), table, wire] {
-                           reply(table, wire);
+                         [reply = std::move(msg.reply), table] {
+                           reply(table);
                          });
     });
   });
@@ -531,10 +506,11 @@ void RingServer::EnsureDataPresent(const MemgestInfo& info, uint32_t shard,
   const uint64_t op_id = hub().current_op();
   const sim::SimTime recover_start = rt_->simulator().now();
 
+  // Runs under op_id: a one-sided read completes, and a RecoverBlock reply
+  // is delivered, under the op that issued the request.
   auto complete = [this, info_ptr, shard, geom, key, version, op_id,
                    recover_start,
                    then = std::move(then)](std::shared_ptr<Buffer> bytes) {
-    obs::ScopedOp scope(hub(), op_id);
     hub().tracer().Record("block_recovery", obs::Category::kRecovery, id_,
                           op_id, recover_start, rt_->simulator().now());
     if (!IsAlive()) {
@@ -621,7 +597,6 @@ void RingServer::EnsureDataPresent(const MemgestInfo& info, uint32_t shard,
     msg.addr = addr;
     msg.len = len;
     msg.requester = id_;
-    msg.op_id = op_id;
     msg.geom_s = geom;
     msg.reply = complete;
     rt_->fabric().Send(id_, node, kSmallMsgBytes,
@@ -634,16 +609,8 @@ void RingServer::EnsureDataPresent(const MemgestInfo& info, uint32_t shard,
 }
 
 void RingServer::HandleRecoverBlock(RecoverBlock msg) {
-  if (!IsAlive()) {
-    return;
-  }
-  obs::ScopedOp scope(hub(), msg.op_id);
-  const auto& p = rt_->simulator().params();
-  cpu().Execute(p.server_base_ns, [this, msg = std::move(msg)]() mutable {
-    obs::ScopedOp op_scope(hub(), msg.op_id);
-    if (!IsAlive()) {
-      return;
-    }
+  OnCpu(rt_->simulator().params().server_base_ns,
+        [this, msg = std::move(msg)]() mutable {
     const MemgestInfo* info = rt_->registry().Get(msg.memgest);
     const uint32_t geom = msg.geom_s == 0 ? config_.s : msg.geom_s;
     const uint32_t group = msg.shard / geom;
@@ -691,14 +658,10 @@ void RingServer::HandleRecoverBlock(RecoverBlock msg) {
         const auto& pr = rt_->simulator().params();
         const uint64_t decode_cost =
             static_cast<uint64_t>(pr.decode_byte_ns * k * seg.length);
-        cpu().Execute(
+        const sim::SimTime decoded = OnCpu(
             decode_cost,
             [this, code, seg, out_off, result, remaining, failed, collected,
              msg] {
-          obs::ScopedOp decode_scope(hub(), msg.op_id);
-          if (!IsAlive()) {
-            return;
-          }
           std::vector<std::pair<uint32_t, ByteSpan>> avail;
           for (const auto& [h_row, buf] : *collected) {
             avail.emplace_back(h_row, ByteSpan(buf));
@@ -718,11 +681,7 @@ void RingServer::HandleRecoverBlock(RecoverBlock msg) {
                                [reply = msg.reply, out] { reply(out); });
           }
         });
-        if (decode_cost > 0) {
-          hub().tracer().Record("decode", obs::Category::kCoding, id_,
-                                msg.op_id, cpu().busy_until() - decode_cost,
-                                cpu().busy_until());
-        }
+        TraceCodingTail("decode", hub().current_op(), decoded, decode_cost);
       };
 
       uint32_t launched = 0;
@@ -908,9 +867,6 @@ void RingServer::RebuildParity(const MemgestInfo& info, uint32_t pkey,
 
   std::function<void()> assemble = [this, info_ptr, geom, group, pkey, snaps,
                                     rebuild_start, done = std::move(done)] {
-    if (!IsAlive()) {
-      return;
-    }
     uint64_t total_bytes = 0;
     for (const auto& snap : *snaps) {
       total_bytes += snap.extent;
@@ -918,12 +874,9 @@ void RingServer::RebuildParity(const MemgestInfo& info, uint32_t pkey,
     const auto& p = rt_->simulator().params();
     const uint64_t gf_cost =
         static_cast<uint64_t>(p.gf_byte_ns * total_bytes);
-    cpu().Execute(
+    const sim::SimTime rebuilt = OnCpu(
         p.server_base_ns + gf_cost,
         [this, info_ptr, geom, group, pkey, snaps, rebuild_start, done] {
-      if (!IsAlive()) {
-        return;
-      }
       const srs::SrsCode* code = rt_->registry().CodeFor(*info_ptr, geom);
       const srs::SrsAddressMap* map = rt_->registry().MapFor(*info_ptr, geom);
       const auto placement = PlacementFor(geom);
@@ -1002,12 +955,9 @@ void RingServer::RebuildParity(const MemgestInfo& info, uint32_t pkey,
           ApplyParityBytes(*info_ptr, upd);
         }
         InsertParityMeta(par, upd, geom);
-        Ack ack{upd.memgest, upd.shard, upd.key, upd.version,
-                upd.parity_index, geom};
-        const net::NodeId coord = placement->CoordinatorOfShard(upd.shard);
-        auto* peer = rt_->server(coord);
-        rt_->fabric().Write(id_, coord, kAckBytes,
-                            [peer, ack] { peer->ApplyAck(ack); }, nullptr);
+        SendAck(placement->CoordinatorOfShard(upd.shard),
+                Ack{upd.memgest, upd.shard, upd.key, upd.version,
+                    upd.parity_index, geom});
       }
       hub().tracer().Record("parity_rebuild", obs::Category::kRecovery, id_,
                             0, rebuild_start, rt_->simulator().now());
@@ -1017,10 +967,7 @@ void RingServer::RebuildParity(const MemgestInfo& info, uint32_t pkey,
                               0, info_ptr->id);
       done();
     });
-    if (gf_cost > 0) {
-      hub().tracer().Record("parity_encode", obs::Category::kCoding, id_, 0,
-                            cpu().busy_until() - gf_cost, cpu().busy_until());
-    }
+    TraceCodingTail("parity_encode", 0, rebuilt, gf_cost);
   };
 
   for (uint32_t sigma = 0; sigma < geom; ++sigma) {
@@ -1118,13 +1065,7 @@ void RingServer::NotifyRedundancyRecovered() {
 }
 
 void RingServer::HandleRedundancyRecovered(RedundancyRecovered msg) {
-  if (!IsAlive()) {
-    return;
-  }
-  cpu().Execute(rt_->simulator().params().server_base_ns, [this, msg] {
-    if (!IsAlive()) {
-      return;
-    }
+  OnCpu(rt_->simulator().params().server_base_ns, [this, msg] {
     const uint32_t geom = msg.geom_s == 0 ? config_.s : msg.geom_s;
     const auto placement = PlacementFor(geom);
     if (!placement.has_value() ||

@@ -20,11 +20,11 @@ void Simulator::RunUntil(SimTime t) {
 
 SimTime CpuWorker::Execute(uint64_t cost_ns, Task fn) {
   obs::Hub& hub = sim_->hub();
+  const uint64_t op = hub.current_op();
   const SimTime start = busy_until_ > sim_->now() ? busy_until_ : sim_->now();
   busy_until_ = start + cost_ns;
   consumed_ += cost_ns;
   if (hub.tracing_enabled()) {
-    const uint64_t op = hub.current_op();
     if (start > sim_->now()) {
       hub.tracer().Record("cpu_queue", obs::Category::kQueue, node_, op,
                           sim_->now(), start);
@@ -43,10 +43,12 @@ SimTime CpuWorker::Execute(uint64_t cost_ns, Task fn) {
                            static_cast<int64_t>(busy_until_ - sim_->now()),
                            node_);
   }
-  // Race detection: the deferred item runs on this CPU; the edge from the
-  // enqueuing context (captured now) orders it after its cause.
+  // The deferred item runs on this CPU under the enqueuing context: its op,
+  // and for race detection the edge (captured now) that orders it after its
+  // cause.
   Completion completion;
   completion.fn = std::move(fn);
+  completion.op = op;
   analysis::RaceDetector* race = sim_->race();
   if (race != nullptr) {
     completion.edge = race->CaptureEdge();
@@ -62,6 +64,7 @@ SimTime CpuWorker::Execute(uint64_t cost_ns, Task fn) {
 void CpuWorker::RunCompletion() {
   Completion completion = std::move(fifo_.front());
   fifo_.pop_front();
+  obs::ScopedOp scope(sim_->hub(), completion.op);
   analysis::ScopedCpuTask task(
       sim_->race(), node_,
       completion.edge.has_value() ? &*completion.edge : nullptr);

@@ -92,13 +92,19 @@ class Simulator {
 // Completion callbacks live in a FIFO here rather than inside the scheduled
 // events: the event carries only the worker, so big protocol captures are
 // stored once.
+//
+// A work item carries the context it was enqueued under: the current op
+// (obs::Hub::current_op) and, with race detection on, the happens-before
+// edge. Both are restored around the item when it runs, so deferred work
+// stays attributed to the operation that queued it.
 class CpuWorker {
  public:
   explicit CpuWorker(Simulator* simulator, uint32_t node = 0)
       : sim_(simulator), node_(node) {}
 
   // Enqueues a work item costing `cost_ns`; `fn` runs when it completes (an
-  // empty Task just burns the cost). Returns the completion time.
+  // empty Task just burns the cost), under the op current now. Returns the
+  // completion time.
   SimTime Execute(uint64_t cost_ns, Task fn);
 
   // Time at which the core goes idle.
@@ -111,6 +117,7 @@ class CpuWorker {
  private:
   struct Completion {
     Task fn;
+    uint64_t op = 0;
     std::optional<analysis::VectorClock> edge;
   };
 

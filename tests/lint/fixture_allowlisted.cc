@@ -21,6 +21,15 @@ struct Status {
 };
 
 inline Status MightFail() { return Status{}; }
+
+struct Worker {
+  struct Cpu {
+    template <typename Fn>
+    void Execute(int, Fn) {}
+  };
+  Cpu& cpu() { return cpu_; }
+  Cpu cpu_;
+};
 inline void Consume(unsigned long, std::string) {}
 
 inline unsigned long long OkWallclock() {
@@ -62,6 +71,10 @@ inline void OkUseAfterMove(std::string s) {
 
 inline void OkUncheckedStatus() {
   MightFail();  // ring-lint: ok(unchecked-status)
+}
+
+inline void OkServerAdmission(Worker& worker) {
+  worker.cpu().Execute(100, [] {});  // ring-lint: ok(server-admission)
 }
 
 }  // namespace fixture

@@ -20,6 +20,15 @@ struct Status {
 };
 
 inline Status MightFail() { return Status{}; }
+
+struct Worker {
+  struct Cpu {
+    template <typename Fn>
+    void Execute(int, Fn) {}
+  };
+  Cpu& cpu() { return cpu_; }
+  Cpu cpu_;
+};
 inline void Consume(unsigned long, std::string) {}
 
 inline unsigned long long BadWallclock() {
@@ -57,6 +66,10 @@ inline void BadUseAfterMove(std::string s) {
 
 inline void BadUncheckedStatus() {
   MightFail();  // unchecked-status
+}
+
+inline void BadServerAdmission(Worker& worker) {
+  worker.cpu().Execute(100, [] {});  // server-admission
 }
 
 }  // namespace fixture

@@ -139,6 +139,33 @@ TEST(LintRulesTest, BoxedCallbackFiresInScopedFilesOnly) {
   EXPECT_FALSE(HasRule(LintSource(comment_only), "boxed-callback"));
 }
 
+TEST(LintRulesTest, ServerAdmissionFiresInServerFilesOnly) {
+  const std::string code = "void F() {\n"
+                           "  cpu().Execute(100, [] {});\n"
+                           "  obs::ScopedOp scope(hub(), 7);\n"
+                           "}\n";
+  for (const char* path : {"src/ring/server.h", "src/ring/server_recovery.cc",
+                           "src/ring/server_rebalance.cc"}) {
+    SourceInput server_file;
+    server_file.relpath = path;
+    server_file.content = code;
+    const auto f = LintSource(server_file);
+    ASSERT_EQ(f.size(), 2u) << path << "\n" << FormatFindings(f);
+    EXPECT_EQ(f[0].rule, "server-admission");
+    EXPECT_EQ(f[0].line, 2);
+    EXPECT_EQ(f[1].line, 3);
+  }
+  // The client scopes its own ops; the fabric and the CPU model are where
+  // the context is carried.
+  for (const char* path : {"src/ring/client.cc", "src/net/fabric.cc",
+                           "src/sim/simulator.cc"}) {
+    SourceInput other;
+    other.relpath = path;
+    other.content = code;
+    EXPECT_FALSE(HasRule(LintSource(other), "server-admission")) << path;
+  }
+}
+
 TEST(LintRulesTest, UseAfterMoveFires) {
   const auto f = LintSnippet(
       "void F(Req req) {\n"
@@ -267,7 +294,8 @@ TEST(LintFixtureTest, SeededViolationsAllFire) {
   EXPECT_TRUE(HasRule(f, "boxed-callback"));
   EXPECT_TRUE(HasRule(f, "use-after-move"));
   EXPECT_TRUE(HasRule(f, "unchecked-status"));
-  EXPECT_GE(f.size(), 9u) << FormatFindings(f);
+  EXPECT_TRUE(HasRule(f, "server-admission"));
+  EXPECT_GE(f.size(), 10u) << FormatFindings(f);
 }
 
 // Scanned at the client's own path, not with force_all_rules: the waived
@@ -281,6 +309,21 @@ TEST(LintFixtureTest, ClientFixtureFlagsOnlyTheClosureMember) {
   ASSERT_EQ(f.size(), 1u) << FormatFindings(f);
   EXPECT_EQ(f[0].rule, "boxed-callback");
   EXPECT_EQ(f[0].line, 17);  // the `send` member, not the waived alias
+}
+
+// Scanned at a server path, not with force_all_rules: the waived admission
+// point and waiter scope pass, the handler's own scope and charge fire.
+TEST(LintFixtureTest, ServerFixtureFlagsOnlyUnwaivedAdmission) {
+  SourceInput in;
+  in.relpath = "src/ring/server.cc";
+  in.content = ReadFile(std::string(RING_SOURCE_ROOT) +
+                        "/tests/lint/fixture_server.cc");
+  const auto f = LintSource(in);
+  ASSERT_EQ(f.size(), 2u) << FormatFindings(f);
+  EXPECT_EQ(f[0].rule, "server-admission");
+  EXPECT_EQ(f[0].line, 16);  // the handler's ScopedOp
+  EXPECT_EQ(f[1].rule, "server-admission");
+  EXPECT_EQ(f[1].line, 17);  // the handler's direct charge
 }
 
 TEST(LintFixtureTest, AllowlistedFixtureIsClean) {

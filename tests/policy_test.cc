@@ -21,7 +21,6 @@ using policy::CountMinSketch;
 using policy::Mover;
 using policy::MoverOptions;
 using policy::PolicyEngine;
-using policy::PolicyOptions;
 using policy::Tier;
 
 TEST(CountMinSketchTest, NeverUnderestimatesAndBoundsOverestimate) {
@@ -48,9 +47,7 @@ TEST(CountMinSketchTest, NeverUnderestimatesAndBoundsOverestimate) {
 }
 
 TEST(AccessTrackerTest, EwmaFollowsAccessRateAndDecays) {
-  AccessTrackerOptions o;
-  o.ewma_alpha = 0.5;
-  AccessTracker tracker(o);
+  AccessTracker tracker;
   for (int epoch = 0; epoch < 5; ++epoch) {
     for (int i = 0; i < 16; ++i) {
       tracker.Record("hot");
@@ -96,10 +93,7 @@ Tier ColdTier(MemgestId id) {
 }
 
 TEST(PolicyEngineTest, HysteresisPreventsFlapping) {
-  PolicyOptions o;
-  o.hot_enter = 8.0;
-  o.cold_enter = 2.0;
-  PolicyEngine engine({HotTier(0), ColdTier(1)}, o);
+  PolicyEngine engine({HotTier(0), ColdTier(1)});
 
   // Temperature oscillating inside the band never moves the key, starting
   // from either tier.
@@ -278,8 +272,6 @@ TEST(AutoTierManagerTest, ConvergesOnHotColdSplitAndReheats) {
 
   AutoTierOptions ao;
   ao.epoch_ns = 5 * sim::kMillisecond;
-  ao.policy.hot_enter = 8.0;
-  ao.policy.cold_enter = 2.0;
   ao.mover.moves_per_sec = 5000.0;
   AutoTierManager manager(&cluster,
                           {Tier{rep3, MemgestDescriptor::Replicated(3),
