@@ -71,7 +71,7 @@ struct MetaRecord {
   // the cluster's current s on a never-resized cluster; entries written
   // before an elastic resize keep their old shape until migrated, so shard
   // ids, replica/parity placement and stripe maps must be interpreted at
-  // this s. 0 only on wire defaults, never on a stored entry.
+  // this s. Every write path sets it.
   uint32_t geom_s = 0;
   // Slot that supplied this entry during a merged recovery metadata fetch
   // (-1 otherwise). Quorum-committed writes may live on only a subset of the
@@ -158,12 +158,12 @@ class MetadataTable {
 
 // Versions a GC notice collected before their redundancy write arrived.
 // The coordinator's GC notice is a one-sided write applied on arrival, while
-// the ReplicaAppend/ParityUpdate it chases may still wait in this node's CPU
-// queue; the late write would then insert an entry nothing ever collects.
-// The notice records (shard, key, version) here instead, and the insert
-// site consumes the record and skips the dead entry. FIFO-bounded: the
-// record of a write that never arrives (dropped) ages out once kWindow
-// newer records have been made.
+// the backup write it chases may still wait in this node's CPU queue; the
+// late write would then insert an entry nothing ever collects. The notice
+// records (shard, key, version) here instead, and the insert site consumes
+// the record and skips the dead entry. FIFO-bounded: the record of a write
+// that never arrives (dropped) ages out once kWindow newer records have been
+// made.
 class EarlyGcSet {
  public:
   static constexpr size_t kWindow = 256;

@@ -139,7 +139,7 @@ const srs::SrsCode* MemgestRegistry::CodeFor(const MemgestInfo& info,
   if (!info.erasure_coded()) {
     return nullptr;
   }
-  if (geom_s == 0 || geom_s == s_) {
+  if (geom_s == s_) {
     return info.code.get();
   }
   const auto it = info.geoms.find(geom_s);
@@ -151,7 +151,7 @@ const srs::SrsAddressMap* MemgestRegistry::MapFor(const MemgestInfo& info,
   if (!info.erasure_coded()) {
     return nullptr;
   }
-  if (geom_s == 0 || geom_s == s_) {
+  if (geom_s == s_) {
     return info.map.get();
   }
   const auto it = info.geoms.find(geom_s);

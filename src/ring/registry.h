@@ -85,9 +85,9 @@ class MemgestRegistry {
   // an existing memgest cannot exist at the new shape (k > new_s or
   // r > new_s + d).
   Status Resize(uint32_t new_s);
-  // The code/map for a given shape. geom_s == 0 means "current shape".
-  // Returns nullptr for replicated memgests and for shapes never built —
-  // callers treat that as a fenced (stale-geometry) operation.
+  // The code/map for the shape with group size `geom_s`. Returns nullptr
+  // for replicated memgests and for shapes never built — callers treat that
+  // as a fenced (stale-geometry) operation.
   const srs::SrsCode* CodeFor(const MemgestInfo& info, uint32_t geom_s) const;
   const srs::SrsAddressMap* MapFor(const MemgestInfo& info,
                                    uint32_t geom_s) const;

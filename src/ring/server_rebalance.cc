@@ -291,7 +291,8 @@ void RingServer::HandleInstallKey(InstallKey msg) {
     StartWrite(*info, cur_shard, key, version, msg.value, msg.tombstone,
                [this, from = msg.from, ack = msg.ack] {
                  SendToNode(from, kAckBytes, [ack] { ack(OkStatus()); });
-               });
+               },
+               config_.s);
   });
 }
 

@@ -189,10 +189,11 @@ TEST(RingRaceTest, UnfencedOneSidedHeapReadFires) {
   for (net::NodeId n = 0; n < rt.num_server_nodes(); ++n) {
     RingServer* srv = rt.server(n);
     for (uint32_t shard = 0; shard < options.s * options.groups; ++shard) {
-      rt.fabric().Read(
-          rt.client_node(0), n, 4096,
-          [srv, g, shard] { srv->ReadRawForRecovery(g, shard, 0, 4096); },
-          nullptr);
+      rt.fabric().Read(rt.client_node(0), n, 4096,
+                       [srv, g, shard, s = options.s] {
+                         srv->ReadRawForRecovery(g, shard, 0, 4096, s);
+                       },
+                       nullptr);
     }
   }
   cluster.RunFor(sim::kMillisecond);
