@@ -64,6 +64,9 @@ class SeqWindow {
   uint64_t min_retained() const { return min_retained_; }
   // Sequences currently held (at most kWindow).
   size_t size() const { return count_; }
+  // The highest sequence marked so far, 0 before the first (sequences start
+  // at 1). A store that takes over the numbering continues above it.
+  uint64_t high() const { return runs_.empty() ? 0 : runs_.back().hi - 1; }
   // Runs currently held: the structure's memory is O(runs()).
   // ring-lint: ok(test-only-api) MarkOnce's compaction
   size_t runs() const { return runs_.size(); }
