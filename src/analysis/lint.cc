@@ -741,7 +741,8 @@ std::vector<LintFinding> BuildGraphFindings(const std::string& root) {
 // and body), a class or enum head, a data member (reached with its class)
 // or any other namespace-scope statement (always reached). A src/ header's
 // function, class or enumerator is reached when a non-test root file other
-// than its own .h/.cc names it, or a reached unit of the own .h/.cc does.
+// than its own .h/.cc names it, or a reached unit of the own .h/.cc does;
+// one nothing reaches is a finding, whether tests name it or not.
 // Case labels do not reach: handling a value nobody produces is no use of
 // it. A name shared by two classes reaches both, so the scan can miss but
 // never invent a finding.
@@ -1036,13 +1037,18 @@ std::vector<LintFinding> TestOnlyApiFindings(const std::string& root) {
       }
     }
     for (const Tok& d : decls) {
-      if (test_words.count(d.text) != 0 && !is_reached(d.text)) {
-        findings.push_back({header, static_cast<int>(d.line + 1),
-                            "test-only-api",
-                            "'" + d.text + "' is named by tests but by no "
-                            "non-test code; delete it, or waive it naming "
-                            "the production code it cross-checks"});
+      if (is_reached(d.text)) {
+        continue;
       }
+      findings.push_back(
+          {header, static_cast<int>(d.line + 1), "test-only-api",
+           "'" + d.text +
+               (test_words.count(d.text) != 0
+                    ? "' is named by tests but by no non-test code; delete "
+                      "it, or waive it naming the production code it "
+                      "cross-checks"
+                    : "' is named by no file outside its own .h/.cc; delete "
+                      "it, or waive it naming its user")});
     }
   }
   return findings;

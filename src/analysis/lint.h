@@ -46,13 +46,15 @@
 //   orphan-cc       a .cc under src/ whose target is not reachable from any
 //                   test executable's link graph — untested code.
 //   test-only-api   a function, class or enumerator declared in a src/
-//                   header that a file under tests/ names and no non-test
-//                   root reaches (src/ outside the symbol's own .h/.cc,
-//                   bench/, tools/, e2e_bench/, examples/) — code only its
-//                   own tests exercise. Token-level: a name shared with
-//                   another class may hide a finding, never invent one.
-//                   Waive an independent oracle on its declaration with
-//                   `// ring-lint: ok(test-only-api) <code it cross-checks>`.
+//                   header that no non-test root reaches (src/ outside the
+//                   symbol's own .h/.cc, bench/, tools/, e2e_bench/,
+//                   examples/): code only its own tests exercise, or, when
+//                   no test names it either, code nothing uses. Token-level:
+//                   a name shared with another class may hide a finding,
+//                   never invent one. Waive an independent oracle on its
+//                   declaration with
+//                   `// ring-lint: ok(test-only-api) <code it cross-checks>`,
+//                   anything else naming its user.
 //
 // Text rules scan src/sim, src/net, src/ring, src/srs and src/policy
 // (raw-schedule exempts src/sim itself). The build-graph and test-only-api

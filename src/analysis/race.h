@@ -128,7 +128,6 @@ class RaceDetector {
   const std::vector<RaceReport>& races() const { return races_; }
   // ring-lint: ok(test-only-api) the Fabric/RingServer access hooks
   uint64_t accesses_logged() const { return accesses_; }
-  uint64_t races_dropped() const { return races_dropped_; }
 
   // Human-readable report; with a tracer, each access is annotated with its
   // op's protocol-phase history (the spans recorded under its op_id).

@@ -108,7 +108,6 @@ class Fabric {
   // byte-identical to the untagged fabric; only ring-mc explorations
   // install one.
   void set_mc_tagger(DeliveryTagger* tagger) { mc_ = tagger; }
-  DeliveryTagger* mc_tagger() { return mc_; }
   // Gray failure: the node's CPU is wedged but its NIC still answers
   // one-sided verbs and buffers received messages until resume.
   bool paused(NodeId node) const;

@@ -89,7 +89,6 @@ std::string FlightRecorder::Format(const std::vector<RecEvent>& events) {
   return out;
 }
 
-std::string FlightRecorder::Dump(size_t n) const { return Format(Tail(n)); }
 
 void FlightRecorder::Clear() {
   total_ = 0;

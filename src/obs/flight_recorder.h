@@ -89,8 +89,6 @@ class FlightRecorder {
 
   // One event per line: "t_us kind name node=N op=... a=... b=...".
   static std::string Format(const std::vector<RecEvent>& events);
-  // Format(Tail(n)) convenience.
-  std::string Dump(size_t n) const;
 
   void Clear();
 

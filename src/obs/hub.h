@@ -53,7 +53,6 @@ class Hub {
   void EnableRecorder(bool on) { recorder_.Enable(on); }
   bool metrics_enabled() const { return metrics_.enabled(); }
   bool tracing_enabled() const { return tracer_.enabled(); }
-  bool timeseries_enabled() const { return timeseries_.enabled(); }
   bool recorder_enabled() const { return recorder_.enabled(); }
 
   // Sim-time source for the windowing layer and the flight recorder;

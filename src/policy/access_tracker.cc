@@ -117,7 +117,6 @@ void AccessTracker::EndEpoch() {
   }
   seen_this_epoch_.clear();
   sketch_.Clear();
-  ++epochs_;
 }
 
 double AccessTracker::Temperature(const std::string& key) const {

@@ -71,16 +71,10 @@ class AccessTracker {
   // EWMA temperature in ops/epoch (0 for unknown keys).
   double Temperature(const std::string& key) const;
 
-  // Estimated accesses of `key` within the current (unrolled) epoch.
-  uint64_t EpochEstimate(const std::string& key) const {
-    return sketch_.Estimate(key);
-  }
-
   void ForEachTracked(
       const std::function<void(const std::string&, double)>& fn) const;
 
   size_t tracked() const { return temperature_.size(); }
-  uint64_t epochs() const { return epochs_; }
 
  private:
   AccessTrackerOptions options_;
@@ -88,7 +82,6 @@ class AccessTracker {
   // Keys seen this epoch (exact set; bounded by eviction at epoch end).
   std::unordered_map<std::string, bool> seen_this_epoch_;
   std::unordered_map<std::string, double> temperature_;
-  uint64_t epochs_ = 0;
 };
 
 }  // namespace ring::policy

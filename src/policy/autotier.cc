@@ -103,7 +103,6 @@ void AutoTierManager::Tick() {
   });
   mover_.Tick();
   UpdateGauges();
-  ++ticks_;
   obs::Hub& hub = cluster_->simulator().hub();
   hub.tracer().Record("autotier_tick", obs::Category::kOther,
                       cluster_->client(options_.mover.client_index).node(),
@@ -116,15 +115,6 @@ void AutoTierManager::Tick() {
 MemgestId AutoTierManager::PlacementOf(const Key& key) const {
   auto it = placements_.find(key);
   return it == placements_.end() ? kDefaultMemgest : it->second.memgest;
-}
-
-uint64_t AutoTierManager::ManagedBytes() const {
-  uint64_t total = 0;
-  // ring-lint: ok(unordered-iter) commutative sum; order-independent.
-  for (const auto& [key, state] : placements_) {
-    total += state.bytes;
-  }
-  return total;
 }
 
 double AutoTierManager::RealizedStorageBytes() const {

@@ -51,17 +51,14 @@ class AutoTierManager {
   // Last-known placement of a managed key (kDefaultMemgest if unmanaged).
   MemgestId PlacementOf(const Key& key) const;
 
-  // Raw bytes currently managed, and the same bytes weighted by each
-  // placement's storage overhead — the realized cluster-memory footprint the
-  // policy is minimizing (also exported as gauges).
-  uint64_t ManagedBytes() const;
+  // Managed bytes weighted by each placement's storage overhead — the
+  // realized cluster-memory footprint the policy is minimizing (also
+  // exported as a gauge).
   double RealizedStorageBytes() const;
   // Monthly storage+ops cost of the current placements per the tier prices
   // (temperatures taken from the tracker).
   double RealizedStorageCost() const;
 
-  size_t managed_keys() const { return placements_.size(); }
-  uint64_t ticks() const { return ticks_; }
   bool running() const { return running_; }
 
   Mover& mover() { return mover_; }
@@ -85,7 +82,6 @@ class AutoTierManager {
   std::unordered_map<Key, KeyState> placements_;
   bool running_ = false;
   uint64_t generation_ = 0;  // invalidates pending tick timers on Stop()
-  uint64_t ticks_ = 0;
 };
 
 }  // namespace ring::policy

@@ -70,12 +70,6 @@ double RsModel::Reliability(double t_years) const {
   return 1.0 - p[m_ + 1];
 }
 
-double RsModel::PointAvailability(double t_years) const {
-  std::vector<double> p0(chain_.num_states(), 0.0);
-  p0[0] = 1.0;
-  return chain_.TransientDistribution(p0, t_years)[0];
-}
-
 double RsModel::IntervalAvailability(double t_years) const {
   std::vector<double> p0(chain_.num_states(), 0.0);
   p0[0] = 1.0;
@@ -156,12 +150,6 @@ double SrsModel::Reliability(double t_years) const {
   p0[0] = 1.0;
   const auto p = chain_.TransientDistribution(p0, t_years);
   return 1.0 - p[u_ + 1];
-}
-
-double SrsModel::PointAvailability(double t_years) const {
-  std::vector<double> p0(chain_.num_states(), 0.0);
-  p0[0] = 1.0;
-  return chain_.TransientDistribution(p0, t_years)[0];
 }
 
 double SrsModel::IntervalAvailability(double t_years) const {

@@ -58,8 +58,6 @@ class RsModel {
 
   // Probability that no data is lost within t years.
   double Reliability(double t_years) const;
-  // P(state 0) at time t.
-  double PointAvailability(double t_years) const;
   // (1/t) * expected time fully available during [0, t].
   double IntervalAvailability(double t_years) const;
 
@@ -80,7 +78,6 @@ class SrsModel {
   SrsModel(const srs::SrsCode& code, const Environment& env);
 
   double Reliability(double t_years) const;
-  double PointAvailability(double t_years) const;
   double IntervalAvailability(double t_years) const;
 
   // ring-lint: ok(test-only-api) SrsModel's use of ToleranceVector

@@ -107,8 +107,6 @@ class CpuWorker {
   // completion time.
   SimTime Execute(uint64_t cost_ns, Task fn);
 
-  // Time at which the core goes idle.
-  SimTime busy_until() const { return busy_until_; }
   // Total CPU time consumed so far (for utilization).
   uint64_t consumed_ns() const { return consumed_; }
 

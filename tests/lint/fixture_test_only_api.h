@@ -1,7 +1,8 @@
 // test-only-api fixture for lint_test: installed as src/core/api.h of a
 // synthetic tree whose tools/ file calls Engine::Run and whose tests/ file
-// names every symbol here. Never compiled into any target. The rule must
-// flag exactly the three symbols marked FLAGGED.
+// names every symbol here but Unnamed, Internal and Hook. Never compiled
+// into any target. The rule must flag exactly the four symbols marked
+// FLAGGED.
 #ifndef FIXTURE_API_H_
 #define FIXTURE_API_H_
 
@@ -22,6 +23,10 @@ class Engine {
   int Probe() const;   // FLAGGED
   // ring-lint: ok(test-only-api) an independent oracle for Run
   int Oracle() const { return 1; }
+  int Unnamed() const;   // FLAGGED: only api.h and api.cc name it
+  int Internal() const;  // reached through Run's body in api.cc
+  // ring-lint: ok(test-only-api) a debugger hook for Run
+  int Hook() const;
 
  private:
   Options options_;

@@ -388,7 +388,7 @@ TEST(LintTestOnlyApiTest, FlagsOnlyWhatNoNonTestRootReaches) {
   write(root / "src" / "core" / "api.cc",
         "#include \"src/core/api.h\"\n"
         "namespace fixture {\n"
-        "int Engine::Run() const { return Helper(); }\n"
+        "int Engine::Run() const { return Helper() + Internal(); }\n"
         "int Engine::Helper() const {\n"
         "  switch (options_.mode) {\n"
         "    case Mode::kTestOnly: return 2;\n"
@@ -396,6 +396,9 @@ TEST(LintTestOnlyApiTest, FlagsOnlyWhatNoNonTestRootReaches) {
         "  }\n"
         "}\n"
         "int Engine::Probe() const { return 3; }\n"
+        "int Engine::Unnamed() const { return 5; }\n"
+        "int Engine::Internal() const { return 6; }\n"
+        "int Engine::Hook() const { return 7; }\n"
         "int TestOnlyFree() { return 4; }\n"
         "}  // namespace fixture\n");
   write(root / "tools" / "main.cc",
@@ -412,9 +415,13 @@ TEST(LintTestOnlyApiTest, FlagsOnlyWhatNoNonTestRootReaches) {
     EXPECT_EQ(finding.rule, "test-only-api");
     EXPECT_EQ(finding.file, "src/core/api.h");
     flagged.push_back(finding.message.substr(0, finding.message.find(' ')));
+    // A declaration no test names either is flagged as named by nothing.
+    EXPECT_EQ(finding.message.find("own .h/.cc") != std::string::npos,
+              flagged.back() == "'Unnamed'")
+        << finding.message;
   }
   EXPECT_EQ(flagged, (std::vector<std::string>{"'kTestOnly'", "'Probe'",
-                                               "'TestOnlyFree'"}))
+                                               "'Unnamed'", "'TestOnlyFree'"}))
       << FormatFindings(f);
   fs::remove_all(root);
 }
