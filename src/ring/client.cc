@@ -195,7 +195,7 @@ void RingClient::Launch(Request req, Callback cb) {
 
 template <auto Handle, typename Req>
 void RingClient::PostKeyed(Req req, uint64_t bytes, bool broadcast) {
-  obs::ScopedOp scope(rt_->simulator().hub(), req.op_id);
+  obs::ScopedOp scope(rt_->simulator().hub(), OpId(req.req_id));
   if (!broadcast) {
     RingServer* peer = rt_->server(CoordinatorFor(req.key));
     rt_->fabric().Send(node_, peer->id(), bytes,
@@ -290,6 +290,8 @@ void RingClient::CheckTimeout(uint64_t req_id) {
                                            "client_retry", node_,
                                            OpId(req_id), o.retries);
   RefreshConfig();
+  // The retry timer runs at op 0; the re-post is the op's own CPU work.
+  obs::ScopedOp scope(rt_->simulator().hub(), OpId(req_id));
   cpu().Execute(p.client_base_ns +
                     rt_->membership().num_members() * p.client_post_ns,
                 [this, req = o.req] { Post(req, /*broadcast=*/true); });
@@ -382,7 +384,6 @@ void RingClient::Put(const Key& key, std::shared_ptr<Buffer> value,
   r.memgest = memgest;
   r.client = node_;
   r.req_id = next_req_++;
-  r.op_id = OpId(r.req_id);
   NotifyObserver(key, obs::OpKind::kPut, memgest, len);
   Submit(p.client_base_ns + p.client_post_ns +
             static_cast<uint64_t>(p.client_put_byte_ns * len),
@@ -396,7 +397,6 @@ void RingClient::Get(const Key& key, ReadMode mode, GetCallback cb) {
   r.mode = mode;
   r.client = node_;
   r.req_id = next_req_++;
-  r.op_id = OpId(r.req_id);
   NotifyObserver(key, obs::OpKind::kGet, kDefaultMemgest, 0);
   Submit(p.client_base_ns + p.client_post_ns, std::move(r), std::move(cb));
 }
@@ -408,7 +408,6 @@ void RingClient::Move(const Key& key, MemgestId dst, PutCallback cb) {
   r.dst = dst;
   r.client = node_;
   r.req_id = next_req_++;
-  r.op_id = OpId(r.req_id);
   NotifyObserver(key, obs::OpKind::kMove, dst, 0);
   Submit(p.client_base_ns + p.client_post_ns, std::move(r), std::move(cb));
 }
@@ -419,7 +418,6 @@ void RingClient::Delete(const Key& key, StatusCallback cb) {
   r.key = HashedKey(key);
   r.client = node_;
   r.req_id = next_req_++;
-  r.op_id = OpId(r.req_id);
   NotifyObserver(key, obs::OpKind::kDelete, kDefaultMemgest, 0);
   Submit(p.client_base_ns + p.client_post_ns, std::move(r), std::move(cb));
 }
