@@ -59,6 +59,153 @@ void ExpectNonDecreasing(const std::vector<Point>& points,
   }
 }
 
+// Fig. 7: "put:SRS32      2 B   median   11.68 us   p90 ..." and
+// "get           2 B   median    5.80 us   p90 ...".
+std::map<std::string, std::vector<Point>> Fig7Medians() {
+  std::map<std::string, std::vector<Point>> by_row;
+  for (const std::string& line : GoldenLines("fig7_latency.txt")) {
+    if (line.rfind("put", 0) != 0 && line.rfind("get", 0) != 0) {
+      continue;
+    }
+    if (line.find("median") == std::string::npos) {
+      continue;  // a per-phase breakdown row
+    }
+    const std::string row = line.substr(0, line.find(' '));
+    by_row[row].push_back(
+        {NumberAfter(line, row), NumberAfter(line, "median")});
+  }
+  return by_row;
+}
+
+TEST(ShapeTest, Fig7PutLatencyOrdersSchemesAsThePaper) {
+  std::map<std::string, std::vector<Point>> by_row = Fig7Medians();
+  const std::vector<Point>& rep1 = by_row["put:REP1"];
+  const std::vector<Point>& rep3 = by_row["put:REP3"];
+  const std::vector<Point>& srs32 = by_row["put:SRS32"];
+  const std::vector<Point>& srs31 = by_row["put:SRS31"];
+  const std::vector<Point>& srs21 = by_row["put:SRS21"];
+  ASSERT_EQ(rep1.size(), 11u);
+  for (const std::vector<Point>* other : {&rep3, &srs32, &srs31, &srs21}) {
+    ASSERT_EQ(other->size(), rep1.size());
+  }
+  for (size_t i = 0; i < rep1.size(); ++i) {
+    for (const std::vector<Point>* other : {&rep3, &srs32, &srs31, &srs21}) {
+      ASSERT_EQ((*other)[i].size, rep1[i].size);
+    }
+    // The paper: REP1 cheapest, SRS32 about 3x REP1 (Table 1: Rep(3) 2x,
+    // RS(3,2) 3.4x). The committed medians read 5.80 < 10.76 < 11.68 us at
+    // 2 B and 6.31 < 11.87 < 17.02 us at 2048 B.
+    EXPECT_LT(rep1[i].median_us, rep3[i].median_us) << rep1[i].size << " B";
+    EXPECT_LT(rep3[i].median_us, srs32[i].median_us) << rep1[i].size << " B";
+    // The paper: SRS21 == SRS31 (same per-node work). The largest gap reads
+    // 0.2 %; the band is 1 %.
+    EXPECT_LE(std::fabs(srs21[i].median_us / srs31[i].median_us - 1), 0.01)
+        << rep1[i].size << " B: SRS21 " << srs21[i].median_us
+        << " us vs SRS31 " << srs31[i].median_us << " us";
+  }
+}
+
+TEST(ShapeTest, Fig7GetLatencyIsFlatAcrossSizesAndSchemes) {
+  size_t rows = 0;
+  for (const auto& [row, points] : Fig7Medians()) {
+    if (row.rfind("get", 0) != 0) {
+      continue;
+    }
+    for (const Point& p : points) {
+      ++rows;
+      // The paper: get about 5 us for every memgest and size. The
+      // committed medians read 5.79-6.32 us; the band is [5, 6.5] us.
+      EXPECT_GE(p.median_us, 5.0) << row << " " << p.size << " B";
+      EXPECT_LE(p.median_us, 6.5) << row << " " << p.size << " B";
+    }
+  }
+  EXPECT_EQ(rows, 12u);
+}
+
+// Fig. 9: a "REP1:" block of "  t=0.25s  throughput   399984 req/s" rows.
+// A scheme's plateau is the mean of its last four samples.
+TEST(ShapeTest, Fig9PlateausKeepThePapersRatios) {
+  std::map<std::string, std::vector<double>> samples;
+  std::string scheme;
+  for (const std::string& line : GoldenLines("slow/fig9_throughput.txt")) {
+    if (!line.empty() && line[0] != ' ' && line.back() == ':') {
+      scheme = line.substr(0, line.size() - 1);
+    } else if (line.find("  t=") == 0) {
+      samples[scheme].push_back(NumberAfter(line, "throughput"));
+    }
+  }
+  std::map<std::string, double> plateau;
+  for (const std::string name : {"REP1", "REP3", "SRS32"}) {
+    const std::vector<double>& v = samples[name];
+    ASSERT_GE(v.size(), 4u) << name;
+    plateau[name] = (v[v.size() - 1] + v[v.size() - 2] + v[v.size() - 3] +
+                     v[v.size() - 4]) /
+                    4;
+  }
+  // The paper: REP3 2x and SRS32 4.3x slower than REP1 at saturation. The
+  // committed plateaus read 2.18x and 4.02x; the bands are [1.8, 2.6] and
+  // [3.4, 5].
+  const double rep3 = plateau["REP1"] / plateau["REP3"];
+  const double srs32 = plateau["REP1"] / plateau["SRS32"];
+  EXPECT_GE(rep3, 1.8);
+  EXPECT_LE(rep3, 2.6);
+  EXPECT_GE(srs32, 3.4);
+  EXPECT_LE(srs32, 5.0);
+}
+
+// Fig. 11: "  REP1 ( 95%:  5%):   128006   256015   370258   370052   req/s
+// at 128K/256K/512K/1024K offered".
+TEST(ShapeTest, Fig11SchemesServeTheSameThroughput) {
+  std::map<std::string, std::map<std::string, std::vector<double>>> by_mix;
+  for (const std::string& line : GoldenLines("slow/fig11_ycsb.txt")) {
+    const size_t open = line.find('(');
+    const size_t close = line.find("):");
+    if (line.rfind("  ", 0) != 0 || open == std::string::npos ||
+        close == std::string::npos) {
+      continue;
+    }
+    const std::string scheme = line.substr(2, line.find(' ', 2) - 2);
+    std::istringstream in(line.substr(close + 2));
+    for (double v = 0; in >> v;) {
+      by_mix[line.substr(open, close - open + 1)][scheme].push_back(v);
+    }
+  }
+  ASSERT_EQ(by_mix.size(), 4u);
+  for (const auto& [mix, schemes] : by_mix) {
+    ASSERT_EQ(schemes.size(), 4u) << mix;
+    const std::vector<double>& first = schemes.begin()->second;
+    ASSERT_EQ(first.size(), 4u) << mix;
+    for (size_t load = 0; load < first.size(); ++load) {
+      double lo = first[load];
+      double hi = first[load];
+      for (const auto& [scheme, v] : schemes) {
+        ASSERT_EQ(v.size(), first.size()) << mix << " " << scheme;
+        lo = std::min(lo, v[load]);
+        hi = std::max(hi, v[load]);
+      }
+      // The paper: "no significant difference between storage schemes".
+      // The widest spread reads 0.13 %; the band is 1 %.
+      EXPECT_LE(hi / lo - 1, 0.01) << mix << " at offered load " << load;
+    }
+  }
+}
+
+// Table 1: "Rep(3)    2 failures    11.34 us (1.87x) ...    3.00x".
+TEST(ShapeTest, Table1StorageCostIsExact) {
+  std::map<std::string, std::string> storage;
+  for (const std::string& line : GoldenLines("slow/table1_tradeoffs.txt")) {
+    const std::string scheme = line.substr(0, line.find(' '));
+    if (scheme == "Simple" || scheme == "Rep(3)" || scheme == "RS(3,2)") {
+      storage[scheme] = line.substr(line.find_last_of(' ') + 1);
+    }
+  }
+  // The paper: 1x / 3x / 1.66x; the storage column is analytic (r, and
+  // (k + m) / k = 5/3 printed to two decimals), so it is exact.
+  EXPECT_EQ(storage["Simple"], "1.00x");
+  EXPECT_EQ(storage["Rep(3)"], "3.00x");
+  EXPECT_EQ(storage["RS(3,2)"], "1.67x");
+}
+
 // Fig. 12: "      88 KiB metadata: recovery median     44.8 us   p90 ...".
 TEST(ShapeTest, Fig12MetadataRecoveryIsLinearInMetadataSize) {
   std::vector<Point> points;
