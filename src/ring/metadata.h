@@ -142,6 +142,10 @@ class MetadataTable {
 
   size_t entry_count() const { return entry_count_; }
   uint64_t ApproxBytes() const { return entry_count_ * kMetaEntryWireBytes; }
+  // Entries whose object bytes are not local yet (data_present false).
+  size_t entries_without_bytes() const { return without_bytes_; }
+  // Sets `entry`'s data_present; `entry` is one of this table's.
+  void MarkBytesPresent(MetaEntry& entry);
 
   // Iterates over every (key, entry); used by recovery transfers.
   void ForEach(
@@ -154,6 +158,7 @@ class MetadataTable {
  private:
   std::unordered_map<Key, std::map<Version, MetaEntry>> table_;
   size_t entry_count_ = 0;
+  size_t without_bytes_ = 0;
 };
 
 // Versions a GC notice collected before their redundancy write arrived.
