@@ -207,6 +207,37 @@ TEST(RingRaceTest, UnfencedOneSidedHeapReadFires) {
   EXPECT_NE(report.find("raw_heap_read"), std::string::npos) << report;
 }
 
+// The parity twin: a rogue unfenced one-sided read of a parity strip races
+// with the parity node's own delta applies, so the read and the applies
+// must log one scope for the strip.
+TEST(RingRaceTest, UnfencedOneSidedParityReadFires) {
+  RingOptions options;
+  options.seed = 3;
+  options.analyze_races = true;
+  RingCluster cluster(options);
+  const MemgestId g =
+      *cluster.CreateMemgest(MemgestDescriptor::ErasureCoded(3, 2));
+  ASSERT_TRUE(cluster.Put("victim", std::string(512, 'x'), g).ok());
+
+  RingRuntime& rt = cluster.runtime();
+  for (net::NodeId n = 0; n < rt.num_server_nodes(); ++n) {
+    RingServer* srv = rt.server(n);
+    rt.fabric().Read(rt.client_node(0), n, 4096,
+                     [srv, g, s = options.s] {
+                       srv->ReadRawParity(g, 0, 0, 4096, s);
+                     },
+                     nullptr);
+  }
+  cluster.RunFor(sim::kMillisecond);
+
+  RaceDetector* race = cluster.simulator().race();
+  ASSERT_NE(race, nullptr);
+  ASSERT_FALSE(race->races().empty());
+  const std::string report =
+      race->Report(&cluster.simulator().hub().tracer());
+  EXPECT_NE(report.find("raw_parity_read"), std::string::npos) << report;
+}
+
 // The detector must be pure observation: a run with it enabled produces the
 // same simulated schedule (validated end-to-end in determinism_test; here we
 // check the cheap invariant that it consumed no simulator randomness).
