@@ -12,6 +12,11 @@ namespace ring::fault {
 
 namespace {
 
+// RandomFaultPlan's link-fault bounds: a drop or duplicate probability is
+// 0.02 plus at most this much.
+constexpr double kMaxDropProb = 0.3;
+constexpr double kMaxDupProb = 0.3;
+
 // --- Text-form helpers -----------------------------------------------------
 
 std::vector<std::string> SplitDirectives(std::string_view spec) {
@@ -456,10 +461,10 @@ FaultPlan RandomFaultPlan(uint64_t seed, const ChaosShape& shape) {
         std::min(quiet, f.from_ns + quiet / 8 + rng.NextBelow(quiet / 4 + 1));
     switch (rng.NextBelow(4)) {
       case 0:
-        f.drop_prob = 0.02 + rng.NextDouble() * shape.max_drop_prob;
+        f.drop_prob = 0.02 + rng.NextDouble() * kMaxDropProb;
         break;
       case 1:
-        f.dup_prob = 0.02 + rng.NextDouble() * shape.max_dup_prob;
+        f.dup_prob = 0.02 + rng.NextDouble() * kMaxDupProb;
         break;
       case 2:
         f.delay_ns = 1000 + rng.NextBelow(20000);
@@ -486,15 +491,12 @@ FaultPlan RandomFaultPlan(uint64_t seed, const ChaosShape& shape) {
     const uint64_t end =
         std::min(lo + slot - 1, at + slot / 2 + rng.NextBelow(slot / 4 + 1));
     const uint32_t node = shape.faultable[rng.NextBelow(shape.faultable.size())];
-    std::vector<NodeEvent::Kind> kinds = {NodeEvent::Kind::kPartition};
-    if (shape.allow_pause) {
-      kinds.push_back(NodeEvent::Kind::kPause);
-    }
+    std::vector<NodeEvent::Kind> kinds = {NodeEvent::Kind::kPartition,
+                                          NodeEvent::Kind::kPause};
     // One crash-recovery episode per plan: the rejoined node needs the rest
     // of the schedule to finish background data recovery. Crashes are only
-    // safe when a spare can absorb the promotion (spare_capacity gates the
-    // documented allow_crash precondition at generation time).
-    if (shape.allow_crash && shape.spare_capacity != 0 && !crashed_once) {
+    // safe when a spare can absorb the promotion (spare_capacity).
+    if (shape.spare_capacity != 0 && !crashed_once) {
       kinds.push_back(NodeEvent::Kind::kCrash);
     }
     const NodeEvent::Kind kind = kinds[rng.NextBelow(kinds.size())];

@@ -109,7 +109,8 @@ Result<FaultPlan> ParseFaultPlan(std::string_view spec);
 // Shape of a randomly generated chaos schedule. The generator keeps at most
 // one server impaired at a time and quiesces everything (heal / resume /
 // recover / expire) by quiet_after_ns so a post-run consistency sweep sees a
-// healthy cluster.
+// healthy cluster. Node events are partitions, pauses and at most one crash;
+// link faults drop or duplicate with probability at most 0.32.
 struct ChaosShape {
   // Nodes eligible for pause/crash/partition (typically servers + spares;
   // keep clients out so the traffic driver itself survives).
@@ -120,20 +121,16 @@ struct ChaosShape {
   uint64_t quiet_after_ns = 0;  // no fault active at or past this time
   uint32_t link_faults = 3;
   uint32_t node_events = 2;
-  double max_drop_prob = 0.3;
-  double max_dup_prob = 0.3;
-  bool allow_crash = true;  // needs a spare-capable cluster to be safe
-  bool allow_pause = true;
   // Extra `revoke` suspicion events (§16) sprinkled over the horizon.
   // Each revocation consumes spare capacity like a crash: a false suspicion
   // fences a healthy node out until readmission, so the generator gates it
   // on the same spare budget. 0 (the default) keeps pre-existing
   // (seed, shape) pairs byte-identical.
   uint32_t revocations = 0;
-  // Live spares of the target cluster. allow_crash is only honored when at
-  // least one spare can absorb the promotion; 0 downgrades crash episodes
-  // to pauses at generation time. kAnyNode (the default) means "unknown —
-  // trust allow_crash", which keeps pre-existing plans byte-identical.
+  // Live spares of the target cluster. A crash is drawn only when at least
+  // one spare can absorb the promotion; 0 draws no crash episode at all.
+  // kAnyNode (the default) means "unknown — crashes are drawn", which keeps
+  // pre-existing plans byte-identical.
   uint32_t spare_capacity = kAnyNode;
 };
 

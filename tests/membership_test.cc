@@ -289,7 +289,7 @@ TEST_F(ElasticClusterTest, StaticClusterCountersStayZero) {
 }
 
 // ---------------------------------------------------------------------------
-// Injector crash guard (the documented allow_crash precondition, enforced).
+// Injector crash guard (a crash needs a spare to absorb the promotion).
 
 TEST(CrashGuard, DowngradesCrashWhenNoSpareIsLive) {
   RingOptions opt;
@@ -339,7 +339,6 @@ TEST(CrashGuard, RandomPlanGateRespectsSpareCapacity) {
   shape.horizon_ns = 100 * sim::kMillisecond;
   shape.quiet_after_ns = 80 * sim::kMillisecond;
   shape.node_events = 8;
-  shape.allow_crash = true;
   shape.spare_capacity = 0;
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     const fault::FaultPlan plan = fault::RandomFaultPlan(seed, shape);
