@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <regex>
@@ -22,9 +23,15 @@
 namespace ring {
 namespace {
 
+// Golden file `name` from tests/golden/, or from $RING_GOLDEN_DIR when set:
+// `tools/golden.sh --bless` runs these checks on its staged outputs there.
 std::vector<std::string> GoldenLines(const std::string& name) {
-  std::ifstream in(std::string(RING_SOURCE_ROOT) + "/tests/golden/" + name);
-  EXPECT_TRUE(in.good()) << "cannot read tests/golden/" << name;
+  const char* staged = std::getenv("RING_GOLDEN_DIR");
+  const std::string dir = staged != nullptr && *staged != '\0'
+                              ? std::string(staged)
+                              : std::string(RING_SOURCE_ROOT) + "/tests/golden";
+  std::ifstream in(dir + "/" + name);
+  EXPECT_TRUE(in.good()) << "cannot read " << dir << "/" << name;
   std::vector<std::string> lines;
   for (std::string line; std::getline(in, line);) {
     lines.push_back(line);
