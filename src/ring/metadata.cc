@@ -98,22 +98,22 @@ void MetadataTable::Clear() {
   without_bytes_ = 0;
 }
 
-void EarlyGcSet::Record(uint32_t shard, const Key& key, Version version) {
-  records_.push_back(Entry{shard, version, key});
+void EarlyGcSet::Record(const Key& key, Version version) {
+  records_.push_back(Entry{version, key});
   if (records_.size() > kWindow) {
     records_.erase(records_.begin());
   }
 }
 
 std::vector<EarlyGcSet::Entry>::const_iterator EarlyGcSet::FindRecord(
-    uint32_t shard, const Key& key, Version version) const {
+    const Key& key, Version version) const {
   return std::find_if(records_.begin(), records_.end(), [&](const Entry& e) {
-    return e.version == version && e.shard == shard && e.key == key;
+    return e.version == version && e.key == key;
   });
 }
 
-bool EarlyGcSet::Consume(uint32_t shard, const Key& key, Version version) {
-  const auto it = FindRecord(shard, key, version);
+bool EarlyGcSet::Consume(const Key& key, Version version) {
+  const auto it = FindRecord(key, version);
   if (it == records_.end()) {
     return false;
   }
@@ -121,9 +121,8 @@ bool EarlyGcSet::Consume(uint32_t shard, const Key& key, Version version) {
   return true;
 }
 
-bool EarlyGcSet::Contains(uint32_t shard, const Key& key,
-                          Version version) const {
-  return FindRecord(shard, key, version) != records_.end();
+bool EarlyGcSet::Contains(const Key& key, Version version) const {
+  return FindRecord(key, version) != records_.end();
 }
 
 namespace {

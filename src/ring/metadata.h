@@ -165,28 +165,27 @@ class MetadataTable {
 // The coordinator's GC notice is a one-sided write applied on arrival, while
 // the backup write it chases may still wait in this node's CPU queue; the
 // late write would then insert an entry nothing ever collects. The notice
-// records (shard, key, version) here instead, and the insert site consumes
-// the record and skips the dead entry. FIFO-bounded: the record of a write
-// that never arrives (dropped) ages out once kWindow newer records have been
-// made.
+// records (key, version) here, in the backup store of the shard, instead,
+// and the insert site consumes the record and skips the dead entry.
+// FIFO-bounded: the record of a write that never arrives (dropped) ages out
+// once kWindow newer records have been made.
 class EarlyGcSet {
  public:
   static constexpr size_t kWindow = 256;
 
-  void Record(uint32_t shard, const Key& key, Version version);
-  // True when (shard, key, version) was recorded; forgets the record.
-  bool Consume(uint32_t shard, const Key& key, Version version);
-  // True when (shard, key, version) was recorded; keeps the record.
-  bool Contains(uint32_t shard, const Key& key, Version version) const;
+  void Record(const Key& key, Version version);
+  // True when (key, version) was recorded; forgets the record.
+  bool Consume(const Key& key, Version version);
+  // True when (key, version) was recorded; keeps the record.
+  bool Contains(const Key& key, Version version) const;
   size_t size() const { return records_.size(); }
 
  private:
   struct Entry {
-    uint32_t shard;
     Version version;
     Key key;
   };
-  std::vector<Entry>::const_iterator FindRecord(uint32_t shard, const Key& key,
+  std::vector<Entry>::const_iterator FindRecord(const Key& key,
                                                 Version version) const;
   // Oldest first. Usually empty: a record lives only while its write waits
   // in the queue.

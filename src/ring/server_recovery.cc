@@ -177,8 +177,10 @@ void RingServer::FinishPromotion() {
   // serving; data recovery continues in the background (§5.5 step 6).
   uint64_t entries = 0;
   for (const auto& [id, state] : memgests_) {
-    for (const auto& [shard, store] : state.stores) {
-      entries += store->meta.entry_count();
+    for (const auto& [store_key, store] : state.stores) {
+      if (!IsParityCopy(state, store_key)) {
+        entries += store->meta.entry_count();
+      }
     }
   }
   const auto& p = rt_->simulator().params();
@@ -288,35 +290,25 @@ void RingServer::HandleMetaFetchReply(uint64_t fetch_id,
     }
     const uint32_t shard = fetch->shard;
     const uint32_t geom = fetch->geom_s;
-    const MemgestId gid = fetch->info->id;
     MemgestState& state = StateOf(*fetch->info);
-    ParityStore* parity =
-        fetch->as_parity ? &state.parity.at(GeomKey(geom, shard / geom))
-                         : nullptr;
-    ShardStore* store =
-        fetch->as_parity ? nullptr : &StoreOf(state, shard, geom);
-    MetadataTable& target =
-        fetch->as_parity ? parity->shard_meta[shard] : store->meta;
-    const EarlyGcSet& early_gc =
-        fetch->as_parity ? parity->early_gc : store->early_gc;
+    ShardStore& store = StoreOf(state, shard, geom);
     // Bulk re-population of the whole shard table on the promoted node.
     // Tables from multiple sources are unioned: quorum commit means a
     // write may survive on any single holder, so every survivor's view
     // contributes the entries the others missed.
     NoteAccess(RegionKind::kMetadata, AccessKind::kWrite,
-               fetch->as_parity ? ParityMetaScope(gid, shard)
-                                : ScopeOf(gid, shard),
-               0, UINT64_MAX, "meta_fetch/install");
+               ScopeOf(fetch->info->id, shard), 0, UINT64_MAX,
+               "meta_fetch/install");
     uint64_t high_water = 0;
     uint64_t installed = 0;
     table->ForEach([&](const Key& key, const MetaEntry& src) {
       if (src.geom_s != geom) {
         return;  // skewed source mixed in a foreign shape: not ours
       }
-      if (target.Find(key, src.version) != nullptr) {
+      if (store.meta.Find(key, src.version) != nullptr) {
         return;  // another source already supplied this version
       }
-      if (early_gc.Contains(shard, key, src.version)) {
+      if (store.early_gc.Contains(key, src.version)) {
         // Collected after the source's snapshot was taken. The record
         // stays: another source may still offer the same version.
         return;
@@ -324,26 +316,28 @@ void RingServer::HandleMetaFetchReply(uint64_t fetch_id,
       MetaEntry entry = src;  // a copy carries no in-flight write state
       // Surviving entries are durable: treat them as committed. Their
       // bytes are not local yet and must be copied from a node that
-      // actually holds this entry.
+      // actually holds this entry. A parity copy never holds bytes, so
+      // data recovery has nothing to do for it.
       entry.committed = true;
-      entry.data_present = entry.tombstone || entry.len == 0;
+      entry.data_present = fetch->as_parity || entry.tombstone ||
+                           entry.len == 0;
       entry.geom_s = geom;
       entry.moved_done = false;  // volatile: re-verified by the driver
       entry.recovery_src = fetch->src_slot;
       high_water = std::max(high_water, entry.addr + entry.region_len);
-      target.Insert(key, std::move(entry));
+      store.meta.Insert(key, std::move(entry));
       ++installed;
     });
-    if (store != nullptr) {
+    if (!fetch->as_parity) {
       // The allocator must never re-issue addresses of recovered regions:
       // new puts racing with background data recovery would overwrite the
       // surviving replica/parity copies they are recovered from.
-      store->next_addr = std::max(store->next_addr, high_water);
-      store->EnsureSize(store->next_addr);
+      store.next_addr = std::max(store.next_addr, high_water);
+      store.EnsureSize(store.next_addr);
       // The write sequence stays monotonic and clears every survivor's
       // replay fence, so no new backup write reads as a replay.
-      store->write_seq =
-          std::max(store->write_seq + table->entry_count(), fence);
+      store.write_seq =
+          std::max(store.write_seq + table->entry_count(), fence);
     }
     state.log_len += installed;
     promotion_->fetches.erase(fetch_id);
@@ -361,33 +355,17 @@ void RingServer::HandleMetaFetch(MetaFetch msg) {
     uint64_t log_bytes = 0;
     uint64_t fence = 0;
     if (it != memgests_.end()) {
-      const MemgestState& state = it->second;
-      const MetadataTable* source = nullptr;
-      uint64_t source_scope = 0;
-      if (const ShardStore* store = state.stores.Find(GeomKey(geom, msg.shard));
+      if (const ShardStore* store =
+              it->second.stores.Find(GeomKey(geom, msg.shard));
           store != nullptr) {
-        source = &store->meta;
-        source_scope = ScopeOf(msg.memgest, msg.shard);
-        fence = std::max(store->write_seq, store->replica_seqs.high());
-      } else if (auto git = state.parity.find(GeomKey(geom, msg.shard / geom));
-                 git != state.parity.end()) {
-        if (auto fit = git->second.applied_seqs.find(msg.shard);
-            fit != git->second.applied_seqs.end()) {
-          fence = fit->second.high();
-        }
-        auto pit = git->second.shard_meta.find(msg.shard);
-        if (pit != git->second.shard_meta.end()) {
-          source = &pit->second;
-          source_scope = ParityMetaScope(msg.memgest, msg.shard);
-        }
-      }
-      if (source != nullptr) {
         // Whole-table snapshot read on the surviving source node.
-        NoteAccess(RegionKind::kMetadata, AccessKind::kRead, source_scope, 0,
-                   UINT64_MAX, "meta_fetch/snapshot");
-        *table = *source;
+        NoteAccess(RegionKind::kMetadata, AccessKind::kRead,
+                   ScopeOf(msg.memgest, msg.shard), 0, UINT64_MAX,
+                   "meta_fetch/snapshot");
+        *table = store->meta;
+        fence = std::max(store->write_seq, store->replica_seqs.high());
       }
-      log_bytes = state.log_len * kLogRecordBytes;
+      log_bytes = it->second.log_len * kLogRecordBytes;
     }
     // Serialization cost on the source side.
     const uint64_t wire = table->ApproxBytes() + log_bytes + kSmallMsgBytes;
@@ -907,7 +885,7 @@ void RingServer::AssembleParity(
       if (upd.seq > (*snaps)[upd.shard % geom].seq) {
         ApplyParityBytes(*info_ptr, upd);
       }
-      InsertBackupMeta(st, upd);
+      InsertBackupMeta(StoreOf(st, upd.shard, geom), upd);
       SendAck(placement->CoordinatorOfShard(upd.shard),
               Ack{upd.memgest, upd.shard, upd.key, upd.version,
                   upd.ordinal, geom});
