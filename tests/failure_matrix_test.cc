@@ -162,32 +162,37 @@ TEST(CrashRecoveryTest, RejoinReclaimsOwnSlotWhenNoSpareExists) {
 }
 
 TEST(DoubleFailureTest, Srs32ToleratesTwoSequentialFailures) {
-  RingOptions o;
-  o.s = 3;
-  o.d = 2;
-  o.spares = 2;
-  o.seed = 77;
-  RingCluster cluster(o);
-  const MemgestId g =
-      *cluster.CreateMemgest(MemgestDescriptor::ErasureCoded(3, 2));
-  std::map<Key, Buffer> committed;
-  for (int i = 0; i < 20; ++i) {
-    const Key key = "df-" + std::to_string(i);
-    Buffer value = MakePatternBuffer(400 + 41 * i, i);
-    ASSERT_TRUE(cluster.Put(key, value, g).ok());
-    committed[key] = std::move(value);
-  }
-  // First failure: a data coordinator; wait for full recovery.
-  cluster.KillNode(1, /*force_detect=*/true);
-  cluster.RunFor(50 * sim::kMillisecond);
-  // Second failure: a parity home.
-  cluster.KillNode(3, /*force_detect=*/true);
-  cluster.RunFor(50 * sim::kMillisecond);
-  EXPECT_EQ(cluster.CheckKeyDirectories(), "");
-  for (const auto& [key, value] : committed) {
-    auto got = cluster.Get(key);
-    ASSERT_TRUE(got.ok()) << key;
-    EXPECT_EQ(*got, value) << key;
+  // A data coordinator (node 1) and a parity home (node 3) fail one after
+  // the other, each after the previous recovery finished, in both orders.
+  // With the parity node first, the promoted parity spare's installed
+  // table copies are the metadata source of the data node's promotion.
+  for (const bool data_first : {true, false}) {
+    SCOPED_TRACE(data_first ? "data node first" : "parity node first");
+    RingOptions o;
+    o.s = 3;
+    o.d = 2;
+    o.spares = 2;
+    o.seed = 77;
+    RingCluster cluster(o);
+    const MemgestId g =
+        *cluster.CreateMemgest(MemgestDescriptor::ErasureCoded(3, 2));
+    std::map<Key, Buffer> committed;
+    for (int i = 0; i < 20; ++i) {
+      const Key key = "df-" + std::to_string(i);
+      Buffer value = MakePatternBuffer(400 + 41 * i, i);
+      ASSERT_TRUE(cluster.Put(key, value, g).ok());
+      committed[key] = std::move(value);
+    }
+    cluster.KillNode(data_first ? 1 : 3, /*force_detect=*/true);
+    cluster.RunFor(50 * sim::kMillisecond);
+    cluster.KillNode(data_first ? 3 : 1, /*force_detect=*/true);
+    cluster.RunFor(50 * sim::kMillisecond);
+    EXPECT_EQ(cluster.CheckKeyDirectories(), "");
+    for (const auto& [key, value] : committed) {
+      auto got = cluster.Get(key);
+      ASSERT_TRUE(got.ok()) << key;
+      EXPECT_EQ(*got, value) << key;
+    }
   }
 }
 
