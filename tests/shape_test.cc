@@ -7,6 +7,7 @@
 // revoke-then-promote became the only failover mode, DESIGN.md §16).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -127,6 +128,58 @@ TEST(ShapeTest, Fig7GetLatencyIsFlatAcrossSizesAndSchemes) {
     }
   }
   EXPECT_EQ(rows, 12u);
+}
+
+// Fig. 8: "move->SRS32      2 B   median   12.76 us   p90 ...", one block
+// per destination memgest.
+TEST(ShapeTest, Fig8MoveLatencyOrdersDestinationsAsThePaper) {
+  std::map<std::string, std::vector<Point>> by_dst;
+  for (const std::string& line : GoldenLines("fig8_move.txt")) {
+    if (line.rfind("move->", 0) != 0) {
+      continue;
+    }
+    const std::string dst = line.substr(6, line.find(' ') - 6);
+    by_dst[dst].push_back({NumberAfter(line, dst), NumberAfter(line, "median")});
+  }
+  ASSERT_EQ(by_dst.size(), 7u);
+  const std::vector<Point>& rep1 = by_dst["REP1"];
+  ASSERT_EQ(rep1.size(), 11u);
+  for (const auto& [dst, points] : by_dst) {
+    ASSERT_EQ(points.size(), rep1.size()) << dst;
+  }
+  const auto median = [&by_dst](const char* dst, size_t i) {
+    return by_dst[dst][i].median_us;
+  };
+  double rep1_min = INFINITY;
+  double rep1_max = 0;
+  for (size_t i = 0; i < rep1.size(); ++i) {
+    const double size = rep1[i].size;
+    for (const auto& [dst, points] : by_dst) {
+      ASSERT_EQ(points[i].size, size) << dst;
+    }
+    // The paper: a move into a more reliable memgest costs more, so the
+    // reliable destinations order REP2 < REP3 < REP4 < SRS21 ~ SRS31 <
+    // SRS32. The committed medians read 11.63 < 11.76 < 12.18 < 12.36 <
+    // 12.76 us at 2 B and 12.34 < 12.57 < 13.27 < 17.06 < 17.75 us at
+    // 2048 B.
+    const double srs_low = std::min(median("SRS21", i), median("SRS31", i));
+    const double srs_high = std::max(median("SRS21", i), median("SRS31", i));
+    EXPECT_LT(median("REP2", i), median("REP3", i)) << size << " B";
+    EXPECT_LT(median("REP3", i), median("REP4", i)) << size << " B";
+    EXPECT_LT(median("REP4", i), srs_low) << size << " B";
+    EXPECT_LT(srs_high, median("SRS32", i)) << size << " B";
+    // The paper: SRS21 == SRS31 (same per-node work). The largest gap reads
+    // 0.16 %; the band is 1 %.
+    EXPECT_LE(std::fabs(median("SRS21", i) / median("SRS31", i) - 1), 0.01)
+        << size << " B: SRS21 " << median("SRS21", i) << " us vs SRS31 "
+        << median("SRS31", i) << " us";
+    rep1_min = std::min(rep1_min, rep1[i].median_us);
+    rep1_max = std::max(rep1_max, rep1[i].median_us);
+  }
+  // The paper: a move into REP1 is flat in size at about 5 us. The
+  // committed medians read 6.87-7.10 us, max/min 1.033; the band is 1.05.
+  EXPECT_LE(rep1_max / rep1_min, 1.05)
+      << "move->REP1 spans " << rep1_min << "-" << rep1_max << " us";
 }
 
 // Fig. 9: a "REP1:" block of "  t=0.25s  throughput   399984 req/s" rows.
