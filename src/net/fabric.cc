@@ -157,6 +157,12 @@ void Fabric::Process(NodeId dst, Pending& p) {
       const uint64_t latency = sim_->params().wire_latency_ns;
       sim_->hub().tracer().Record("rdma_ack", obs::Category::kNetwork, dst,
                                   p.op, sim_->now(), sim_->now() + latency);
+      if (!p.secondary && mc_ == nullptr) {
+        // Nothing runs when the ack lands (every server ack and GC notice),
+        // so it needs no event. A ring-mc tagger numbers every delivery, so
+        // under one the empty completion is still scheduled.
+        return;
+      }
       Pending done;
       done.kind = Pending::Kind::kCompletion;
       done.peer = p.peer;

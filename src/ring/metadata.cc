@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <new>
 #include <utility>
+
+#include "src/sim/task.h"
 
 namespace ring {
 
@@ -13,35 +16,73 @@ std::string MemgestDescriptor::ToString() const {
   return "SRS(" + std::to_string(k) + "," + std::to_string(m) + ")";
 }
 
+MetadataTable::Node* MetadataTable::NewNode(MetaEntry entry) {
+  static_assert(sizeof(Node) <= 64, "a list node left the 64-byte class");
+  return ::new (sim::TaskPool::Allocate(sizeof(Node)))
+      Node{std::move(entry), nullptr};
+}
+
+void MetadataTable::FreeNode(Node* node) {
+  node->~Node();
+  sim::TaskPool::Deallocate(node, sizeof(Node));
+}
+
+MetadataTable& MetadataTable::operator=(const MetadataTable& other) {
+  if (this == &other) {
+    return *this;
+  }
+  Clear();
+  // The copied key map keeps the source's node order; each key then gets
+  // its own copy of the source's list.
+  table_ = other.table_;
+  // ring-lint: ok(unordered-iter) copies each list; order reaches nothing.
+  for (auto& [key, head] : table_) {
+    Node** link = &head;
+    for (const Node* src = head; src != nullptr; src = src->next) {
+      *link = NewNode(src->entry);  // a copy carries no in-flight write state
+      link = &(*link)->next;
+    }
+  }
+  entry_count_ = other.entry_count_;
+  without_bytes_ = other.without_bytes_;
+  return *this;
+}
+
 MetaEntry* MetadataTable::Find(const Key& key, Version version) {
   auto it = table_.find(key);
   if (it == table_.end()) {
     return nullptr;
   }
-  auto vit = it->second.find(version);
-  return vit == it->second.end() ? nullptr : &vit->second;
+  for (Node* n = it->second; n != nullptr && n->entry.version <= version;
+       n = n->next) {
+    if (n->entry.version == version) {
+      return &n->entry;
+    }
+  }
+  return nullptr;
 }
 
 const MetaEntry* MetadataTable::Find(const Key& key, Version version) const {
   return const_cast<MetadataTable*>(this)->Find(key, version);
 }
 
-MetaEntry* MetadataTable::Highest(const Key& key) {
-  auto it = table_.find(key);
-  if (it == table_.end() || it->second.empty()) {
-    return nullptr;
-  }
-  return &it->second.rbegin()->second;
-}
-
 MetaEntry& MetadataTable::Insert(const Key& key, MetaEntry entry) {
-  // A new slot holds a default entry, which counts as having its bytes.
-  auto [it, inserted] = table_[key].try_emplace(entry.version);
-  entry_count_ += inserted ? 1 : 0;
-  without_bytes_ -= it->second.data_present ? 0 : 1;
+  Node** link = &table_[key];
+  while (*link != nullptr && (*link)->entry.version < entry.version) {
+    link = &(*link)->next;
+  }
   without_bytes_ += entry.data_present ? 0 : 1;
-  it->second = std::move(entry);
-  return it->second;
+  if (*link != nullptr && (*link)->entry.version == entry.version) {
+    MetaEntry& slot = (*link)->entry;
+    without_bytes_ -= slot.data_present ? 0 : 1;
+    slot = std::move(entry);
+    return slot;
+  }
+  Node* node = NewNode(std::move(entry));
+  node->next = *link;
+  *link = node;
+  ++entry_count_;
+  return node->entry;
 }
 
 void MetadataTable::MarkBytesPresent(MetaEntry& entry) {
@@ -56,17 +97,22 @@ bool MetadataTable::Erase(const Key& key, Version version) {
   if (it == table_.end()) {
     return false;
   }
-  const auto vit = it->second.find(version);
-  const bool erased = vit != it->second.end();
-  if (erased) {
-    --entry_count_;
-    without_bytes_ -= vit->second.data_present ? 0 : 1;
-    it->second.erase(vit);
+  Node** link = &it->second;
+  while (*link != nullptr && (*link)->entry.version < version) {
+    link = &(*link)->next;
   }
-  if (it->second.empty()) {
+  Node* node = *link;
+  if (node == nullptr || node->entry.version != version) {
+    return false;
+  }
+  *link = node->next;
+  --entry_count_;
+  without_bytes_ -= node->entry.data_present ? 0 : 1;
+  FreeNode(node);
+  if (it->second == nullptr) {
     table_.erase(it);
   }
-  return erased;
+  return true;
 }
 
 void MetadataTable::ForEach(
@@ -75,9 +121,9 @@ void MetadataTable::ForEach(
   // insert/erase sequence (std::hash is seed-free), so identical simulated
   // runs iterate identically.
   // ring-lint: ok(unordered-iter)
-  for (const auto& [key, versions] : table_) {
-    for (const auto& [version, entry] : versions) {
-      fn(key, entry);
+  for (const auto& [key, head] : table_) {
+    for (const Node* n = head; n != nullptr; n = n->next) {
+      fn(key, n->entry);
     }
   }
 }
@@ -85,14 +131,22 @@ void MetadataTable::ForEach(
 void MetadataTable::ForEachMutable(
     const std::function<void(const Key&, MetaEntry&)>& fn) {
   // ring-lint: ok(unordered-iter) same argument as ForEach above.
-  for (auto& [key, versions] : table_) {
-    for (auto& [version, entry] : versions) {
-      fn(key, entry);
+  for (auto& [key, head] : table_) {
+    for (Node* n = head; n != nullptr; n = n->next) {
+      fn(key, n->entry);
     }
   }
 }
 
 void MetadataTable::Clear() {
+  // ring-lint: ok(unordered-iter) frees every node; order reaches nothing.
+  for (auto& [key, head] : table_) {
+    while (head != nullptr) {
+      Node* next = head->next;
+      FreeNode(head);
+      head = next;
+    }
+  }
   table_.clear();
   entry_count_ = 0;
   without_bytes_ = 0;

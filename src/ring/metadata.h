@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -126,16 +125,27 @@ struct MetaEntry : MetaRecord {
     return pending == nullptr ? 0 : pending->acks_pending;
   }
 };
-// One map node per entry: keep it in the 96-byte malloc class.
+// One pooled list node per entry, the entry plus its next pointer: keep it
+// within sim::TaskPool's 64-byte class.
 static_assert(sizeof(MetaEntry) <= 56, "MetaEntry grew past 56 bytes");
 
-// Per-(memgest, shard) metadata hashtable.
+// Per-(memgest, shard) metadata hashtable (DESIGN.md §19.5). A key map in
+// front of each key's versions, an ascending singly linked list of nodes
+// from the thread's sim::TaskPool. An entry keeps its address until it is
+// erased. Like a sim::Task, a table is created, used and destroyed on one
+// thread.
 class MetadataTable {
  public:
+  MetadataTable() = default;
+  // Copies are metadata snapshots: the key map's order, each key's versions
+  // and no in-flight write state (MetaEntry's copy).
+  MetadataTable(const MetadataTable& other) { *this = other; }
+  MetadataTable& operator=(const MetadataTable& other);
+  ~MetadataTable() { Clear(); }
+
   MetaEntry* Find(const Key& key, Version version);
   const MetaEntry* Find(const Key& key, Version version) const;
-  // Highest version for the key (committed or not), nullptr if absent.
-  MetaEntry* Highest(const Key& key);
+  // Replaces the entry at `entry.version` in place, or links a new one.
   MetaEntry& Insert(const Key& key, MetaEntry entry);
   // True when the entry existed.
   bool Erase(const Key& key, Version version);
@@ -153,10 +163,20 @@ class MetadataTable {
   // Mutable iteration; the callback must not insert or erase entries.
   void ForEachMutable(const std::function<void(const Key&, MetaEntry&)>& fn);
 
+ private:
+  struct Node {
+    MetaEntry entry;
+    Node* next = nullptr;  // the next higher version
+  };
+
+  static Node* NewNode(MetaEntry entry);
+  static void FreeNode(Node* node);
   void Clear();
 
- private:
-  std::unordered_map<Key, std::map<Version, MetaEntry>> table_;
+  // Key -> its lowest version. The map stays for its iteration order, which
+  // recovery, metadata-fetch installs and rebalance scans follow: a key is
+  // inserted with its first version and erased with its last.
+  std::unordered_map<Key, Node*> table_;
   size_t entry_count_ = 0;
   size_t without_bytes_ = 0;
 };

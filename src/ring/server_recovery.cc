@@ -100,8 +100,7 @@ void RingServer::Restart() {
   // cluster re-promotes it, the normal recovery path) restores service.
   memgests_.clear();
   volatile_index_.Clear();
-  client_ops_.clear();
-  client_ops_order_.clear();
+  client_op_window_.Clear();
   counters_ = Counters{};
   last_recovery_ns_ = 0;
   promotion_.reset();
