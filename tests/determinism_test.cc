@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -116,6 +117,82 @@ TEST(DeterminismTest, TelemetryPipelineDoesNotPerturbTheSchedule) {
   EXPECT_EQ(off.metrics, on.metrics);
   EXPECT_EQ(off.trace, on.trace);
   EXPECT_EQ(off.trace_summary, on.trace_summary);
+}
+
+// What a run leaves behind: each server's metadata and heap bytes, and
+// every key as read back at the end.
+struct ClusterState {
+  std::vector<uint64_t> metadata_bytes;
+  std::vector<uint64_t> stored_bytes;
+  std::vector<std::string> reads;
+
+  bool operator==(const ClusterState&) const = default;
+};
+
+// Puts and deletes over Rep(3) and SRS(3,2) with a coordinator crash and a
+// spare's promotion halfway: every per-version and per-op structure of the
+// servers, the metadata-fetch snapshot copy included.
+ClusterState RunSmallCluster(uint64_t seed) {
+  RingOptions options;
+  options.seed = seed;
+  options.spares = 1;
+  RingCluster cluster(options);
+  const std::vector<MemgestId> memgests = {
+      *cluster.CreateMemgest(MemgestDescriptor::Replicated(3)),
+      *cluster.CreateMemgest(MemgestDescriptor::ErasureCoded(3, 2)),
+  };
+  Rng rng(seed);
+  std::vector<Key> keys;
+  for (int i = 0; i < 60; ++i) {
+    keys.push_back("thr-" + std::to_string(i));
+  }
+  ClusterState state;
+  for (int op = 0; op < 1500; ++op) {
+    if (op == 750) {
+      cluster.KillNode(1, /*force_detect=*/true);
+      cluster.RunFor(2 * sim::kMillisecond);
+    }
+    const Key& key = keys[rng.NextBelow(keys.size())];
+    const Status status =
+        rng.NextBernoulli(0.85)
+            ? cluster.Put(key,
+                          MakePatternBuffer(size_t{16} << rng.NextBelow(6),
+                                            rng.NextU64()),
+                          memgests[rng.NextBelow(memgests.size())])
+            : cluster.Delete(key);
+    state.reads.push_back(status.ToString());
+  }
+  cluster.RunFor(5 * sim::kMillisecond);
+  for (net::NodeId n = 0; RingServer* server = cluster.runtime().server(n);
+       ++n) {
+    state.metadata_bytes.push_back(server->TotalMetadataBytes());
+    state.stored_bytes.push_back(server->StoredBytes());
+  }
+  for (const Key& key : keys) {
+    const Result<Buffer> got = cluster.Get(key);
+    state.reads.push_back(got.ok() ? std::string(got->begin(), got->end())
+                                   : got.status().ToString());
+  }
+  return state;
+}
+
+TEST(DeterminismTest, ClustersOnTwoThreadsMatchOneThreadRuns) {
+  // Server bookkeeping draws from thread-local pools (sim::TaskPool, whose
+  // 64-byte class also holds the MetadataTable nodes). Two clusters running
+  // at once on two threads must each end exactly as a one-thread run of the
+  // same seed; the ThreadSanitizer build runs this case too.
+  const ClusterState first = RunSmallCluster(11);
+  const ClusterState second = RunSmallCluster(12);
+  ASSERT_FALSE(first.metadata_bytes.empty());
+  ASSERT_NE(first, second);
+  ClusterState threaded_first;
+  ClusterState threaded_second;
+  std::thread a([&] { threaded_first = RunSmallCluster(11); });
+  std::thread b([&] { threaded_second = RunSmallCluster(12); });
+  a.join();
+  b.join();
+  EXPECT_TRUE(threaded_first == first);
+  EXPECT_TRUE(threaded_second == second);
 }
 
 }  // namespace

@@ -415,6 +415,27 @@ TEST(CpuWorkerTest, IdleGapsDoNotAccumulate) {
   EXPECT_EQ(completions, (std::vector<SimTime>{100, 1100}));
 }
 
+TEST(CpuWorkerTest, FifoKeepsOrderWhileItsRingWrapsAndGrows) {
+  Simulator simulator;
+  CpuWorker cpu(&simulator);
+  std::vector<int> ran;
+  int next = 0;
+  // Bursts larger than the ring's first capacity, enqueued while earlier
+  // items are still pending: the ring wraps, then grows mid-wrap.
+  for (int burst = 0; burst < 6; ++burst) {
+    simulator.At(burst * 1500, [&, burst] {
+      for (int i = 0; i < 7 + 9 * burst; ++i) {
+        const int id = next++;
+        cpu.Execute(100, [&ran, id] { ran.push_back(id); });
+      }
+    });
+  }
+  simulator.Run();
+  std::vector<int> want(static_cast<size_t>(next));
+  std::iota(want.begin(), want.end(), 0);
+  EXPECT_EQ(ran, want);
+}
+
 }  // namespace
 }  // namespace ring::sim
 
@@ -524,6 +545,48 @@ TEST_F(FabricTest, DeadTargetWriteNeverCompletes) {
   fabric_.Write(0, 1, 128, nullptr, [&] { completed = true; });
   simulator_.Run();
   EXPECT_FALSE(completed);
+}
+
+TEST_F(FabricTest, WriteWithoutCompletionRunsOneEvent) {
+  // An ack or GC notice: nothing runs when the hardware ack lands, so the
+  // write costs its arrival event only.
+  bool applied = false;
+  fabric_.Write(0, 1, 48, [&] { applied = true; }, nullptr);
+  simulator_.Run();
+  EXPECT_TRUE(applied);
+  EXPECT_EQ(simulator_.events_executed(), 1u);
+}
+
+TEST_F(FabricTest, WriteWithCompletionRunsTwoEvents) {
+  bool completed = false;
+  fabric_.Write(0, 1, 48, nullptr, [&] { completed = true; });
+  simulator_.Run();
+  EXPECT_TRUE(completed);
+  EXPECT_EQ(simulator_.events_executed(), 2u);
+}
+
+TEST_F(FabricTest, TaggerStillSeesTheEmptyCompletion) {
+  // ring-mc numbers every delivery, so an installed tagger keeps the
+  // completion leg of a write with nothing to run.
+  struct Recorder : DeliveryTagger {
+    std::vector<std::array<uint64_t, 3>> seen;
+    uint64_t OnDelivery(NodeId issuer, NodeId dst, uint8_t kind) override {
+      seen.push_back({issuer, dst, kind});
+      return seen.size();
+    }
+  } tagger;
+  fabric_.set_mc_tagger(&tagger);
+  fabric_.Write(0, 1, 48, [] {}, nullptr);
+  simulator_.Run();
+  fabric_.set_mc_tagger(nullptr);
+  // The apply at node 1, then the completion back at node 0, caused by 1.
+  ASSERT_EQ(tagger.seen.size(), 2u);
+  EXPECT_EQ(tagger.seen[0][0], 0u);
+  EXPECT_EQ(tagger.seen[0][1], 1u);
+  EXPECT_EQ(tagger.seen[1][0], 1u);
+  EXPECT_EQ(tagger.seen[1][1], 0u);
+  EXPECT_NE(tagger.seen[0][2], tagger.seen[1][2]);
+  EXPECT_EQ(simulator_.events_executed(), 2u);
 }
 
 TEST_F(FabricTest, CountersTrackTraffic) {

@@ -2,7 +2,8 @@
 # Tier-1 gate: builds the tree and runs the test suite normally, then the
 # analysis gate (ring-lint + clang-tidy), then again under AddressSanitizer +
 # UndefinedBehaviorSanitizer with leak detection on, a ThreadSanitizer subset
-# (the coding/sim kernels a future threaded runtime would touch first), and a
+# (the coding/sim kernels a future threaded runtime would touch first, and two
+# clusters running at once on two threads over the thread-local pools), and a
 # scalar-forced coding build (-DRING_FORCE_SCALAR=ON) covering the portable
 # GF(2^8) kernels that SIMD hosts would otherwise never execute. The coding
 # bench smoke runs in every built leg, including the scalar one.
@@ -247,13 +248,16 @@ ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
 run_suite build-sanitize -DRING_SANITIZE=address,undefined
 
-echo "== tsan build: coding + sim subset =="
+echo "== tsan build: coding + sim subset, two clusters on two threads =="
 cmake -B build-tsan -S . -DRING_SANITIZE=thread "${LAUNCHER_ARGS[@]}"
 cmake --build build-tsan -j "${JOBS}" \
-  --target gf_test rs_test srs_test sim_test micro_coding
+  --target gf_test rs_test srs_test sim_test determinism_test micro_coding
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
   -R 'gf_test|rs_test|srs_test|sim_test'
+TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
+build-tsan/tests/determinism_test \
+  --gtest_filter='DeterminismTest.ClustersOnTwoThreadsMatchOneThreadRuns'
 bench_smoke build-tsan
 
 echo "== coding: scalar-forced build (RING_FORCE_SCALAR=ON) =="
