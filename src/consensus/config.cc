@@ -28,7 +28,7 @@ ClusterConfig ClusterConfig::Initial(uint32_t s, uint32_t d,
   return c;
 }
 
-std::vector<uint32_t> ClusterConfig::ShardsOfSlot(uint32_t slot) const {
+std::vector<uint32_t> Placement::ShardsOfSlot(uint32_t slot) const {
   std::vector<uint32_t> out;
   for (uint32_t shard = 0; shard < num_shards(); ++shard) {
     if (SlotOfShard(shard) == slot) {
@@ -116,7 +116,7 @@ bool ClusterConfig::BeginAddServer(net::NodeId node) {
   // changing theirs.
   node_of_slot.insert(node_of_slot.begin() + s, node);
   s += 1;
-  for (uint32_t slot = 0; slot < num_slots(); ++slot) {
+  for (uint32_t slot = 0; slot < node_of_slot.size(); ++slot) {
     slot_of_node[node_of_slot[slot]] = static_cast<int32_t>(slot);
   }
   RemoveSpare(node);
@@ -136,7 +136,7 @@ bool ClusterConfig::BeginRemoveServer(uint32_t slot) {
   // The leaving node serves the previous shape until the rebalance drains;
   // it joins the spare pool in CompleteRebalance, not here.
   slot_of_node[leaving] = kSpareSlot;
-  for (uint32_t sl = 0; sl < num_slots(); ++sl) {
+  for (uint32_t sl = 0; sl < node_of_slot.size(); ++sl) {
     slot_of_node[node_of_slot[sl]] = static_cast<int32_t>(sl);
   }
   ++epoch;
@@ -165,13 +165,13 @@ bool ClusterConfig::CheckInvariants(std::string* why) const {
     }
     return false;
   };
-  if (node_of_slot.size() != num_slots()) {
+  if (node_of_slot.size() != s + d) {
     return fail("node_of_slot size != s + d");
   }
   if (slot_of_node.size() != failed.size()) {
     return fail("slot_of_node size != failed size");
   }
-  for (uint32_t slot = 0; slot < num_slots(); ++slot) {
+  for (uint32_t slot = 0; slot < node_of_slot.size(); ++slot) {
     const net::NodeId node = node_of_slot[slot];
     if (node >= num_nodes()) {
       return fail("node_of_slot[" + std::to_string(slot) + "] out of range");
@@ -186,7 +186,7 @@ bool ClusterConfig::CheckInvariants(std::string* why) const {
     if (slot == kSpareSlot) {
       continue;
     }
-    if (slot < 0 || static_cast<uint32_t>(slot) >= num_slots() ||
+    if (slot < 0 || static_cast<uint32_t>(slot) >= node_of_slot.size() ||
         node_of_slot[static_cast<uint32_t>(slot)] != n) {
       return fail("slot_of_node[" + std::to_string(n) +
                   "] not mirrored in node_of_slot");

@@ -25,9 +25,21 @@ namespace ring::consensus {
 
 inline constexpr int32_t kSpareSlot = -1;
 
-// One concrete cluster shape: everything key placement depends on. Borrowed
-// view into a ClusterConfig (does not own node_of_slot) — resolve and use it
-// within one event; never capture it in a closure that outlives the config.
+// One concrete cluster shape: everything key placement depends on, and the
+// only code that knows the paper's §5.4 rotation. Borrowed view into a
+// ClusterConfig (does not own node_of_slot) — resolve and use it within one
+// event; never capture it in a closure that outlives the config.
+//
+// Placement rules. Shard ids are 0 .. groups*s - 1; shard g*s + sigma is the
+// sigma-th coordinator of memgest group g. Group g's layout is the base
+// layout rotated by g over the s+d slots, which spreads coordinator, replica
+// and parity roles evenly (§5.4). All slots are mod s+d:
+//  - the coordinator of shard g*s + sigma sits on slot sigma + g;
+//  - Rep(r): replica ordinal t sits t+1 slots after its shard's coordinator,
+//    so replicas may land on other coordinator slots, as in Fig. 3;
+//  - SRS(k,m): parity index j of group g sits on redundant slot s + j + g.
+// Slot arithmetic reads only s, d and groups; only NodeOfSlot and what
+// resolves through it read `nodes`.
 struct Placement {
   uint32_t s = 0;
   uint32_t d = 0;
@@ -40,9 +52,34 @@ struct Placement {
   uint32_t SlotOfShard(uint32_t shard) const {
     return (shard % s + shard / s) % num_slots();
   }
+  // The j-th redundant slot of group g (parity homes).
   uint32_t RedundantSlot(uint32_t group, uint32_t j) const {
     return (s + j + group) % num_slots();
   }
+  // The slot of backup `ordinal` of `shard`: replica ordinal t of a
+  // replicated memgest, or parity index j of an erasure-coded one
+  // (`parity`). A shard's backups sit on consecutive slots; ordinals number
+  // a write's ack bits and order recovery's candidates.
+  uint32_t BackupSlot(uint32_t shard, uint32_t ordinal, bool parity) const {
+    return parity ? RedundantSlot(GroupOfShard(shard), ordinal)
+                  : (SlotOfShard(shard) + 1 + ordinal) % num_slots();
+  }
+  // BackupSlot's inverse over a scheme's `count` backups (r-1 replicas or m
+  // parity nodes): the ordinal with which `slot` backs `shard`, or -1 when
+  // it backs none (kSpareSlot included).
+  int32_t BackupOrdinal(uint32_t shard, int32_t slot, bool parity,
+                        uint32_t count) const {
+    if (slot < 0 || static_cast<uint32_t>(slot) >= num_slots()) {
+      return -1;
+    }
+    const uint32_t first = BackupSlot(shard, 0, parity);
+    const uint32_t ordinal =
+        (static_cast<uint32_t>(slot) + num_slots() - first) % num_slots();
+    return ordinal < count ? static_cast<int32_t>(ordinal) : -1;
+  }
+  // Shards a slot coordinates (one per group whose rotation lands on it),
+  // ascending.
+  std::vector<uint32_t> ShardsOfSlot(uint32_t slot) const;
   net::NodeId NodeOfSlot(uint32_t slot) const { return (*nodes)[slot]; }
   net::NodeId CoordinatorOfShard(uint32_t shard) const {
     return NodeOfSlot(SlotOfShard(shard));
@@ -82,23 +119,8 @@ struct ClusterConfig {
   static ClusterConfig Initial(uint32_t s, uint32_t d, uint32_t num_nodes,
                                uint32_t groups = 1);
 
-  uint32_t num_slots() const { return s + d; }
   uint32_t num_nodes() const {
     return static_cast<uint32_t>(slot_of_node.size());
-  }
-
-  // Key sharding spans all groups: shard ids are 0 .. groups*s - 1; shard
-  // (g*s + sigma) is the sigma-th coordinator of group g. Group g's layout
-  // is the base layout rotated by g over the s+d slots, which spreads
-  // coordinator, replica and parity roles evenly (§5.4).
-  uint32_t num_shards() const { return groups * s; }
-  uint32_t GroupOfShard(uint32_t shard) const { return shard / s; }
-  uint32_t SlotOfShard(uint32_t shard) const {
-    return (shard % s + shard / s) % num_slots();
-  }
-  // The j-th redundant slot of group g (parity homes).
-  uint32_t RedundantSlot(uint32_t group, uint32_t j) const {
-    return (s + j + group) % num_slots();
   }
 
   // True when the node's slot coordinates a shard (some rotation lands on it).
@@ -106,21 +128,14 @@ struct ClusterConfig {
   bool IsCoordinator(net::NodeId node) const {
     const int32_t slot = slot_of_node[node];
     return slot >= 0 && !failed[node] &&
-           !ShardsOfSlot(static_cast<uint32_t>(slot)).empty();
+           !Current().ShardsOfSlot(static_cast<uint32_t>(slot)).empty();
   }
   // True when `node` currently coordinates `shard`.
   bool CoordinatesShard(net::NodeId node, uint32_t shard) const {
     const int32_t slot = slot_of_node[node];
     return slot >= 0 && !failed[node] &&
-           static_cast<uint32_t>(slot) == SlotOfShard(shard);
+           static_cast<uint32_t>(slot) == Current().SlotOfShard(shard);
   }
-  // Shards a slot coordinates (one per group whose rotation lands on it).
-  std::vector<uint32_t> ShardsOfSlot(uint32_t slot) const;
-
-  net::NodeId CoordinatorOfShard(uint32_t shard) const {
-    return node_of_slot[SlotOfShard(shard)];
-  }
-  net::NodeId NodeOfSlot(uint32_t slot) const { return node_of_slot[slot]; }
 
   // First live spare, or -1 when the pool is exhausted. O(1) off the
   // maintained free-list.

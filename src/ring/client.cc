@@ -90,7 +90,8 @@ RingClient::RingClient(RingRuntime* runtime, uint32_t index)
 RingClient::~RingClient() { rt_->AttachClient(node_, nullptr); }
 
 net::NodeId RingClient::CoordinatorFor(const HashedKey& key) const {
-  return config_.CoordinatorOfShard(key.Shard(config_.num_shards()));
+  const consensus::Placement placement = config_.Current();
+  return placement.CoordinatorOfShard(key.Shard(placement.num_shards()));
 }
 
 void RingClient::RefreshConfig() {

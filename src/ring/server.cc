@@ -118,6 +118,10 @@ void RingServer::NoteAccess(RegionKind kind, AccessKind access,
 
 bool RingServer::IsAlive() const { return rt_->fabric().alive(id_); }
 
+bool RingServer::PeerAlive(net::NodeId node) const {
+  return !config_.failed[node] && rt_->fabric().alive(node);
+}
+
 void RingServer::TraceCodingTail(const char* name, uint64_t op,
                                  sim::SimTime done, uint64_t coding_ns) {
   if (coding_ns > 0 && done != 0) {
@@ -165,9 +169,9 @@ RingServer::EntryLoc RingServer::FindEntry(const MemgestInfo& info,
         store == nullptr ? nullptr : store->meta.Find(key.str(), version);
     return e == nullptr ? EntryLoc{} : EntryLoc{e, store, shard, geom};
   };
-  EntryLoc loc = find_in(config_.s, key.Shard(config_.num_shards()));
+  EntryLoc loc = find_in(config_.s, key.Shard(config_.Current().num_shards()));
   if (loc.entry == nullptr && config_.rebalancing()) {
-    loc = find_in(config_.prev_s, key.Shard(config_.groups * config_.prev_s));
+    loc = find_in(config_.prev_s, key.Shard(config_.Previous().num_shards()));
   }
   return loc;
 }
@@ -175,8 +179,9 @@ RingServer::EntryLoc RingServer::FindEntry(const MemgestInfo& info,
 RingServer::EntryLoc RingServer::EntryOf(const MemgestInfo& info,
                                          const HashedKey& key,
                                          const VolatileIndex::Ref& ref) const {
-  if ((ref.store_key >> 16) == config_.s) {
-    return EntryLoc{ref.entry, ref.store, ref.store_key & 0xffffu, config_.s};
+  if (GeomOfKey(ref.store_key) == config_.s) {
+    return EntryLoc{ref.entry, ref.store, IndexOfKey(ref.store_key),
+                    config_.s};
   }
   return FindEntry(info, key, ref.version);
 }
@@ -203,7 +208,7 @@ void RingServer::EraseIndexed(ShardStore& store, const HashedKey& key,
 RingServer::RouteAction RingServer::RouteKey(const HashedKey& key,
                                              bool forwarded) {
   RouteAction act;  // defaults to kDrop
-  const uint32_t cur_shard = key.Shard(config_.num_shards());
+  const uint32_t cur_shard = key.Shard(config_.Current().num_shards());
   if (!config_.rebalancing()) {
     // Static cluster: the plain coordinator check, zero extra work.
     if (Coordinates(cur_shard)) {
@@ -216,7 +221,8 @@ RingServer::RouteAction RingServer::RouteKey(const HashedKey& key,
   const consensus::Placement prev = config_.Previous();
   const uint32_t prev_shard = key.Shard(prev.num_shards());
   const net::NodeId old_owner = prev.CoordinatorOfShard(prev_shard);
-  const net::NodeId new_owner = config_.CoordinatorOfShard(cur_shard);
+  const net::NodeId new_owner =
+      config_.Current().CoordinatorOfShard(cur_shard);
   if (old_owner == new_owner) {
     // Ownership unchanged by the resize (the key may still need a local
     // re-encode, which the rebalance driver performs in place).
@@ -556,8 +562,7 @@ void RingServer::StartWrite(const MemgestInfo& info, uint32_t shard,
   hub().tracer().Record("write_ahead", obs::Category::kOther, id_, op_id,
                         rt_->simulator().now(), rt_->simulator().now());
 
-  const std::vector<uint32_t> slots = BackupSlots(info, shard, geom_s);
-  const uint32_t backups = static_cast<uint32_t>(slots.size());
+  const uint32_t backups = info.desc.backups();
   if (backups == 0) {
     CommitEntry(info, shard, key, e);  // nothing to wait for
     return;
@@ -571,40 +576,23 @@ void RingServer::StartWrite(const MemgestInfo& info, uint32_t shard,
   pw.acks_pending = (1u << backups) - 1;
   pw.trace_quorum_start = rt_->simulator().now();
   for (uint32_t ordinal = 0; ordinal < backups; ++ordinal) {
-    SendBackup(info, shard, key, e, ordinal, slots[ordinal]);
+    SendBackup(info, shard, key, e, ordinal);
   }
   ScheduleWriteRetransmit(info.id, shard, geom_s, key, version);
 }
 
-std::vector<uint32_t> RingServer::BackupSlots(const MemgestInfo& info,
-                                              uint32_t shard,
-                                              uint32_t geom_s) const {
-  return info.erasure_coded()
-             ? MemgestRegistry::ParitySlotsFor(info, shard / geom_s, geom_s,
-                                               config_.d)
-             : MemgestRegistry::ReplicaSlotsFor(info, shard, geom_s,
-                                                config_.d);
-}
-
-int32_t RingServer::BackupOrdinal(const MemgestInfo& info, uint32_t shard,
-                                  uint32_t geom_s, int32_t slot) const {
-  const std::vector<uint32_t> slots = BackupSlots(info, shard, geom_s);
-  const auto it =
-      std::find(slots.begin(), slots.end(), static_cast<uint32_t>(slot));
-  return it == slots.end() ? -1 : static_cast<int32_t>(it - slots.begin());
-}
-
 void RingServer::SendBackup(const MemgestInfo& info, uint32_t shard,
                             const HashedKey& key, const MetaEntry& entry,
-                            uint32_t ordinal, uint32_t slot) {
+                            uint32_t ordinal) {
   const auto placement = PlacementFor(entry.geom_s);
   if (!placement.has_value()) {
     return;
   }
-  const net::NodeId target = placement->NodeOfSlot(slot);
+  const bool parity = info.erasure_coded();
+  const net::NodeId target =
+      placement->NodeOfSlot(placement->BackupSlot(shard, ordinal, parity));
   auto* peer = rt_->server(target);
   const PendingWrite& pw = *entry.pending;
-  const bool parity = info.erasure_coded();
   // Parity updates carry replicated metadata on top of the payload (§6.1).
   const uint64_t bytes =
       ReqBytes(key.str().size(), entry.len) +
@@ -668,7 +656,6 @@ void RingServer::ScheduleWriteRetransmit(MemgestId gid, uint32_t shard,
       return;
     }
     const PendingWrite& pw = *entry->pending;
-    const std::vector<uint32_t> slots = BackupSlots(*info, shard, geom_s);
     // A plain timer runs at op 0; the resends belong to the write.
     // ring-lint: ok(server-admission) a timer acting for its write
     obs::ScopedOp scope(hub(), pw.trace_op);
@@ -678,7 +665,7 @@ void RingServer::ScheduleWriteRetransmit(MemgestId gid, uint32_t shard,
         hub().metrics().Inc("server.retransmits", 1, id_, gid);
         hub().recorder().Record(obs::RecKind::kRetransmit, "write_retransmit",
                                 id_, pw.trace_op, gid, ordinal);
-        SendBackup(*info, shard, key, *entry, ordinal, slots[ordinal]);
+        SendBackup(*info, shard, key, *entry, ordinal);
       }
     }
     ScheduleWriteRetransmit(gid, shard, geom_s, key, version);
@@ -905,8 +892,9 @@ void RingServer::GcOldVersions(const HashedKey& key, Version below) {
     // geometry's store until this GC collects them.
     const EntryLoc loc = EntryOf(*info, key, ref);
     MetaEntry* entry = loc.entry;
-    const uint32_t shard =
-        entry != nullptr ? loc.shard : key.Shard(config_.num_shards());
+    const uint32_t shard = entry != nullptr
+                               ? loc.shard
+                               : key.Shard(config_.Current().num_shards());
     const uint32_t geom = entry != nullptr ? loc.geom : config_.s;
     if (entry != nullptr && !entry->committed) {
       // A concurrent write still in its quorum round: reclaiming it here
@@ -944,8 +932,9 @@ void RingServer::GcOldVersions(const HashedKey& key, Version below) {
       continue;
     }
     GcNotice notice{ref.memgest, shard, key, ref.version, geom};
-    for (const uint32_t slot : BackupSlots(*info, shard, geom)) {
-      const net::NodeId target = placement->NodeOfSlot(slot);
+    for (uint32_t ordinal = 0; ordinal < info->desc.backups(); ++ordinal) {
+      const net::NodeId target = placement->NodeOfSlot(
+          placement->BackupSlot(shard, ordinal, info->erasure_coded()));
       auto* peer = rt_->server(target);
       rt_->fabric().Write(id_, target, kAckBytes,
                           [peer, notice] { peer->HandleGcNotice(notice); },
@@ -992,7 +981,9 @@ void RingServer::RecordEarlyGc(MemgestState* state, const GcNotice& msg,
   const MemgestInfo* info = rt_->registry().Get(msg.memgest);
   const auto placement = PlacementFor(geom);
   if (info == nullptr || !placement.has_value() ||
-      BackupOrdinal(*info, msg.shard, geom, placement->SlotOfNode(id_)) < 0) {
+      placement->BackupOrdinal(msg.shard, placement->SlotOfNode(id_),
+                               info->erasure_coded(),
+                               info->desc.backups()) < 0) {
     return;
   }
   // A promoted node may not hold the memgest yet: its metadata snapshot is

@@ -137,10 +137,10 @@ std::string RingServer::CheckKeyDirectory() const {
   const bool serving = serving_ && !config_.failed[id_];
   for (const auto& [gid, state] : memgests_) {
     for (const auto& [store_key, store] : state.stores) {
-      const auto placement = PlacementFor(store_key >> 16);
-      const bool mine = serving && placement.has_value() &&
-                        placement->CoordinatorOfShard(store_key & 0xffffu) ==
-                            id_;
+      const auto placement = PlacementFor(GeomOfKey(store_key));
+      const bool mine =
+          serving && placement.has_value() &&
+          placement->CoordinatorOfShard(IndexOfKey(store_key)) == id_;
       store->meta.ForEach([&](const Key& key, const MetaEntry& e) {
         keys.insert(key);
         if (!mine || !e.indexed || !missing.empty()) {

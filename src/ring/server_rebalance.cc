@@ -37,10 +37,8 @@ void RingServer::HandleRebalanceScan(RebalanceScan msg) {
           continue;
         }
         for (auto& [store_key, store] : state.stores) {
-          const uint32_t geom = store_key >> 16;
-          const uint32_t shard = store_key & 0xffffu;
-          if (geom != config_.prev_s ||
-              prev.CoordinatorOfShard(shard) != id_) {
+          if (GeomOfKey(store_key) != config_.prev_s ||
+              prev.CoordinatorOfShard(IndexOfKey(store_key)) != id_) {
             continue;
           }
           store->meta.ForEach([&](const Key& key, const MetaEntry&) {
@@ -199,8 +197,9 @@ void RingServer::SendInstall(const MemgestInfo& info, const HashedKey& key,
     // a tombstone so the new owner still holds the version floor.
     tombstone = true;
   }
-  const uint32_t cur_shard = key.Shard(config_.num_shards());
-  const net::NodeId new_owner = config_.CoordinatorOfShard(cur_shard);
+  const consensus::Placement cur = config_.Current();
+  const net::NodeId new_owner =
+      cur.CoordinatorOfShard(key.Shard(cur.num_shards()));
   const uint64_t payload = value ? value->size() : 0;
 
   InstallKey msg;
@@ -254,8 +253,9 @@ void RingServer::HandleInstallKey(InstallKey msg) {
       return;  // the old owner's driver retry re-sends the install
     }
     const HashedKey key(msg.key);
-    const uint32_t cur_shard = key.Shard(config_.num_shards());
-    if (config_.CoordinatorOfShard(cur_shard) != id_) {
+    const consensus::Placement cur = config_.Current();
+    const uint32_t cur_shard = key.Shard(cur.num_shards());
+    if (cur.CoordinatorOfShard(cur_shard) != id_) {
       return;  // stale routing (a failover moved the shard); retry covers
     }
     const MemgestInfo* info = rt_->registry().Get(msg.memgest);
@@ -300,7 +300,7 @@ void RingServer::PurgeStaleGeometries() {
   uint64_t dropped_entries = 0;
   for (auto& [gid, state] : memgests_) {
     const auto stale = [this](uint32_t store_key) {
-      return (store_key >> 16) != config_.s;
+      return GeomOfKey(store_key) != config_.s;
     };
     for (auto& [store_key, store] : state.stores) {
       if (!stale(store_key)) {
@@ -320,7 +320,7 @@ void RingServer::PurgeStaleGeometries() {
         ++dropped_entries;
         const HashedKey hkey(key);
         const uint32_t cur_key =
-            GeomKey(config_.s, hkey.Shard(config_.num_shards()));
+            GeomKey(config_.s, hkey.Shard(config_.Current().num_shards()));
         if (ShardStore* cur = state.stores.Find(cur_key); cur != nullptr) {
           MetaEntry* live = cur->meta.Find(key, entry.version);
           if (live != nullptr && live->indexed) {
@@ -336,7 +336,7 @@ void RingServer::PurgeStaleGeometries() {
     }
     state.stores.EraseIf(stale);
     for (auto it = state.parity.begin(); it != state.parity.end();) {
-      if ((it->first >> 16) == config_.s) {
+      if (GeomOfKey(it->first) == config_.s) {
         ++it;
       } else {
         it = state.parity.erase(it);

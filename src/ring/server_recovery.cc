@@ -145,7 +145,8 @@ void RingServer::BeginPromotion(uint32_t new_slot) {
         }
       }
       for (uint32_t shard = 0; shard < placement->num_shards(); ++shard) {
-        const int32_t ordinal = BackupOrdinal(info, shard, geom, my_slot);
+        const int32_t ordinal = placement->BackupOrdinal(
+            shard, my_slot, info.erasure_coded(), info.desc.backups());
         if (ordinal < 0) {
           continue;
         }
@@ -210,22 +211,19 @@ std::vector<int32_t> RingServer::AliveMetaSources(const MemgestInfo& info,
     return {};
   }
   // Candidate holders of the shard's metadata, in preference order:
-  // the coordinator itself, then replicas (Rep) or parity nodes (SRS).
-  // All slot ids live in `geom`'s slot space.
-  std::vector<uint32_t> candidates{placement->SlotOfShard(shard)};
-  for (const uint32_t slot : BackupSlots(info, shard, geom)) {
-    candidates.push_back(slot);
-  }
+  // the coordinator itself, then replicas (Rep) or parity nodes (SRS) by
+  // ordinal. All slot ids live in `geom`'s slot space.
   const int32_t my_slot = placement->SlotOfNode(id_);
   std::vector<int32_t> alive;
-  for (uint32_t slot : candidates) {
-    if (static_cast<int32_t>(slot) == my_slot) {
-      continue;
-    }
-    const net::NodeId node = placement->NodeOfSlot(slot);
-    if (!config_.failed[node] && rt_->fabric().alive(node)) {
+  const auto consider = [&](uint32_t slot) {
+    if (static_cast<int32_t>(slot) != my_slot &&
+        PeerAlive(placement->NodeOfSlot(slot))) {
       alive.push_back(static_cast<int32_t>(slot));
     }
+  };
+  consider(placement->SlotOfShard(shard));
+  for (uint32_t ordinal = 0; ordinal < info.desc.backups(); ++ordinal) {
+    consider(placement->BackupSlot(shard, ordinal, info.erasure_coded()));
   }
   // Replication commits on a quorum: any single survivor may be missing
   // committed writes, so recovery must union the metadata of every alive
@@ -391,11 +389,10 @@ void RingServer::RebuildVolatileIndex() {
   // keys are routed to their old-placement coordinator until migrated (§13).
   for (auto& [id, state] : memgests_) {
     for (auto& [store_key, store] : state.stores) {
-      const uint32_t geom = store_key >> 16;
-      const uint32_t shard = store_key & 0xffffu;
-      const auto placement = PlacementFor(geom);
-      const bool mine = placement.has_value() &&
-                        placement->CoordinatorOfShard(shard) == id_;
+      const auto placement = PlacementFor(GeomOfKey(store_key));
+      const bool mine =
+          placement.has_value() &&
+          placement->CoordinatorOfShard(IndexOfKey(store_key)) == id_;
       store->meta.ForEachMutable([&](const Key& key, MetaEntry& entry) {
         // The flag rides along in metadata-fetch snapshots, so entries of
         // shards this node does *not* coordinate must be re-marked as plain
@@ -478,23 +475,14 @@ void RingServer::EnsureDataPresent(const MemgestInfo& info, uint32_t shard,
     // Copy over one-sided reads (§5.5) — first choice is the slot that
     // supplied this entry's metadata: with quorum commit other survivors
     // may never have applied the write, and their heap bytes at this
-    // address would be stale.
-    std::vector<uint32_t> candidates;
-    if (entry->recovery_src >= 0) {
-      candidates.push_back(static_cast<uint32_t>(entry->recovery_src));
-    }
-    candidates.push_back(placement->SlotOfShard(shard));  // the coordinator
-    for (uint32_t slot : BackupSlots(info, shard, geom)) {
-      candidates.push_back(slot);
-    }
+    // address would be stale. Then the coordinator, then the replicas by
+    // ordinal. Reads from `slot` and returns true when it is another live
+    // node.
     const int32_t my_slot = placement->SlotOfNode(id_);
-    for (uint32_t slot : candidates) {
-      if (static_cast<int32_t>(slot) == my_slot) {
-        continue;
-      }
+    const auto read_from = [&](uint32_t slot) {
       const net::NodeId node = placement->NodeOfSlot(slot);
-      if (config_.failed[node] || !rt_->fabric().alive(node)) {
-        continue;
+      if (static_cast<int32_t>(slot) == my_slot || !PeerAlive(node)) {
+        return false;
       }
       auto* peer = rt_->server(node);
       auto bytes = std::make_shared<Buffer>();
@@ -505,7 +493,17 @@ void RingServer::EnsureDataPresent(const MemgestInfo& info, uint32_t shard,
             *bytes = peer->ReadRawForRecovery(gid, shard, addr, len, geom);
           },
           [complete, bytes]() mutable { complete(bytes); });
+      return true;
+    };
+    if ((entry->recovery_src >= 0 &&
+         read_from(static_cast<uint32_t>(entry->recovery_src))) ||
+        read_from(placement->SlotOfShard(shard))) {
       return;
+    }
+    for (uint32_t ordinal = 0; ordinal < info.desc.backups(); ++ordinal) {
+      if (read_from(placement->BackupSlot(shard, ordinal, false))) {
+        return;
+      }
     }
     complete(nullptr);
     return;
@@ -514,9 +512,10 @@ void RingServer::EnsureDataPresent(const MemgestInfo& info, uint32_t shard,
   // Erasure coded: ask a usable parity node to decode (§5.5). "The data node
   // sends a recovery request to the parity node responsible for the block."
   const uint32_t group = shard / geom;
-  for (uint32_t slot : BackupSlots(info, shard, geom)) {
-    const net::NodeId node = placement->NodeOfSlot(slot);
-    if (config_.failed[node] || !rt_->fabric().alive(node)) {
+  for (uint32_t ordinal = 0; ordinal < info.desc.backups(); ++ordinal) {
+    const net::NodeId node =
+        placement->NodeOfSlot(placement->BackupSlot(shard, ordinal, true));
+    if (!PeerAlive(node)) {
       continue;
     }
     auto* peer = rt_->server(node);
@@ -638,7 +637,7 @@ void RingServer::HandleRecoverBlock(RecoverBlock msg) {
             src.is_parity ? placement->NodeOfSlot(
                                 placement->RedundantSlot(group, src.node))
                           : placement->CoordinatorOfShard(src_shard);
-        if (config_.failed[node] || !rt_->fabric().alive(node)) {
+        if (!PeerAlive(node)) {
           continue;
         }
         // A data node still recovering its bytes is no source: its heap
@@ -697,8 +696,8 @@ void RingServer::RecoverAllData() {
       }
       if (!todo.empty()) {
         ++promotion_->recoveries_left;
-        RecoverStoreEntries(id, *state.info, store_key & 0xffffu,
-                            store_key >> 16, std::move(todo), 0);
+        RecoverStoreEntries(id, *state.info, IndexOfKey(store_key),
+                            GeomOfKey(store_key), std::move(todo), 0);
       }
     }
   }
@@ -744,8 +743,8 @@ void RingServer::RecoverStoreEntries(
 void RingServer::RebuildParity(uint64_t id, const MemgestInfo& info,
                                uint32_t pkey) {
   assert(StateOf(info).parity.count(pkey) > 0);
-  const uint32_t geom = pkey >> 16;
-  const uint32_t group = pkey & 0xffffu;
+  const uint32_t geom = GeomOfKey(pkey);
+  const uint32_t group = IndexOfKey(pkey);
   const auto placement = PlacementFor(geom);
   if (!placement.has_value()) {
     RecoveryDone(id);  // shape retired mid-recovery; the store will be purged
@@ -759,7 +758,7 @@ void RingServer::RebuildParity(uint64_t id, const MemgestInfo& info,
   for (uint32_t sigma = 0; sigma < geom; ++sigma) {
     const uint32_t shard = group * geom + sigma;
     const net::NodeId node = placement->CoordinatorOfShard(shard);
-    if (config_.failed[node] || !rt_->fabric().alive(node)) {
+    if (!PeerAlive(node)) {
       (*snaps)[sigma].bytes = std::make_shared<Buffer>();
       continue;
     }
@@ -805,8 +804,8 @@ void RingServer::AssembleParity(
     if (!PromotionLive(id)) {
       return;
     }
-    const uint32_t geom = pkey >> 16;
-    const uint32_t group = pkey & 0xffffu;
+    const uint32_t geom = GeomOfKey(pkey);
+    const uint32_t group = IndexOfKey(pkey);
     const srs::SrsCode* code = rt_->registry().CodeFor(*info_ptr, geom);
     const srs::SrsAddressMap* map = rt_->registry().MapFor(*info_ptr, geom);
     const auto placement = PlacementFor(geom);
@@ -919,7 +918,8 @@ void RingServer::NotifyRedundancyRecovered() {
       }
       const int32_t my_slot = placement->SlotOfNode(id_);
       for (uint32_t shard = 0; shard < placement->num_shards(); ++shard) {
-        const int32_t ordinal = BackupOrdinal(*info, shard, geom, my_slot);
+        const int32_t ordinal = placement->BackupOrdinal(
+            shard, my_slot, info->erasure_coded(), info->desc.backups());
         if (ordinal < 0) {
           continue;
         }

@@ -72,6 +72,11 @@ struct MemgestDescriptor {
     return d;
   }
 
+  // Backup slots per shard: r-1 replicas, or m parity nodes.
+  uint32_t backups() const {
+    return kind == SchemeKind::kReplicated ? r - 1 : m;
+  }
+
   // Rep(1, s): no redundancy, immediate commits, highest performance.
   bool unreliable() const {
     return kind == SchemeKind::kReplicated && r <= 1;

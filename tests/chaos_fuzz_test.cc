@@ -980,7 +980,7 @@ TEST(FastFailoverScriptTest, GrayPausePastTimeoutFallsToHeartbeatBackstop) {
   auto& m = e.cluster->runtime().membership();
   e.cluster->simulator().RunUntil(75 * sim::kMillisecond);
   EXPECT_TRUE(e.LeaderConfig().failed[1]);
-  EXPECT_EQ(e.LeaderConfig().NodeOfSlot(1), 5u);  // the spare took slot 1
+  EXPECT_EQ(e.LeaderConfig().node_of_slot[1], 5u);  // the spare took slot 1
   e.cluster->simulator().RunUntil(200 * sim::kMillisecond);
   EXPECT_FALSE(e.LeaderConfig().failed[1]);
   EXPECT_EQ(m.fast_failovers(), 0u);

@@ -274,8 +274,10 @@ void ExpectWritesAfterAPromotionSurviveTheNextFailure(
   // run has none.
   EXPECT_EQ(dup_backups(), dups_before);
   RingRuntime& rt = cluster.runtime();
-  const net::NodeId promoted =
-      rt.membership().ConfigView(rt.leader_node()).CoordinatorOfShard(1);
+  const net::NodeId promoted = rt.membership()
+                                   .ConfigView(rt.leader_node())
+                                   .Current()
+                                   .CoordinatorOfShard(1);
   ASSERT_NE(promoted, 1u);
   cluster.KillNode(promoted, /*force_detect=*/true);
   cluster.RunFor(20 * sim::kMillisecond);

@@ -14,10 +14,10 @@ namespace {
 TEST(GroupsConfigTest, RotationCoversAllSlots) {
   // s=3, d=2, groups=5: fifteen shards, three per slot.
   auto c = consensus::ClusterConfig::Initial(3, 2, 7, 5);
-  EXPECT_EQ(c.num_shards(), 15u);
+  EXPECT_EQ(c.Current().num_shards(), 15u);
   std::vector<int> per_slot(5, 0);
   for (uint32_t shard = 0; shard < 15; ++shard) {
-    const uint32_t slot = c.SlotOfShard(shard);
+    const uint32_t slot = c.Current().SlotOfShard(shard);
     ASSERT_LT(slot, 5u);
     ++per_slot[slot];
   }
@@ -29,21 +29,22 @@ TEST(GroupsConfigTest, RotationCoversAllSlots) {
     EXPECT_TRUE(c.IsCoordinator(n));
   }
   // Group 0 keeps the base layout.
-  EXPECT_EQ(c.SlotOfShard(0), 0u);
-  EXPECT_EQ(c.SlotOfShard(2), 2u);
+  EXPECT_EQ(c.Current().SlotOfShard(0), 0u);
+  EXPECT_EQ(c.Current().SlotOfShard(2), 2u);
   // Group 1 is rotated by one.
-  EXPECT_EQ(c.SlotOfShard(3), 1u);
-  EXPECT_EQ(c.SlotOfShard(5), 3u);
+  EXPECT_EQ(c.Current().SlotOfShard(3), 1u);
+  EXPECT_EQ(c.Current().SlotOfShard(5), 3u);
   // Redundant slots rotate too.
-  EXPECT_EQ(c.RedundantSlot(0, 0), 3u);
-  EXPECT_EQ(c.RedundantSlot(2, 0), 0u);  // parity lands on a "data" slot
+  EXPECT_EQ(c.Current().RedundantSlot(0, 0), 3u);
+  // Parity of group 2 lands on a "data" slot.
+  EXPECT_EQ(c.Current().RedundantSlot(2, 0), 0u);
 }
 
 TEST(GroupsConfigTest, ShardsOfSlotInverse) {
   auto c = consensus::ClusterConfig::Initial(3, 2, 7, 5);
   for (uint32_t slot = 0; slot < 5; ++slot) {
-    for (uint32_t shard : c.ShardsOfSlot(slot)) {
-      EXPECT_EQ(c.SlotOfShard(shard), slot);
+    for (uint32_t shard : c.Current().ShardsOfSlot(slot)) {
+      EXPECT_EQ(c.Current().SlotOfShard(shard), slot);
     }
   }
 }

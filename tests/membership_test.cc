@@ -92,8 +92,8 @@ TEST(MembershipConfig, RandomInterleavingsKeepInvariants) {
           break;
         case 3: {  // fail a random slotted node, promote a spare over it
           const uint32_t slot = static_cast<uint32_t>(
-              rng.NextBelow(c.num_slots()));
-          const net::NodeId victim = c.NodeOfSlot(slot);
+              rng.NextBelow(c.Current().num_slots()));
+          const net::NodeId victim = c.Current().NodeOfSlot(slot);
           if (!c.failed[victim]) {
             c.MarkFailed(victim);
             const int32_t spare = c.FindSpare();

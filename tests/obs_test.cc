@@ -675,17 +675,14 @@ TEST(ChromeTraceTest, MetricsCountTheTwoNodePut) {
 std::vector<net::NodeId> WriteNodes(RingCluster& cluster, const Key& key,
                                     MemgestId memgest) {
   RingRuntime& rt = cluster.runtime();
-  const consensus::ClusterConfig& cfg =
-      rt.membership().ConfigView(rt.leader_node());
+  const consensus::Placement placement =
+      rt.membership().ConfigView(rt.leader_node()).Current();
   const MemgestInfo& info = *rt.registry().Get(memgest);
-  const uint32_t shard = KeyShard(key, cfg.num_shards());
-  std::vector<net::NodeId> nodes{cfg.CoordinatorOfShard(shard)};
-  const std::vector<uint32_t> slots =
-      info.erasure_coded()
-          ? MemgestRegistry::ParitySlotsFor(info, shard / cfg.s, cfg.s, cfg.d)
-          : MemgestRegistry::ReplicaSlotsFor(info, shard, cfg.s, cfg.d);
-  for (const uint32_t slot : slots) {
-    nodes.push_back(cfg.NodeOfSlot(slot));
+  const uint32_t shard = KeyShard(key, placement.num_shards());
+  std::vector<net::NodeId> nodes{placement.CoordinatorOfShard(shard)};
+  for (uint32_t ordinal = 0; ordinal < info.desc.backups(); ++ordinal) {
+    nodes.push_back(placement.NodeOfSlot(
+        placement.BackupSlot(shard, ordinal, info.erasure_coded())));
   }
   return nodes;
 }
