@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "src/common/parse.h"
 #include "src/obs/hub.h"
 
 namespace ring::fault {
@@ -58,21 +59,6 @@ std::vector<std::string> SplitWords(const std::string& line) {
   return words;
 }
 
-bool ParseU64(std::string_view text, uint64_t* out) {
-  if (text.empty()) {
-    return false;
-  }
-  uint64_t v = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    v = v * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = v;
-  return true;
-}
-
 // Times accept ns/us/ms/s suffixes (decimal values allowed); bare = ns.
 bool ParseTime(std::string_view text, uint64_t* out) {
   double scale = 1.0;
@@ -118,7 +104,7 @@ bool ParseNode(std::string_view text, uint32_t* out) {
     return true;
   }
   uint64_t v = 0;
-  if (!ParseU64(text, &v) || v >= kAnyNode) {
+  if (!ParseUnsigned(text, &v, kAnyNode - 1)) {
     return false;
   }
   *out = static_cast<uint32_t>(v);
@@ -134,7 +120,7 @@ bool ParseNodeList(std::string_view text, std::vector<uint32_t>* out) {
       comma = text.size();
     }
     uint64_t v = 0;
-    if (!ParseU64(text.substr(start, comma - start), &v) || v >= kAnyNode) {
+    if (!ParseUnsigned(text.substr(start, comma - start), &v, kAnyNode - 1)) {
       return false;
     }
     out->push_back(static_cast<uint32_t>(v));

@@ -174,6 +174,48 @@ TEST(McSpec, ParseRejectsGarbage) {
           .ok());
 }
 
+// tests/golden/mc_wedged-write.spec with one number doctored at a time: the
+// parse fails and names the token and its line, instead of reading some
+// other number (strtoull read "abc" as 0, "12x" as 12 and "-1" as 2^64-1).
+TEST(McSpec, ParseRejectsMalformedNumbers) {
+  const std::string spec =
+      "mc-spec v1\n"
+      "config s=1 d=1 spares=0 clients=1 seed=1 scheme=rep2\n"
+      "bounds reorder_window_ns=3000 max_steps=64 max_drops=1 max_crashes=0 "
+      "quiesce_ns=25000000 write_retransmit_ns=100000\n"
+      "bug no_write_retransmit\n"
+      "op put key=k size=64 nonce=1 at=0 client=0\n"
+      "step 1 drop tag=2\n"
+      "expect violation=wedged-write digest=0xdb04516620790983\n";
+  ASSERT_TRUE(ScheduleSpec::Parse(spec).ok());
+  struct Doctored {
+    std::string from;
+    std::string to;
+    std::string token;
+    int line;
+  };
+  const Doctored cases[] = {
+      {" s=1 ", " s=abc ", "s=abc", 2},
+      {"seed=1 ", "seed=12x ", "seed=12x", 2},
+      {"max_drops=1", "max_drops=-1", "max_drops=-1", 3},
+      {"max_steps=64", "max_steps=4294967296", "max_steps=4294967296", 3},
+      {"size=64", "size=", "size=", 5},
+      {"step 1 ", "step 1x ", "1x", 6},
+      {"tag=2", "tag=0x2", "tag=0x2", 6},
+      {"digest=0xdb04516620790983", "digest=0xdb0451662079098g",
+       "digest=0xdb0451662079098g", 7},
+  };
+  for (const Doctored& c : cases) {
+    std::string text = spec;
+    text.replace(text.find(c.from), c.from.size(), c.to);
+    const Result<ScheduleSpec> parsed = ScheduleSpec::Parse(text);
+    ASSERT_FALSE(parsed.ok()) << c.to;
+    EXPECT_EQ(parsed.status().message(),
+              "mc-spec: bad number in '" + c.token + "' at line " +
+                  std::to_string(c.line));
+  }
+}
+
 // The tentpole equivalence check: DPOR + sleep sets must reach exactly the
 // final states naive full enumeration reaches, with at least 5x fewer
 // traces.

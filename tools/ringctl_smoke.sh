@@ -51,6 +51,17 @@ expect 0 report --scheme=rep3 --seed=5 --reps=20 --seconds=0.01
 # minimized spec that the replay then reproduces.
 expect 3 mc --scenario=wedged-write --spec-out="${SCRATCH}/ce.mcspec"
 expect 0 mc --replay="${SCRATCH}/ce.mcspec"
+# A replayed spec with a number its printer never writes is refused, not
+# run with another value.
+for edit in 's/ s=1 / s=abc /' 's/ seed=1 / seed=12x /' \
+            's/ max_drops=1 / max_drops=-1 /'; do
+  sed "${edit}" tests/golden/mc_wedged-write.spec > "${SCRATCH}/doctored.mcspec"
+  if cmp -s tests/golden/mc_wedged-write.spec "${SCRATCH}/doctored.mcspec"; then
+    echo "ringctl_smoke: '${edit}' left the spec unchanged" >&2
+    FAILED=1
+  fi
+  expect 2 mc --replay="${SCRATCH}/doctored.mcspec"
+done
 expect 0 cluster status --shards=6 --keys=50
 expect 0 cluster add --scheme=srs32 --count=2 --keys=50
 expect 0 cluster remove --scheme=rep3 --keys=50
