@@ -49,9 +49,11 @@
 //                   header that no non-test root reaches (src/ outside the
 //                   symbol's own .h/.cc, bench/, tools/, e2e_bench/,
 //                   examples/): code only its own tests exercise, or, when
-//                   no test names it either, code nothing uses. Token-level:
-//                   a name shared with another class may hide a finding,
-//                   never invent one. Waive an independent oracle on its
+//                   no test names it either, code nothing uses. A root
+//                   reaches a name only if the header is in its #include
+//                   closure. Token-level: a name shared with another class
+//                   the same file sees may hide a finding, never invent
+//                   one. Waive an independent oracle on its
 //                   declaration with
 //                   `// ring-lint: ok(test-only-api) <code it cross-checks>`,
 //                   anything else naming its user.

@@ -6,15 +6,6 @@
 
 namespace ring {
 
-double Samples::Mean() const {
-  assert(!values_.empty());
-  double sum = 0.0;
-  for (double v : values_) {
-    sum += v;
-  }
-  return sum / static_cast<double>(values_.size());
-}
-
 const std::vector<double>& Samples::Sorted() const {
   if (!sorted_valid_) {
     sorted_ = values_;

@@ -25,7 +25,6 @@ class Samples {
   size_t count() const { return values_.size(); }
   bool empty() const { return values_.empty(); }
 
-  double Mean() const;
   // Percentile in [0,100] with linear interpolation. Precondition: !empty().
   double Percentile(double p) const;
   double Median() const { return Percentile(50.0); }

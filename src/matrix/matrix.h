@@ -35,6 +35,7 @@ class Matrix {
   const uint8_t* Row(size_t r) const { return data_.data() + r * cols_; }
   uint8_t* MutableRow(size_t r) { return data_.data() + r * cols_; }
 
+  // ring-lint: ok(test-only-api) the oracle for Inverse's round trip
   Matrix Multiply(const Matrix& other) const;
 
   // Gauss-Jordan inverse. Fails with kFailedPrecondition when singular or

@@ -54,6 +54,7 @@ class FlightRecorder {
   // (so a post-mortem can still read the tail after the run).
   void Enable(bool on);
   // Must be called before Enable; capacity 0 is rejected (keeps previous).
+  // ring-lint: ok(test-only-api) capacity seam for Record's wrap-around
   void set_capacity(size_t capacity);
   size_t capacity() const { return capacity_; }
 

@@ -95,6 +95,7 @@ class Tracer {
 
   const std::vector<Span>& spans() const { return spans_; }
   uint64_t dropped() const { return dropped_; }
+  // ring-lint: ok(test-only-api) capacity seam for Record's drop count
   void set_capacity(size_t capacity) { capacity_ = capacity; }
 
   // Chrome trace_event JSON ("ts" in microseconds). Every span becomes a

@@ -59,8 +59,6 @@ class AutoTierManager {
   // (temperatures taken from the tracker).
   double RealizedStorageCost() const;
 
-  bool running() const { return running_; }
-
   Mover& mover() { return mover_; }
 
  private:

@@ -75,11 +75,14 @@ class Mover {
 
   // ---- statistics ----
   uint64_t scheduled() const { return scheduled_; }
+  // ring-lint: ok(test-only-api) read-back of the token bucket's rate limit
   uint64_t launched() const { return launched_; }
   uint64_t completed() const { return completed_; }
   uint64_t aborted() const { return aborted_; }
   uint64_t retried() const { return retried_; }
+  // ring-lint: ok(test-only-api) read-back: the mover drained
   size_t queued() const { return queue_.size(); }
+  // ring-lint: ok(test-only-api) read-back: the mover drained
   size_t in_flight() const { return in_flight_; }
   // Keys with any outstanding work: queued, in flight, or backing off
   // between retry attempts (nothing is queued or in flight during a backoff).

@@ -25,8 +25,11 @@ class RingCluster {
 
   // ---- synchronous wrappers (drive the simulation until completion) ----
   Result<MemgestId> CreateMemgest(const MemgestDescriptor& desc);
+  // ring-lint: ok(test-only-api) drives RingClient::SetDefaultMemgest
   Status SetDefaultMemgest(MemgestId id);
+  // ring-lint: ok(test-only-api) drives RingClient::DeleteMemgest
   Status DeleteMemgest(MemgestId id);
+  // ring-lint: ok(test-only-api) drives RingClient::GetMemgestDescriptor
   Result<MemgestDescriptor> GetMemgestDescriptor(MemgestId id);
 
   Status Put(const Key& key, const Buffer& value,

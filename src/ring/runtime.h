@@ -74,9 +74,6 @@ struct RingOptions {
     // Bug 3: skip the commit-time revalidation of a resolved get — a move/GC
     // that relocated the value between resolve and copy serves stale bytes.
     bool no_gc_revalidate = false;
-    bool any() const {
-      return no_write_retransmit || single_source_recovery || no_gc_revalidate;
-    }
   };
   TestOnlyBugs test_bugs;
 };

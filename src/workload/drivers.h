@@ -66,6 +66,7 @@ class OpenLoopDriver {
   void Stop() { running_ = false; }
   void SetRate(double rate_per_sec) { rate_ = rate_per_sec; }
 
+  // ring-lint: ok(test-only-api) read-back of the Poisson arrival rate
   uint64_t issued() const { return issued_; }
   uint64_t completed() const { return completed_; }
   uint64_t dropped() const { return dropped_; }

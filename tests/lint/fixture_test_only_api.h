@@ -1,8 +1,8 @@
 // test-only-api fixture for lint_test: installed as src/core/api.h of a
-// synthetic tree whose tools/ file calls Engine::Run and whose tests/ file
-// names every symbol here but Unnamed, Internal and Hook. Never compiled
-// into any target. The rule must flag exactly the four symbols marked
-// FLAGGED.
+// synthetic tree whose tools/ file includes it and calls Engine::Run, and
+// whose tests/ file names every symbol here but Unnamed, Internal and Hook.
+// Never compiled into any target. The rule must flag exactly the four
+// symbols marked FLAGGED.
 #ifndef FIXTURE_API_H_
 #define FIXTURE_API_H_
 

@@ -402,6 +402,7 @@ TEST(LintTestOnlyApiTest, FlagsOnlyWhatNoNonTestRootReaches) {
         "int TestOnlyFree() { return 4; }\n"
         "}  // namespace fixture\n");
   write(root / "tools" / "main.cc",
+        "#include \"src/core/api.h\"\n"
         "int main() { return fixture::Engine({}).Run(); }\n");
   write(root / "tests" / "api_test.cc",
         "using fixture::Mode; Mode a = Mode::kUsed, b = Mode::kTestOnly;\n"
@@ -423,6 +424,57 @@ TEST(LintTestOnlyApiTest, FlagsOnlyWhatNoNonTestRootReaches) {
   EXPECT_EQ(flagged, (std::vector<std::string>{"'kTestOnly'", "'Probe'",
                                                "'Unnamed'", "'TestOnlyFree'"}))
       << FormatFindings(f);
+  fs::remove_all(root);
+}
+
+// A root file reaches a header's names only through its #include closure: a
+// token in a file that cannot see the header (a local variable, another
+// class's member of the same name) reaches nothing.
+TEST(LintTestOnlyApiTest, CountsANameOnlyWhereItsHeaderIsIncluded) {
+  namespace fs = std::filesystem;
+  const fs::path root =
+      fs::path(::testing::TempDir()) / "ring_lint_include_reach";
+  fs::remove_all(root);
+  for (const char* dir : {"src/core", "tools", "tests"}) {
+    fs::create_directories(root / dir);
+  }
+  auto write = [](const fs::path& p, const std::string& text) {
+    std::ofstream(p) << text;
+  };
+  write(root / "src" / "core" / "api.h",
+        "namespace fixture {\n"
+        "class Engine {\n"
+        " public:\n"
+        "  int Direct() const;\n"
+        "  int Transitive() const;\n"
+        "  int running() const;\n"
+        "};\n"
+        "}  // namespace fixture\n");
+  write(root / "src" / "core" / "wrap.h",
+        "#include \"src/core/api.h\"\n"
+        "namespace fixture {\n"
+        "inline int Wrapped() { return 1; }\n"
+        "}  // namespace fixture\n");
+  write(root / "tools" / "main.cc",
+        "#include \"src/core/api.h\"\n"
+        "int main() { return fixture::Engine().Direct(); }\n");
+  write(root / "tools" / "other.cc",
+        "#include \"src/core/wrap.h\"\n"
+        "int Other() {\n"
+        "  return fixture::Wrapped() + fixture::Engine().Transitive();\n"
+        "}\n");
+  write(root / "tools" / "unrelated.cc",
+        "int Unrelated() { bool running = true; return running ? 1 : 0; }\n");
+  write(root / "tests" / "api_test.cc",
+        "#include \"src/core/api.h\"\n"
+        "int v = fixture::Engine().running();\n");
+
+  const auto f = LintTestOnlyApi(root.string());
+  ASSERT_EQ(f.size(), 1u) << FormatFindings(f);
+  EXPECT_EQ(f[0].file, "src/core/api.h");
+  EXPECT_EQ(f[0].line, 6);
+  EXPECT_EQ(f[0].message.substr(0, f[0].message.find(' ')), "'running'")
+      << f[0].message;
   fs::remove_all(root);
 }
 
