@@ -207,8 +207,9 @@ class EarlyGcSet {
   };
   std::vector<Entry>::const_iterator FindRecord(const Key& key,
                                                 Version version) const;
-  // Oldest first. Usually empty: a record lives only while its write waits
-  // in the queue.
+  // Oldest first. A record lives while its write waits in the CPU queue, so
+  // under saturation the set is seldom empty: on e2e put_saturate (seed 1)
+  // a store held up to 179 records, and a Consume scanned 36 on average.
   std::vector<Entry> records_;
 };
 

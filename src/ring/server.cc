@@ -1,7 +1,6 @@
 #include "src/ring/server.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "src/common/hash.h"
 #include "src/gf/gf256.h"
@@ -36,7 +35,7 @@ uint64_t EntryWord(const HashedKey& key, Version version) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// ShardStore / ParityStore
+// ShardStore
 
 std::pair<uint64_t, uint32_t> ShardStore::Allocate(uint32_t len) {
   // First fit over freed regions: reuse keeps the address space compact and
@@ -60,30 +59,8 @@ std::pair<uint64_t, uint32_t> ShardStore::Allocate(uint32_t len) {
   }
   const uint64_t addr = next_addr;
   next_addr += len;
-  EnsureSize(next_addr);
+  heap.Grow(next_addr);
   return {addr, len};
-}
-
-void ShardStore::EnsureSize(uint64_t size) {
-  if (heap.size() < size) {
-    heap.resize(size, 0);
-  }
-}
-
-void ShardStore::Write(uint64_t addr, ByteSpan bytes) {
-  EnsureSize(addr + bytes.size());
-  std::copy(bytes.begin(), bytes.end(), heap.begin() + addr);
-}
-
-ByteSpan ShardStore::Read(uint64_t addr, uint32_t len) const {
-  assert(addr + len <= heap.size());
-  return ByteSpan(heap.data() + addr, len);
-}
-
-void RingServer::ParityStore::EnsureSize(uint64_t size) {
-  if (mem.size() < size) {
-    mem.resize(size, 0);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -520,14 +497,16 @@ void RingServer::StartWrite(const MemgestInfo& info, uint32_t shard,
   // taken before the heap write (paper §3.2 "Update").
   std::shared_ptr<Buffer> delta;
   if (info.erasure_coded() && len > 0) {
-    store.EnsureSize(addr + len);
+    store.heap.Grow(addr + len);
     delta = std::make_shared<Buffer>(value->begin(), value->end());
-    gf::AddRegion(store.Read(addr, len), *delta);
+    store.heap.ForEachSpan(addr, len, [&delta](ByteSpan old, uint64_t at) {
+      gf::AddRegion(old, MutableByteSpan(delta->data() + at, old.size()));
+    });
   }
   if (len > 0) {
     NoteAccess(RegionKind::kHeap, AccessKind::kWrite, ScopeOf(info.id, shard),
                addr, addr + len, "start_write/heap");
-    store.Write(addr, *value);
+    store.heap.Write(addr, *value);
   }
   ++store.write_seq;
   ++state.log_len;
@@ -729,7 +708,7 @@ void RingServer::HandleBackupWrite(BackupWrite msg) {
         NoteAccess(RegionKind::kHeap, AccessKind::kWrite,
                    ScopeOf(msg.memgest, msg.shard), msg.addr,
                    msg.addr + msg.len, "replica_append/heap");
-        backup.Write(msg.addr, *msg.payload);
+        backup.heap.Write(msg.addr, *msg.payload);
       }
     }
     ++state.log_len;
@@ -761,16 +740,20 @@ void RingServer::ApplyParityBytes(const MemgestInfo& info,
   for (const auto& seg : segments) {
     max_extent = std::max(max_extent, seg.parity_offset + seg.length);
   }
-  parity.EnsureSize(max_extent);
+  parity.mem.Grow(max_extent);
   uint64_t consumed = 0;
   for (const auto& seg : segments) {
     NoteAccess(RegionKind::kParityStrip, AccessKind::kWrite,
                ScopeOf(info.id, GeomKey(geom, group)), seg.parity_offset,
                seg.parity_offset + seg.length, "parity_update/strip");
-    gf::MulAddRegion(
-        code->rs().Coefficient(parity.parity_index, seg.rs_block),
-        ByteSpan(msg.payload->data() + consumed, seg.length),
-        MutableByteSpan(parity.mem.data() + seg.parity_offset, seg.length));
+    const uint8_t coeff =
+        code->rs().Coefficient(parity.parity_index, seg.rs_block);
+    const uint8_t* delta = msg.payload->data() + consumed;
+    parity.mem.ForEachSpan(
+        seg.parity_offset, seg.length,
+        [coeff, delta](MutableByteSpan strip, uint64_t at) {
+          gf::MulAddRegion(coeff, ByteSpan(delta + at, strip.size()), strip);
+        });
     consumed += seg.length;
   }
 }
@@ -1200,8 +1183,7 @@ void RingServer::CopyForGet(const MemgestInfo& info, uint32_t shard,
     NoteAccess(RegionKind::kHeap, AccessKind::kRead,
                ScopeOf(info_ptr->id, shard), addr, addr + len, "get/heap");
     auto data = std::make_shared<Buffer>();
-    const ByteSpan bytes = live.store->Read(addr, len);
-    data->assign(bytes.begin(), bytes.end());
+    live.store->heap.AppendTo(addr, len, *data);
     ReplyToClient(req.client, req.req_id, kReplyBytes + len,
                   GetResult{OkStatus(), version, std::move(data)});
   });
@@ -1326,8 +1308,7 @@ void RingServer::HandleMove(MoveRequest req) {
                        ScopeOf(src->id, shard), addr, addr + len,
                        "move/heap");
             auto value = std::make_shared<Buffer>();
-            const ByteSpan bytes = live.store->Read(addr, len);
-            value->assign(bytes.begin(), bytes.end());
+            live.store->heap.AppendTo(addr, len, *value);
             const Version version = volatile_index_.NextVersion(req.key);
             // The re-encoded copy stays under the geometry the key is
             // currently served at: migration to the new shape is the
@@ -1565,12 +1546,8 @@ Buffer RingServer::ReadRawForRecovery(MemgestId memgest, uint32_t shard,
     return out;
   }
   const ShardStore* store = it->second.stores.Find(GeomKey(geom_s, shard));
-  if (store == nullptr) {
-    return out;
-  }
-  const Buffer& heap = store->heap;
-  for (uint32_t i = 0; i < len && addr + i < heap.size(); ++i) {
-    out[i] = heap[addr + i];
+  if (store != nullptr) {
+    store->heap.CopyOut(addr, out);
   }
   return out;
 }
@@ -1587,12 +1564,8 @@ Buffer RingServer::ReadRawParity(MemgestId memgest, uint32_t group,
     return out;
   }
   auto git = it->second.parity.find(GeomKey(geom_s, group));
-  if (git == it->second.parity.end()) {
-    return out;
-  }
-  const Buffer& mem = git->second.mem;
-  for (uint32_t i = 0; i < len && addr + i < mem.size(); ++i) {
-    out[i] = mem[addr + i];
+  if (git != it->second.parity.end()) {
+    git->second.mem.CopyOut(addr, out);
   }
   return out;
 }

@@ -27,6 +27,7 @@
 #include "src/consensus/config.h"
 #include "src/net/fabric.h"
 #include "src/ring/metadata.h"
+#include "src/ring/page_store.h"
 #include "src/ring/registry.h"
 #include "src/ring/seq_window.h"
 #include "src/ring/types.h"
@@ -118,8 +119,11 @@ struct AdminRequest {
 // node holds one for each shard it backs: a replica's mirror, or a parity
 // node's copy of the table, whose bytes go into the strip (§5.4: parity
 // nodes store more metadata than data nodes) and whose heap stays empty.
+// Keep it within 216 B (208 today): get_100node holds about 29,400 stores
+// in 224-B malloc chunks, so a larger one moves its peak RSS (DESIGN.md
+// §20).
 struct ShardStore {
-  Buffer heap;
+  PageStore heap;
   uint64_t next_addr = 0;
   uint64_t write_seq = 0;  // fencing counter for parity rebuild
   // Freed regions (addr, len), oldest first from free_head on; Allocate
@@ -137,9 +141,6 @@ struct ShardStore {
   // Reuses a freed region when possible (keeps parity deltas cheap),
   // otherwise extends the heap. Returns (addr, region_len).
   std::pair<uint64_t, uint32_t> Allocate(uint32_t len);
-  void EnsureSize(uint64_t size);
-  void Write(uint64_t addr, ByteSpan bytes);
-  ByteSpan Read(uint64_t addr, uint32_t len) const;
 };
 
 // At-most-once table of a server's client mutations: the last kWindow
@@ -459,14 +460,12 @@ class RingServer {
   // records live in the node's stores, as a replica's do.
   struct ParityStore {
     uint32_t parity_index = 0;
-    Buffer mem;
+    PageStore mem;
     // False on a freshly promoted parity node until the buffer is
     // reconstructed from the data shards; unrebuilt parity must not serve
     // decodes and queues incoming updates.
     bool rebuilt = true;
     std::vector<BackupWrite> queued;
-
-    void EnsureSize(uint64_t size);
   };
 
   // A memgest's shard stores sorted by GeomKey: lookups binary-search one

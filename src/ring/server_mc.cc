@@ -62,8 +62,10 @@ uint64_t RingServer::McStateDigest() const {
         }
         uint64_t vh = kFnvOffset;
         if (e.data_present && !e.tombstone) {
-          const ByteSpan bytes = store->Read(e.addr, e.len);
-          HashBytes(vh, bytes.data(), bytes.size());
+          store->heap.ForEachSpan(e.addr, e.len,
+                                  [&vh](ByteSpan bytes, uint64_t) {
+                                    HashBytes(vh, bytes.data(), bytes.size());
+                                  });
         }
         tuples.push_back(DigestTuple{gid, store_key, key, e.version,
                                      e.tombstone, vh});

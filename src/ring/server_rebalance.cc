@@ -187,8 +187,7 @@ void RingServer::SendInstall(const MemgestInfo& info, const HashedKey& key,
       tombstone = true;
     } else {
       value = std::make_shared<Buffer>();
-      const ByteSpan bytes = loc.store->Read(e->addr, e->len);
-      value->assign(bytes.begin(), bytes.end());
+      loc.store->heap.AppendTo(e->addr, e->len, *value);
     }
     break;
   }

@@ -330,7 +330,7 @@ void RingServer::HandleMetaFetchReply(uint64_t fetch_id,
       // new puts racing with background data recovery would overwrite the
       // surviving replica/parity copies they are recovered from.
       store.next_addr = std::max(store.next_addr, high_water);
-      store.EnsureSize(store.next_addr);
+      store.heap.Grow(store.next_addr);
       // The write sequence stays monotonic and clears every survivor's
       // replay fence, so no new backup write reads as a replay.
       store.write_seq =
@@ -461,7 +461,7 @@ void RingServer::EnsureDataPresent(const MemgestInfo& info, uint32_t shard,
     NoteAccess(RegionKind::kHeap, AccessKind::kWrite,
                ScopeOf(info_ptr->id, shard), e->addr,
                e->addr + bytes->size(), "recovery/block_install");
-    sh.Write(e->addr, *bytes);
+    sh.heap.Write(e->addr, *bytes);
     sh.meta.MarkBytesPresent(*e);
     ++counters_.blocks_recovered;
     hub().metrics().Inc("recovery.blocks", 1, id_, info_ptr->id,
@@ -819,7 +819,7 @@ void RingServer::AssembleParity(
     NoteAccess(RegionKind::kParityStrip, AccessKind::kWrite,
                ScopeOf(info_ptr->id, GeomKey(geom, group)), 0, UINT64_MAX,
                "parity_rebuild/strip");
-    std::fill(par.mem.begin(), par.mem.end(), 0);
+    par.mem.Zero();
     // Collect every (coefficient, source, parity range) contribution
     // first, then fuse: segments from different shards that map to the
     // same parity range (same mini-stripe cell) are accumulated in one
@@ -847,7 +847,7 @@ void RingServer::AssembleParity(
         max_extent = std::max(max_extent, seg.parity_offset + seg.length);
       }
     }
-    par.EnsureSize(max_extent);
+    par.mem.Grow(max_extent);
     std::sort(contribs.begin(), contribs.end(),
               [](const Contribution& a, const Contribution& b) {
                 return a.parity_offset != b.parity_offset
@@ -859,18 +859,24 @@ void RingServer::AssembleParity(
     for (size_t i = 0; i < contribs.size();) {
       size_t j = i;
       coeffs.clear();
-      srcs.clear();
       while (j < contribs.size() &&
              contribs[j].parity_offset == contribs[i].parity_offset &&
              contribs[j].length == contribs[i].length) {
         coeffs.push_back(contribs[j].coeff);
-        srcs.push_back(contribs[j].src);
         ++j;
       }
-      gf::MulAddRegionMulti(
-          coeffs, std::span<const uint8_t* const>(srcs),
-          MutableByteSpan(par.mem.data() + contribs[i].parity_offset,
-                          contribs[i].length));
+      // A cell may straddle a page of the strip: each page span takes the
+      // sources from the same distance into the cell.
+      par.mem.ForEachSpan(
+          contribs[i].parity_offset, contribs[i].length,
+          [&](MutableByteSpan strip, uint64_t at) {
+            srcs.clear();
+            for (size_t c = i; c < j; ++c) {
+              srcs.push_back(contribs[c].src + at);
+            }
+            gf::MulAddRegionMulti(
+                coeffs, std::span<const uint8_t* const>(srcs), strip);
+          });
       i = j;
     }
     par.rebuilt = true;

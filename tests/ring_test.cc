@@ -18,6 +18,7 @@
 #include "src/common/rng.h"
 #include "src/gf/gf256.h"
 #include "src/ring/cluster.h"
+#include "src/ring/page_store.h"
 #include "src/ring/seq_window.h"
 
 namespace ring {
@@ -430,6 +431,154 @@ TEST(MetadataTableTest, MatchesMapReferenceOnRandomSteps) {
         << "never drained, seed " << seed;
     ASSERT_EQ(VisitOrder(table), VisitOrder(ref)) << "seed " << seed;
     ASSERT_EQ(table.entries_without_bytes(), WithoutBytes(ref));
+  }
+}
+
+// True when `store` holds exactly the bytes of `ref`, read by one span
+// visit over the whole space, which must tile it in address order with
+// each span inside one page.
+bool MatchesFlat(const PageStore& store, const Buffer& ref,
+                 const std::string& where) {
+  uint64_t next = 0;
+  bool equal = store.size() == ref.size();
+  store.ForEachSpan(0, store.size(), [&](ByteSpan span, uint64_t at) {
+    EXPECT_EQ(at, next) << where << ": spans out of order";
+    EXPECT_FALSE(span.empty()) << where;
+    EXPECT_EQ(at / PageStore::kPageBytes,
+              (at + span.size() - 1) / PageStore::kPageBytes)
+        << where << ": span crosses a page";
+    equal = equal && at + span.size() <= ref.size() &&
+            std::equal(span.begin(), span.end(), ref.begin() + at);
+    next = at + span.size();
+  });
+  EXPECT_EQ(next, store.size()) << where << ": spans miss bytes";
+  return equal && next == ref.size();
+}
+
+// An address within `slack` bytes of a page boundary at or below `limit`,
+// so ranges starting there straddle pages.
+uint64_t NearBoundary(Rng& rng, uint64_t limit, uint64_t slack) {
+  const uint64_t pages = limit / PageStore::kPageBytes;
+  if (pages == 0) {
+    return rng.NextBelow(limit + 1);
+  }
+  const uint64_t boundary = (1 + rng.NextBelow(pages)) * PageStore::kPageBytes;
+  return boundary - std::min(boundary, rng.NextBelow(slack + 1));
+}
+
+TEST(PageStoreTest, MatchesFlatReferenceOnRandomSteps) {
+  // Three words, as the vector was, so a ShardStore stays within 216 B:
+  // get_100node holds about 29,400 stores (DESIGN.md §20.4).
+  static_assert(sizeof(PageStore) == 3 * sizeof(void*));
+  static_assert(sizeof(ShardStore) <= 216);
+  constexpr uint64_t kPage = PageStore::kPageBytes;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    // Dirty the allocator, so a grow that skips its zero-fill reads the
+    // bytes of a freed page.
+    {
+      PageStore dirty;
+      dirty.Write(0, Buffer(2 * kPage + rng.NextBelow(kPage), 0xA5));
+    }
+    const uint64_t cap = kPage / 2 + rng.NextBelow(4 * kPage);
+    PageStore store;
+    Buffer ref;
+    for (int step = 0; step < 250; ++step) {
+      const std::string where =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      const uint64_t op = rng.NextBelow(100);
+      if (op < 20) {
+        // Grow: small, to an exact page multiple, one byte past a page, a
+        // multi-page jump, or to no more than the size (no change).
+        const uint64_t kind = rng.NextBelow(5);
+        const uint64_t next_page = (ref.size() / kPage + 1) * kPage;
+        uint64_t size = ref.size() + 1 + rng.NextBelow(5000);
+        if (kind == 1) {
+          size = next_page;
+        } else if (kind == 2) {
+          size = next_page + 1;
+        } else if (kind == 3) {
+          size = ref.size() + kPage + rng.NextBelow(2 * kPage);
+        } else if (kind == 4) {
+          size = rng.NextBelow(ref.size() + 1);
+        }
+        if (size > cap) {
+          continue;
+        }
+        const uint64_t old = store.size();
+        store.Grow(size);
+        if (size > ref.size()) {
+          ref.resize(size, 0);
+        }
+        ASSERT_EQ(store.size(), ref.size()) << where;
+        store.ForEachSpan(old, store.size() - old,
+                          [&](ByteSpan span, uint64_t) {
+                            ASSERT_TRUE(std::all_of(
+                                span.begin(), span.end(),
+                                [](uint8_t b) { return b == 0; }))
+                                << where << ": grown bytes not zero";
+                          });
+      } else if (op < 45) {
+        // Write, often straddling a boundary, sometimes past the end.
+        const uint64_t len = 1 + rng.NextBelow(3 * 4096);
+        const uint64_t addr =
+            NearBoundary(rng, std::min(cap - len, ref.size() + len), len);
+        const Buffer bytes = MakePatternBuffer(len, rng.NextU64());
+        store.Write(addr, bytes);
+        if (addr + len > ref.size()) {
+          ref.resize(addr + len, 0);
+        }
+        std::copy(bytes.begin(), bytes.end(), ref.begin() + addr);
+      } else if (op < 60) {
+        // Append a range to a buffer that already holds bytes.
+        const uint64_t len = rng.NextBelow(std::min<uint64_t>(ref.size(),
+                                                              3 * 4096) + 1);
+        const uint64_t addr = std::min(
+            NearBoundary(rng, ref.size(), len), ref.size() - len);
+        Buffer out(rng.NextBelow(9), 0x5A);
+        Buffer want = out;
+        want.insert(want.end(), ref.begin() + addr, ref.begin() + addr + len);
+        store.AppendTo(addr, len, out);
+        ASSERT_EQ(out, want) << where;
+      } else if (op < 75) {
+        // Bounded copy: the part past the end keeps the buffer's bytes.
+        const uint64_t len = rng.NextBelow(3 * 4096);
+        const uint64_t addr = NearBoundary(rng, ref.size() + 100, len);
+        Buffer out(len, 0xC3);
+        Buffer want = out;
+        for (uint64_t i = 0; i < len && addr + i < ref.size(); ++i) {
+          want[i] = ref[addr + i];
+        }
+        store.CopyOut(addr, out);
+        ASSERT_EQ(out, want) << where;
+      } else if (op < 95) {
+        // A mutable visit XORs a pattern in; the spans tile the range.
+        const uint64_t len = rng.NextBelow(std::min<uint64_t>(ref.size(),
+                                                              2 * kPage) + 1);
+        const uint64_t addr = std::min(
+            NearBoundary(rng, ref.size(), len), ref.size() - len);
+        const Buffer pattern = MakePatternBuffer(len, rng.NextU64());
+        uint64_t next = 0;
+        store.ForEachSpan(addr, len, [&](MutableByteSpan span, uint64_t at) {
+          ASSERT_EQ(at, next) << where << ": spans out of order";
+          ASSERT_FALSE(span.empty()) << where;
+          ASSERT_EQ((addr + at) / kPage, (addr + at + span.size() - 1) / kPage)
+              << where << ": span crosses a page";
+          for (size_t i = 0; i < span.size(); ++i) {
+            span[i] ^= pattern[at + i];
+          }
+          next = at + span.size();
+        });
+        ASSERT_EQ(next, len) << where << ": spans miss bytes";
+        for (uint64_t i = 0; i < len; ++i) {
+          ref[addr + i] ^= pattern[i];
+        }
+      } else {
+        store.Zero();
+        std::fill(ref.begin(), ref.end(), 0);
+      }
+      ASSERT_TRUE(MatchesFlat(store, ref, where)) << where << ": bytes differ";
+    }
   }
 }
 
@@ -1069,6 +1218,59 @@ TEST_F(RingKvsTest, CoordinatorFailureRecoversErasureCodedData) {
     ASSERT_TRUE(got.ok()) << key;
     EXPECT_EQ(*got, value) << key;  // decoded via parity, byte-exact
   }
+}
+
+TEST_F(RingKvsTest, Srs32ParityAndDecodeAcrossHeapPages) {
+  // 3000-B values do not divide a heap page, so regions straddle page
+  // boundaries of the data heaps and, through the address map, of the
+  // parity strips. Every data heap passes two pages.
+  constexpr int kKeys = 2400;
+  constexpr size_t kValueBytes = 3000;
+  const auto value_of = [](int i, int round) {
+    return MakePatternBuffer(kValueBytes, 7919 * i + round);
+  };
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(
+        cluster_->Put("page-" + std::to_string(i), value_of(i, 0), srs32_)
+            .ok())
+        << i;
+  }
+  // Each overwrite takes a region an earlier version freed, so its delta
+  // XORs the old bytes, across a page boundary where the region straddles.
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(
+        cluster_->Put("page-" + std::to_string(i), value_of(i, 1), srs32_)
+            .ok())
+        << i;
+  }
+  cluster_->RunFor(5 * sim::kMillisecond);  // drain async GC notices
+  for (uint32_t shard = 0; shard < 3; ++shard) {
+    EXPECT_GT(cluster_->server(shard).HeapExtent(srs32_, shard, 3),
+              2 * PageStore::kPageBytes)
+        << "shard " << shard;
+  }
+  ExpectParityMatchesData(*cluster_, srs32_);
+  for (int i = 0; i < kKeys; ++i) {
+    const Key key = "page-" + std::to_string(i);
+    ASSERT_TRUE(cluster_->Move(key, rep3_).ok()) << key;
+    ASSERT_TRUE(cluster_->Move(key, srs32_).ok()) << key;
+    auto got = cluster_->Get(key);
+    ASSERT_TRUE(got.ok()) << key;
+    ASSERT_EQ(*got, value_of(i, 1)) << key;
+  }
+  cluster_->RunFor(5 * sim::kMillisecond);
+  ExpectParityMatchesData(*cluster_, srs32_);
+  // Node 1 holds data shard 1; its spare decodes the shard's bytes from
+  // the surviving heaps and the parity strips.
+  cluster_->KillNode(1, /*force_detect=*/true);
+  cluster_->RunFor(2 * sim::kMillisecond);
+  for (int i = 0; i < kKeys; ++i) {
+    const Key key = "page-" + std::to_string(i);
+    auto got = cluster_->Get(key);
+    ASSERT_TRUE(got.ok()) << key;
+    ASSERT_EQ(*got, value_of(i, 1)) << key;
+  }
+  EXPECT_GT(cluster_->server(5).counters().blocks_recovered, 0u);
 }
 
 TEST_F(RingKvsTest, UnreliableMemgestLosesDataOnFailure) {
