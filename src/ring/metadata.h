@@ -49,14 +49,10 @@ struct PendingWrite {
   // replicated scheme and the parity delta for an erasure-coded one.
   uint64_t seq = 0;
   std::shared_ptr<Buffer> payload;
-  // Work released at commit time: the write's own completion (StartWrite's
-  // on_commit) and the readers and movers parked on it (Fig. 5's client D).
-  // Each runs under the op it was parked under, not the committing write's.
-  struct Waiter {
-    uint64_t op = 0;
-    std::function<void()> fn;
-  };
-  std::vector<Waiter> waiters;
+  // The server ops resumed at commit time, by id (RingServer's op table):
+  // first the write's own op, then the readers, movers and migrations
+  // parked on it (Fig. 5's client D) in the order they parked.
+  std::vector<uint64_t> waiters;
 };
 
 // The fields a metadata snapshot carries: everything but the in-flight

@@ -1,6 +1,7 @@
 #include "src/ring/server.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "src/common/hash.h"
 #include "src/gf/gf256.h"
@@ -284,9 +285,9 @@ std::optional<RingServer::RouteAction> RingServer::Route(
   return std::nullopt;
 }
 
-template <typename Reply>
+template <typename Value>
 void RingServer::ReplyToClient(net::NodeId client, uint64_t req_id,
-                               uint64_t bytes, Reply reply) {
+                               uint64_t bytes, Value reply) {
   RingRuntime* rt = rt_;
   rt_->fabric().Send(id_, client, bytes,
                      [rt, client, req_id, reply = std::move(reply)]() mutable {
@@ -318,10 +319,150 @@ bool RingServer::ClaimClientOp(net::NodeId client, uint64_t req_id) {
   return false;
 }
 
-void RingServer::ReplyToClientOnce(net::NodeId client, uint64_t req_id,
-                                   WriteReply reply) {
-  client_op_window_.RecordReply(client, req_id, reply);
-  ReplyToClient(client, req_id, kReplyBytes, std::move(reply));
+// ---------------------------------------------------------------------------
+// Server ops (DESIGN.md §21)
+
+RingServer::ServerOp& RingServer::OpTable::Emplace(uint64_t trace_op,
+                                                   ServerOp::Request req) {
+  if (free_.empty()) {
+    free_.push_back(static_cast<uint32_t>(slots_.size()));
+    slots_.emplace_back();
+  }
+  ServerOp& op = slots_[free_.back()];
+  op.id = free_.back();
+  free_.pop_back();
+  op.trace_op = trace_op;
+  op.req = std::move(req);
+  Await(op, ServerOp::Step::kAdmit);
+  return op;
+}
+
+void RingServer::OpTable::Erase(uint64_t id) {
+  if (ServerOp* op = Find(id); op != nullptr) {
+    // Releases the request, whose claims may end other ops; id 0 marks the
+    // slot free.
+    *op = ServerOp{};
+    free_.push_back(static_cast<uint32_t>(id & kSlotMask));
+  }
+}
+
+void RingServer::OpTable::Clear() {
+  std::deque<ServerOp> ended;
+  ended.swap(slots_);
+  free_.clear();
+}
+
+sim::SimTime RingServer::Admit(ServerOp::Request req, uint64_t cost_ns,
+                               const MemgestInfo* info) {
+  if (!IsAlive()) {
+    return 0;
+  }
+  ServerOp& op = ops_->Emplace(hub().current_op(), std::move(req));
+  op.info = info;
+  return Charge(op, ServerOp::Step::kAdmit, cost_ns);
+}
+
+RingServer::OpClaim RingServer::Claim(uint64_t id) {
+  struct Hold {
+    std::weak_ptr<OpTable> ops;
+    uint64_t id;
+    // An answered op waits under a newer id, or ended: nothing to erase.
+    ~Hold() {
+      if (const auto ops_alive = ops.lock()) {
+        ops_alive->Erase(id);
+      }
+    }
+  };
+  const auto hold = std::make_shared<Hold>(ops_, id);
+  return OpClaim(hold, &hold->id);
+}
+
+sim::SimTime RingServer::Charge(ServerOp& op, ServerOp::Step step,
+                                uint64_t cost_ns) {
+  return OnCpu(cost_ns, [this, id = ops_->Await(op, step)] { Advance(id); });
+}
+
+void RingServer::Advance(uint64_t id) {
+  ServerOp* op = ops_->Find(id);
+  if (op == nullptr) {
+    return;  // the op ended (a restart clears the table), or moved on
+  }
+  // Every continuation runs under the op that created the record.
+  assert(hub().current_op() == op->trace_op);
+  switch (op->step) {
+    case ServerOp::Step::kAdmit:
+      if (!serving_) {
+        End(*op);
+        return;
+      }
+      std::visit([this, op](auto& req) { Serve(*op, req); }, op->req);
+      return;
+    case ServerOp::Step::kWrite:
+      if (std::holds_alternative<MigrateKey>(op->req)) {
+        SendInstall(*op);  // the moved-marker committed
+      } else if (std::holds_alternative<InstallKey>(op->req)) {
+        AckInstall(*op, OkStatus());
+      } else {  // a put or move replies its version; a delete replies 0
+        Reply(*op, WriteReply{OkStatus(),
+                              std::holds_alternative<DeleteRequest>(op->req)
+                                  ? 0
+                                  : op->version});
+      }
+      return;
+    case ServerOp::Step::kParked:
+      if (std::holds_alternative<GetRequest>(op->req)) {
+        // The blocked interval is the reader's wait.
+        hub().tracer().Record("get_deferred", obs::Category::kQuorum, id_,
+                              op->trace_op, op->since,
+                              rt_->simulator().now());
+        DeliverGet(*op, StoreEntry(*op->info, op->shard, op->geom,
+                                   ReadKey(*op), op->version)
+                            .entry);
+        return;
+      }
+      // A move or migration runs again from its admission. A move already
+      // claimed its at-most-once slot, so it must skip the claim: the dedup
+      // table would swallow it and the client would never hear back.
+      if (auto* move = std::get_if<MoveRequest>(&op->req)) {
+        move->resumed = true;
+      }
+      Charge(*op, ServerOp::Step::kAdmit,
+             rt_->simulator().params().server_base_ns);
+      return;
+    case ServerOp::Step::kCopy:
+      CopyOut(*op);
+      return;
+    case ServerOp::Step::kBytes:  // resumed by HandleBlockReply
+    case ServerOp::Step::kAck:    // resumed by HandleInstallAck
+      return;
+  }
+}
+
+void RingServer::EndWaiters(const MetaEntry& entry) {
+  if (entry.pending != nullptr) {
+    for (const uint64_t id : entry.pending->waiters) {
+      ops_->Erase(id);
+    }
+  }
+}
+
+void RingServer::Reply(ServerOp& op, GetResult result) {
+  const GetRequest& req = std::get<GetRequest>(op.req);
+  const uint64_t bytes = kReplyBytes + (result.data ? result.data->size() : 0);
+  ReplyToClient(req.client, req.req_id, bytes, std::move(result));
+  End(op);
+}
+
+void RingServer::Reply(ServerOp& op, WriteReply reply) {
+  std::visit(
+      [this, &reply](const auto& req) {
+        if constexpr (requires { req.req_id; }) {
+          client_op_window_.RecordReply(req.client, req.req_id, reply);
+          ReplyToClient(req.client, req.req_id, kReplyBytes, std::move(reply));
+        }
+      },
+      op.req);
+  End(op);
 }
 
 // ---------------------------------------------------------------------------
@@ -452,42 +593,34 @@ void RingServer::HandlePut(PutRequest req) {
   } else if (info != nullptr) {
     cost += (info->desc.r - 1) * p.post_send_ns;
   }
-  const sim::SimTime done =
-      OnCpu(cost, [this, req = std::move(req), info, len]() mutable {
-        if (!serving_) {
-          return;
-        }
-        const std::optional<RouteAction> route =
-            Route<&RingServer::HandlePut>(req, len);
-        if (!route.has_value() || !ClaimClientOp(req.client, req.req_id)) {
-          return;  // duplicate: executed (reply resent) or still in flight
-        }
-        if (info == nullptr) {
-          ReplyToClientOnce(
-              req.client, req.req_id,
-              WriteReply{InvalidArgumentError("no such memgest")});
-          return;
-        }
-        ++counters_.puts;
-        hub().metrics().Inc("server.puts", 1, id_, info->id,
-                            obs::OpKind::kPut);
-        const Version version = volatile_index_.NextVersion(req.key);
-        StartWrite(*info, route->shard, req.key, version, req.value, false,
-                   [this, client = req.client, req_id = req.req_id, version] {
-                     ReplyToClientOnce(client, req_id,
-                                       WriteReply{OkStatus(), version});
-                   },
-                   route->geom_s);
-      });
+  const sim::SimTime done = Admit(std::move(req), cost, info);
   // The GF delta work is the tail of the put's CPU charge.
   TraceCodingTail("encode", hub().current_op(), done, coding_cost);
 }
 
-void RingServer::StartWrite(const MemgestInfo& info, uint32_t shard,
-                            const HashedKey& key, Version version,
-                            std::shared_ptr<Buffer> value, bool tombstone,
-                            std::function<void()> on_commit, uint32_t geom_s,
-                            bool moved) {
+void RingServer::Serve(ServerOp& op, PutRequest& req) {
+  const uint32_t len = req.value ? static_cast<uint32_t>(req.value->size()) : 0;
+  const std::optional<RouteAction> route =
+      Route<&RingServer::HandlePut>(req, len);
+  if (!route.has_value() || !ClaimClientOp(req.client, req.req_id)) {
+    End(op);  // forwarded, dropped, or a duplicate: executed (reply resent)
+    return;   // or still in flight
+  }
+  if (op.info == nullptr) {
+    Reply(op, WriteReply{InvalidArgumentError("no such memgest")});
+    return;
+  }
+  ++counters_.puts;
+  hub().metrics().Inc("server.puts", 1, id_, op.info->id, obs::OpKind::kPut);
+  op.version = volatile_index_.NextVersion(req.key);
+  StartWrite(op, *op.info, route->shard, req.key, op.version, req.value,
+             false, route->geom_s);
+}
+
+void RingServer::StartWrite(ServerOp& op, const MemgestInfo& info,
+                            uint32_t shard, const HashedKey& key,
+                            Version version, std::shared_ptr<Buffer> value,
+                            bool tombstone, uint32_t geom_s, bool moved) {
   MemgestState& state = StateOf(info);
   ShardStore& store = StoreOf(state, shard, geom_s);
   const uint32_t len = value ? static_cast<uint32_t>(value->size()) : 0;
@@ -534,7 +667,7 @@ void RingServer::StartWrite(const MemgestInfo& info, uint32_t shard,
   e.pending = std::make_unique<PendingWrite>();
   PendingWrite& pw = *e.pending;
   const uint64_t op_id = hub().current_op();
-  pw.waiters.push_back({op_id, std::move(on_commit)});
+  pw.waiters.push_back(ops_->Await(op, ServerOp::Step::kWrite));
   pw.trace_op = op_id;
   pw.seq = store.write_seq;
   pw.payload = info.erasure_coded() ? std::move(delta) : std::move(value);
@@ -602,8 +735,8 @@ void RingServer::SendAck(net::NodeId coordinator, const Ack& ack) {
                       [peer, ack] { peer->ApplyAck(ack); }, nullptr);
 }
 
-void RingServer::ParkUntilCommit(MetaEntry& entry, std::function<void()> fn) {
-  entry.Pending().waiters.push_back({hub().current_op(), std::move(fn)});
+void RingServer::ParkUntilCommit(MetaEntry& entry, ServerOp& op) {
+  entry.Pending().waiters.push_back(ops_->Await(op, ServerOp::Step::kParked));
 }
 
 // Periodic per-write repair: while the quorum round is un-acked, resend the
@@ -809,7 +942,7 @@ void RingServer::CommitEntry(const MemgestInfo& info, uint32_t shard,
              EntryWord(key, version) + 1, "commit/flag");
   entry.committed = true;
   // The write's in-flight state ends here; only its waiters outlive it.
-  std::vector<PendingWrite::Waiter> waiters;
+  std::vector<uint64_t> waiters;
   uint64_t trace_op = 0;
   uint64_t quorum_start = 0;
   if (entry.pending != nullptr) {
@@ -847,10 +980,12 @@ void RingServer::CommitEntry(const MemgestInfo& info, uint32_t shard,
   if (rt_->options().gc_old_versions && !moved_marker) {
     GcOldVersions(key, version);
   }
-  for (auto& waiter : waiters) {
-    // ring-lint: ok(server-admission) a waiter runs under its own op
-    obs::ScopedOp scope(hub(), waiter.op);
-    waiter.fn();
+  for (const uint64_t waiter : waiters) {
+    if (const ServerOp* op = ops_->Find(waiter); op != nullptr) {
+      // ring-lint: ok(server-admission) a waiter runs under its own op
+      obs::ScopedOp scope(hub(), op->trace_op);
+      Advance(waiter);
+    }
   }
 }
 
@@ -998,23 +1133,19 @@ void RingServer::InsertBackupMeta(ShardStore& backup, const BackupWrite& msg) {
 // Read path (paper §5.2, Fig. 5)
 
 void RingServer::HandleGet(GetRequest req) {
-  OnCpu(rt_->simulator().params().server_base_ns,
-        [this, req = std::move(req)]() mutable {
-          // Gets are not deduplicated: re-execution is side-effect free and
-          // the client's completion table drops whichever reply arrives
-          // second (a retry may race the original under fault injection).
-          // Routing (incl. the coordinator check) happens in ResolveGet so
-          // that re-entries after deferred commits re-route too.
-          if (serving_) {
-            ResolveGet(std::move(req));
-          }
-        });
+  // Gets are not deduplicated: re-execution is side-effect free and the
+  // client's completion table drops whichever reply arrives second (a retry
+  // may race the original under fault injection). Routing (incl. the
+  // coordinator check) happens in Serve, so a get that restarts or finds a
+  // moved marker re-routes too.
+  Admit(std::move(req), rt_->simulator().params().server_base_ns);
 }
 
-void RingServer::ResolveGet(GetRequest req) {
+void RingServer::Serve(ServerOp& op, GetRequest& req) {
   const std::optional<RouteAction> route =
       Route<&RingServer::HandleGet>(req, 0);
   if (!route.has_value()) {
+    End(op);
     return;
   }
   hub().metrics().Inc("server.gets", 1, id_, obs::kNoMemgest,
@@ -1023,48 +1154,44 @@ void RingServer::ResolveGet(GetRequest req) {
              req.key.hash(), req.key.hash() + 1, "get/version");
   const VolatileIndex::Ref* ref = volatile_index_.Highest(req.key);
   if (ref == nullptr) {
-    ReplyToClient(req.client, req.req_id, kReplyBytes,
-                  GetResult{NotFoundError("no such key"), 0, nullptr});
+    Reply(op, GetResult{NotFoundError("no such key"), 0, nullptr});
     return;
   }
-  const MemgestInfo* info = rt_->registry().Get(ref->memgest);
-  if (info == nullptr) {
-    ReplyToClient(req.client, req.req_id, kReplyBytes,
-                  GetResult{InternalError("memgest vanished"), 0, nullptr});
+  op.info = rt_->registry().Get(ref->memgest);
+  if (op.info == nullptr) {
+    Reply(op, GetResult{InternalError("memgest vanished"), 0, nullptr});
     return;
   }
   // The highest version may live under either live shape (§13): serve it
   // from wherever it is, independent of the route's (current) shard id.
-  const EntryLoc loc = EntryOf(*info, req.key, *ref);
-  const uint32_t shard = loc.entry != nullptr ? loc.shard : route->shard;
-  const uint32_t geom = loc.entry != nullptr ? loc.geom : route->geom_s;
+  const EntryLoc loc = EntryOf(*op.info, req.key, *ref);
+  op.shard = loc.entry != nullptr ? loc.shard : route->shard;
+  op.geom = loc.entry != nullptr ? loc.geom : route->geom_s;
   NoteAccess(RegionKind::kMetadata, AccessKind::kRead,
-             ScopeOf(info->id, shard), req.key.hash(), req.key.hash() + 1,
-             "get/meta");
-  DeliverGet(*info, shard, geom, loc.entry, std::move(req));
+             ScopeOf(op.info->id, op.shard), req.key.hash(),
+             req.key.hash() + 1, "get/meta");
+  DeliverGet(op, loc.entry);
 }
 
-void RingServer::DeliverGet(const MemgestInfo& info, uint32_t shard,
-                            uint32_t geom_s, MetaEntry* entry,
-                            GetRequest req) {
+void RingServer::DeliverGet(ServerOp& op, MetaEntry* entry) {
+  const GetRequest& req = std::get<GetRequest>(op.req);
   if (entry == nullptr) {
-    ReplyToClient(req.client, req.req_id, kReplyBytes,
-                  GetResult{InternalError("metadata missing"), 0, nullptr});
+    Reply(op, GetResult{InternalError("metadata missing"), 0, nullptr});
     return;
   }
   if (entry->moved) {
     // Handed over to the new-shape owner (§13); re-route — the forward path
-    // in ResolveGet sends the reader there.
-    ResolveGet(std::move(req));
+    // of Serve sends the reader there.
+    Serve(op, std::get<GetRequest>(op.req));
     return;
   }
   if (entry->tombstone) {
-    ReplyToClient(req.client, req.req_id, kReplyBytes,
-                  GetResult{NotFoundError("deleted"), 0, nullptr});
+    Reply(op, GetResult{NotFoundError("deleted"), 0, nullptr});
     return;
   }
   NoteAccess(RegionKind::kCommitFlag, AccessKind::kRead,
-             ScopeOf(info.id, shard), EntryWord(req.key, entry->version),
+             ScopeOf(op.info->id, op.shard),
+             EntryWord(req.key, entry->version),
              EntryWord(req.key, entry->version) + 1, "get/commit_flag");
   if (!entry->committed) {
     if (req.mode == ReadMode::kNonBlocking) {
@@ -1090,8 +1217,10 @@ void RingServer::DeliverGet(const MemgestInfo& info, uint32_t shard,
         hub().metrics().Inc("server.nonblocking_gets", 1, id_);
         hub().recorder().Record(obs::RecKind::kQuorum, "get_nonblocking", id_,
                                 hub().current_op(), older.entry->version);
-        DeliverGet(*vinfo, older.shard, older.geom, older.entry,
-                   std::move(req));
+        op.info = vinfo;
+        op.shard = older.shard;
+        op.geom = older.geom;
+        DeliverGet(op, older.entry);
         return;
       }
       // No committed version exists yet (first write of the key in flight):
@@ -1102,275 +1231,219 @@ void RingServer::DeliverGet(const MemgestInfo& info, uint32_t shard,
     hub().metrics().Inc("server.deferred_gets", 1, id_);
     hub().recorder().Record(obs::RecKind::kQuorum, "get_deferred", id_,
                             hub().current_op(), entry->version);
-    const sim::SimTime defer_start = rt_->simulator().now();
-    const Version version = entry->version;
-    const MemgestInfo* info_ptr = &info;
-    ParkUntilCommit(*entry, [this, info_ptr, shard, geom_s, version,
-                             defer_start, req = std::move(req)]() mutable {
-      // The blocked interval is the reader's wait.
-      hub().tracer().Record("get_deferred", obs::Category::kQuorum, id_,
-                            hub().current_op(), defer_start,
-                            rt_->simulator().now());
-      MetaEntry* e =
-          StoreEntry(*info_ptr, shard, geom_s, req.key, version).entry;
-      DeliverGet(*info_ptr, shard, geom_s, e, std::move(req));
-    });
-    return;
+    op.since = rt_->simulator().now();
   }
-  if (entry->data_present && PlacementFor(geom_s).has_value()) {
-    // The bytes are local: copy straight from the entry in hand.
-    CopyForGet(info, shard, geom_s, *entry, std::move(req));
-    return;
-  }
-  const Version version = entry->version;
-  const Key key = req.key.str();  // req is moved into the continuation
-  EnsureDataPresent(
-      info, shard, geom_s, key, version,
-      [this, info_ptr = &info, shard, geom_s, version,
-       req = std::move(req)](Status s) mutable {
-        if (s.code() == StatusCode::kDataLoss) {
-          ReplyToClient(req.client, req.req_id, kReplyBytes,
-                        GetResult{std::move(s), 0, nullptr});
-          return;
-        }
-        const MetaEntry* e =
-            s.ok() ? StoreEntry(*info_ptr, shard, geom_s, req.key, version)
-                         .entry
-                   : nullptr;
-        if (e == nullptr) {
-          // Collected (a put committed during the recovery) or its shape
-          // retired: a newer version or owner answers.
-          RestartGet(version, std::move(req));
-          return;
-        }
-        CopyForGet(*info_ptr, shard, geom_s, *e, std::move(req));
-      });
+  ReadEntry(op, *entry);
 }
 
-void RingServer::RestartGet(Version version, GetRequest req) {
+const HashedKey& RingServer::ReadKey(const ServerOp& op) {
+  const auto* get = std::get_if<GetRequest>(&op.req);
+  return get != nullptr ? get->key : std::get<MoveRequest>(op.req).key;
+}
+
+void RingServer::ReadEntry(ServerOp& op, MetaEntry& entry) {
+  op.version = entry.version;
+  if (!entry.committed) {
+    ParkUntilCommit(entry, op);
+    return;
+  }
+  if (entry.data_present && PlacementFor(op.geom).has_value()) {
+    ChargeCopy(op, entry);  // the bytes are local: copy from the entry in hand
+    return;
+  }
+  EnsureDataPresent(op, ReadKey(op).str());
+}
+
+void RingServer::BytesReady(ServerOp& op) {
+  if (auto* run = std::get_if<StoreRecovery>(&op.req)) {
+    ++run->next;
+    Serve(op, *run);
+    return;
+  }
+  if (op.recovered.code() == StatusCode::kDataLoss) {
+    if (std::holds_alternative<GetRequest>(op.req)) {
+      Reply(op, GetResult{std::move(op.recovered), 0, nullptr});
+    } else {
+      Reply(op, WriteReply{std::move(op.recovered)});
+    }
+    return;
+  }
+  const MetaEntry* e = op.recovered.ok() ? StoreEntry(*op.info, op.shard,
+                                                      op.geom, ReadKey(op),
+                                                      op.version)
+                                               .entry
+                                         : nullptr;
+  if (e == nullptr) {
+    // Collected (a put committed during the recovery) or its shape retired:
+    // a newer version or owner answers.
+    RestartRead(op);
+    return;
+  }
+  ChargeCopy(op, *e);
+}
+
+void RingServer::ChargeCopy(ServerOp& op, const MetaEntry& entry) {
+  const auto& p = rt_->simulator().params();
+  op.addr = entry.addr;
+  op.len = entry.len;
+  if (std::holds_alternative<GetRequest>(op.req)) {
+    Charge(op, ServerOp::Step::kCopy,
+           static_cast<uint64_t>(p.mem_byte_ns * entry.len) + p.post_send_ns);
+    return;
+  }
+  // Local read + re-encode into the destination memgest. All data is local
+  // thanks to the SRS shared key-to-node map — no distributed transaction
+  // (§5.2).
+  uint64_t cost =
+      p.server_base_ns + static_cast<uint64_t>(2 * p.mem_byte_ns * entry.len);
+  uint64_t coding_cost = 0;
+  if (op.dst->erasure_coded()) {
+    coding_cost = static_cast<uint64_t>(p.gf_byte_ns * entry.len);
+    cost += coding_cost + op.dst->desc.m * p.post_send_ns;
+  } else {
+    cost += (op.dst->desc.r - 1) * p.post_send_ns;
+  }
+  const sim::SimTime done = Charge(op, ServerOp::Step::kCopy, cost);
+  TraceCodingTail("encode", hub().current_op(), done, coding_cost);
+}
+
+void RingServer::CopyOut(ServerOp& op) {
+  const bool get = std::holds_alternative<GetRequest>(op.req);
+  if (!get && !serving_) {
+    End(op);
+    return;
+  }
+  // Validate-and-retry (the check backing the paper's optimistic one-sided
+  // reads): the version may have been garbage-collected — and its heap
+  // region reused by a newer write — while this copy was queued behind
+  // other CPU work. A move also restarts when a write added a newer
+  // version, which the old bytes must not bury. The op restarts against the
+  // current highest version.
+  const HashedKey& key = ReadKey(op);
+  const EntryLoc live =
+      StoreEntry(*op.info, op.shard, op.geom, key, op.version);
+  const MetaEntry* e = live.entry;
+  bool stale = e == nullptr || e->tombstone || !e->data_present ||
+               e->addr != op.addr;
+  if (get) {
+    stale = !rt_->options().test_bugs.no_gc_revalidate &&  // PR 5 bug 3
+            (stale || !e->committed);
+  } else {
+    const VolatileIndex::Ref* newest = volatile_index_.Highest(key);
+    stale = stale || newest == nullptr || newest->version != op.version;
+  }
+  if (stale) {
+    RestartRead(op);
+    return;
+  }
+  NoteAccess(RegionKind::kHeap, AccessKind::kRead,
+             ScopeOf(op.info->id, op.shard), op.addr, op.addr + op.len,
+             get ? "get/heap" : "move/heap");
+  auto data = std::make_shared<Buffer>();
+  live.store->heap.AppendTo(op.addr, op.len, *data);
+  if (get) {
+    Reply(op, GetResult{OkStatus(), op.version, std::move(data)});
+    return;
+  }
+  // The re-encoded copy stays under the geometry the key is currently
+  // served at: migration to the new shape is the rebalance driver's job,
+  // not the move path's.
+  op.version = volatile_index_.NextVersion(key);
+  StartWrite(op, *op.dst, op.shard, key, op.version, std::move(data), false,
+             op.geom);
+}
+
+void RingServer::RestartRead(ServerOp& op) {
   ++counters_.op_restarts;
   hub().metrics().Inc("server.op_restarts", 1, id_);
-  hub().recorder().Record(obs::RecKind::kRestart, "get_restart", id_,
-                          hub().current_op(), version);
-  ResolveGet(std::move(req));
-}
-
-void RingServer::CopyForGet(const MemgestInfo& info, uint32_t shard,
-                            uint32_t geom_s, const MetaEntry& entry,
-                            GetRequest req) {
-  const auto& p = rt_->simulator().params();
-  const uint64_t cost =
-      static_cast<uint64_t>(p.mem_byte_ns * entry.len) + p.post_send_ns;
-  const uint64_t addr = entry.addr;
-  const uint32_t len = entry.len;
-  const Version version = entry.version;
-  OnCpu(cost, [this, info_ptr = &info, shard, geom_s, addr, len, version,
-               req = std::move(req)]() mutable {
-    // Validate-and-retry (the check backing the paper's optimistic
-    // one-sided reads): the version may have been garbage-collected — and
-    // its heap region reused by a newer write — while this copy was queued
-    // behind other CPU work. Re-resolve; a newer committed version exists
-    // whenever that happens.
-    const EntryLoc live =
-        StoreEntry(*info_ptr, shard, geom_s, req.key, version);
-    if (!rt_->options().test_bugs.no_gc_revalidate &&  // PR 5 bug 3
-        (live.entry == nullptr || !live.entry->committed ||
-         live.entry->tombstone || !live.entry->data_present ||
-         live.entry->addr != addr)) {
-      RestartGet(version, std::move(req));
-      return;
-    }
-    NoteAccess(RegionKind::kHeap, AccessKind::kRead,
-               ScopeOf(info_ptr->id, shard), addr, addr + len, "get/heap");
-    auto data = std::make_shared<Buffer>();
-    live.store->heap.AppendTo(addr, len, *data);
-    ReplyToClient(req.client, req.req_id, kReplyBytes + len,
-                  GetResult{OkStatus(), version, std::move(data)});
-  });
+  const bool get = std::holds_alternative<GetRequest>(op.req);
+  hub().recorder().Record(obs::RecKind::kRestart,
+                          get ? "get_restart" : "move_restart", id_,
+                          hub().current_op(), op.version);
+  if (get) {
+    Serve(op, std::get<GetRequest>(op.req));
+    return;
+  }
+  std::get<MoveRequest>(op.req).resumed = true;
+  Charge(op, ServerOp::Step::kAdmit, rt_->simulator().params().server_base_ns);
 }
 
 // ---------------------------------------------------------------------------
 // Move / delete (paper §5.2, §6.2)
 
 void RingServer::HandleMove(MoveRequest req) {
-  OnCpu(rt_->simulator().params().server_base_ns,
-        [this, req = std::move(req)]() mutable {
-    if (!serving_) {
-      return;
-    }
-    const std::optional<RouteAction> route =
-        Route<&RingServer::HandleMove>(req, 0);
-    if (!route.has_value()) {
-      return;
-    }
-    if (!req.resumed && !ClaimClientOp(req.client, req.req_id)) {
-      return;  // duplicate: executed (reply resent) or still in flight
-    }
-    ++counters_.moves;
-    hub().metrics().Inc("server.moves", 1, id_, req.dst, obs::OpKind::kMove);
-    NoteAccess(RegionKind::kVersionWord, AccessKind::kRead, kVersionScope,
-               req.key.hash(), req.key.hash() + 1, "move/version");
-    const VolatileIndex::Ref* ref = volatile_index_.Highest(req.key);
-    if (ref == nullptr) {
-      ReplyToClientOnce(req.client, req.req_id,
-                        WriteReply{NotFoundError("no such key")});
-      return;
-    }
-    const MemgestInfo* dst = rt_->registry().Get(req.dst);
-    if (dst == nullptr) {
-      ReplyToClientOnce(req.client, req.req_id,
-                        WriteReply{InvalidArgumentError("no such memgest")});
-      return;
-    }
-    const MemgestInfo* src = rt_->registry().Get(ref->memgest);
-    if (src == nullptr) {
-      ReplyToClientOnce(req.client, req.req_id,
-                        WriteReply{InternalError("source memgest vanished")});
-      return;
-    }
-    const EntryLoc loc = EntryOf(*src, req.key, *ref);
-    MetaEntry* entry = loc.entry;
-    const uint32_t src_shard = entry != nullptr ? loc.shard : route->shard;
-    const uint32_t src_geom = entry != nullptr ? loc.geom : route->geom_s;
-    if (entry == nullptr || entry->tombstone) {
-      ReplyToClientOnce(req.client, req.req_id,
-                        WriteReply{NotFoundError("deleted")});
-      return;
-    }
-    if (!entry->committed) {
-      // "The move request will also be postponed if the requested object is
-      // not durable" (§5.2). The request already claimed its at-most-once
-      // slot above, so the re-invocation must skip the claim — otherwise
-      // the dedup table swallows the postponed move when the entry commits
-      // and the client never hears back (it would burn through all its
-      // retries, every one deduped, and report a spurious timeout).
-      ParkUntilCommit(*entry, [this, req]() mutable {
-        req.resumed = true;
-        HandleMove(std::move(req));
-      });
-      return;
-    }
-    const Version src_version = entry->version;
-    const Key key_copy = req.key.str();  // req is moved into the continuation
-    EnsureDataPresent(
-        *src, src_shard, src_geom, key_copy, src_version,
-        [this, src, dst, shard = src_shard, geom = src_geom, src_version,
-         req = std::move(req)](Status s) mutable {
-          if (s.code() == StatusCode::kDataLoss) {
-            ReplyToClientOnce(req.client, req.req_id,
-                              WriteReply{std::move(s)});
-            return;
-          }
-          const MetaEntry* e =
-              s.ok() ? StoreEntry(*src, shard, geom, req.key, src_version)
-                           .entry
-                     : nullptr;
-          if (e == nullptr) {
-            RestartMove(src_version, std::move(req));  // as for a get
-            return;
-          }
-          // Local read + re-encode into the destination memgest. All data is
-          // local thanks to the SRS shared key-to-node map — no distributed
-          // transaction (§5.2).
-          const auto& p = rt_->simulator().params();
-          uint64_t cost = p.server_base_ns +
-                          static_cast<uint64_t>(2 * p.mem_byte_ns * e->len);
-          uint64_t coding_cost = 0;
-          if (dst->erasure_coded()) {
-            coding_cost = static_cast<uint64_t>(p.gf_byte_ns * e->len);
-            cost += coding_cost + dst->desc.m * p.post_send_ns;
-          } else {
-            cost += (dst->desc.r - 1) * p.post_send_ns;
-          }
-          const uint64_t addr = e->addr;
-          const uint32_t len = e->len;
-          const sim::SimTime move_done =
-              OnCpu(cost, [this, src, dst, shard, geom, addr, len, src_version,
-                           req = std::move(req)]() mutable {
-            if (!serving_) {
-              return;
-            }
-            // Validate-and-retry, as in the get path: the source version may
-            // have been garbage-collected (region reused) while the copy was
-            // queued, or a write may have added a newer version, which the
-            // old bytes must not bury. Restart the move against the current
-            // highest version.
-            const EntryLoc live =
-                StoreEntry(*src, shard, geom, req.key, src_version);
-            const VolatileIndex::Ref* newest = volatile_index_.Highest(req.key);
-            if (live.entry == nullptr || live.entry->tombstone ||
-                !live.entry->data_present || live.entry->addr != addr ||
-                newest == nullptr || newest->version != src_version) {
-              RestartMove(src_version, std::move(req));
-              return;
-            }
-            NoteAccess(RegionKind::kHeap, AccessKind::kRead,
-                       ScopeOf(src->id, shard), addr, addr + len,
-                       "move/heap");
-            auto value = std::make_shared<Buffer>();
-            live.store->heap.AppendTo(addr, len, *value);
-            const Version version = volatile_index_.NextVersion(req.key);
-            // The re-encoded copy stays under the geometry the key is
-            // currently served at: migration to the new shape is the
-            // rebalance driver's job, not the move path's.
-            StartWrite(*dst, shard, req.key, version, value, false,
-                       [this, client = req.client, req_id = req.req_id,
-                        version] {
-                         ReplyToClientOnce(client, req_id,
-                                           WriteReply{OkStatus(), version});
-                       },
-                       geom);
-          });
-          TraceCodingTail("encode", hub().current_op(), move_done,
-                          coding_cost);
-        });
-  });
+  Admit(std::move(req), rt_->simulator().params().server_base_ns);
 }
 
-void RingServer::RestartMove(Version version, MoveRequest req) {
-  ++counters_.op_restarts;
-  hub().metrics().Inc("server.op_restarts", 1, id_);
-  hub().recorder().Record(obs::RecKind::kRestart, "move_restart", id_,
-                          hub().current_op(), version);
-  req.resumed = true;
-  HandleMove(std::move(req));
+void RingServer::Serve(ServerOp& op, MoveRequest& req) {
+  const std::optional<RouteAction> route =
+      Route<&RingServer::HandleMove>(req, 0);
+  if (!route.has_value() ||
+      (!req.resumed && !ClaimClientOp(req.client, req.req_id))) {
+    End(op);  // forwarded, dropped, or a duplicate: executed (reply resent)
+    return;   // or still in flight
+  }
+  ++counters_.moves;
+  hub().metrics().Inc("server.moves", 1, id_, req.dst, obs::OpKind::kMove);
+  NoteAccess(RegionKind::kVersionWord, AccessKind::kRead, kVersionScope,
+             req.key.hash(), req.key.hash() + 1, "move/version");
+  const VolatileIndex::Ref* ref = volatile_index_.Highest(req.key);
+  if (ref == nullptr) {
+    Reply(op, WriteReply{NotFoundError("no such key")});
+    return;
+  }
+  op.dst = rt_->registry().Get(req.dst);
+  if (op.dst == nullptr) {
+    Reply(op, WriteReply{InvalidArgumentError("no such memgest")});
+    return;
+  }
+  op.info = rt_->registry().Get(ref->memgest);
+  if (op.info == nullptr) {
+    Reply(op, WriteReply{InternalError("source memgest vanished")});
+    return;
+  }
+  const EntryLoc loc = EntryOf(*op.info, req.key, *ref);
+  if (loc.entry == nullptr || loc.entry->tombstone) {
+    Reply(op, WriteReply{NotFoundError("deleted")});
+    return;
+  }
+  op.shard = loc.shard;
+  op.geom = loc.geom;
+  // "The move request will also be postponed if the requested object is
+  // not durable" (§5.2): ReadEntry parks it until the version commits.
+  ReadEntry(op, *loc.entry);
 }
 
 void RingServer::HandleDelete(DeleteRequest req) {
-  OnCpu(rt_->simulator().params().server_base_ns,
-        [this, req = std::move(req)]() mutable {
-    if (!serving_) {
-      return;
-    }
-    const std::optional<RouteAction> route =
-        Route<&RingServer::HandleDelete>(req, 0);
-    if (!route.has_value() || !ClaimClientOp(req.client, req.req_id)) {
-      return;  // duplicate: executed (reply resent) or still in flight
-    }
-    hub().metrics().Inc("server.deletes", 1, id_, obs::kNoMemgest,
-                        obs::OpKind::kDelete);
-    NoteAccess(RegionKind::kVersionWord, AccessKind::kRead, kVersionScope,
-               req.key.hash(), req.key.hash() + 1, "delete/version");
-    const VolatileIndex::Ref* ref = volatile_index_.Highest(req.key);
-    if (ref == nullptr) {
-      ReplyToClientOnce(req.client, req.req_id,
-                        WriteReply{NotFoundError("no such key")});
-      return;
-    }
-    const MemgestInfo* info = rt_->registry().Get(ref->memgest);
-    if (info == nullptr) {
-      ReplyToClientOnce(req.client, req.req_id, WriteReply{OkStatus()});
-      return;
-    }
-    // A delete is a replicated tombstone in the memgest of the current
-    // highest version; commit then garbage-collects every older version.
-    const Version version = volatile_index_.NextVersion(req.key);
-    StartWrite(*info, route->shard, req.key, version, nullptr, true,
-               [this, client = req.client, req_id = req.req_id] {
-                 ReplyToClientOnce(client, req_id, WriteReply{OkStatus()});
-               },
-               route->geom_s);
-  });
+  Admit(std::move(req), rt_->simulator().params().server_base_ns);
+}
+
+void RingServer::Serve(ServerOp& op, DeleteRequest& req) {
+  const std::optional<RouteAction> route =
+      Route<&RingServer::HandleDelete>(req, 0);
+  if (!route.has_value() || !ClaimClientOp(req.client, req.req_id)) {
+    End(op);  // forwarded, dropped, or a duplicate: executed (reply resent)
+    return;   // or still in flight
+  }
+  hub().metrics().Inc("server.deletes", 1, id_, obs::kNoMemgest,
+                      obs::OpKind::kDelete);
+  NoteAccess(RegionKind::kVersionWord, AccessKind::kRead, kVersionScope,
+             req.key.hash(), req.key.hash() + 1, "delete/version");
+  const VolatileIndex::Ref* ref = volatile_index_.Highest(req.key);
+  if (ref == nullptr) {
+    Reply(op, WriteReply{NotFoundError("no such key")});
+    return;
+  }
+  op.info = rt_->registry().Get(ref->memgest);
+  if (op.info == nullptr) {
+    Reply(op, WriteReply{OkStatus()});
+    return;
+  }
+  // A delete is a replicated tombstone in the memgest of the current
+  // highest version; commit then garbage-collects every older version.
+  op.version = volatile_index_.NextVersion(req.key);
+  StartWrite(op, *op.info, route->shard, req.key, op.version, nullptr, true,
+             route->geom_s);
 }
 
 // ---------------------------------------------------------------------------
@@ -1463,10 +1536,12 @@ void RingServer::ApplyMemgestDelete(MemgestId memgest) {
   // Remove volatile references to keys whose versions lived there. Removal
   // is keyed by (key, version) and versions are node-unique, so dropping a
   // replica-mirror entry that never had a volatile reference is a no-op —
-  // no need to re-derive coordinator-ship per stored shape.
+  // no need to re-derive coordinator-ship per stored shape. The ops waiting
+  // on its writes end with them.
   for (auto& [store_key, store] : it->second.stores) {
     store->meta.ForEach([this](const Key& key, const MetaEntry& entry) {
       volatile_index_.Remove(HashedKey(key), entry.version);
+      EndWaiters(entry);
     });
   }
   memgests_.erase(it);

@@ -13,12 +13,14 @@
 #define RING_SRC_RING_SERVER_H_
 
 #include <algorithm>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/analysis/race.h"
@@ -194,6 +196,8 @@ class ClientOpWindow {
 };
 
 class RingServer {
+  class OpTable;  // the in-flight server ops (DESIGN.md §21), below
+
  public:
   RingServer(RingRuntime* runtime, net::NodeId id);
 
@@ -294,6 +298,13 @@ class RingServer {
                             std::shared_ptr<MetadataTable> table,
                             uint64_t fence);
 
+  // A wait of a server op for another node's answer (DESIGN.md §21): the
+  // op's id, shared by the message or one-sided read that carries the
+  // answer back and by each copy of it. When the last copy dies and the op
+  // still waits, the answer was dropped and the op ends, as the closure it
+  // replaces died with the message.
+  using OpClaim = std::shared_ptr<const uint64_t>;
+
   // On-demand erasure-coded block recovery (paper §5.5): a data node asks a
   // parity node to reconstruct `len` bytes at `addr` of `shard`.
   struct RecoverBlock {
@@ -303,9 +314,12 @@ class RingServer {
     uint32_t len;
     net::NodeId requester;
     uint32_t geom_s;  // shape of `shard`
-    std::function<void(std::shared_ptr<Buffer>)> reply;
+    OpClaim op;       // the requester's op, which the reply resumes
   };
   void HandleRecoverBlock(RecoverBlock msg);
+  // The bytes for the wait `op_id` of a byte recovery (a RecoverBlock's
+  // reply or a one-sided read of a replica), null when none were found.
+  void HandleBlockReply(uint64_t op_id, std::shared_ptr<Buffer> bytes);
 
   // ---- elastic rebalance protocol (§13) ----
   // Driver -> node: report keys this node still serves at the previous
@@ -313,6 +327,7 @@ class RingServer {
   struct RebalanceScan {
     uint32_t max_keys = 0;  // 0 = unbounded
     net::NodeId requester = 0;
+    // ring-lint: ok(boxed-callback) the driver in src/membership/rebalance.cc
     std::function<void(std::vector<Key>)> reply;
   };
   void HandleRebalanceScan(RebalanceScan msg);
@@ -323,6 +338,7 @@ class RingServer {
   struct MigrateKey {
     Key key;
     net::NodeId requester = 0;
+    // ring-lint: ok(boxed-callback) the driver in src/membership/rebalance.cc
     std::function<void(Status)> reply;
   };
   void HandleMigrateKey(MigrateKey msg);
@@ -337,9 +353,10 @@ class RingServer {
     std::shared_ptr<Buffer> value;  // nullptr together with tombstone=true
     bool tombstone = false;
     net::NodeId from;
-    std::function<void(Status)> ack;  // runs back at the old owner
+    OpClaim op;  // the old owner's migration, acked by HandleInstallAck
   };
   void HandleInstallKey(InstallKey msg);
+  void HandleInstallAck(uint64_t op_id, Status status);
 
   // Membership callback: reconfiguration / spare promotion (paper §5.5).
   void OnConfig(const consensus::ClusterConfig& config);
@@ -518,6 +535,119 @@ class RingServer {
     uint64_t log_len = 0;
   };
 
+  // ---- server ops (DESIGN.md §21) ----
+  // A promotion's background recovery of one store: the entries whose bytes
+  // are still missing, recovered one at a time.
+  struct StoreRecovery {
+    uint64_t promotion = 0;
+    std::vector<std::pair<Key, Version>> todo;
+    size_t next = 0;  // the entry being recovered
+  };
+  // One multi-step op, from admission until it replies, forwards or drops,
+  // or until what it waits on is destroyed: the write it waits for, with
+  // its waiters, or the last OpClaim on another node's answer. Each wait
+  // names its step and takes a fresh id, the only thing its continuation
+  // carries, so a late or duplicated continuation of an earlier wait finds
+  // no record and drops.
+  struct ServerOp {
+    enum class Step : uint8_t {
+      kAdmit,   // the admission charge; then Serve
+      kWrite,   // the commit of the op's own write; then its answer
+      kParked,  // the commit of a write it parked on; then it resumes
+      kBytes,   // block bytes (HandleBlockReply); then BytesReady
+      kCopy,    // the copy charge; then CopyOut
+      kAck,     // the new owner's install ack (HandleInstallAck)
+    };
+    using Request = std::variant<PutRequest, GetRequest, MoveRequest,
+                                 DeleteRequest, MigrateKey, InstallKey,
+                                 StoreRecovery>;
+    uint64_t id = 0;        // the current wait's; 0 in a free slot
+    uint64_t trace_op = 0;  // the obs op it runs under
+    Step step = Step::kAdmit;
+    bool local = false;  // a migration whose new owner is this node
+    Request req;         // what it answers; the alternative is its kind
+    // What it read or writes: the entry's memgest (a move's source), a
+    // move's destination, the store's shard and shape, the version, and
+    // the entry's address and length (a migration's: its payload bytes).
+    const MemgestInfo* info = nullptr;
+    const MemgestInfo* dst = nullptr;
+    uint32_t shard = 0;
+    uint32_t geom = 0;
+    Version version = 0;
+    uint64_t addr = 0;
+    uint32_t len = 0;
+    Status recovered;        // the outcome of its byte recovery
+    sim::SimTime since = 0;  // when its commit or byte wait began
+  };
+  // The in-flight ops: a slab of records whose slots are reused, so an op
+  // allocates nothing once the slab has grown, in a deque, which keeps each
+  // record in place while others are added. An id holds its slot in the
+  // low 32 bits under a serial that never repeats, so no id is reused.
+  // Find, Emplace and Erase only: nothing iterates it. OpClaims hold it
+  // weakly, so the server owns it through a shared_ptr.
+  class OpTable {
+   public:
+    ServerOp* Find(uint64_t id) {
+      const uint64_t slot = id & kSlotMask;
+      return slot < slots_.size() && slots_[slot].id == id ? &slots_[slot]
+                                                           : nullptr;
+    }
+    // A record for `req` run under obs op `trace_op`, awaiting admission.
+    ServerOp& Emplace(uint64_t trace_op, ServerOp::Request req);
+    // Records that `op` now waits at `step`, under a fresh id it returns.
+    uint64_t Await(ServerOp& op, ServerOp::Step step) {
+      op.step = step;
+      op.id = (++serial_ << 32) | (op.id & kSlotMask);
+      return op.id;
+    }
+    void Erase(uint64_t id);
+    // Ends every op (a restart). The records die once the table is empty,
+    // so the claims they hold on its ops find nothing.
+    void Clear();
+    size_t size() const { return slots_.size() - free_.size(); }
+
+   private:
+    static constexpr uint64_t kSlotMask = 0xffffffffu;
+    std::deque<ServerOp> slots_;
+    std::vector<uint32_t> free_;
+    uint64_t serial_ = 0;
+  };
+
+  // Admits an op answering `req` and charges `cost_ns` before it is served.
+  // Returns the charge's completion time, 0 on a dead node, which admits
+  // nothing.
+  sim::SimTime Admit(ServerOp::Request req, uint64_t cost_ns,
+                     const MemgestInfo* info = nullptr);
+  // Charges `cost_ns` and resumes `op` at `step` when the charge completes.
+  sim::SimTime Charge(ServerOp& op, ServerOp::Step step, uint64_t cost_ns);
+  // Resumes the op waiting under `id`: the one step transition.
+  void Advance(uint64_t id);
+  // The claim on the wait `id`, for the answer to carry.
+  OpClaim Claim(uint64_t id);
+  void End(ServerOp& op) { ops_->Erase(op.id); }
+  // Ends the ops waiting on `entry`'s write, which is destroyed with them.
+  void EndWaiters(const MetaEntry& entry);
+  // Drops every store and the key directory, with the ops waiting on them.
+  void ClearStores();
+  // An op's steps of its own kind: the admission of a client or rebalance
+  // op (routing, at-most-once claim, resolution), and a store recovery's
+  // next entry. A get is served again when it restarts or finds a moved
+  // marker (§13), and re-routes.
+  void Serve(ServerOp& op, PutRequest& req);
+  void Serve(ServerOp& op, GetRequest& req);
+  void Serve(ServerOp& op, MoveRequest& req);
+  void Serve(ServerOp& op, DeleteRequest& req);
+  void Serve(ServerOp& op, MigrateKey& msg);
+  void Serve(ServerOp& op, InstallKey& msg);
+  void Serve(ServerOp& op, StoreRecovery& run);
+  // Answers that end the op: a get's result; a put's, move's or delete's
+  // reply, recorded for the at-most-once table; a migration's status to the
+  // rebalance driver; an install's ack to the old owner's migration.
+  void Reply(ServerOp& op, GetResult result);
+  void Reply(ServerOp& op, WriteReply reply);
+  void ReplyMigrate(ServerOp& op, Status status);
+  void AckInstall(ServerOp& op, Status status);
+
   sim::CpuWorker& cpu();
   obs::Hub& hub();
   // The one way server work reaches the CPU: charges `cost_ns` on this
@@ -628,24 +758,22 @@ class RingServer {
   // Drops every entry, store and parity buffer of shapes other than the
   // current one; runs on the rebalancing -> static config edge.
   void PurgeStaleGeometries();
-  // §13 handoff step 2: after the moved-marker at `floor` committed, ship
-  // the key's latest durable contents to its new-shape owner and reply to
-  // the driver once the install is acknowledged.
-  void SendInstall(const MemgestInfo& info, const HashedKey& key,
-                   Version floor, std::function<void(Status)> reply);
+  // §13 handoff step 2: after the moved-marker at op.version committed,
+  // ships the key's latest durable contents to its new-shape owner; the
+  // migration then waits for the install ack.
+  void SendInstall(ServerOp& op);
 
   MemgestState& StateOf(const MemgestInfo& info);
   // The store for `shard` under shape `geom_s`.
   ShardStore& StoreOf(MemgestState& state, uint32_t shard, uint32_t geom_s);
 
   // Write path pieces. `shard` is a shard id under `geom_s`; `moved` writes
-  // a §13 moved-marker entry. `on_commit` runs once the write commits, as
-  // the entry's first waiter.
-  void StartWrite(const MemgestInfo& info, uint32_t shard,
+  // a §13 moved-marker entry. `op`, whose write it is, resumes once the
+  // write commits, as the entry's first waiter.
+  void StartWrite(ServerOp& op, const MemgestInfo& info, uint32_t shard,
                   const HashedKey& key, Version version,
                   std::shared_ptr<Buffer> value, bool tombstone,
-                  std::function<void()> on_commit, uint32_t geom_s,
-                  bool moved = false);
+                  uint32_t geom_s, bool moved = false);
   // Sends backup write `ordinal` (replica ordinal or parity index) of
   // `entry`, an un-committed write of `key` in `info`'s `shard`, to the
   // ordinal's slot (Placement::BackupSlot), built from the entry and its
@@ -657,9 +785,8 @@ class RingServer {
                   uint32_t ordinal);
   // Deposits `ack` in `coordinator`'s completion region (one-sided write).
   void SendAck(net::NodeId coordinator, const Ack& ack);
-  // Parks `fn` on `entry` until it commits; it runs under the op current
-  // now.
-  void ParkUntilCommit(MetaEntry& entry, std::function<void()> fn);
+  // Parks `op` on `entry` until it commits.
+  void ParkUntilCommit(MetaEntry& entry, ServerOp& op);
   // Commits `entry`, an un-committed write of `key` in `info`'s `shard`.
   void CommitEntry(const MemgestInfo& info, uint32_t shard,
                    const HashedKey& key, MetaEntry& entry);
@@ -669,30 +796,34 @@ class RingServer {
                                const HashedKey& key, Version version);
   void GcOldVersions(const HashedKey& key, Version below);
 
-  // Read path pieces.
-  // Resolves the highest version of req.key and dispatches DeliverGet.
-  // Called once per get and again whenever validate-and-retry detects that
-  // the resolved version was garbage-collected mid-read.
-  void ResolveGet(GetRequest req);
-  void DeliverGet(const MemgestInfo& info, uint32_t shard, uint32_t geom_s,
-                  MetaEntry* entry, GetRequest req);
-  // The get's data copy once `entry`'s bytes are local: charges the copy
-  // and re-validates the version before reading (validate-and-retry).
-  void CopyForGet(const MemgestInfo& info, uint32_t shard, uint32_t geom_s,
-                  const MetaEntry& entry, GetRequest req);
-  // Makes the bytes of (key, version) local, recovering them from a backup
-  // when a promotion left them behind, and calls `then`: OK, DataLoss when
-  // no live source holds them, NotFound when the entry was collected and
-  // FailedPrecondition when its shape retired. A get or move restarts on
-  // the last two; only DataLoss reaches the client.
-  void EnsureDataPresent(const MemgestInfo& info, uint32_t shard,
-                         uint32_t geom_s, const Key& key, Version version,
-                         std::function<void(Status)> then);
-  // Validate-and-retry: `version`, which the op read, is gone or changed;
-  // the op resolves the key afresh (a get through ResolveGet, a move as a
-  // resumed HandleMove).
-  void RestartGet(Version version, GetRequest req);
-  void RestartMove(Version version, MoveRequest req);
+  // Read path pieces. A get resolves the highest version of its key in
+  // Serve and delivers it; a move resolves in Serve. Both then share
+  // ReadEntry's steps, and only the copy branches on the kind.
+  void DeliverGet(ServerOp& op, MetaEntry* entry);
+  // The key a get or move reads.
+  static const HashedKey& ReadKey(const ServerOp& op);
+  // Reads `entry`, the version the op resolved at (op.info, op.shard,
+  // op.geom): parks until it commits, makes its bytes local, then charges
+  // the copy.
+  void ReadEntry(ServerOp& op, MetaEntry& entry);
+  // Makes the bytes of `key` at op.version local, recovering them from a
+  // backup when a promotion left them behind, and records the outcome in
+  // op.recovered for BytesReady: OK, DataLoss when no live source holds
+  // them, NotFound when the entry was collected and FailedPrecondition when
+  // its shape retired.
+  void EnsureDataPresent(ServerOp& op, const Key& key);
+  // A get or move restarts on NotFound and FailedPrecondition, answers
+  // DataLoss and copies on OK; a store recovery goes to its next entry.
+  void BytesReady(ServerOp& op);
+  // Charges the copy of `entry`: a get's read, or a move's read and
+  // re-encode into its destination.
+  void ChargeCopy(ServerOp& op, const MetaEntry& entry);
+  // Once the copy is charged: re-validates the version (validate-and-retry)
+  // and copies, answering a get or writing a move's new version.
+  void CopyOut(ServerOp& op);
+  // Validate-and-retry: op.version, which the op read, is gone or changed;
+  // a get resolves its key afresh, a move is admitted again.
+  void RestartRead(ServerOp& op);
 
   // Recovery pieces. `geom_s` selects the shape a shard id belongs to;
   // during a rebalance a promoted node recovers both shapes.
@@ -769,27 +900,21 @@ class RingServer {
   // redundancy write will land in.
   // `state` is the memgest's state on this node, null when it has none yet.
   void RecordEarlyGc(MemgestState* state, const GcNotice& msg, uint32_t geom);
-  void RecoverStoreEntries(uint64_t id, const MemgestInfo& info,
-                           uint32_t shard, uint32_t geom_s,
-                           std::vector<std::pair<Key, Version>> todo,
-                           size_t next);
 
   // Sends `reply` (a WriteReply, GetResult or admin Result) to the client
   // endpoint at node `client`, which completes its op `req_id` with it.
-  template <typename Reply>
+  template <typename Value>
   void ReplyToClient(net::NodeId client, uint64_t req_id, uint64_t bytes,
-                     Reply reply);
+                     Value reply);
   void SendToNode(net::NodeId node, uint64_t bytes, sim::Task fn);
 
   // At-most-once execution of client mutations. ClaimClientOp returns true
   // exactly once per (client, req_id): the caller may execute the operation.
   // On a duplicate whose reply was already produced, the recorded reply is
   // resent; a duplicate of a still-executing op is ignored (the pending
-  // reply will reach the client). ReplyToClientOnce records the reply value
-  // against the claim so later duplicates can resend it.
+  // reply will reach the client). Reply(op, WriteReply) records the reply
+  // value against the claim so later duplicates can resend it.
   bool ClaimClientOp(net::NodeId client, uint64_t req_id);
-  void ReplyToClientOnce(net::NodeId client, uint64_t req_id,
-                         WriteReply reply);
 
   RingRuntime* rt_;
   net::NodeId id_;
@@ -809,6 +934,7 @@ class RingServer {
   uint64_t last_recovery_id_ = 0;
   Counters counters_;
   ClientOpWindow client_op_window_;
+  std::shared_ptr<OpTable> ops_ = std::make_shared<OpTable>();
 };
 
 template <typename Fn>

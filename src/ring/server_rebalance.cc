@@ -88,88 +88,65 @@ void RingServer::HandleRebalanceScan(RebalanceScan msg) {
 }
 
 void RingServer::HandleMigrateKey(MigrateKey msg) {
-  OnCpu(rt_->simulator().params().server_base_ns,
-        [this, msg = std::move(msg)]() mutable {
-    if (!serving_) {
-      return;  // driver timeout + retry covers the silence
-    }
-    auto done = [this, requester = msg.requester,
-                 reply = msg.reply](Status s) {
-      rt_->fabric().Send(id_, requester, kAckBytes,
-                         [reply, s] { reply(s); });
-    };
-    if (!config_.rebalancing()) {
-      done(OkStatus());  // transition already completed: nothing to move
-      return;
-    }
-    const HashedKey key(msg.key);
-    const VolatileIndex::Ref* ref = volatile_index_.Highest(key);
-    if (ref == nullptr) {
-      done(OkStatus());  // erased (or never here): scan will not re-report
-      return;
-    }
-    const MemgestInfo* info = rt_->registry().Get(ref->memgest);
-    if (info == nullptr) {
-      done(OkStatus());
-      return;
-    }
-    const EntryLoc loc = EntryOf(*info, key, *ref);
-    MetaEntry* entry = loc.entry;
-    const uint32_t shard = loc.shard;
-    const uint32_t geom = loc.geom;
-    if (entry == nullptr) {
-      done(OkStatus());
-      return;
-    }
-    if (geom == config_.s) {
-      done(OkStatus());  // highest already lives at the new shape
-      return;
-    }
-    if (entry->moved) {
-      if (entry->moved_done) {
-        done(OkStatus());
-        return;
-      }
-      if (entry->committed) {
-        // Marker durable but the install was never acknowledged (crash or
-        // lost ack): re-send it. The install is idempotent at the receiver.
-        SendInstall(*info, key, entry->version, std::move(done));
-        return;
-      }
-      // Marker still collecting acks: retry once it commits.
-      ParkUntilCommit(*entry, [this, msg]() mutable {
-        HandleMigrateKey(std::move(msg));
-      });
-      return;
-    }
-    if (!entry->committed) {
-      // A client write is in flight; the marker must fence *above* it, so
-      // wait for it to settle and re-run (the re-run recomputes the highest
-      // version — more writes may have landed meanwhile).
-      ParkUntilCommit(*entry, [this, msg]() mutable {
-        HandleMigrateKey(std::move(msg));
-      });
-      return;
-    }
-    // Write the durable moved-marker one version above the highest committed
-    // write. From this moment RouteKey refuses new old-shape ops on the key;
-    // once the marker commits on its redundancy set, ship the contents.
-    const Version floor = volatile_index_.NextVersion(key);
-    const MemgestInfo* info_ptr = info;
-    StartWrite(*info, shard, key, floor, nullptr, false,
-               [this, info_ptr, key, floor, done = std::move(done)]() mutable {
-                 SendInstall(*info_ptr, key, floor, std::move(done));
-               },
-               geom, /*moved=*/true);
-  });
+  // A node that is not serving drops it: the driver's timeout and retry
+  // cover the silence.
+  Admit(std::move(msg), rt_->simulator().params().server_base_ns);
 }
 
-void RingServer::SendInstall(const MemgestInfo& info, const HashedKey& key,
-                             Version floor,
-                             std::function<void(Status)> reply) {
+void RingServer::Serve(ServerOp& op, MigrateKey& msg) {
+  if (!config_.rebalancing()) {
+    ReplyMigrate(op, OkStatus());  // transition completed: nothing to move
+    return;
+  }
+  const HashedKey key(msg.key);
+  const VolatileIndex::Ref* ref = volatile_index_.Highest(key);
+  op.info = ref == nullptr ? nullptr : rt_->registry().Get(ref->memgest);
+  const EntryLoc loc =
+      op.info == nullptr ? EntryLoc{} : EntryOf(*op.info, key, *ref);
+  MetaEntry* entry = loc.entry;
+  if (entry == nullptr || loc.geom == config_.s ||
+      (entry->moved && entry->moved_done)) {
+    // Erased or never here (the scan will not re-report it), its highest
+    // version already lives at the new shape, or it was handed over.
+    ReplyMigrate(op, OkStatus());
+    return;
+  }
+  if (!entry->committed) {
+    // A client write is in flight, and the marker must fence *above* it;
+    // or the marker itself still collects acks. Run again once it commits
+    // (more writes may have landed meanwhile).
+    ParkUntilCommit(*entry, op);
+    return;
+  }
+  if (entry->moved) {
+    // Marker durable but the install was never acknowledged (crash or
+    // lost ack): re-send it. The install is idempotent at the receiver.
+    op.version = entry->version;
+    SendInstall(op);
+    return;
+  }
+  // Write the durable moved-marker one version above the highest committed
+  // write. From this moment RouteKey refuses new old-shape ops on the key;
+  // once the marker commits on its redundancy set, ship the contents.
+  op.version = volatile_index_.NextVersion(key);
+  StartWrite(op, *op.info, loc.shard, key, op.version, nullptr, false,
+             loc.geom, /*moved=*/true);
+}
+
+void RingServer::ReplyMigrate(ServerOp& op, Status status) {
+  MigrateKey& msg = std::get<MigrateKey>(op.req);
+  rt_->fabric().Send(id_, msg.requester, kAckBytes,
+                     [reply = std::move(msg.reply), status] { reply(status); });
+  End(op);
+}
+
+void RingServer::SendInstall(ServerOp& op) {
   // Payload: the highest committed non-marker version below the floor. All
   // versions of the key below the marker survive (CommitEntry suppresses GC
   // under a marker), so this lookup cannot race a reclaim.
+  const MemgestInfo& info = *op.info;
+  const HashedKey key(std::get<MigrateKey>(op.req).key);
+  const Version floor = op.version;
   std::shared_ptr<Buffer> value;
   bool tombstone = false;
   Version payload_version = 0;
@@ -199,7 +176,8 @@ void RingServer::SendInstall(const MemgestInfo& info, const HashedKey& key,
   const consensus::Placement cur = config_.Current();
   const net::NodeId new_owner =
       cur.CoordinatorOfShard(key.Shard(cur.num_shards()));
-  const uint64_t payload = value ? value->size() : 0;
+  op.len = value ? static_cast<uint32_t>(value->size()) : 0;
+  op.local = new_owner == id_;
 
   InstallKey msg;
   msg.memgest = info.id;
@@ -208,91 +186,94 @@ void RingServer::SendInstall(const MemgestInfo& info, const HashedKey& key,
   msg.value = value;
   msg.tombstone = tombstone;
   msg.from = id_;
-  const MemgestInfo* info_ptr = &info;
-  const bool local = new_owner == id_;
-  msg.ack = [this, info_ptr, key, floor, payload, local,
-             reply = std::move(reply)](Status s) mutable {
-    // Runs back at the old owner once the new owner replies.
-    if (s.ok()) {
-      if (MetaEntry* marker = FindEntry(*info_ptr, key, floor).entry;
-          marker != nullptr) {
-        marker->moved_done = true;
-      }
-      if (local) {
-        // Owner unchanged by the resize: the handover was a re-encode under
-        // the new shape, no network hop — keep the traffic counters honest.
-        ++counters_.keys_reencoded;
-        hub().metrics().Inc("rebalance.keys_reencoded", 1, id_, info_ptr->id);
-      } else {
-        ++counters_.keys_migrated;
-        counters_.bytes_moved += payload;
-        hub().metrics().Inc("rebalance.keys_moved", 1, id_, info_ptr->id);
-        hub().metrics().Inc("rebalance.bytes", payload, id_, info_ptr->id);
-      }
-    }
-    reply(s);
-  };
+  msg.op = Claim(ops_->Await(op, ServerOp::Step::kAck));
   hub().recorder().Record(obs::RecKind::kRecovery, "rebalance_install", id_,
                           hub().current_op(), info.id, floor);
-  if (local) {
+  if (op.local) {
     HandleInstallKey(std::move(msg));
     return;
   }
   auto* peer = rt_->server(new_owner);
-  SendToNode(new_owner, ReqBytes(key.str().size(), payload),
+  SendToNode(new_owner, ReqBytes(key.str().size(), op.len),
              [peer, msg = std::move(msg)]() mutable {
                peer->HandleInstallKey(std::move(msg));
              });
 }
 
+void RingServer::HandleInstallAck(uint64_t op_id, Status status) {
+  ServerOp* op = ops_->Find(op_id);
+  if (op == nullptr) {
+    return;  // the migration ended meanwhile (a restart), or a duplicate
+  }
+  if (status.ok()) {
+    const HashedKey key(std::get<MigrateKey>(op->req).key);
+    if (MetaEntry* marker = FindEntry(*op->info, key, op->version).entry;
+        marker != nullptr) {
+      marker->moved_done = true;
+    }
+    if (op->local) {
+      // Owner unchanged by the resize: the handover was a re-encode under
+      // the new shape, no network hop — keep the traffic counters honest.
+      ++counters_.keys_reencoded;
+      hub().metrics().Inc("rebalance.keys_reencoded", 1, id_, op->info->id);
+    } else {
+      ++counters_.keys_migrated;
+      counters_.bytes_moved += op->len;
+      hub().metrics().Inc("rebalance.keys_moved", 1, id_, op->info->id);
+      hub().metrics().Inc("rebalance.bytes", op->len, id_, op->info->id);
+    }
+  }
+  ReplyMigrate(*op, std::move(status));
+}
+
 void RingServer::HandleInstallKey(InstallKey msg) {
-  OnCpu(rt_->simulator().params().server_base_ns,
-        [this, msg = std::move(msg)]() mutable {
-    if (!serving_) {
-      return;  // the old owner's driver retry re-sends the install
+  // A node that is not serving drops it: the old owner's driver retry
+  // re-sends the install.
+  Admit(std::move(msg), rt_->simulator().params().server_base_ns);
+}
+
+void RingServer::Serve(ServerOp& op, InstallKey& msg) {
+  const HashedKey key(msg.key);
+  const consensus::Placement cur = config_.Current();
+  const uint32_t cur_shard = key.Shard(cur.num_shards());
+  if (cur.CoordinatorOfShard(cur_shard) != id_) {
+    End(op);  // stale routing (a failover moved the shard); retry covers
+    return;
+  }
+  const MemgestInfo* info = rt_->registry().Get(msg.memgest);
+  if (info == nullptr) {
+    AckInstall(op, NotFoundError("memgest gone"));
+    return;
+  }
+  // Idempotency: once a version >= floor lives here *at the new shape*, a
+  // previous install (or a client write accepted after it) already covers
+  // this request. The geometry check matters for the local re-encode case:
+  // the old owner's own moved-marker sits at version == floor in the old
+  // geometry and must not satisfy the install.
+  for (const auto& r : volatile_index_.Refs(key)) {
+    if (r.version < msg.floor || r.memgest != msg.memgest) {
+      continue;
     }
-    const HashedKey key(msg.key);
-    const consensus::Placement cur = config_.Current();
-    const uint32_t cur_shard = key.Shard(cur.num_shards());
-    if (cur.CoordinatorOfShard(cur_shard) != id_) {
-      return;  // stale routing (a failover moved the shard); retry covers
-    }
-    const MemgestInfo* info = rt_->registry().Get(msg.memgest);
-    if (info == nullptr) {
-      SendToNode(msg.from, kAckBytes,
-                 [ack = msg.ack] { ack(NotFoundError("memgest gone")); });
+    const EntryLoc loc = EntryOf(*info, key, r);
+    if (loc.entry != nullptr && loc.geom == config_.s && !loc.entry->moved) {
+      AckInstall(op, OkStatus());
       return;
     }
-    // Idempotency: once a version >= floor lives here *at the new shape*, a
-    // previous install (or a client write accepted after it) already covers
-    // this request. The geometry check matters for the local re-encode case:
-    // the old owner's own moved-marker sits at version == floor in the old
-    // geometry and must not satisfy the install.
-    bool covered = false;
-    for (const auto& r : volatile_index_.Refs(key)) {
-      if (r.version < msg.floor || r.memgest != msg.memgest) {
-        continue;
-      }
-      const EntryLoc loc = EntryOf(*info, key, r);
-      if (loc.entry != nullptr && loc.geom == config_.s && !loc.entry->moved) {
-        covered = true;
-        break;
-      }
-    }
-    if (covered) {
-      SendToNode(msg.from, kAckBytes, [ack = msg.ack] { ack(OkStatus()); });
-      return;
-    }
-    ++counters_.installs;
-    hub().metrics().Inc("server.installs", 1, id_, info->id);
-    const Version version =
-        std::max(volatile_index_.NextVersion(key), msg.floor);
-    StartWrite(*info, cur_shard, key, version, msg.value, msg.tombstone,
-               [this, from = msg.from, ack = msg.ack] {
-                 SendToNode(from, kAckBytes, [ack] { ack(OkStatus()); });
-               },
-               config_.s);
+  }
+  ++counters_.installs;
+  hub().metrics().Inc("server.installs", 1, id_, info->id);
+  op.version = std::max(volatile_index_.NextVersion(key), msg.floor);
+  StartWrite(op, *info, cur_shard, key, op.version, msg.value, msg.tombstone,
+             config_.s);
+}
+
+void RingServer::AckInstall(ServerOp& op, Status status) {
+  const InstallKey& msg = std::get<InstallKey>(op.req);
+  auto* peer = rt_->server(msg.from);
+  SendToNode(msg.from, kAckBytes, [peer, claim = msg.op, status] {
+    peer->HandleInstallAck(*claim, status);
   });
+  End(op);
 }
 
 void RingServer::PurgeStaleGeometries() {
@@ -317,6 +298,7 @@ void RingServer::PurgeStaleGeometries() {
       // forwarding.
       store->meta.ForEach([&](const Key& key, const MetaEntry& entry) {
         ++dropped_entries;
+        EndWaiters(entry);  // the ops waiting on its writes end with them
         const HashedKey hkey(key);
         const uint32_t cur_key =
             GeomKey(config_.s, hkey.Shard(config_.Current().num_shards()));

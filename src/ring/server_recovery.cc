@@ -55,8 +55,7 @@ void RingServer::OnConfig(const consensus::ClusterConfig& config) {
       // readmitted into the spare pool after a crash, or a drained
       // scale-in just completed: whatever state we hold is stale. Start
       // over as a clean, non-serving spare.
-      memgests_.clear();
-      volatile_index_.Clear();
+      ClearStores();
       promotion_.reset();
       serving_ = false;
       is_spare_ = true;
@@ -69,8 +68,7 @@ void RingServer::OnConfig(const consensus::ClusterConfig& config) {
       // Readmitted straight into a slot (typically our own old slot, when
       // no spare had been available to take it): the restart was
       // memory-less, so rebuild through the normal promotion path.
-      memgests_.clear();
-      volatile_index_.Clear();
+      ClearStores();
     }
     BeginPromotion(static_cast<uint32_t>(new_slot));
     return;
@@ -87,6 +85,7 @@ void RingServer::AbandonPendingWrites() {
     for (auto& [store_key, store] : state.stores) {
       store->meta.ForEachMutable([&](const Key&, MetaEntry& e) {
         if (!e.committed) {
+          EndWaiters(e);
           e.pending.reset();
         }
       });
@@ -94,12 +93,25 @@ void RingServer::AbandonPendingWrites() {
   }
 }
 
-void RingServer::Restart() {
-  // Memory-less reboot: every byte of store state is gone. The node comes
-  // back as a non-serving spare; membership readmission (and, if the
-  // cluster re-promotes it, the normal recovery path) restores service.
+void RingServer::ClearStores() {
+  for (auto& [gid, state] : memgests_) {
+    for (auto& [store_key, store] : state.stores) {
+      store->meta.ForEach(
+          [this](const Key&, const MetaEntry& e) { EndWaiters(e); });
+    }
+  }
   memgests_.clear();
   volatile_index_.Clear();
+}
+
+void RingServer::Restart() {
+  // Memory-less reboot: every byte of store state and every in-flight op is
+  // gone, so a CPU charge queued before the crash drops when it completes.
+  // The node comes back as a non-serving spare; membership readmission
+  // (and, if the cluster re-promotes it, the normal recovery path) restores
+  // service.
+  ops_->Clear();
+  ClearStores();
   client_op_window_.Clear();
   counters_ = Counters{};
   last_recovery_ns_ = 0;
@@ -411,66 +423,27 @@ void RingServer::RebuildVolatileIndex() {
 // ---------------------------------------------------------------------------
 // Data recovery
 
-void RingServer::EnsureDataPresent(const MemgestInfo& info, uint32_t shard,
-                                   uint32_t geom, const Key& key,
-                                   Version version,
-                                   std::function<void(Status)> then) {
-  const auto placement = PlacementFor(geom);
+void RingServer::EnsureDataPresent(ServerOp& op, const Key& key) {
+  const auto placement = PlacementFor(op.geom);
   if (!placement.has_value()) {
-    then(FailedPreconditionError("shape no longer live"));
+    op.recovered = FailedPreconditionError("shape no longer live");
+    BytesReady(op);
     return;
   }
-  MemgestState& state = StateOf(info);
-  ShardStore& store = StoreOf(state, shard, geom);
-  MetaEntry* entry = store.meta.Find(key, version);
-  if (entry == nullptr) {
-    then(NotFoundError("entry gone"));
+  MetaEntry* entry = StoreOf(StateOf(*op.info), op.shard, op.geom)
+                         .meta.Find(key, op.version);
+  if (entry == nullptr || entry->data_present) {
+    op.recovered = entry == nullptr ? NotFoundError("entry gone") : OkStatus();
+    BytesReady(op);
     return;
   }
-  if (entry->data_present) {
-    then(OkStatus());
-    return;
-  }
-  const uint64_t addr = entry->addr;
-  const uint32_t len = entry->len;
-  const MemgestInfo* info_ptr = &info;
-  const uint64_t op_id = hub().current_op();
-  const sim::SimTime recover_start = rt_->simulator().now();
-
-  // Runs under op_id: a one-sided read completes, and a RecoverBlock reply
-  // is delivered, under the op that issued the request.
-  auto complete = [this, info_ptr, shard, geom, key, version, op_id,
-                   recover_start,
-                   then = std::move(then)](std::shared_ptr<Buffer> bytes) {
-    hub().tracer().Record("block_recovery", obs::Category::kRecovery, id_,
-                          op_id, recover_start, rt_->simulator().now());
-    if (!IsAlive()) {
-      return;
-    }
-    if (!bytes) {
-      then(DataLossError("no live source for block recovery"));
-      return;
-    }
-    MemgestState& st = StateOf(*info_ptr);
-    ShardStore& sh = StoreOf(st, shard, geom);
-    MetaEntry* e = sh.meta.Find(key, version);
-    if (e == nullptr) {
-      then(NotFoundError("entry gone during recovery"));
-      return;
-    }
-    NoteAccess(RegionKind::kHeap, AccessKind::kWrite,
-               ScopeOf(info_ptr->id, shard), e->addr,
-               e->addr + bytes->size(), "recovery/block_install");
-    sh.heap.Write(e->addr, *bytes);
-    sh.meta.MarkBytesPresent(*e);
-    ++counters_.blocks_recovered;
-    hub().metrics().Inc("recovery.blocks", 1, id_, info_ptr->id,
-                        obs::OpKind::kRecovery);
-    hub().recorder().Record(obs::RecKind::kRecovery, "block_recovery", id_,
-                            op_id, info_ptr->id, version);
-    then(OkStatus());
-  };
-
+  op.addr = entry->addr;
+  op.len = entry->len;
+  op.since = rt_->simulator().now();
+  // A one-sided read completes, and a RecoverBlock reply is delivered,
+  // under the op that issued the request.
+  const uint64_t id = ops_->Await(op, ServerOp::Step::kBytes);
+  const MemgestInfo& info = *op.info;
   if (info.desc.kind == SchemeKind::kReplicated) {
     // Copy over one-sided reads (§5.5) — first choice is the slot that
     // supplied this entry's metadata: with quorum commit other survivors
@@ -486,62 +459,107 @@ void RingServer::EnsureDataPresent(const MemgestInfo& info, uint32_t shard,
       }
       auto* peer = rt_->server(node);
       auto bytes = std::make_shared<Buffer>();
-      const MemgestId gid = info.id;
       rt_->fabric().Read(
-          id_, node, len,
-          [peer, bytes, gid, shard, geom, addr, len] {
+          id_, node, op.len,
+          [peer, bytes, gid = info.id, shard = op.shard, geom = op.geom,
+           addr = op.addr, len = op.len] {
             *bytes = peer->ReadRawForRecovery(gid, shard, addr, len, geom);
           },
-          [complete, bytes]() mutable { complete(bytes); });
+          [this, claim = Claim(id), bytes] {
+            HandleBlockReply(*claim, bytes);
+          });
       return true;
     };
     if ((entry->recovery_src >= 0 &&
          read_from(static_cast<uint32_t>(entry->recovery_src))) ||
-        read_from(placement->SlotOfShard(shard))) {
+        read_from(placement->SlotOfShard(op.shard))) {
       return;
     }
     for (uint32_t ordinal = 0; ordinal < info.desc.backups(); ++ordinal) {
-      if (read_from(placement->BackupSlot(shard, ordinal, false))) {
+      if (read_from(placement->BackupSlot(op.shard, ordinal, false))) {
         return;
       }
     }
-    complete(nullptr);
+    HandleBlockReply(id, nullptr);
     return;
   }
 
   // Erasure coded: ask a usable parity node to decode (§5.5). "The data node
   // sends a recovery request to the parity node responsible for the block."
-  const uint32_t group = shard / geom;
+  const uint32_t group = op.shard / op.geom;
   for (uint32_t ordinal = 0; ordinal < info.desc.backups(); ++ordinal) {
     const net::NodeId node =
-        placement->NodeOfSlot(placement->BackupSlot(shard, ordinal, true));
+        placement->NodeOfSlot(placement->BackupSlot(op.shard, ordinal, true));
     if (!PeerAlive(node)) {
       continue;
     }
     auto* peer = rt_->server(node);
-    if (!peer->ParityUsable(info.id, group, geom)) {
+    if (!peer->ParityUsable(info.id, group, op.geom)) {
       continue;
     }
-    RecoverBlock msg;
-    msg.memgest = info.id;
-    msg.shard = shard;
-    msg.addr = addr;
-    msg.len = len;
-    msg.requester = id_;
-    msg.geom_s = geom;
-    msg.reply = complete;
+    RecoverBlock msg{info.id, op.shard, op.addr, op.len,
+                     id_,     op.geom,  Claim(id)};
     rt_->fabric().Send(id_, node, kSmallMsgBytes,
                        [peer, msg = std::move(msg)]() mutable {
                          peer->HandleRecoverBlock(std::move(msg));
                        });
     return;
   }
-  complete(nullptr);
+  HandleBlockReply(id, nullptr);
+}
+
+void RingServer::HandleBlockReply(uint64_t op_id,
+                                  std::shared_ptr<Buffer> bytes) {
+  ServerOp* op = ops_->Find(op_id);
+  if (op == nullptr) {
+    return;  // the op ended meanwhile (a restart), or a duplicated reply
+  }
+  hub().tracer().Record("block_recovery", obs::Category::kRecovery, id_,
+                        op->trace_op, op->since, rt_->simulator().now());
+  if (!IsAlive()) {
+    End(*op);
+    return;
+  }
+  if (!bytes) {
+    op->recovered = DataLossError("no live source for block recovery");
+    BytesReady(*op);
+    return;
+  }
+  const auto* run = std::get_if<StoreRecovery>(&op->req);
+  const Key& key = run != nullptr ? run->todo[run->next].first
+                                  : ReadKey(*op).str();
+  ShardStore& sh = StoreOf(StateOf(*op->info), op->shard, op->geom);
+  MetaEntry* e = sh.meta.Find(key, op->version);
+  if (e == nullptr) {
+    op->recovered = NotFoundError("entry gone during recovery");
+    BytesReady(*op);
+    return;
+  }
+  NoteAccess(RegionKind::kHeap, AccessKind::kWrite,
+             ScopeOf(op->info->id, op->shard), e->addr,
+             e->addr + bytes->size(), "recovery/block_install");
+  sh.heap.Write(e->addr, *bytes);
+  sh.meta.MarkBytesPresent(*e);
+  ++counters_.blocks_recovered;
+  hub().metrics().Inc("recovery.blocks", 1, id_, op->info->id,
+                      obs::OpKind::kRecovery);
+  hub().recorder().Record(obs::RecKind::kRecovery, "block_recovery", id_,
+                          op->trace_op, op->info->id, op->version);
+  op->recovered = OkStatus();
+  BytesReady(*op);
 }
 
 void RingServer::HandleRecoverBlock(RecoverBlock msg) {
   OnCpu(rt_->simulator().params().server_base_ns,
         [this, msg = std::move(msg)]() mutable {
+    // Answers the requester's op with the block's bytes, null on failure.
+    const auto reply = [this, requester = msg.requester,
+                        claim = msg.op](std::shared_ptr<Buffer> out) {
+      auto* peer = rt_->server(requester);
+      rt_->fabric().Send(
+          id_, requester, kSmallMsgBytes + (out ? out->size() : 0),
+          [peer, claim, out] { peer->HandleBlockReply(*claim, out); });
+    };
     const MemgestInfo* info = rt_->registry().Get(msg.memgest);
     const uint32_t geom = msg.geom_s;
     const uint32_t group = msg.shard / geom;
@@ -552,8 +570,7 @@ void RingServer::HandleRecoverBlock(RecoverBlock msg) {
         info == nullptr ? nullptr : rt_->registry().MapFor(*info, geom);
     if (info == nullptr || !placement.has_value() || code == nullptr ||
         map == nullptr || !ParityUsable(msg.memgest, group, geom)) {
-      rt_->fabric().Send(id_, msg.requester, kSmallMsgBytes,
-                         [reply = msg.reply] { reply(nullptr); });
+      reply(nullptr);
       return;
     }
     MemgestState& state = StateOf(*info);
@@ -577,7 +594,7 @@ void RingServer::HandleRecoverBlock(RecoverBlock msg) {
 
       const uint32_t k = code->k();
       auto finish_segment = [this, code, seg, out_off, result, remaining,
-                             failed, collected, finished, msg, k]() {
+                             failed, collected, finished, reply, k]() {
         if (*finished) {
           return;
         }
@@ -590,8 +607,8 @@ void RingServer::HandleRecoverBlock(RecoverBlock msg) {
             static_cast<uint64_t>(pr.decode_byte_ns * k * seg.length);
         const sim::SimTime decoded = OnCpu(
             decode_cost,
-            [this, code, seg, out_off, result, remaining, failed, collected,
-             msg] {
+            [code, seg, out_off, result, remaining, failed, collected,
+             reply] {
           std::vector<std::pair<uint32_t, ByteSpan>> avail;
           for (const auto& [h_row, buf] : *collected) {
             avail.emplace_back(h_row, ByteSpan(buf));
@@ -605,10 +622,7 @@ void RingServer::HandleRecoverBlock(RecoverBlock msg) {
                       result->begin() + out_off);
           }
           if (--*remaining == 0) {
-            auto out = *failed ? nullptr : result;
-            rt_->fabric().Send(id_, msg.requester,
-                               kSmallMsgBytes + (out ? out->size() : 0),
-                               [reply = msg.reply, out] { reply(out); });
+            reply(*failed ? nullptr : result);
           }
         });
         TraceCodingTail("decode", hub().current_op(), decoded, decode_cost);
@@ -667,8 +681,7 @@ void RingServer::HandleRecoverBlock(RecoverBlock msg) {
         // Not enough live sources: the segment is unrecoverable.
         *failed = true;
         if (--*remaining == 0) {
-          rt_->fabric().Send(id_, msg.requester, kSmallMsgBytes,
-                             [reply = msg.reply] { reply(nullptr); });
+          reply(nullptr);
         }
         continue;
       }
@@ -696,8 +709,12 @@ void RingServer::RecoverAllData() {
       }
       if (!todo.empty()) {
         ++promotion_->recoveries_left;
-        RecoverStoreEntries(id, *state.info, IndexOfKey(store_key),
-                            GeomOfKey(store_key), std::move(todo), 0);
+        ServerOp& op = ops_->Emplace(hub().current_op(),
+                                    StoreRecovery{id, std::move(todo)});
+        op.info = state.info;
+        op.shard = IndexOfKey(store_key);
+        op.geom = GeomOfKey(store_key);
+        Serve(op, std::get<StoreRecovery>(op.req));
       }
     }
   }
@@ -720,24 +737,19 @@ void RingServer::RecoveryDone(uint64_t id) {
   NotifyRedundancyRecovered();
 }
 
-void RingServer::RecoverStoreEntries(
-    uint64_t id, const MemgestInfo& info, uint32_t shard, uint32_t geom_s,
-    std::vector<std::pair<Key, Version>> todo, size_t next) {
-  if (!IsAlive() || !PromotionLive(id)) {
+void RingServer::Serve(ServerOp& op, StoreRecovery& run) {
+  const uint64_t promotion = run.promotion;
+  if (!IsAlive() || !PromotionLive(promotion)) {
+    End(op);  // the promotion ended
     return;
   }
-  if (next >= todo.size()) {
-    RecoveryDone(id);
+  if (run.next >= run.todo.size()) {
+    End(op);
+    RecoveryDone(promotion);
     return;
   }
-  const auto [key, version] = todo[next];
-  const MemgestInfo* info_ptr = &info;
-  EnsureDataPresent(info, shard, geom_s, key, version,
-                    [this, id, info_ptr, shard, geom_s, todo = std::move(todo),
-                     next](Status) mutable {
-                      RecoverStoreEntries(id, *info_ptr, shard, geom_s,
-                                          std::move(todo), next + 1);
-                    });
+  op.version = run.todo[run.next].second;
+  EnsureDataPresent(op, run.todo[run.next].first);
 }
 
 void RingServer::RebuildParity(uint64_t id, const MemgestInfo& info,
