@@ -440,8 +440,9 @@ struct TraceRunner::Impl : public sim::ScheduleController,
       FinalSweep();
     }
     // Wedged-write oracle: with retransmission configured on, no write may
-    // still be waiting on redundancy acks after full quiescence. (With it
-    // off, a lost append legitimately parks a write forever.)
+    // still be waiting on redundancy acks after full quiescence, and no
+    // server op on anything. (With it off, a lost append legitimately parks
+    // a write, and the ops waiting on it, forever.)
     if (result.violation.empty() && result.completed &&
         cl.simulator().params().write_retransmit_ns != 0) {
       uint64_t wedged = 0;
@@ -453,6 +454,9 @@ struct TraceRunner::Impl : public sim::ScheduleController,
       if (wedged != 0) {
         Violate(kViolationWedgedWrite,
                 std::to_string(wedged) + " write(s) still pending acks");
+      } else if (const size_t ops = cl.OpsInFlight(); ops != 0) {
+        Violate(kViolationWedgedWrite,
+                std::to_string(ops) + " server op(s) still in flight");
       }
     }
     // Key-directory oracle: every final state passes the audit, whether or

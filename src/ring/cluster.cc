@@ -34,6 +34,16 @@ std::string RingCluster::CheckKeyDirectories() {
   return "";
 }
 
+size_t RingCluster::OpsInFlight() {
+  size_t ops = 0;
+  for (net::NodeId n = 0; n < runtime_->num_server_nodes(); ++n) {
+    if (runtime_->fabric().alive(n)) {
+      ops += server(n).OpsInFlight();
+    }
+  }
+  return ops;
+}
+
 Result<MemgestId> RingCluster::CreateMemgest(const MemgestDescriptor& desc) {
   Result<MemgestId> result = InternalError("createMemgest did not complete");
   bool done = false;

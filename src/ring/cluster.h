@@ -56,6 +56,9 @@ class RingCluster {
   // RingServer::CheckKeyDirectory over every live server node: "" when the
   // audit holds everywhere, else the first failure.
   std::string CheckKeyDirectories();
+  // RingServer::OpsInFlight summed over every live server node: zero at
+  // quiescence.
+  size_t OpsInFlight();
 
   // Runs the simulation until `done` returns true (or the event budget is
   // exhausted). Returns true on success.

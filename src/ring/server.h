@@ -440,6 +440,10 @@ class RingServer {
   // Writes still awaiting redundancy acks (un-committed, acks outstanding).
   // The MC wedged-write oracle: after full quiesce this must be zero.
   uint64_t PendingWrites() const;
+  // Server ops in the op table: admitted and not yet replied, forwarded,
+  // dropped or ended with what they waited on. The MC wedged-write oracle
+  // and the fuzz suites' quiescent sweeps: zero on every live node.
+  size_t OpsInFlight() const { return ops_->size(); }
   // GC-notice records still waiting for the redundancy write they collect,
   // over every backup store (each holds at most EarlyGcSet::kWindow).
   uint64_t EarlyGcRecords() const;

@@ -273,6 +273,7 @@ ChaosDigest RunChaos(uint64_t seed,
     ++violations;
     ADD_FAILURE() << "key directory: " << why << " seed=" << seed;
   }
+  EXPECT_EQ(cluster.OpsInFlight(), 0u) << "seed=" << seed;
 
   // Committed-data / read-your-writes sweep on the healed cluster.
   for (const auto& [key, st] : truth) {
@@ -693,6 +694,7 @@ MembershipChaosDigest RunMembershipChaos(uint64_t seed) {
     ++violations;
     ADD_FAILURE() << "key directory: " << why << " seed=" << seed;
   }
+  EXPECT_EQ(cluster.OpsInFlight(), 0u) << "seed=" << seed;
 
   // Committed-data sweep across whatever shape the cluster ended up in.
   for (const auto& [key, st] : truth) {
@@ -812,6 +814,7 @@ struct ScriptedElastic {
   }
   void VerifyAllKeys() {
     EXPECT_EQ(cluster->CheckKeyDirectories(), "");
+    EXPECT_EQ(cluster->OpsInFlight(), 0u);
     for (int i = 0; i < written; ++i) {
       auto got = cluster->Get("sk-" + std::to_string(i));
       ASSERT_TRUE(got.ok()) << "sk-" << i << ": " << got.status();

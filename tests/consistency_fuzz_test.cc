@@ -187,6 +187,7 @@ void RunRandomTraffic(uint64_t seed, uint32_t groups, bool with_policy,
   }
 
   EXPECT_EQ(cluster.CheckKeyDirectories(), "");
+  EXPECT_EQ(cluster.OpsInFlight(), 0u);
 
   // Quiescent agreement + read-your-writes sweep: all clients agree, and
   // the version is at least the highest acked put version (background moves

@@ -74,6 +74,7 @@ TEST_P(FailureMatrixTest, CommittedDataSurvivesAndClusterServes) {
   }
 
   EXPECT_EQ(cluster.CheckKeyDirectories(), "") << "victim=" << c.victim;
+  EXPECT_EQ(cluster.OpsInFlight(), 0u) << "victim=" << c.victim;
   for (const auto& [key, value] : committed) {
     auto got = cluster.Get(key);
     ASSERT_TRUE(got.ok()) << key << " victim=" << c.victim;
@@ -149,6 +150,7 @@ TEST(CrashRecoveryTest, RejoinReclaimsOwnSlotWhenNoSpareExists) {
   cluster.RestartNode(1);
   cluster.RunFor(p.detection_window_ns() + kRecoverySlack);
   EXPECT_EQ(cluster.CheckKeyDirectories(), "");
+  EXPECT_EQ(cluster.OpsInFlight(), 0u);
   for (const auto& [key, value] : committed) {
     auto got = cluster.Get(key);
     ASSERT_TRUE(got.ok()) << key;
@@ -188,6 +190,7 @@ TEST(DoubleFailureTest, Srs32ToleratesTwoSequentialFailures) {
     cluster.KillNode(data_first ? 3 : 1, /*force_detect=*/true);
     cluster.RunFor(50 * sim::kMillisecond);
     EXPECT_EQ(cluster.CheckKeyDirectories(), "");
+    EXPECT_EQ(cluster.OpsInFlight(), 0u);
     for (const auto& [key, value] : committed) {
       auto got = cluster.Get(key);
       ASSERT_TRUE(got.ok()) << key;
@@ -221,6 +224,7 @@ TEST(DoubleFailureTest, Rep3SurvivesCoordinatorAndReplica) {
   cluster.KillNode(2, /*force_detect=*/true);
   cluster.RunFor(50 * sim::kMillisecond);
   EXPECT_EQ(cluster.CheckKeyDirectories(), "");
+  EXPECT_EQ(cluster.OpsInFlight(), 0u);
   auto got = cluster.Get(key);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, value);
@@ -282,6 +286,7 @@ void ExpectWritesAfterAPromotionSurviveTheNextFailure(
   cluster.KillNode(promoted, /*force_detect=*/true);
   cluster.RunFor(20 * sim::kMillisecond);
   EXPECT_EQ(cluster.CheckKeyDirectories(), "");
+  EXPECT_EQ(cluster.OpsInFlight(), 0u);
   for (const auto& [key, value] : fresh) {
     auto got = cluster.Get(key);
     ASSERT_TRUE(got.ok()) << key << ": " << got.status().ToString();
@@ -364,6 +369,7 @@ void ExpectARestartEndsThePromotion(const MemgestDescriptor& desc,
     EXPECT_FALSE(cluster.server(spare).serving());
     ASSERT_NO_THROW(cluster.RunFor(50 * sim::kMillisecond));
     EXPECT_EQ(cluster.CheckKeyDirectories(), "");
+    EXPECT_EQ(cluster.OpsInFlight(), 0u);
     for (int i = 0; i < kPromotionKeys; ++i) {
       auto got = cluster.Get(PromotionKey(i));
       ASSERT_TRUE(got.ok()) << PromotionKey(i) << ": "

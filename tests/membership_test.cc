@@ -184,6 +184,7 @@ class ElasticClusterTest : public ::testing::Test {
 
   void VerifyAllKeys() {
     EXPECT_EQ(cluster_->CheckKeyDirectories(), "");
+    EXPECT_EQ(cluster_->OpsInFlight(), 0u);
     for (const auto& [key, value] : expected_) {
       auto got = cluster_->Get(key);
       ASSERT_TRUE(got.ok()) << key << ": " << got.status();

@@ -1765,5 +1765,130 @@ TEST(ResizePrecedenceTest, GetPrefersTheCurrentShapeCopyOfAVersion) {
   EXPECT_EQ(cluster.CheckKeyDirectories(), "");
 }
 
+// ---------------------------------------------------------------------------
+// Server ops end where their continuations die (DESIGN.md §21).
+
+enum class WriteEnd { kFence, kRestart, kRetireShape };
+
+// A put of a shard-1 key cannot commit while both its replicas (nodes 2 and
+// 3) sit in a gray pause; a get and a move of the key park on it at the
+// coordinator, node 1. Ending the write there, by fencing the node, by
+// restarting it or by retiring the shape the write was made under, ends
+// all three ops. The client completes each one through its retry once the
+// pause is over.
+void ExpectTheWaitersEndWithTheWrite(WriteEnd end) {
+  RingOptions o;
+  o.s = 3;
+  o.d = 2;
+  o.spares = 1;
+  o.seed = 3;
+  o.fault_plan = *fault::ParseFaultPlan(
+      "pause node=2 at=20ms resume=23ms; pause node=3 at=20ms resume=23ms");
+  RingCluster cluster(o);
+  const MemgestId g = *cluster.CreateMemgest(MemgestDescriptor::Replicated(3));
+  const MemgestId dst =
+      *cluster.CreateMemgest(MemgestDescriptor::Replicated(3));
+  const Key key = KeyInShard(1, 3, 7);
+  ASSERT_TRUE(cluster.Put(key, "v1", g).ok());
+  ASSERT_LT(cluster.simulator().now(), 20 * sim::kMillisecond);
+  cluster.RunFor(20 * sim::kMillisecond - cluster.simulator().now());
+
+  int done = 0;
+  cluster.client(0).Put(key, std::make_shared<Buffer>(ToBuffer("v2")), g,
+                        [&done](Status, Version) { ++done; });
+  cluster.RunFor(10 * sim::kMicrosecond);
+  cluster.client(0).Get(key, [&done](GetResult) { ++done; });
+  cluster.client(0).Move(key, dst, [&done](Status, Version) { ++done; });
+  cluster.RunFor(50 * sim::kMicrosecond);
+  RingServer& coordinator = cluster.server(1);
+  ASSERT_EQ(coordinator.PendingWrites(), 1u);
+  ASSERT_EQ(coordinator.OpsInFlight(), 3u);  // the put, the get, the move
+
+  consensus::MembershipGroup& membership = cluster.runtime().membership();
+  switch (end) {
+    case WriteEnd::kFence:  // AbandonPendingWrites
+      membership.ReportSuspect(1);
+      cluster.RunFor(sim::kMillisecond);
+      ASSERT_FALSE(coordinator.serving());
+      break;
+    case WriteEnd::kRestart:
+      cluster.KillNode(1, /*force_detect=*/true);
+      cluster.RestartNode(1);
+      break;
+    case WriteEnd::kRetireShape:  // PurgeStaleGeometries
+      ASSERT_TRUE(membership.BeginAddServer(5));
+      cluster.RunFor(100 * sim::kMicrosecond);
+      ASSERT_TRUE(membership.CompleteRebalance());
+      cluster.RunFor(100 * sim::kMicrosecond);
+      break;
+  }
+  EXPECT_EQ(coordinator.OpsInFlight(), 0u);
+  ASSERT_TRUE(cluster.RunUntilDone([&done] { return done == 3; }));
+  cluster.RunFor(10 * sim::kMillisecond);
+  EXPECT_EQ(cluster.OpsInFlight(), 0u);
+  EXPECT_EQ(cluster.CheckKeyDirectories(), "");
+}
+
+TEST(ServerOpTest, AFenceEndsTheOpsWaitingOnItsWrites) {
+  ExpectTheWaitersEndWithTheWrite(WriteEnd::kFence);
+}
+
+TEST(ServerOpTest, ARestartEndsEveryOp) {
+  ExpectTheWaitersEndWithTheWrite(WriteEnd::kRestart);
+}
+
+TEST(ServerOpTest, RetiringAShapeEndsTheOpsWaitingOnItsWrites) {
+  ExpectTheWaitersEndWithTheWrite(WriteEnd::kRetireShape);
+}
+
+// A promoted Rep(3) coordinator without background recovery copies a
+// value's bytes from a replica when a get first needs them. When the node
+// restarts while the one-sided read is in flight, the read's completion
+// finds no op and records nothing; the client's get completes through its
+// retry.
+TEST(ServerOpTest, ALateBlockReplyToARestartedRequesterIsDropped) {
+  RingOptions o;
+  o.s = 3;
+  o.d = 2;
+  o.spares = 1;
+  o.seed = 5;
+  o.background_data_recovery = false;
+  RingCluster cluster(o);
+  const MemgestId g = *cluster.CreateMemgest(MemgestDescriptor::Replicated(3));
+  const Key key = KeyInShard(1, 3, 11);
+  const Buffer value = MakePatternBuffer(128 << 10, 11);
+  ASSERT_TRUE(cluster.Put(key, value, g).ok());
+  cluster.KillNode(1, /*force_detect=*/true);
+  cluster.RunFor(2 * sim::kMillisecond);
+  RingServer& promoted = cluster.server(5);
+  ASSERT_TRUE(promoted.serving());
+  cluster.client(0).RefreshConfigNow();
+
+  cluster.runtime().simulator().hub().EnableTracing(true);
+  std::optional<GetResult> got;
+  cluster.client(0).Get(key, [&got](GetResult r) { got = std::move(r); });
+  // Admitted; once its admission charge is done it waits for the read.
+  while (promoted.OpsInFlight() == 0) {
+    cluster.RunFor(100);
+  }
+  cluster.RunFor(3 * sim::kMicrosecond);
+  ASSERT_EQ(promoted.OpsInFlight(), 1u);
+  ASSERT_EQ(promoted.counters().blocks_recovered, 0u);
+  cluster.KillNode(5);
+  cluster.RestartNode(5);
+  EXPECT_EQ(promoted.OpsInFlight(), 0u);
+  cluster.RunFor(200 * sim::kMicrosecond);  // the read completes meanwhile
+  EXPECT_EQ(promoted.counters().blocks_recovered, 0u);
+  EXPECT_EQ(promoted.StoredBytes(), 0u);
+  for (const obs::Span& span :
+       cluster.runtime().simulator().hub().tracer().spans()) {
+    EXPECT_NE(std::string(span.name), "block_recovery");
+  }
+  ASSERT_TRUE(cluster.RunUntilDone([&got] { return got.has_value(); }));
+  ASSERT_TRUE(got->status.ok()) << got->status;
+  EXPECT_EQ(*got->data, value);
+  EXPECT_EQ(cluster.OpsInFlight(), 0u);
+}
+
 }  // namespace
 }  // namespace ring
