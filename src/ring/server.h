@@ -375,6 +375,8 @@ class RingServer {
   void Restart();
 
   // ---- introspection (tests & benches) ----
+  // What the node has done since it was built: a restart keeps the counts,
+  // so a delta taken across it stays right.
   struct Counters {
     uint64_t puts = 0;
     uint64_t moves = 0;

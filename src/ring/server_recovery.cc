@@ -109,11 +109,10 @@ void RingServer::Restart() {
   // gone, so a CPU charge queued before the crash drops when it completes.
   // The node comes back as a non-serving spare; membership readmission
   // (and, if the cluster re-promotes it, the normal recovery path) restores
-  // service.
+  // service. The counters survive: they count what the node has done.
   ops_->Clear();
   ClearStores();
   client_op_window_.Clear();
-  counters_ = Counters{};
   last_recovery_ns_ = 0;
   promotion_.reset();
   serving_ = false;

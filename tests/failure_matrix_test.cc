@@ -163,6 +163,44 @@ TEST(CrashRecoveryTest, RejoinReclaimsOwnSlotWhenNoSpareExists) {
   EXPECT_EQ(config.node_of_slot[config.slot_of_node[1]], 1u);
 }
 
+// A restart keeps the node's counters: they count what it has done since
+// it was built, so a delta taken across the restart (the rebalance driver's
+// keys moved, e2e_bench's window sums) never goes back.
+TEST(CrashRecoveryTest, ARestartKeepsTheCounters) {
+  RingOptions o;
+  o.s = 3;
+  o.d = 2;
+  o.spares = 0;
+  o.seed = 82;
+  RingCluster cluster(o);
+  const auto& p = o.params;
+  const MemgestId g = *cluster.CreateMemgest(MemgestDescriptor::Replicated(3));
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(cluster.Put("rc-" + std::to_string(i), "v", g).ok());
+  }
+  const RingServer::Counters before = cluster.server(1).counters();
+  ASSERT_GT(before.puts, 0u);
+  ASSERT_GT(before.replica_appends, 0u);
+  cluster.KillNode(1, /*force_detect=*/false);
+  cluster.RunFor(p.detection_window_ns() + kRecoverySlack);
+  cluster.RestartNode(1);
+  cluster.RunFor(p.detection_window_ns() + kRecoverySlack);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(cluster.Put("rc-" + std::to_string(i), "w", g).ok());
+  }
+  using C = RingServer::Counters;
+  const C& after = cluster.server(1).counters();
+  for (uint64_t C::*field :
+       {&C::puts, &C::moves, &C::parity_updates, &C::replica_appends,
+        &C::blocks_recovered, &C::deferred_gets, &C::nonblocking_gets,
+        &C::resent_replies, &C::dup_backups, &C::retransmits,
+        &C::op_restarts, &C::forwards, &C::fenced_drops, &C::keys_migrated,
+        &C::bytes_moved, &C::keys_reencoded, &C::installs}) {
+    EXPECT_GE(after.*field, before.*field);
+  }
+  EXPECT_GT(after.puts, before.puts);
+}
+
 TEST(DoubleFailureTest, Srs32ToleratesTwoSequentialFailures) {
   // A data coordinator (node 1) and a parity home (node 3) fail one after
   // the other, each after the previous recovery finished, in both orders.
