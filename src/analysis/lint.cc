@@ -746,7 +746,10 @@ std::vector<LintFinding> BuildGraphFindings(const std::string& root) {
 // finding, whether tests name it or not. Case labels do not reach:
 // handling a value nobody produces is no use of it. A name shared by two
 // classes whose headers one file sees reaches both, so the scan can miss
-// but never invent a finding.
+// but never invent a finding. A private member, or anything declared in a
+// class's private section, is reached from outside its own .h/.cc only by a
+// file that defines a member of that class or of one of its friends (a
+// `Class::` definition or the class head): nothing else may name it.
 
 struct Tok {
   std::string text;
@@ -817,6 +820,23 @@ struct Unit {
   std::vector<std::string> uses;
 };
 
+// A declared function, class, enum or enumerator. `private_to` names the
+// outermost class whose private section holds it; empty when it is public.
+struct Decl {
+  Tok tok;
+  std::string private_to;
+};
+
+// What ParseUnits learns about a file beyond its units.
+struct FileFacts {
+  std::vector<Decl> decls;
+  // Classes whose members the file defines: `A::B::f` definitions name A
+  // and B, and a class head names its class.
+  std::set<std::string> defines;
+  // Class -> the classes it declares friends.
+  std::map<std::string, std::vector<std::string>> friends;
+};
+
 size_t MatchingClose(const std::vector<Tok>& toks, size_t open) {
   const std::string& o = toks[open].text;
   const std::string c = o == "(" ? ")" : o == "[" ? "]" : "}";
@@ -860,12 +880,26 @@ size_t Declarator(const std::vector<Tok>& stmt) {
   return stmt.size();
 }
 
-// Splits one file into units; with `decls`, also collects the declared
-// functions, classes, enums and enumerators.
+// Splits one file into units and collects its facts.
 void ParseUnits(const std::string& content, std::vector<Unit>* units,
-                std::vector<Tok>* decls) {
+                FileFacts* facts) {
   const std::vector<Tok> toks = Tokenize(content);
-  std::vector<std::pair<char, std::string>> scopes;  // 'n'/'c'/'e', class
+  struct Scope {
+    char kind;         // 'n'amespace, 'c'lass or 'e'num
+    std::string name;  // a class's
+    bool in_private;   // a class's current access section
+    std::string private_to;  // what its own declaration is private to
+  };
+  std::vector<Scope> scopes;
+  // What a declaration in the innermost scope is private to.
+  const auto private_to = [&scopes]() -> std::string {
+    if (scopes.empty() || scopes.back().kind == 'n') {
+      return "";
+    }
+    const Scope& s = scopes.back();
+    return !s.private_to.empty() ? s.private_to
+                                 : (s.in_private ? s.name : "");
+  };
   std::vector<Tok> stmt;
   // One unit from `from`, named by from[name_at] unless that is out of range
   // or `operator`; the `A::B::` qualifier of a definition is no use.
@@ -877,12 +911,11 @@ void ParseUnits(const std::string& content, std::vector<Unit>* units,
       while (qualifier >= 2 && from[qualifier - 1].text == "::" &&
              IsIdent(from[qualifier - 2].text)) {
         qualifier -= 2;
+        facts->defines.insert(from[qualifier].text);
       }
-      if (decls != nullptr) {
-        decls->push_back(from[name_at]);
-      }
-    } else if (!scopes.empty() && scopes.back().first == 'c') {
-      u.owner = scopes.back().second;
+      facts->decls.push_back({from[name_at], private_to()});
+    } else if (!scopes.empty() && scopes.back().kind == 'c') {
+      u.owner = scopes.back().name;
     }
     bool in_case = false;
     for (size_t k = 0; k < from.size(); ++k) {
@@ -896,19 +929,26 @@ void ParseUnits(const std::string& content, std::vector<Unit>* units,
   };
   for (size_t i = 0; i < toks.size(); ++i) {
     const std::string& t = toks[i].text;
-    if (!scopes.empty() && scopes.back().first == 'e') {  // enumerators
+    if (!scopes.empty() && scopes.back().kind == 'e') {  // enumerators
       for (; i < toks.size() && toks[i].text != "}"; ++i) {
-        if (decls != nullptr && IsIdent(toks[i].text) &&
+        if (IsIdent(toks[i].text) &&
             (toks[i - 1].text == "{" || toks[i - 1].text == ",")) {
-          decls->push_back(toks[i]);
+          facts->decls.push_back({toks[i], scopes.back().private_to});
         }
       }
       scopes.pop_back();
     } else if ((t == "public" || t == "private" || t == "protected") &&
                i + 1 < toks.size() && toks[i + 1].text == ":") {
+      if (!scopes.empty()) {
+        scopes.back().in_private = t == "private";
+      }
       ++i;
     } else if (t == "}" || t == ";") {
       if (t == ";" && !stmt.empty()) {
+        if (stmt[0].text == "friend" && !scopes.empty() &&
+            IsIdent(stmt.back().text)) {
+          facts->friends[scopes.back().name].push_back(stmt.back().text);
+        }
         add(stmt, Declarator(stmt));
       } else if (t == "}" && !scopes.empty()) {
         scopes.pop_back();
@@ -931,7 +971,7 @@ void ParseUnits(const std::string& content, std::vector<Unit>* units,
       if (std::any_of(stmt.begin(), stmt.end(),
                       [](const Tok& x) { return x.text == "namespace"; }) ||
           (!stmt.empty() && stmt[0].text == "extern")) {
-        scopes.push_back({'n', ""});
+        scopes.push_back({'n', "", false, ""});
       } else if (is_enum || (fn == stmt.size() && kw < stmt.size())) {
         size_t at = kw + 1;
         while (at < stmt.size() &&
@@ -943,8 +983,13 @@ void ParseUnits(const std::string& content, std::vector<Unit>* units,
                    : at + 1;
         }
         add(stmt, at);
-        scopes.push_back(
-            {is_enum ? 'e' : 'c', at < stmt.size() ? stmt[at].text : ""});
+        const std::string name = at < stmt.size() ? stmt[at].text : "";
+        if (!is_enum) {
+          facts->defines.insert(name);
+        }
+        scopes.push_back({is_enum ? 'e' : 'c', name,
+                          !is_enum && stmt[kw].text == "class",
+                          private_to()});
       } else {
         // A body follows a complete declarator, except that in a
         // constructor's initializer list `member{` opens a brace init.
@@ -986,8 +1031,10 @@ std::vector<std::string> QuotedIncludes(const std::string& content) {
 }
 
 std::vector<LintFinding> TestOnlyApiFindings(const std::string& root) {
-  // Non-test file -> the files it #includes.
+  // Non-test file -> the files it #includes, and the classes whose members
+  // it defines.
   std::map<std::string, std::vector<std::string>> includes;
+  std::map<std::string, std::set<std::string>> defines;
   std::map<std::string, std::vector<std::string>> files_naming;
   std::set<std::string> test_words;
   for (const std::string dir :
@@ -1014,6 +1061,10 @@ std::vector<LintFinding> TestOnlyApiFindings(const std::string& root) {
         files_naming[w].push_back(rel);
       }
       includes[rel] = QuotedIncludes(text);
+      std::vector<Unit> units;
+      FileFacts facts;
+      ParseUnits(text, &units, &facts);
+      defines[rel] = std::move(facts.defines);
     }
   }
   // Each file's #include closure, by a walk over the direct includes.
@@ -1041,30 +1092,57 @@ std::vector<LintFinding> TestOnlyApiFindings(const std::string& root) {
     const std::string text = ReadText(fs::path(root) / header);
     const auto cc = includes.find(header.substr(0, header.size() - 2) + ".cc");
     std::vector<Unit> units;
-    std::vector<Tok> decls;
-    ParseUnits(text, &units, &decls);
+    FileFacts facts;
+    ParseUnits(text, &units, &facts);
     if (cc != includes.end()) {
-      ParseUnits(ReadText(fs::path(root) / cc->first), &units, nullptr);
+      FileFacts cc_facts;
+      ParseUnits(ReadText(fs::path(root) / cc->first), &units, &cc_facts);
     }
     // Reached through the own .h/.cc; a waived oracle keeps what it uses.
     const std::vector<std::string> lines = SplitLines(text);
     std::set<std::string> reached;
-    for (const Tok& d : decls) {
-      if (Allowlisted(lines, d.line, "test-only-api")) {
-        reached.insert(d.text);
+    // Name -> the class it is private to, for names only private members
+    // of one class carry.
+    std::map<std::string, std::string> private_to;
+    std::set<std::string> public_names;
+    for (const Decl& d : facts.decls) {
+      if (Allowlisted(lines, d.tok.line, "test-only-api")) {
+        reached.insert(d.tok.text);
+      }
+      if (d.private_to.empty()) {
+        public_names.insert(d.tok.text);
+      } else if (!private_to.emplace(d.tok.text, d.private_to).second &&
+                 private_to[d.tok.text] != d.private_to) {
+        public_names.insert(d.tok.text);  // two classes: count it as public
       }
     }
-    // `file`, not the header's own .h/.cc, has the header in its closure.
-    const auto includes_header = [&](const std::string& file) {
-      return file != header && (cc == includes.end() || file != cc->first) &&
-             sees.at(file).count(header) != 0;
+    for (const std::string& name : public_names) {
+      private_to.erase(name);
+    }
+    // `file`, not the header's own .h/.cc, has the header in its closure,
+    // and may name `w`: anything public, or a private member of a class
+    // whose (or whose friend's) members the file defines.
+    const auto may_name = [&](const std::string& file, const std::string& w) {
+      if (file == header || (cc != includes.end() && file == cc->first) ||
+          sees.at(file).count(header) == 0) {
+        return false;
+      }
+      const auto p = private_to.find(w);
+      if (p == private_to.end()) {
+        return true;
+      }
+      std::vector<std::string> classes = facts.friends[p->second];
+      classes.push_back(p->second);
+      return std::any_of(
+          classes.begin(), classes.end(),
+          [&](const std::string& c) { return defines.at(file).count(c) != 0; });
     };
     auto is_reached = [&](const std::string& w) {
       const auto n = files_naming.find(w);
       return reached.count(w) != 0 ||
              (n != files_naming.end() &&
               std::any_of(n->second.begin(), n->second.end(),
-                          includes_header));
+                          [&](const std::string& f) { return may_name(f, w); }));
     };
     std::vector<bool> live(units.size(), false);
     for (bool changed = true; changed;) {
@@ -1078,7 +1156,8 @@ std::vector<LintFinding> TestOnlyApiFindings(const std::string& root) {
         }
       }
     }
-    for (const Tok& d : decls) {
+    for (const Decl& decl : facts.decls) {
+      const Tok& d = decl.tok;
       if (is_reached(d.text)) {
         continue;
       }
@@ -1127,14 +1206,17 @@ std::vector<LintFinding> LintSource(const SourceInput& in,
   // Only the scheduler-adjacent trees must stay pool-pure: protocol layers
   // may still hand std::function across public APIs, but src/sim and src/net
   // sit on the event hot path where a boxed callable costs an allocation per
-  // scheduled event. RingClient's in-flight table is the only owner of
-  // per-op state; a std::function there would let the per-op closure chain
-  // back in, so only its public callback types carry waivers.
+  // scheduled event. RingClient's in-flight table and RingServer's op table
+  // are the only owners of per-op state; a std::function in either would
+  // let the per-op closure chain back in, so only the client's public
+  // callback types and the rebalance driver's two return addresses carry
+  // waivers.
   const bool pool_scoped = force_all_rules ||
                            in.relpath.rfind("src/sim/", 0) == 0 ||
                            in.relpath.rfind("src/net/", 0) == 0 ||
                            in.relpath == "src/ring/client.h" ||
-                           in.relpath == "src/ring/client.cc";
+                           in.relpath == "src/ring/client.cc" ||
+                           in.relpath.rfind("src/ring/server", 0) == 0;
   if (pool_scoped) {
     apply(BoxedCallbackRule());
   }

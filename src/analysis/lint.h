@@ -19,13 +19,15 @@
 //                   outside src/sim — protocol code must go through
 //                   net::Fabric (or the Simulator At/After wrappers for
 //                   local timers) so every event is attributable.
-//   boxed-callback  std::function in src/sim, src/net or src/ring/client.*
-//                   — the scheduler hot path carries callables as pooled
-//                   sim::Task values; a std::function there boxes every
-//                   out-of-line capture on the general heap and silently
-//                   bypasses the pool. In the client it would bring back
-//                   per-op closures; only its public callback types are
-//                   waived.
+//   boxed-callback  std::function in src/sim, src/net, src/ring/client.*
+//                   or src/ring/server* — the scheduler hot path carries
+//                   callables as pooled sim::Task values; a std::function
+//                   there boxes every out-of-line capture on the general
+//                   heap and silently bypasses the pool. In the client or
+//                   the server it would bring back per-op closures next to
+//                   their op tables; only the client's public callback
+//                   types and the two return addresses of the rebalance
+//                   driver (src/membership/rebalance.cc) are waived.
 //   server-admission `cpu().Execute(` or `obs::ScopedOp` in
 //                   src/ring/server*.{h,cc} — RingServer::OnCpu is the one
 //                   way server work reaches the CPU: it skips a dead node
@@ -51,7 +53,9 @@
 //                   examples/): code only its own tests exercise, or, when
 //                   no test names it either, code nothing uses. A root
 //                   reaches a name only if the header is in its #include
-//                   closure. Token-level: a name shared with another class
+//                   closure, and a private member's name only if it also
+//                   defines a member of the member's class or of a friend
+//                   class. Token-level: a name shared with another class
 //                   the same file sees may hide a finding, never invent
 //                   one. Waive an independent oracle on its
 //                   declaration with

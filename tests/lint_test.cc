@@ -127,6 +127,14 @@ TEST(LintRulesTest, BoxedCallbackFiresInScopedFilesOnly) {
     client_file.content = code;
     EXPECT_TRUE(HasRule(LintSource(client_file), "boxed-callback")) << path;
   }
+  // RingServer's op table owns all per-op state too.
+  for (const char* path : {"src/ring/server.h", "src/ring/server.cc",
+                           "src/ring/server_recovery.cc"}) {
+    SourceInput server_file;
+    server_file.relpath = path;
+    server_file.content = code;
+    EXPECT_TRUE(HasRule(LintSource(server_file), "boxed-callback")) << path;
+  }
   // Protocol layers may still take std::function across public APIs.
   SourceInput ring_file;
   ring_file.relpath = "src/ring/x.cc";
@@ -326,6 +334,24 @@ TEST(LintFixtureTest, ServerFixtureFlagsOnlyUnwaivedAdmission) {
   EXPECT_EQ(f[1].line, 17);  // the handler's direct charge
 }
 
+// Scanned at a server path: a continuation boxed in a std::function member
+// fires, and its twin waived as a return address into another module
+// passes.
+TEST(LintFixtureTest, ServerFixtureFlagsOnlyTheUnwaivedClosureMember) {
+  SourceInput in;
+  in.relpath = "src/ring/server_rebalance.cc";
+  in.content =
+      "struct MigrateKey {\n"
+      "  // ring-lint: ok(boxed-callback) the driver's return address\n"
+      "  std::function<void(Status)> reply;\n"
+      "  std::function<void(Status)> ack;\n"
+      "};\n";
+  const auto f = LintSource(in);
+  ASSERT_EQ(f.size(), 1u) << FormatFindings(f);
+  EXPECT_EQ(f[0].rule, "boxed-callback");
+  EXPECT_EQ(f[0].line, 4);
+}
+
 TEST(LintFixtureTest, AllowlistedFixtureIsClean) {
   SourceInput in;
   in.relpath = "tests/lint/fixture_allowlisted.cc";
@@ -474,6 +500,72 @@ TEST(LintTestOnlyApiTest, CountsANameOnlyWhereItsHeaderIsIncluded) {
   EXPECT_EQ(f[0].file, "src/core/api.h");
   EXPECT_EQ(f[0].line, 6);
   EXPECT_EQ(f[0].message.substr(0, f[0].message.find(' ')), "'running'")
+      << f[0].message;
+  fs::remove_all(root);
+}
+
+// A private member is reached only from its class's own files: its header,
+// a file that defines a member of the class, or one of a friend class. A
+// same-named local in another file that includes the header reaches
+// nothing.
+TEST(LintTestOnlyApiTest, CountsAPrivateMemberOnlyInItsClassFiles) {
+  namespace fs = std::filesystem;
+  const fs::path root =
+      fs::path(::testing::TempDir()) / "ring_lint_private_reach";
+  fs::remove_all(root);
+  for (const char* dir : {"src/core", "tools", "tests"}) {
+    fs::create_directories(root / dir);
+  }
+  auto write = [](const fs::path& p, const std::string& text) {
+    std::ofstream(p) << text;
+  };
+  write(root / "src" / "core" / "api.h",
+        "namespace fixture {\n"
+        "class Engine {\n"
+        " public:\n"
+        "  int Run() const;\n"
+        "  int Load() const;\n"
+        "\n"
+        " private:\n"
+        "  friend class Inspector;\n"
+        "  int slot() const;\n"
+        "  int Helper() const;\n"
+        "  int Peek() const;\n"
+        "};\n"
+        "}  // namespace fixture\n");
+  write(root / "src" / "core" / "api.cc",
+        "#include \"src/core/api.h\"\n"
+        "namespace fixture {\n"
+        "int Engine::Run() const { return 1; }\n"
+        "}  // namespace fixture\n");
+  write(root / "src" / "core" / "engine_io.cc",
+        "#include \"src/core/api.h\"\n"
+        "namespace fixture {\n"
+        "int Engine::Load() const { return Helper(); }\n"
+        "}  // namespace fixture\n");
+  write(root / "src" / "core" / "inspector.h",
+        "#include \"src/core/api.h\"\n"
+        "namespace fixture {\n"
+        "class Inspector {\n"
+        " public:\n"
+        "  int Look(const Engine& e) const { return e.Peek(); }\n"
+        "};\n"
+        "}  // namespace fixture\n");
+  write(root / "tools" / "main.cc",
+        "#include \"src/core/inspector.h\"\n"
+        "int main() {\n"
+        "  fixture::Engine e;\n"
+        "  return e.Run() + e.Load() + fixture::Inspector().Look(e);\n"
+        "}\n");
+  write(root / "tools" / "unrelated.cc",
+        "#include \"src/core/api.h\"\n"
+        "int Unrelated() { int slot = 2; return slot; }\n");
+
+  const auto f = LintTestOnlyApi(root.string());
+  ASSERT_EQ(f.size(), 1u) << FormatFindings(f);
+  EXPECT_EQ(f[0].file, "src/core/api.h");
+  EXPECT_EQ(f[0].line, 9);
+  EXPECT_EQ(f[0].message.substr(0, f[0].message.find(' ')), "'slot'")
       << f[0].message;
   fs::remove_all(root);
 }
