@@ -1141,8 +1141,9 @@ std::vector<LintFinding> TestOnlyApiFindings(const std::string& root) {
       const auto n = files_naming.find(w);
       return reached.count(w) != 0 ||
              (n != files_naming.end() &&
-              std::any_of(n->second.begin(), n->second.end(),
-                          [&](const std::string& f) { return may_name(f, w); }));
+              std::any_of(
+                  n->second.begin(), n->second.end(),
+                  [&](const std::string& f) { return may_name(f, w); }));
     };
     std::vector<bool> live(units.size(), false);
     for (bool changed = true; changed;) {

@@ -118,6 +118,22 @@ RingServer::MemgestState& RingServer::StateOf(const MemgestInfo& info) {
   return state;
 }
 
+ShardStore* RingServer::FindStore(MemgestId memgest,
+                                  uint32_t store_key) const {
+  const auto it = memgests_.find(memgest);
+  return it == memgests_.end() ? nullptr : it->second.stores.Find(store_key);
+}
+
+const RingServer::ParityStore* RingServer::FindParity(
+    MemgestId memgest, uint32_t parity_key) const {
+  const auto it = memgests_.find(memgest);
+  if (it == memgests_.end()) {
+    return nullptr;
+  }
+  const auto parity = it->second.parity.find(parity_key);
+  return parity == it->second.parity.end() ? nullptr : &parity->second;
+}
+
 ShardStore& RingServer::StoreOf(MemgestState& state, uint32_t shard,
                                 uint32_t geom_s) {
   return state.stores.FindOrCreate(GeomKey(geom_s, shard));
@@ -137,12 +153,8 @@ std::optional<consensus::Placement> RingServer::PlacementFor(
 RingServer::EntryLoc RingServer::FindEntry(const MemgestInfo& info,
                                            const HashedKey& key,
                                            Version version) const {
-  const auto it = memgests_.find(info.id);
-  if (it == memgests_.end()) {
-    return EntryLoc{};
-  }
   const auto find_in = [&](uint32_t geom, uint32_t shard) {
-    ShardStore* store = it->second.stores.Find(GeomKey(geom, shard));
+    ShardStore* store = FindStore(info.id, GeomKey(geom, shard));
     MetaEntry* e =
         store == nullptr ? nullptr : store->meta.Find(key.str(), version);
     return e == nullptr ? EntryLoc{} : EntryLoc{e, store, shard, geom};
@@ -401,7 +413,7 @@ void RingServer::Advance(uint64_t id) {
       if (std::holds_alternative<MigrateKey>(op->req)) {
         SendInstall(*op);  // the moved-marker committed
       } else if (std::holds_alternative<InstallKey>(op->req)) {
-        AckInstall(*op, OkStatus());
+        Reply(*op, OkStatus());
       } else {  // a put or move replies its version; a delete replies 0
         Reply(*op, WriteReply{OkStatus(),
                               std::holds_alternative<DeleteRequest>(op->req)
@@ -1071,11 +1083,8 @@ void RingServer::HandleGcNotice(GcNotice msg) {
   }
   const uint32_t geom = msg.geom_s;
   bool erased = false;
-  auto it = memgests_.find(msg.memgest);
-  MemgestState* state = it == memgests_.end() ? nullptr : &it->second;
-  ShardStore* store =
-      state == nullptr ? nullptr : state->stores.Find(GeomKey(geom, msg.shard));
-  if (store != nullptr) {
+  if (ShardStore* store = FindStore(msg.memgest, GeomKey(geom, msg.shard));
+      store != nullptr) {
     analysis::ScopedCpuAcquire acquire(rt_->simulator().race(), id_);
     NoteAccess(RegionKind::kMetadata, AccessKind::kWrite,
                ScopeOf(msg.memgest, msg.shard), msg.key.hash(),
@@ -1085,12 +1094,11 @@ void RingServer::HandleGcNotice(GcNotice msg) {
     erased = store->meta.Erase(msg.key.str(), msg.version);
   }
   if (!erased) {
-    RecordEarlyGc(state, msg, geom);
+    RecordEarlyGc(msg, geom);
   }
 }
 
-void RingServer::RecordEarlyGc(MemgestState* state, const GcNotice& msg,
-                               uint32_t geom) {
+void RingServer::RecordEarlyGc(const GcNotice& msg, uint32_t geom) {
   // Nothing to erase: the version's redundancy write has not been applied
   // here yet (it waits in this CPU's queue, was dropped, or is in a metadata
   // snapshot still on its way to this promoted node). Remember the version
@@ -1106,7 +1114,7 @@ void RingServer::RecordEarlyGc(MemgestState* state, const GcNotice& msg,
   }
   // A promoted node may not hold the memgest yet: its metadata snapshot is
   // still on the way, and the record must be there when it lands.
-  StoreOf(state != nullptr ? *state : StateOf(*info), msg.shard, geom)
+  StoreOf(StateOf(*info), msg.shard, geom)
       .early_gc.Record(msg.key.str(), msg.version);
 }
 
@@ -1589,21 +1597,13 @@ uint64_t RingServer::LiveBytes() const {
 
 uint64_t RingServer::HeapExtent(MemgestId memgest, uint32_t shard,
                                 uint32_t geom_s) const {
-  auto it = memgests_.find(memgest);
-  if (it == memgests_.end()) {
-    return 0;
-  }
-  const ShardStore* store = it->second.stores.Find(GeomKey(geom_s, shard));
+  const ShardStore* store = FindStore(memgest, GeomKey(geom_s, shard));
   return store == nullptr ? 0 : store->next_addr;
 }
 
 uint64_t RingServer::WriteSeq(MemgestId memgest, uint32_t shard,
                               uint32_t geom_s) const {
-  auto it = memgests_.find(memgest);
-  if (it == memgests_.end()) {
-    return 0;
-  }
-  const ShardStore* store = it->second.stores.Find(GeomKey(geom_s, shard));
+  const ShardStore* store = FindStore(memgest, GeomKey(geom_s, shard));
   return store == nullptr ? 0 : store->write_seq;
 }
 
@@ -1616,12 +1616,8 @@ Buffer RingServer::ReadRawForRecovery(MemgestId memgest, uint32_t shard,
   NoteAccess(RegionKind::kHeap, AccessKind::kRead, ScopeOf(memgest, shard),
              addr, addr + len, "recovery/raw_heap_read");
   Buffer out(len, 0);
-  auto it = memgests_.find(memgest);
-  if (it == memgests_.end()) {
-    return out;
-  }
-  const ShardStore* store = it->second.stores.Find(GeomKey(geom_s, shard));
-  if (store != nullptr) {
+  if (const ShardStore* store = FindStore(memgest, GeomKey(geom_s, shard));
+      store != nullptr) {
     store->heap.CopyOut(addr, out);
   }
   return out;
@@ -1634,33 +1630,22 @@ Buffer RingServer::ReadRawParity(MemgestId memgest, uint32_t group,
              ScopeOf(memgest, GeomKey(geom_s, group)), addr, addr + len,
              "recovery/raw_parity_read");
   Buffer out(len, 0);
-  auto it = memgests_.find(memgest);
-  if (it == memgests_.end()) {
-    return out;
-  }
-  auto git = it->second.parity.find(GeomKey(geom_s, group));
-  if (git != it->second.parity.end()) {
-    git->second.mem.CopyOut(addr, out);
+  if (const ParityStore* parity = FindParity(memgest, GeomKey(geom_s, group));
+      parity != nullptr) {
+    parity->mem.CopyOut(addr, out);
   }
   return out;
 }
 
 bool RingServer::ParityUsable(MemgestId memgest, uint32_t group,
                               uint32_t geom_s) const {
-  auto it = memgests_.find(memgest);
-  if (it == memgests_.end()) {
-    return false;
-  }
-  auto git = it->second.parity.find(GeomKey(geom_s, group));
-  return git != it->second.parity.end() && git->second.rebuilt;
+  const ParityStore* parity = FindParity(memgest, GeomKey(geom_s, group));
+  return parity != nullptr && parity->rebuilt;
 }
 
 bool RingServer::DataUsable(MemgestId memgest, uint32_t shard,
                             uint32_t geom_s) const {
-  auto it = memgests_.find(memgest);
-  const ShardStore* store =
-      it == memgests_.end() ? nullptr
-                            : it->second.stores.Find(GeomKey(geom_s, shard));
+  const ShardStore* store = FindStore(memgest, GeomKey(geom_s, shard));
   return serving_ &&
          (store == nullptr || store->meta.entries_without_bytes() == 0);
 }

@@ -648,11 +648,10 @@ class RingServer {
   void Serve(ServerOp& op, StoreRecovery& run);
   // Answers that end the op: a get's result; a put's, move's or delete's
   // reply, recorded for the at-most-once table; a migration's status to the
-  // rebalance driver; an install's ack to the old owner's migration.
+  // rebalance driver, or an install's ack to the old owner's migration.
   void Reply(ServerOp& op, GetResult result);
   void Reply(ServerOp& op, WriteReply reply);
-  void ReplyMigrate(ServerOp& op, Status status);
-  void AckInstall(ServerOp& op, Status status);
+  void Reply(ServerOp& op, Status status);
 
   sim::CpuWorker& cpu();
   obs::Hub& hub();
@@ -770,6 +769,10 @@ class RingServer {
   void SendInstall(ServerOp& op);
 
   MemgestState& StateOf(const MemgestInfo& info);
+  // This node's store `store_key` and parity store `parity_key` (GeomKeys)
+  // of `memgest`; null when it holds none.
+  ShardStore* FindStore(MemgestId memgest, uint32_t store_key) const;
+  const ParityStore* FindParity(MemgestId memgest, uint32_t parity_key) const;
   // The store for `shard` under shape `geom_s`.
   ShardStore& StoreOf(MemgestState& state, uint32_t shard, uint32_t geom_s);
 
@@ -904,8 +907,7 @@ class RingServer {
   void InsertBackupMeta(ShardStore& backup, const BackupWrite& msg);
   // A GC notice found nothing to erase: record the version in the store its
   // redundancy write will land in.
-  // `state` is the memgest's state on this node, null when it has none yet.
-  void RecordEarlyGc(MemgestState* state, const GcNotice& msg, uint32_t geom);
+  void RecordEarlyGc(const GcNotice& msg, uint32_t geom);
 
   // Sends `reply` (a WriteReply, GetResult or admin Result) to the client
   // endpoint at node `client`, which completes its op `req_id` with it.

@@ -172,10 +172,7 @@ std::string RingServer::CheckKeyDirectory() const {
       }
       // The handles must name a live entry: the store registered under the
       // ref's store key, and that store's entry at (key, version).
-      const auto state = memgests_.find(ref.memgest);
-      const ShardStore* store = state == memgests_.end()
-                                    ? nullptr
-                                    : state->second.stores.Find(ref.store_key);
+      const ShardStore* store = FindStore(ref.memgest, ref.store_key);
       if (store == nullptr || store != ref.store ||
           store->meta.Find(key, ref.version) != ref.entry) {
         return node + "ref " + at + " holds a dangling handle";

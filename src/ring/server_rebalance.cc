@@ -95,7 +95,7 @@ void RingServer::HandleMigrateKey(MigrateKey msg) {
 
 void RingServer::Serve(ServerOp& op, MigrateKey& msg) {
   if (!config_.rebalancing()) {
-    ReplyMigrate(op, OkStatus());  // transition completed: nothing to move
+    Reply(op, OkStatus());  // transition completed: nothing to move
     return;
   }
   const HashedKey key(msg.key);
@@ -108,7 +108,7 @@ void RingServer::Serve(ServerOp& op, MigrateKey& msg) {
       (entry->moved && entry->moved_done)) {
     // Erased or never here (the scan will not re-report it), its highest
     // version already lives at the new shape, or it was handed over.
-    ReplyMigrate(op, OkStatus());
+    Reply(op, OkStatus());
     return;
   }
   if (!entry->committed) {
@@ -133,10 +133,18 @@ void RingServer::Serve(ServerOp& op, MigrateKey& msg) {
              loc.geom, /*moved=*/true);
 }
 
-void RingServer::ReplyMigrate(ServerOp& op, Status status) {
-  MigrateKey& msg = std::get<MigrateKey>(op.req);
-  rt_->fabric().Send(id_, msg.requester, kAckBytes,
-                     [reply = std::move(msg.reply), status] { reply(status); });
+void RingServer::Reply(ServerOp& op, Status status) {
+  if (auto* migrate = std::get_if<MigrateKey>(&op.req)) {
+    rt_->fabric().Send(
+        id_, migrate->requester, kAckBytes,
+        [reply = std::move(migrate->reply), status] { reply(status); });
+  } else {
+    const InstallKey& install = std::get<InstallKey>(op.req);
+    auto* peer = rt_->server(install.from);
+    SendToNode(install.from, kAckBytes, [peer, claim = install.op, status] {
+      peer->HandleInstallAck(*claim, status);
+    });
+  }
   End(op);
 }
 
@@ -223,7 +231,7 @@ void RingServer::HandleInstallAck(uint64_t op_id, Status status) {
       hub().metrics().Inc("rebalance.bytes", op->len, id_, op->info->id);
     }
   }
-  ReplyMigrate(*op, std::move(status));
+  Reply(*op, std::move(status));
 }
 
 void RingServer::HandleInstallKey(InstallKey msg) {
@@ -242,7 +250,7 @@ void RingServer::Serve(ServerOp& op, InstallKey& msg) {
   }
   const MemgestInfo* info = rt_->registry().Get(msg.memgest);
   if (info == nullptr) {
-    AckInstall(op, NotFoundError("memgest gone"));
+    Reply(op, NotFoundError("memgest gone"));
     return;
   }
   // Idempotency: once a version >= floor lives here *at the new shape*, a
@@ -256,7 +264,7 @@ void RingServer::Serve(ServerOp& op, InstallKey& msg) {
     }
     const EntryLoc loc = EntryOf(*info, key, r);
     if (loc.entry != nullptr && loc.geom == config_.s && !loc.entry->moved) {
-      AckInstall(op, OkStatus());
+      Reply(op, OkStatus());
       return;
     }
   }
@@ -265,15 +273,6 @@ void RingServer::Serve(ServerOp& op, InstallKey& msg) {
   op.version = std::max(volatile_index_.NextVersion(key), msg.floor);
   StartWrite(op, *info, cur_shard, key, op.version, msg.value, msg.tombstone,
              config_.s);
-}
-
-void RingServer::AckInstall(ServerOp& op, Status status) {
-  const InstallKey& msg = std::get<InstallKey>(op.req);
-  auto* peer = rt_->server(msg.from);
-  SendToNode(msg.from, kAckBytes, [peer, claim = msg.op, status] {
-    peer->HandleInstallAck(*claim, status);
-  });
-  End(op);
 }
 
 void RingServer::PurgeStaleGeometries() {
