@@ -1334,7 +1334,7 @@ void RingServer::CopyOut(ServerOp& op) {
   bool stale = e == nullptr || e->tombstone || !e->data_present ||
                e->addr != op.addr;
   if (get) {
-    stale = !rt_->options().test_bugs.no_gc_revalidate &&  // PR 5 bug 3
+    stale = !rt_->options().test_bugs.no_gc_revalidate &&  // test_bugs: Bug 3
             (stale || !e->committed);
   } else {
     const VolatileIndex::Ref* newest = volatile_index_.Highest(key);

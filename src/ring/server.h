@@ -300,9 +300,9 @@ class RingServer {
 
   // A wait of a server op for another node's answer (DESIGN.md §21): the
   // op's id, shared by the message or one-sided read that carries the
-  // answer back and by each copy of it. When the last copy dies and the op
-  // still waits, the answer was dropped and the op ends, as the closure it
-  // replaces died with the message.
+  // answer back and by each copy of it. When the last copy dies while the
+  // op still waits, the fabric or a handler dropped the answer and nothing
+  // can resume the op, so it ends.
   using OpClaim = std::shared_ptr<const uint64_t>;
 
   // On-demand erasure-coded block recovery (paper §5.5): a data node asks a
